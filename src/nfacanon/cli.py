@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import bench, io
-from .engine import CanonConfig, NeverThreshold, canonize, otf_determinize
+from .engine import PIPELINES, CanonConfig, NeverThreshold, canonize, otf_determinize
 from .generator import GenParams, generate, instance_meta
 from .kernels import available_backends, successor_kernel
 from .registry import OneToOneRegistry, RegistryContractError
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="NFA file path ('-' for stdin)")
     p.add_argument(
         "--pipeline",
-        choices=["sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s"],
+        choices=PIPELINES,
         default="sc",
     )
     p.add_argument("--timeout-ms", type=float, default=None)
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument(
         "--pipelines",
-        default="sc,sc-s,otf,otf-s,brz,brz-s,brz-otf,brz-otf-s",
+        default=",".join(PIPELINES),
         help="comma-separated pipeline names",
     )
     p.add_argument("--timeout-ms", type=float, default=None)

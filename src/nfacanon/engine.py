@@ -32,7 +32,16 @@ PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s
 
 
 class CanonTimeout(Exception):
-    """Raised internally when a run exceeds its deadline."""
+    """Raised internally when a run exceeds its deadline.
+
+    Raised inside the determinization loop, it carries that loop's explored
+    count and peak state count so far, so a timed-out run keeps them.
+    """
+
+    def __init__(self, explored_count: int = 0, peak_states: int = 0):
+        super().__init__()
+        self.explored_count = explored_count
+        self.peak_states = peak_states
 
 
 @dataclass
@@ -167,7 +176,7 @@ def otf_determinize(
 
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
-            raise CanonTimeout
+            raise CanonTimeout(explored_count, peak)
         current = stack.pop()
         c = uf.find(registry.get(current))
         if c in explored:
@@ -306,8 +315,12 @@ def canonize(
     )
     try:
         dfa = _run_pipeline(nfa, config, stats, deadline, trace)
-    except CanonTimeout:
+    except CanonTimeout as e:
         stats.timed_out = True
+        stats.explored_metastates += e.explored_count
+        stats.peak_intermediate_states = max(
+            stats.peak_intermediate_states, e.peak_states
+        )
         stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
         return None, stats
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0

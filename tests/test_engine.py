@@ -182,6 +182,17 @@ class TestCanonize:
         assert dfa is None
         assert stats.timed_out
 
+    @pytest.mark.parametrize("pipeline", ["sc", "otf"])
+    def test_timeout_keeps_partial_stats(self, pipeline):
+        # 2^20 metastates cannot be explored in 50 ms, while preprocessing
+        # the 21-state input takes far less: the deadline hits in the loop
+        config = CanonConfig(pipeline=pipeline, timeout_ms=50.0)
+        dfa, stats = canonize(blowup_nfa(20), config)
+        assert dfa is None
+        assert stats.timed_out
+        assert stats.explored_metastates > 0
+        assert stats.peak_intermediate_states > 0
+
     def test_stats_sanity(self):
         nfa = generate(GenParams(n=30, density=2.0, seed=3))
         dfa, stats = canonize(nfa, CanonConfig(pipeline="otf", threshold_init=5))

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfacanon.automata import Nfa, to_mask
 from nfacanon.registry import (
@@ -13,7 +15,7 @@ from nfacanon.registry import (
     RegistryContractError,
     UnionFind,
 )
-from nfacanon.simulation import Preorder, compute_similarity
+from nfacanon.simulation import Preorder, compute_similarity, prune
 
 
 class TestUnionFind:
@@ -254,3 +256,130 @@ class TestLattice:
         assert lat.covers(to_mask([1, 2]))
         assert not lat.covers(to_mask([2]))
         assert not lat.covers(to_mask([0, 3]))
+
+
+# -- cover index against a linear scan ---------------------------------------
+
+_UNIVERSE = 200  # metastates span up to 4 uint64 words
+
+
+def _reference_get(reg, mask):
+    """Lookup by the insertion-ordered lattice scan the index replaces.
+
+    Returns the state and the ``cover_hits`` entry the lookup should append.
+    """
+    state = reg._exact.get(mask)
+    if state is not None:
+        return reg.uf.find(state), None
+    query = prune(mask, reg.preorder) if isinstance(reg, CCLSRegistry) else mask
+    for lat in reg.lattices.values():
+        if lat.covers(query):
+            state = reg.uf.find(lat.rep)
+            return state, (mask, state)
+    return None, None
+
+
+def _checked_get(reg, mask):
+    expected, hit = _reference_get(reg, mask)
+    before = len(reg.cover_hits)
+    assert reg.get(mask) == expected
+    assert reg.cover_hits[before:] == ([hit] if hit else [])
+
+
+def _random_preorder(rng, positions):
+    """Reflexive-transitive closure of random edges among ``positions``."""
+    above = [1 << x for x in range(_UNIVERSE)]
+    for _ in range(len(positions)):
+        x, y = rng.sample(positions, 2)
+        above[x] |= 1 << y
+    for k in positions:
+        for i in positions:
+            if above[i] >> k & 1:
+                above[i] |= above[k]
+    return Preorder(above)
+
+
+def _run_ops(reg, rng, positions, steps):
+    """Random put/unify/get sequence over subsets of ``positions``."""
+    reg.cover_hits = []
+    states = []
+
+    def draw_mask():
+        return to_mask([x for x in positions if rng.random() < 0.4])
+
+    for step in range(steps):
+        op = rng.random()
+        if op < 0.4:
+            mask = draw_mask()
+            if mask in reg._exact:
+                continue
+            if states and rng.random() < 0.25:
+                reg.put(mask, rng.choice(states))  # absorbed in place
+            else:
+                reg.put(mask, step)
+                states.append(step)
+        elif op < 0.65 and len(states) >= 2:
+            reg.unify(*rng.sample(states, 2))
+        else:
+            _checked_get(reg, draw_mask())
+    for mask in list(reg._exact):
+        _checked_get(reg, mask)
+
+
+_positions = st.tuples(
+    st.lists(st.integers(0, 63), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(64, 127), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(128, _UNIVERSE - 1), min_size=1, max_size=4, unique=True),
+).map(lambda parts: sorted(set().union(*parts)))
+
+
+class TestCoverIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(positions=_positions, seed=st.integers(0, 2**32 - 1))
+    def test_ccl_matches_linear_scan(self, positions, seed):
+        _run_ops(CCLRegistry(), random.Random(seed), positions, 60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(positions=_positions, seed=st.integers(0, 2**32 - 1))
+    def test_ccls_matches_linear_scan(self, positions, seed):
+        rng = random.Random(seed)
+        reg = CCLSRegistry(_random_preorder(rng, positions))
+        _run_ops(reg, rng, positions, 60)
+
+    def test_words_grow_and_rows_compact(self, monkeypatch):
+        index_cls = type(CCLRegistry()._index)
+        compactions = []
+        original = index_cls._compact
+
+        def counting(self):
+            compactions.append(self.live)
+            original(self)
+
+        monkeypatch.setattr(index_cls, "_compact", counting)
+        rng = random.Random(4)
+        reg = CCLRegistry()
+        widths = []
+        for positions in ([3, 40, 50], [3, 40, 70, 100], [3, 40, 70, 100, 150, 250]):
+            _run_ops(reg, rng, positions, 80)
+            widths.append(reg._index.words)
+        assert widths == [1, 2, 4]
+        assert compactions
+        assert reg._index.dead <= reg._index.live
+
+    def test_point_lattices_get_no_rows(self):
+        reg = CCLRegistry()
+        a, b = _masks([1, 2], [3, 70])
+        reg.put(a, 0)
+        reg.put(b, 1)
+        assert reg._index.size == 0
+        assert reg._index.notg is None  # nothing allocated yet
+        reg.unify(0, 1)
+        assert reg._index.live == 2  # one row per minimal of the merged lattice
+
+    def test_ccls_point_lattices_get_no_rows(self):
+        p = _strict_preorder()
+        reg = CCLSRegistry(p)
+        reg.put(to_mask([2]), 0)  # prune == saturate: a point
+        assert reg._index.size == 0
+        reg.put(to_mask([0]), 1)  # saturates to {0, 1}: indexed
+        assert reg._index.live == 1

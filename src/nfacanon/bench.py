@@ -74,7 +74,6 @@ def run_sweep(
     out_csv: str,
     base_seed: int = 0,
     threshold_init: int = 5000,
-    kernel_backend: str | None = None,
 ) -> list[ResultRow]:
     """Run every pipeline on every generated instance; write CSV + cactus data.
 
@@ -85,10 +84,7 @@ def run_sweep(
     for instance_id, _params, nfa in instances:
         for pipeline in pipelines:
             config = CanonConfig(
-                pipeline=pipeline,
-                threshold_init=threshold_init,
-                timeout_ms=timeout_ms,
-                kernel_backend=kernel_backend,
+                pipeline=pipeline, threshold_init=threshold_init, timeout_ms=timeout_ms
             )
             row, _ = run_once(nfa, instance_id, config)
             rows.append(row)

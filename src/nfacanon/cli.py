@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``generate``, ``canonize``, ``sweep``, ``summarize``,
-``bench-kernels``.  Exit codes: 0 success, 2 parse error, 3 timeout,
-4 registry contract violation.
+Subcommands: ``generate``, ``canonize``, ``sweep``, ``summarize``.
+Exit codes: 0 success, 2 parse error, 3 timeout, 4 registry contract
+violation.
 """
 
 from __future__ import annotations
@@ -10,13 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import bench, io
-from .engine import PIPELINES, CanonConfig, NeverThreshold, canonize, otf_determinize
+from .engine import PIPELINES, CanonConfig
 from .generator import GenParams, generate, instance_meta
-from .kernels import available_backends, successor_kernel
-from .registry import OneToOneRegistry, RegistryContractError
+from .registry import RegistryContractError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -60,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complete", dest="complete", action="store_true", default=True)
     p.add_argument("--no-complete", dest="complete", action="store_false")
     p.add_argument("--emit-dfa", metavar="PATH", help="write the canonical DFA here")
-    p.add_argument("--kernel-backend", choices=available_backends(), default=None)
     p.set_defaults(func=_cmd_canonize)
 
     p = sub.add_parser("sweep", help="run a benchmark sweep over generated NFAs")
@@ -75,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--timeout-ms", type=float, default=None)
     p.add_argument("--threshold-init", type=int, default=5000)
-    p.add_argument("--kernel-backend", choices=available_backends(), default=None)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -83,15 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("csv", help="CSV produced by 'sweep'")
     p.add_argument("--json", metavar="PATH", help="also write the summary as JSON")
     p.set_defaults(func=_cmd_summarize)
-
-    p = sub.add_parser(
-        "bench-kernels", help="compare compiled and pure-Python successor kernels"
-    )
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--density", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=_cmd_bench_kernels)
 
     return parser
 
@@ -121,7 +108,6 @@ def _cmd_canonize(args) -> int:
         threshold_init=args.threshold_init,
         complete_output=args.complete,
         timeout_ms=args.timeout_ms,
-        kernel_backend=args.kernel_backend,
     )
     instance_id = meta.get("instance", args.input)
     row, dfa = bench.run_once(nfa, instance_id, config)
@@ -153,7 +139,6 @@ def _cmd_sweep(args) -> int:
         out_csv=args.out,
         base_seed=args.base_seed,
         threshold_init=args.threshold_init,
-        kernel_backend=args.kernel_backend,
     )
     print(f"wrote {args.out} and {bench.cactus_path(args.out)}")
     return EXIT_OK
@@ -168,50 +153,6 @@ def _cmd_summarize(args) -> int:
     if args.json:
         with open(args.json, "w") as f:
             json.dump(summary, f, indent=2)
-    return EXIT_OK
-
-
-def _cmd_bench_kernels(args) -> int:
-    params = GenParams(n=args.n, density=args.density, seed=args.seed)
-    nfa = generate(params)
-    # one reference run collects the explored metastates for the
-    # kernel-only measurement
-    ref = otf_determinize(
-        nfa, OneToOneRegistry(), NeverThreshold(), trace_explored=True
-    )
-    masks = ref.explored_trace or []
-    results = {}
-    for backend in available_backends():
-        kern = successor_kernel(nfa, backend)
-        kernel_best = None
-        e2e_best = None
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            for mask in masks:
-                kern.successors(mask)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            kernel_best = elapsed if kernel_best is None else min(kernel_best, elapsed)
-            t0 = time.perf_counter()
-            otf_determinize(
-                nfa, OneToOneRegistry(), NeverThreshold(), kernel_backend=backend
-            )
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            e2e_best = elapsed if e2e_best is None else min(e2e_best, elapsed)
-        results[backend] = {
-            "kernel_only_ms": round(kernel_best, 3),
-            "determinize_ms": round(e2e_best, 3),
-        }
-    print(
-        json.dumps(
-            {
-                "n": args.n,
-                "density": args.density,
-                "metastates": len(masks),
-                "dfa_states": ref.dfa.num_states,
-                "backends": results,
-            }
-        )
-    )
     return EXIT_OK
 
 

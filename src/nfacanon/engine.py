@@ -17,16 +17,12 @@ from .partition import (
     SIG_ACCEPTING,
     SIG_REJECTING,
     Signature,
+    bisimulation_quotient,
     minimize,
     sig_unique,
 )
 from .registry import CCLRegistry, CCLSRegistry, OneToOneRegistry, Registry
-from .simulation import (
-    compute_similarity,
-    preprocess_initial_final,
-    simulation_quotient,
-)
-from .partition import bisimulation_quotient
+from .simulation import compute_similarity, simulation_quotient
 
 PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s")
 
@@ -35,87 +31,47 @@ class CanonTimeout(Exception):
     """Raised internally when a run exceeds its deadline.
 
     Raised inside the determinization loop, it carries that loop's explored
-    count and peak state count so far, so a timed-out run keeps them.
+    count, peak state count and intermediate minimization count so far, so a
+    timed-out run keeps them.
     """
 
-    def __init__(self, explored_count: int = 0, peak_states: int = 0):
+    def __init__(
+        self, explored_count: int = 0, peak_states: int = 0, minimizations: int = 0
+    ):
         super().__init__()
         self.explored_count = explored_count
         self.peak_states = peak_states
+        self.minimizations = minimizations
 
 
-@dataclass
-class ThresholdState:
-    """Adaptive minimization-interval state.
+class Threshold:
+    """Adaptive minimization interval.
 
-    ``t`` is the current interval (calls between minimizations), ``s_old``
-    the previously observed minimized size.  Both default to 5000; ``t``
-    never drops below ``t_min`` and never grows by more than
-    ``max_increase`` per update.
+    Fires after every ``t`` explored states.  After each minimization ``t``
+    is rescaled by the ratio of the new minimized size to the previous one
+    (``s_old``), never dropping below ``t_min`` and never growing by more
+    than ``max_increase``.  ``t``, ``s_old`` and ``t_min`` start at ``init``;
+    ``max_increase`` defaults to ``init``, and ``max_increase=0`` gives a
+    fixed interval (``init=1``: minimize after every explored state).
     """
 
-    t: int = 5000
-    s_old: int = 5000
-    calls_since_last: int = 0
-    t_min: int = 5000
-    max_increase: int = 5000
+    def __init__(self, init: int = 5000, max_increase: int | None = None):
+        self.t = self.s_old = self.t_min = init
+        self.max_increase = init if max_increase is None else max_increase
+        self.calls_since_last = 0
 
-
-def adaptive_threshold(state: ThresholdState, current_dfa_size: int) -> bool:
-    """Fire after every ``t`` calls; resets the call counter on firing."""
-    state.calls_since_last += 1
-    if state.calls_since_last >= state.t:
-        state.calls_since_last = 0
-        return True
-    return False
-
-
-def update_threshold(state: ThresholdState, s_new: int) -> ThresholdState:
-    """Rescale the interval by the observed size ratio, with caps applied."""
-    s_new = max(1, s_new)
-    scaled = round(state.t * s_new / state.s_old)
-    state.t = max(state.t_min, min(scaled, state.t + state.max_increase))
-    state.s_old = s_new
-    return state
-
-
-class NeverThreshold:
-    """Threshold that never fires: plain subset construction behavior."""
-
-    def should_minimize(self, num_states: int) -> bool:
-        return False
-
-    def after_minimize(self, new_size: int) -> None:
-        pass
-
-
-class AdaptiveThreshold:
-    def __init__(self, init: int = 5000):
-        self.state = ThresholdState(t=init, s_old=init, t_min=init, max_increase=init)
-
-    def should_minimize(self, num_states: int) -> bool:
-        return adaptive_threshold(self.state, num_states)
-
-    def after_minimize(self, new_size: int) -> None:
-        update_threshold(self.state, new_size)
-
-
-class FixedIntervalThreshold:
-    """Fire every ``interval`` explored states (interval=1: always)."""
-
-    def __init__(self, interval: int):
-        self.interval = interval
-        self._calls = 0
-
-    def should_minimize(self, num_states: int) -> bool:
-        self._calls += 1
-        if self._calls >= self.interval:
-            self._calls = 0
+    def should_minimize(self) -> bool:
+        self.calls_since_last += 1
+        if self.calls_since_last >= self.t:
+            self.calls_since_last = 0
             return True
         return False
 
     def after_minimize(self, new_size: int) -> None:
-        pass
+        s_new = max(1, new_size)
+        scaled = round(self.t * s_new / self.s_old)
+        self.t = max(self.t_min, min(scaled, self.t + self.max_increase))
+        self.s_old = s_new
 
 
 def build_signature(dfa: Dfa) -> Signature:
@@ -142,9 +98,8 @@ class DeterminizeResult:
 def otf_determinize(
     nfa: Nfa,
     registry: Registry,
-    controller=None,
+    controller: Threshold | None = None,
     deadline: float | None = None,
-    kernel_backend: str | None = None,
     trace_explored: bool = False,
 ) -> DeterminizeResult:
     """Subset construction with registry lookups and on-the-fly minimization.
@@ -153,9 +108,9 @@ def otf_determinize(
     final, *not* finally-minimized automaton; all of its states are explored
     and total.  ``state_map`` resolves every state id ever created (including
     ids absorbed by intermediate minimizations) to a state of the result.
+    Without a ``controller`` no intermediate minimization happens.
     """
-    controller = controller or NeverThreshold()
-    kern = successor_kernel(nfa, kernel_backend)
+    kern = successor_kernel(nfa)
     uf = registry.uf
     k = nfa.alphabet_size
     final_mask = nfa.final_mask
@@ -176,7 +131,7 @@ def otf_determinize(
 
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
-            raise CanonTimeout(explored_count, peak)
+            raise CanonTimeout(explored_count, peak, minimizations)
         current = stack.pop()
         c = uf.find(registry.get(current))
         if c in explored:
@@ -203,13 +158,14 @@ def otf_determinize(
             explored_trace.append(current)
         if len(trans) > peak:
             peak = len(trans)
-        if controller.should_minimize(len(trans)):
+        if controller is not None and controller.should_minimize():
             _intermediate_minimize(trans, final, explored, registry, uf, k)
             minimizations += 1
             sizes_after_min.append(len(trans))
             controller.after_minimize(len(trans))
 
-    dfa, state_map = _densify(trans, final, explored, uf, k, counter)
+    dfa, _, pos = _snapshot(trans, final, explored, uf, k)
+    state_map = {i: pos[uf.find(i)] for i in range(counter + 1)}
     return DeterminizeResult(
         dfa=dfa,
         state_map=state_map,
@@ -223,21 +179,7 @@ def otf_determinize(
 
 def _intermediate_minimize(trans, final, explored, registry, uf, k) -> None:
     """Minimize the partial DFA in place and forward merges to the registry."""
-    ids = sorted(trans)
-    pos = {s: i for i, s in enumerate(ids)}
-    snap = Dfa(
-        len(ids),
-        k,
-        pos[uf.find(0)],
-        final={pos[s] for s in ids if s in final},
-        explored={pos[s] for s in ids if s in explored},
-    )
-    for s in ids:
-        row = trans[s]
-        dense_row = snap.trans[pos[s]]
-        for a in range(k):
-            if row[a] != UNDEFINED:
-                dense_row[a] = pos[uf.find(row[a])]
+    snap, ids, _ = _snapshot(trans, final, explored, uf, k)
     _, merges = minimize(snap, build_signature(snap))
     for surv_dense, absorbed_dense in merges:
         surv, absorbed = ids[surv_dense], ids[absorbed_dense]
@@ -248,7 +190,12 @@ def _intermediate_minimize(trans, final, explored, registry, uf, k) -> None:
         explored.discard(absorbed)
 
 
-def _densify(trans, final, explored, uf, k, counter):
+def _snapshot(trans, final, explored, uf, k) -> tuple[Dfa, list[int], dict[int, int]]:
+    """Dense copy of the sparse partial DFA, with its id maps.
+
+    Returns the DFA, the sorted sparse ids (dense index -> id) and their
+    inverse (id -> dense index).
+    """
     ids = sorted(trans)
     pos = {s: i for i, s in enumerate(ids)}
     dfa = Dfa(
@@ -264,8 +211,7 @@ def _densify(trans, final, explored, uf, k, counter):
         for a in range(k):
             if row[a] != UNDEFINED:
                 dense_row[a] = pos[uf.find(row[a])]
-    state_map = {i: pos[uf.find(i)] for i in range(counter + 1)}
-    return dfa, state_map
+    return dfa, ids, pos
 
 
 @dataclass
@@ -274,7 +220,6 @@ class CanonConfig:
     threshold_init: int = 5000
     complete_output: bool = True
     timeout_ms: float | None = None
-    kernel_backend: str | None = None
 
 
 @dataclass
@@ -318,6 +263,7 @@ def canonize(
     except CanonTimeout as e:
         stats.timed_out = True
         stats.explored_metastates += e.explored_count
+        stats.minimizations += e.minimizations
         stats.peak_intermediate_states = max(
             stats.peak_intermediate_states, e.peak_states
         )
@@ -340,7 +286,6 @@ def _run_pipeline(nfa, config, stats, deadline, trace):
     work = trim(nfa)
     _check_deadline(deadline)
     if simulated:
-        work = preprocess_initial_final(work)
         pre = compute_similarity(work)
         work = simulation_quotient(work, pre)
     else:
@@ -350,9 +295,7 @@ def _run_pipeline(nfa, config, stats, deadline, trace):
         trace.preprocessed = work
 
     def controller():
-        if uses_otf:
-            return AdaptiveThreshold(config.threshold_init)
-        return NeverThreshold()
+        return Threshold(config.threshold_init) if uses_otf else None
 
     def registry_for(phase_nfa: Nfa) -> Registry:
         if simulated:
@@ -371,7 +314,6 @@ def _run_pipeline(nfa, config, stats, deadline, trace):
             reg,
             controller=ctrl,
             deadline=deadline,
-            kernel_backend=config.kernel_backend,
             trace_explored=trace is not None,
         )
         stats.explored_metastates += res.explored_count
@@ -394,7 +336,7 @@ def _run_pipeline(nfa, config, stats, deadline, trace):
         # second phase: plain subset construction, no minimization needed
         phase2_input = reverse(phase1.dfa.to_nfa())
         reg2 = OneToOneRegistry()
-        phase2 = det(phase2_input, reg2, NeverThreshold())
+        phase2 = det(phase2_input, reg2, None)
         result = phase2.dfa
         if trace is not None:
             trace.state_map = phase2.state_map

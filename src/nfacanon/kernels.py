@@ -1,18 +1,16 @@
-"""Pure-Python successor kernel (fallback backend)."""
+"""Successor kernel: every per-symbol successor metastate of a metastate."""
 
 from __future__ import annotations
 
-from ..automata import Nfa
+from .automata import Nfa
 
 
-class PySuccessorKernel:
+class SuccessorKernel:
     """Computes all per-symbol successor metastates of a metastate.
 
     Transition rows are pre-grouped by source state so one pass over the set
     bits of the metastate fills every symbol's accumulator.
     """
-
-    backend = "python"
 
     def __init__(self, nfa: Nfa):
         self.alphabet_size = nfa.alphabet_size
@@ -32,3 +30,15 @@ class PySuccessorKernel:
             for a, v in enumerate(by_state[low.bit_length() - 1]):
                 out[a] |= v
         return out
+
+
+def default_backend() -> str:
+    # kept because perfbench/run.py imports it to print the backend it ran
+    return "python"
+
+
+def successor_kernel(nfa: Nfa, backend: str | None = None) -> SuccessorKernel:
+    # the backend argument stays because perfbench/tracer.py passes one
+    if backend not in (None, "python"):
+        raise ValueError(f"unknown kernel backend {backend!r}")
+    return SuccessorKernel(nfa)

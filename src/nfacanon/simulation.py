@@ -133,11 +133,3 @@ def simulation_quotient(nfa: Nfa, p: Preorder) -> Nfa:
         {dense[rep[s]] for s in nfa.final},
     )
 
-
-def preprocess_initial_final(nfa: Nfa) -> Nfa:
-    """Initial/final-state normalization hook applied before similarity.
-
-    The current transform is the identity; the contract is only that the
-    language is unchanged.  Extended variants can slot in here.
-    """
-    return nfa

@@ -23,11 +23,9 @@ from nfacanon.automata import (
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
-    FixedIntervalThreshold,
-    ThresholdState,
+    Threshold,
     canonize,
     otf_determinize,
-    update_threshold,
 )
 from nfacanon.generator import GenParams, derive_seed, generate, sweep_instances
 from nfacanon.io import serialize_nfa
@@ -117,7 +115,9 @@ def test_registry_soundness():
             else:
                 reg = CCLRegistry()
             reg.cover_hits = []
-            res = otf_determinize(nfa, reg, FixedIntervalThreshold(rng.choice([1, 2])))
+            res = otf_determinize(
+                nfa, reg, Threshold(rng.choice([1, 2]), max_increase=0)
+            )
             full = complete(res.dfa)
             for mask, state in reg.cover_hits:
                 hits_seen += 1
@@ -135,12 +135,15 @@ def test_ccls_equals_ccl_under_identity_preorder():
             nfa = random_nfa(rng, rng.randint(3, 9), 2)
             interval = rng.choice([1, 2, 3])
             a = otf_determinize(
-                nfa, CCLRegistry(), FixedIntervalThreshold(interval), trace_explored=True
+                nfa,
+                CCLRegistry(),
+                Threshold(interval, max_increase=0),
+                trace_explored=True,
             )
             b = otf_determinize(
                 nfa,
                 CCLSRegistry(Preorder.identity(nfa.num_states)),
-                FixedIntervalThreshold(interval),
+                Threshold(interval, max_increase=0),
                 trace_explored=True,
             )
             assert a.explored_trace == b.explored_trace
@@ -173,20 +176,21 @@ def test_simulation_soundness():
 
 def test_threshold_unit_suite():
     with criterion("threshold updates: worked examples and 5000 floor"):
-        s = ThresholdState(t=5000, s_old=5000)
-        update_threshold(s, 2500)
-        assert s.t == 5000
-        s = ThresholdState(t=5000, s_old=5000)
-        update_threshold(s, 7500)
-        assert s.t == 7500
-        s = ThresholdState(t=8000, s_old=4000)
-        update_threshold(s, 20000)
-        assert s.t == 13000
+        c = Threshold(5000)
+        c.after_minimize(2500)
+        assert c.t == 5000
+        c = Threshold(5000)
+        c.after_minimize(7500)
+        assert c.t == 7500
+        c = Threshold(5000)
+        c.t, c.s_old = 8000, 4000
+        c.after_minimize(20000)
+        assert c.t == 13000
         rng = random.Random(1)
-        s = ThresholdState()
+        c = Threshold()
         for _ in range(1000):
-            update_threshold(s, rng.randint(0, 10**6))
-            assert s.t >= 5000
+            c.after_minimize(rng.randint(0, 10**6))
+            assert c.t >= 5000
 
 
 def test_convexity_closure_fixture():

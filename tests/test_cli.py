@@ -136,15 +136,3 @@ class TestSweepAndSummarize:
         assert "empty" in captured.err
         assert "(no rows)" in captured.out
 
-
-class TestBenchKernels:
-    def test_reports_all_backends(self, capsys):
-        rc = main(["bench-kernels", "--n", "40", "--density", "2", "--repeats", "1"])
-        assert rc == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
-        from nfacanon.kernels import available_backends
-
-        assert set(report["backends"]) == set(available_backends())
-        for timing in report["backends"].values():
-            assert timing["kernel_only_ms"] >= 0
-            assert timing["determinize_ms"] > 0

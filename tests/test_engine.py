@@ -13,17 +13,12 @@ from nfacanon.automata import (
 )
 from nfacanon.engine import (
     PIPELINES,
-    AdaptiveThreshold,
     CanonConfig,
     CanonTrace,
-    FixedIntervalThreshold,
-    NeverThreshold,
-    ThresholdState,
-    adaptive_threshold,
+    Threshold,
     build_signature,
     canonize,
     otf_determinize,
-    update_threshold,
 )
 from nfacanon.generator import GenParams, generate
 from nfacanon.partition import SIG_ACCEPTING, SIG_REJECTING, minimize, sig_unique
@@ -39,50 +34,58 @@ from oracle import (
 
 class TestAdaptiveThreshold:
     def test_no_fire_before_t(self):
-        s = ThresholdState(t=5000)
-        assert not any(adaptive_threshold(s, 10) for _ in range(4999))
+        c = Threshold(5000)
+        assert not any(c.should_minimize() for _ in range(4999))
 
     def test_fires_on_t_th_call(self):
-        s = ThresholdState(t=5000)
+        c = Threshold(5000)
         for _ in range(4999):
-            adaptive_threshold(s, 10)
-        assert adaptive_threshold(s, 10)
+            c.should_minimize()
+        assert c.should_minimize()
 
     def test_counter_resets_after_firing(self):
-        s = ThresholdState(t=3, t_min=3)
-        fires = [adaptive_threshold(s, 10) for _ in range(9)]
+        c = Threshold(3)
+        fires = [c.should_minimize() for _ in range(9)]
         assert fires == [False, False, True] * 3
 
 
 class TestUpdateThreshold:
     def test_floor_cap(self):
-        s = ThresholdState(t=5000, s_old=5000)
-        update_threshold(s, 2500)
-        assert s.t == 5000
-        assert s.s_old == 2500
+        c = Threshold(5000)
+        c.after_minimize(2500)
+        assert c.t == 5000
+        assert c.s_old == 2500
 
     def test_growth_unbound_when_under_cap(self):
-        s = ThresholdState(t=5000, s_old=5000)
-        update_threshold(s, 7500)
-        assert s.t == 7500
+        c = Threshold(5000)
+        c.after_minimize(7500)
+        assert c.t == 7500
 
     def test_increase_capped(self):
-        s = ThresholdState(t=8000, s_old=4000)
-        update_threshold(s, 20000)
-        assert s.t == 13000
+        c = Threshold(5000)
+        c.t, c.s_old = 8000, 4000
+        c.after_minimize(20000)
+        assert c.t == 13000
 
     def test_zero_size_treated_as_one(self):
-        s = ThresholdState(t=5000, s_old=5000)
-        update_threshold(s, 0)
-        assert s.t == 5000
-        assert s.s_old == 1
+        c = Threshold(5000)
+        c.after_minimize(0)
+        assert c.t == 5000
+        assert c.s_old == 1
 
     def test_floor_holds_under_random_updates(self):
         rng = random.Random(77)
-        s = ThresholdState()
+        c = Threshold()
         for _ in range(1000):
-            update_threshold(s, rng.randint(0, 100000))
-            assert s.t >= 5000
+            c.after_minimize(rng.randint(0, 100000))
+            assert c.t >= 5000
+
+    def test_zero_growth_cap_keeps_interval_fixed(self):
+        rng = random.Random(78)
+        c = Threshold(3, max_increase=0)
+        for _ in range(100):
+            c.after_minimize(rng.randint(0, 100000))
+            assert c.t == 3
 
 
 class TestBuildSignature:
@@ -123,7 +126,7 @@ class TestOtfDeterminize:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_blowup_family_with_always_firing_ccl(self, n):
         nfa = blowup_nfa(n)
-        res = otf_determinize(nfa, CCLRegistry(), FixedIntervalThreshold(1))
+        res = otf_determinize(nfa, CCLRegistry(), Threshold(1, max_increase=0))
         assert res.peak_states <= 2**n
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
@@ -142,7 +145,9 @@ class TestOtfDeterminize:
         rng = random.Random(100 + seed)
         nfa = random_nfa(rng, rng.randint(3, 8), 2)
         interval = rng.choice([1, 2, 3])
-        res = otf_determinize(nfa, CCLRegistry(), FixedIntervalThreshold(interval))
+        res = otf_determinize(
+            nfa, CCLRegistry(), Threshold(interval, max_increase=0)
+        )
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
 
@@ -182,16 +187,25 @@ class TestCanonize:
         assert dfa is None
         assert stats.timed_out
 
-    @pytest.mark.parametrize("pipeline", ["sc", "otf"])
-    def test_timeout_keeps_partial_stats(self, pipeline):
+    @pytest.mark.parametrize(
+        "pipeline, threshold_init",
+        [("sc", 5000), ("otf", 5000), ("otf", 50)],
+        ids=["sc", "otf", "otf-threshold50"],
+    )
+    def test_timeout_keeps_partial_stats(self, pipeline, threshold_init):
         # 2^20 metastates cannot be explored in 50 ms, while preprocessing
         # the 21-state input takes far less: the deadline hits in the loop
-        config = CanonConfig(pipeline=pipeline, timeout_ms=50.0)
+        config = CanonConfig(
+            pipeline=pipeline, threshold_init=threshold_init, timeout_ms=50.0
+        )
         dfa, stats = canonize(blowup_nfa(20), config)
         assert dfa is None
         assert stats.timed_out
         assert stats.explored_metastates > 0
         assert stats.peak_intermediate_states > 0
+        if threshold_init == 50:
+            # the interrupted loop's intermediate minimizations are kept
+            assert stats.minimizations > 0
 
     def test_stats_sanity(self):
         nfa = generate(GenParams(n=30, density=2.0, seed=3))
@@ -240,13 +254,15 @@ class TestCanonize:
 
 class TestThresholdControllers:
     def test_never_threshold(self):
-        c = NeverThreshold()
-        assert not any(c.should_minimize(10) for _ in range(100))
+        # without a controller the loop never minimizes, however long it runs
+        res = otf_determinize(blowup_nfa(8), CCLRegistry(), None)
+        assert res.minimizations == 0
+        assert res.dfa.num_states == 2**8
 
     def test_adaptive_controller_wraps_state(self):
-        c = AdaptiveThreshold(init=2)
-        fires = [c.should_minimize(10) for _ in range(4)]
+        c = Threshold(2)
+        fires = [c.should_minimize() for _ in range(4)]
         assert fires == [False, True, False, True]
         c.after_minimize(4)
         # interval rescaled by the size ratio: 2 * 4/2 = 4, within the +2 cap
-        assert c.state.t == 4
+        assert c.t == 4

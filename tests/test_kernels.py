@@ -1,21 +1,20 @@
-"""Tests for the successor kernels and backend selection."""
+"""Tests for the successor kernel."""
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
 from nfacanon.automata import successor_mask, to_mask
-from nfacanon.kernels import available_backends, default_backend, successor_kernel
+from nfacanon.kernels import default_backend, successor_kernel
 
 from oracle import random_nfa
 
 
-def test_python_backend_always_available():
-    assert "python" in available_backends()
-    assert default_backend() in available_backends()
+def test_python_backend_always_available(ends_in_a):
+    assert default_backend() == "python"
+    for backend in (None, "python"):
+        kern = successor_kernel(ends_in_a, backend)
+        assert kern.successors(to_mask([0])) == [to_mask([0, 1]), to_mask([0])]
 
 
 def test_unknown_backend_rejected(ends_in_a):
@@ -23,53 +22,27 @@ def test_unknown_backend_rejected(ends_in_a):
         successor_kernel(ends_in_a, "fortran")
 
 
-@pytest.mark.parametrize("backend", available_backends())
 class TestKernelCorrectness:
-    def test_ends_in_a(self, ends_in_a, backend):
-        kern = successor_kernel(ends_in_a, backend)
+    def test_ends_in_a(self, ends_in_a):
+        kern = successor_kernel(ends_in_a)
         assert kern.successors(to_mask([0])) == [to_mask([0, 1]), to_mask([0])]
 
-    def test_empty_metastate(self, ends_in_a, backend):
-        kern = successor_kernel(ends_in_a, backend)
+    def test_empty_metastate(self, ends_in_a):
+        kern = successor_kernel(ends_in_a)
         assert kern.successors(0) == [0, 0]
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_matches_reference_successor(self, backend, seed):
+    def test_matches_reference_successor(self, seed):
         rng = random.Random(seed)
-        nfa = random_nfa(rng, rng.randint(1, 80), rng.randint(1, 4))
-        kern = successor_kernel(nfa, backend)
-        for _ in range(20):
-            mask = to_mask(
-                [s for s in range(nfa.num_states) if rng.random() < 0.3]
-            )
-            expect = [
-                successor_mask(nfa, mask, a) for a in range(nfa.alphabet_size)
-            ]
-            assert kern.successors(mask) == expect
-
-
-@pytest.mark.skipif(
-    len(available_backends()) < 2, reason="compiled backend not built"
-)
-def test_backends_agree_on_wide_masks():
-    # exercise metastates spanning multiple 64-bit words
-    rng = random.Random(42)
-    nfa = random_nfa(rng, 200, 3)
-    kernels = [successor_kernel(nfa, b) for b in available_backends()]
-    for _ in range(50):
-        mask = to_mask([s for s in range(200) if rng.random() < 0.4])
-        results = [k.successors(mask) for k in kernels]
-        assert all(r == results[0] for r in results)
-
-
-def test_pure_python_env_var_disables_compiled():
-    code = (
-        "from nfacanon.kernels import available_backends;"
-        "print(','.join(available_backends()))"
-    )
-    env = dict(os.environ, NFACANON_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "python"
+        # the 200-state input has masks wider than one 64-bit word
+        for n in (rng.randint(1, 80), 200):
+            nfa = random_nfa(rng, n, rng.randint(1, 4))
+            kern = successor_kernel(nfa)
+            for _ in range(20):
+                mask = to_mask(
+                    [s for s in range(nfa.num_states) if rng.random() < 0.3]
+                )
+                expect = [
+                    successor_mask(nfa, mask, a) for a in range(nfa.alphabet_size)
+                ]
+                assert kern.successors(mask) == expect

@@ -8,7 +8,6 @@ from nfacanon.automata import Nfa, enumerate_language, members, to_mask
 from nfacanon.simulation import (
     Preorder,
     compute_similarity,
-    preprocess_initial_final,
     prune,
     saturate,
     simulation_quotient,
@@ -170,19 +169,3 @@ class TestSimulationQuotient:
         q = simulation_quotient(nfa, compute_similarity(nfa))
         assert enumerate_language(q, 10) == enumerate_language(nfa, 10)
 
-
-class TestPreprocessInitialFinal:
-    def test_language_unchanged(self, ends_in_a):
-        out = preprocess_initial_final(ends_in_a)
-        assert enumerate_language(out, 10) == enumerate_language(ends_in_a, 10)
-
-    def test_normalized_input_unchanged(self, ends_in_a):
-        once = preprocess_initial_final(ends_in_a)
-        assert preprocess_initial_final(once) == once
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_random_nfa_language_equal(self, seed):
-        rng = random.Random(300 + seed)
-        nfa = random_nfa(rng, 6, 2)
-        out = preprocess_initial_final(nfa)
-        assert enumerate_language(out, 8) == enumerate_language(nfa, 8)

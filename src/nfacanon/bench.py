@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import statistics
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
 
 from .automata import Nfa
@@ -77,18 +78,17 @@ def run_sweep(
 ) -> list[ResultRow]:
     """Run every pipeline on every generated instance; write CSV + cactus data.
 
-    Failures and timeouts are recorded per row; the sweep always continues.
+    Timeouts are recorded per row and the sweep continues.  CSV rows are
+    written as their runs end (see :func:`write_csv`); the cactus file is
+    written at the end.
     """
     instances = sweep_instances(n_values, seeds_per_n, density, base_seed)
-    rows: list[ResultRow] = []
-    for instance_id, _params, nfa in instances:
-        for pipeline in pipelines:
-            config = CanonConfig(
-                pipeline=pipeline, threshold_init=threshold_init, timeout_ms=timeout_ms
-            )
-            row, _ = run_once(nfa, instance_id, config)
-            rows.append(row)
-    write_csv(rows, out_csv)
+    configs = [
+        CanonConfig(pipeline=p, threshold_init=threshold_init, timeout_ms=timeout_ms)
+        for p in pipelines
+    ]
+    runs = (run_once(nfa, iid, c)[0] for iid, _params, nfa in instances for c in configs)
+    rows = write_csv(runs, out_csv)
     write_cactus(rows, cactus_path(out_csv))
     return rows
 
@@ -98,12 +98,20 @@ def cactus_path(out_csv: str) -> str:
     return stem + ".cactus.csv"
 
 
-def write_csv(rows: list[ResultRow], path: str) -> None:
+def write_csv(rows: Iterable[ResultRow], path: str) -> list[ResultRow]:
+    """Write each row as it arrives, flushed, and return them as a list.
+
+    A sweep that dies keeps the rows finished before it.
+    """
+    written = []
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow(row.to_csv_row())
+            f.flush()
+            written.append(row)
+    return written
 
 
 def write_cactus(rows: list[ResultRow], path: str) -> None:

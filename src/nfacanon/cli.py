@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="sc",
     )
     p.add_argument("--timeout-ms", type=float, default=None)
-    p.add_argument("--threshold-init", type=int, default=5000)
+    p.add_argument("--threshold-init", type=_positive_int, default=5000)
     p.add_argument("--complete", dest="complete", action="store_true", default=True)
     p.add_argument("--no-complete", dest="complete", action="store_false")
     p.add_argument("--emit-dfa", metavar="PATH", help="write the canonical DFA here")
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated pipeline names",
     )
     p.add_argument("--timeout-ms", type=float, default=None)
-    p.add_argument("--threshold-init", type=int, default=5000)
+    p.add_argument("--threshold-init", type=_positive_int, default=5000)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
@@ -81,6 +81,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_summarize)
 
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
 
 
 def _cmd_generate(args) -> int:

@@ -233,44 +233,37 @@ class RunStats:
     timed_out: bool = False
 
 
-@dataclass
-class CanonTrace:
-    """Optional instrumentation collected during :func:`canonize`."""
-
-    cover_hits: list[tuple[int, int]] = field(default_factory=list)
-    explored_trace: list[int] = field(default_factory=list)
-    state_map: dict[int, int] = field(default_factory=dict)
-    preprocessed: Nfa | None = None
-    lookup_nfa: Nfa | None = None  # automaton the registry lookups refer to
-
-
-def canonize(
-    nfa: Nfa, config: CanonConfig, trace: CanonTrace | None = None
-) -> tuple[Dfa | None, RunStats]:
+def canonize(nfa: Nfa, config: CanonConfig) -> tuple[Dfa | None, RunStats]:
     """Run one canonization pipeline; returns the canonical DFA and metrics.
 
     On timeout the DFA is ``None`` and ``stats.timed_out`` is set.
     """
     if config.pipeline not in PIPELINES:
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
+    if config.threshold_init < 1:
+        raise ValueError(f"threshold_init must be at least 1: {config.threshold_init}")
     stats = RunStats()
     start = time.perf_counter()
     deadline = (
         start + config.timeout_ms / 1000.0 if config.timeout_ms is not None else None
     )
     try:
-        dfa = _run_pipeline(nfa, config, stats, deadline, trace)
+        dfa = _run_pipeline(nfa, config, stats, deadline)
     except CanonTimeout as e:
         stats.timed_out = True
-        stats.explored_metastates += e.explored_count
-        stats.minimizations += e.minimizations
-        stats.peak_intermediate_states = max(
-            stats.peak_intermediate_states, e.peak_states
-        )
-        stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
-        return None, stats
+        _fold(stats, e)
+        dfa = None
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return dfa, stats
+
+
+def _fold(stats: RunStats, run: DeterminizeResult | CanonTimeout) -> None:
+    """Add one determinization loop's counts to the run's totals."""
+    stats.explored_metastates += run.explored_count
+    stats.minimizations += run.minimizations
+    stats.peak_intermediate_states = max(
+        stats.peak_intermediate_states, run.peak_states
+    )
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -278,7 +271,7 @@ def _check_deadline(deadline: float | None) -> None:
         raise CanonTimeout
 
 
-def _run_pipeline(nfa, config, stats, deadline, trace):
+def _run_pipeline(nfa, config, stats, deadline):
     simulated = config.pipeline.endswith("-s")
     brz = config.pipeline.startswith("brz")
     uses_otf = "otf" in config.pipeline
@@ -286,146 +279,61 @@ def _run_pipeline(nfa, config, stats, deadline, trace):
     work = trim(nfa)
     _check_deadline(deadline)
     if simulated:
-        pre = compute_similarity(work)
-        work = simulation_quotient(work, pre)
+        work, preorder = simulation_quotient(work, compute_similarity(work))
     else:
         work = bisimulation_quotient(work)
-    _check_deadline(deadline)
-    if trace is not None:
-        trace.preprocessed = work
-
-    def controller():
-        return Threshold(config.threshold_init) if uses_otf else None
-
-    def registry_for(phase_nfa: Nfa) -> Registry:
+    if brz:
+        work = reverse(work)
         if simulated:
-            reg: Registry = CCLSRegistry(compute_similarity(phase_nfa))
-        elif uses_otf:
-            reg = CCLRegistry()
-        else:
-            reg = OneToOneRegistry()
-        if trace is not None and isinstance(reg, CCLRegistry):
-            reg.cover_hits = []
-        return reg
+            preorder = compute_similarity(work)
+    _check_deadline(deadline)
 
-    def det(phase_nfa: Nfa, reg: Registry, ctrl) -> DeterminizeResult:
-        res = otf_determinize(
-            phase_nfa,
-            reg,
-            controller=ctrl,
-            deadline=deadline,
-            trace_explored=trace is not None,
-        )
-        stats.explored_metastates += res.explored_count
-        stats.minimizations += res.minimizations
-        stats.peak_intermediate_states = max(
-            stats.peak_intermediate_states, res.peak_states
-        )
-        if trace is not None and res.explored_trace is not None:
-            trace.explored_trace.extend(res.explored_trace)
-        return res
+    # ``work`` is the automaton the registry lookups refer to
+    if simulated:
+        registry: Registry = CCLSRegistry(preorder)
+    elif uses_otf:
+        registry = CCLRegistry()
+    else:
+        registry = OneToOneRegistry()
+    controller = Threshold(config.threshold_init) if uses_otf else None
+    res = otf_determinize(work, registry, controller, deadline)
+    _fold(stats, res)
+    reference = max([res.dfa.num_states] + res.sizes_after_min)
+    _check_deadline(deadline)
 
     if brz:
-        rev = reverse(work)
-        if trace is not None:
-            trace.lookup_nfa = rev
-        reg1 = registry_for(rev)
-        phase1 = det(rev, reg1, controller())
-        _record_cover_hits(trace, reg1)
-        phase1_size = phase1.dfa.num_states
-        # second phase: plain subset construction, no minimization needed
-        phase2_input = reverse(phase1.dfa.to_nfa())
-        reg2 = OneToOneRegistry()
-        phase2 = det(phase2_input, reg2, None)
-        result = phase2.dfa
-        if trace is not None:
-            trace.state_map = phase2.state_map
-        if config.complete_output:
-            result = complete(result)
-        stats.final_states = result.num_states
-        reference = max([phase1_size] + phase1.sizes_after_min)
-        stats.overhead = max(0, reference - stats.final_states)
-        return result
-
-    if trace is not None:
-        trace.lookup_nfa = work
-    reg = registry_for(work)
-    res = det(work, reg, controller())
-    _record_cover_hits(trace, reg)
-    pre_min_size = res.dfa.num_states
-    _check_deadline(deadline)
-    # final minimization (counts toward the minimization total)
-    d = complete(res.dfa) if config.complete_output else res.dfa
-    d.explored = set(range(d.num_states))
-    minimized, _ = minimize(d, build_signature(d))
-    stats.minimizations += 1
-    if not config.complete_output:
-        minimized = _drop_dead_states(minimized)
-    stats.final_states = minimized.num_states
-    reference = max([pre_min_size] + res.sizes_after_min)
-    stats.overhead = max(0, reference - stats.final_states)
-    if trace is not None:
-        # compose determinization id map with the final minimization map
-        final_map = _minimization_map(d, minimized)
-        trace.state_map = {
-            orig: final_map[dense] for orig, dense in res.state_map.items()
-        }
-    return minimized
+        # subset construction of a reversed reachable DFA yields the minimal DFA
+        phase2_input = reverse(res.dfa.to_nfa())
+        res = otf_determinize(phase2_input, OneToOneRegistry(), None, deadline)
+        _fold(stats, res)
+        dfa = res.dfa
+    else:
+        # the determinized DFA is total and fully explored
+        dfa, _ = minimize(res.dfa, build_signature(res.dfa))
+        stats.minimizations += 1
+    dfa = complete(dfa) if config.complete_output else _drop_sink(dfa)
+    stats.final_states = dfa.num_states
+    stats.overhead = max(0, reference - dfa.num_states)
+    return dfa
 
 
-def _record_cover_hits(trace, reg) -> None:
-    hits = getattr(reg, "cover_hits", None)
-    if trace is not None and hits:
-        trace.cover_hits.extend(hits)
+def _drop_sink(dfa: Dfa) -> Dfa:
+    """Remove the sink of a minimal total DFA, leaving it trim and partial.
 
-
-def _minimization_map(before: Dfa, after: Dfa) -> dict[int, int]:
-    """Map states of ``before`` onto the quotient by replaying words.
-
-    Both automata are total here; parallel BFS assigns each reachable state
-    of ``before`` its image in ``after``.
+    All dead states of a minimal DFA are one non-final state looping to
+    itself on every symbol.  The initial state stays even when it is dead.
     """
-    mapping = {before.initial: after.initial}
-    stack = [before.initial]
-    while stack:
-        s = stack.pop()
-        for a in range(before.alphabet_size):
-            t = before.trans[s][a]
-            if t not in mapping:
-                mapping[t] = after.trans[mapping[s]][a]
-                stack.append(t)
-    return mapping
-
-
-def _drop_dead_states(dfa: Dfa) -> Dfa:
-    """Remove states that cannot reach a final state (trim-partial form)."""
-    preds: list[list[int]] = [[] for _ in range(dfa.num_states)]
-    for s in range(dfa.num_states):
-        for a in range(dfa.alphabet_size):
-            t = dfa.trans[s][a]
-            if t != UNDEFINED:
-                preds[t].append(s)
-    alive = set(dfa.final)
-    stack = list(alive)
-    while stack:
-        s = stack.pop()
-        for p in preds[s]:
-            if p not in alive:
-                alive.add(p)
-                stack.append(p)
-    alive.add(dfa.initial)  # keep the initial state even for the empty language
-    keep = sorted(alive)
+    k = dfa.alphabet_size
+    for sink in range(dfa.num_states):
+        dead = sink not in dfa.final and dfa.trans[sink] == [sink] * k
+        if dead and sink != dfa.initial:
+            break
+    else:
+        return dfa
+    keep = [s for s in range(dfa.num_states) if s != sink]
     new_id = {s: i for i, s in enumerate(keep)}
-    out = Dfa(
-        len(keep),
-        dfa.alphabet_size,
-        new_id[dfa.initial],
-        final={new_id[s] for s in keep if s in dfa.final},
-        explored={new_id[s] for s in keep},
-    )
-    for s in keep:
-        for a in range(dfa.alphabet_size):
-            t = dfa.trans[s][a]
-            if t != UNDEFINED and t in new_id:
-                out.set_transition(new_id[s], a, new_id[t])
+    new_id[sink] = UNDEFINED  # transitions into the sink become undefined
+    out = Dfa(len(keep), k, new_id[dfa.initial], final=[new_id[s] for s in dfa.final])
+    out.trans = [[new_id[t] for t in dfa.trans[s]] for s in keep]
+    out.explored = set(range(len(keep)))
     return out

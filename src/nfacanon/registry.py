@@ -246,13 +246,13 @@ class Registry(Protocol):
 class OneToOneRegistry:
     """Exact hash-based registry; ``unify`` does nothing."""
 
-    def __init__(self, uf: UnionFind | None = None):
+    def __init__(self):
         self._exact: dict[int, int] = {}
-        self.uf = uf if uf is not None else UnionFind()
+        self.uf = UnionFind()
 
     def get(self, mask: int) -> Optional[int]:
         # no uf.find: this registry never unifies, and the engine resolves
-        # every returned id through the shared union-find itself
+        # every returned id through this registry's union-find itself
         return self._exact.get(mask)
 
     def put(self, mask: int, state: int) -> None:
@@ -277,9 +277,9 @@ class CCLRegistry:
     metastate, returned state) pair.
     """
 
-    def __init__(self, uf: UnionFind | None = None):
+    def __init__(self):
         self._exact: dict[int, int] = {}
-        self.uf = uf if uf is not None else UnionFind()
+        self.uf = UnionFind()
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
@@ -347,8 +347,8 @@ class CCLSRegistry(CCLRegistry):
     of the metastate; ``get`` normalizes the query by pruning first.
     """
 
-    def __init__(self, preorder: Preorder, uf: UnionFind | None = None):
-        super().__init__(uf)
+    def __init__(self, preorder: Preorder):
+        super().__init__()
         self.preorder = preorder
 
     def get(self, mask: int) -> Optional[int]:

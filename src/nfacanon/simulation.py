@@ -115,8 +115,12 @@ def saturate(metastate: int, p: Preorder) -> int:
     return out
 
 
-def simulation_quotient(nfa: Nfa, p: Preorder) -> Nfa:
-    """Merge mutually similar states; language is preserved."""
+def simulation_quotient(nfa: Nfa, p: Preorder) -> tuple[Nfa, Preorder]:
+    """Merge mutually similar states; language is preserved.
+
+    Also returns the quotient's similarity preorder, which is the one ``p``
+    induces on the classes: ``[x] <= [y]`` iff ``x <= y``.
+    """
     n = nfa.num_states
     rep = [0] * n
     for x in range(n):
@@ -124,12 +128,14 @@ def simulation_quotient(nfa: Nfa, p: Preorder) -> Nfa:
         rep[x] = (mutual & -mutual).bit_length() - 1
     reps = sorted(set(rep))
     dense = {r: i for i, r in enumerate(reps)}
+    rep_mask = sum(1 << r for r in reps)
+    above = [sum(1 << dense[y] for y in members(p.above[r] & rep_mask)) for r in reps]
     edges = {(dense[rep[s]], a, dense[rep[t]]) for (s, a, t) in nfa.edges()}
-    return Nfa(
+    quotient = Nfa(
         len(reps),
         nfa.alphabet_size,
         sorted(edges),
         {dense[rep[s]] for s in nfa.initial},
         {dense[rep[s]] for s in nfa.final},
     )
-
+    return quotient, Preorder(above)

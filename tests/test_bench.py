@@ -15,7 +15,7 @@ from nfacanon.bench import (
     summarize,
     write_csv,
 )
-from nfacanon.engine import CanonConfig
+from nfacanon.engine import CanonConfig, canonize
 from nfacanon.generator import GenParams, generate
 
 
@@ -81,6 +81,26 @@ class TestSweep:
             ]
 
         assert strip_timing(rows1) == strip_timing(rows2)
+
+    def test_rows_written_before_a_crash(self, tmp_path, monkeypatch):
+        import nfacanon.bench as bench
+
+        calls = []
+
+        def crash_on_third(nfa, config):
+            calls.append(config.pipeline)
+            if len(calls) == 3:
+                raise RuntimeError("simulated crash")
+            return canonize(nfa, config)
+
+        monkeypatch.setattr(bench, "canonize", crash_on_third)
+        out = str(tmp_path / "crash.csv")
+        with pytest.raises(RuntimeError):
+            run_sweep([10, 15], 1, 2.0, ["sc", "otf"], None, out)
+        with open(out, newline="") as f:
+            recs = list(csv.reader(f))
+        assert recs[0] == CSV_COLUMNS
+        assert [r[1] for r in recs[1:]] == ["sc", "otf"]
 
     def test_all_timeout_scenario(self, tmp_path):
         out = str(tmp_path / "t.csv")

@@ -77,6 +77,15 @@ class TestCanonize:
         assert rc == EXIT_TIMEOUT
         assert json.loads(capsys.readouterr().out)["timed_out"] is True
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threshold_below_one_rejected(self, instance_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["canonize", instance_file, "--threshold-init", value])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--threshold-init" in captured.err
+
     @pytest.mark.parametrize(
         "pipeline", ["sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s"]
     )
@@ -111,6 +120,14 @@ class TestSweepAndSummarize:
         assert "otf" in text and "minimizations" in text
         summary = json.load(open(json_out))
         assert set(summary) == {"sc", "otf"}
+
+    def test_threshold_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n-values", "10", "--threshold-init", "0", "--out", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        assert "--threshold-init" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_n_values_range_syntax(self, tmp_path):
         out = str(tmp_path / "r.csv")

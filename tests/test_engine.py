@@ -11,10 +11,10 @@ from nfacanon.automata import (
     isomorphic,
     language_equivalent,
 )
+import nfacanon.engine as engine
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
-    CanonTrace,
     Threshold,
     build_signature,
     canonize,
@@ -23,6 +23,7 @@ from nfacanon.engine import (
 from nfacanon.generator import GenParams, generate
 from nfacanon.partition import SIG_ACCEPTING, SIG_REJECTING, minimize, sig_unique
 from nfacanon.registry import CCLRegistry, OneToOneRegistry
+from nfacanon.simulation import compute_similarity
 
 from oracle import (
     blowup_nfa,
@@ -229,27 +230,49 @@ class TestCanonize:
         dfa, _ = canonize(nfa, cfg)
         assert isomorphic(dfa, canonical_dfa(nfa))
 
-    def test_no_complete_drops_sink(self, ends_in_a):
-        dfa, _ = canonize(ends_in_a, CanonConfig(pipeline="sc", complete_output=False))
-        # "ends in a" needs no sink: both states are live either way
-        assert dfa.num_states == 2
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_no_complete_drops_sink(self, ends_in_a, pipeline):
         from nfacanon.automata import Nfa
 
+        partial_cfg = CanonConfig(pipeline=pipeline, complete_output=False)
+        dfa, _ = canonize(ends_in_a, partial_cfg)
+        # "ends in a" needs no sink: both states are live either way
+        assert dfa.num_states == 2
         only_empty = Nfa(1, 2, [], initial=[0], final=[0])
-        partial, _ = canonize(only_empty, CanonConfig(pipeline="sc", complete_output=False))
-        total, _ = canonize(only_empty, CanonConfig(pipeline="sc"))
+        partial, _ = canonize(only_empty, partial_cfg)
+        total, _ = canonize(only_empty, CanonConfig(pipeline=pipeline))
         assert partial.num_states == 1
         assert total.num_states == 2
+        one_a = Nfa(2, 2, [(0, 0, 1)], [0], [1])
+        partial, stats = canonize(one_a, partial_cfg)
+        total, _ = canonize(one_a, CanonConfig(pipeline=pipeline))
+        assert (partial.num_states, stats.final_states) == (2, 2)
+        assert total.num_states == 3
+        assert language_equivalent(complete(partial), total)
 
-    def test_trace_collects_state_map_and_explored(self):
+    @pytest.mark.parametrize("threshold_init", [0, -1])
+    def test_threshold_below_one_rejected(self, threshold_init):
+        nfa = generate(GenParams(n=20, density=2.0, seed=1))
+        config = CanonConfig(pipeline="otf", threshold_init=threshold_init)
+        with pytest.raises(ValueError, match="threshold_init"):
+            canonize(nfa, config)
+
+    def test_similarity_computed_once_per_direction(self, monkeypatch):
+        # -s subset pipelines reuse the preorder the quotient step induces;
+        # Brzozowski adds one computation on the reversed quotient
+        calls = []
+
+        def counting(nfa):
+            calls.append(nfa.num_states)
+            return compute_similarity(nfa)
+
+        monkeypatch.setattr(engine, "compute_similarity", counting)
         nfa = generate(GenParams(n=20, density=2.0, seed=4))
-        trace = CanonTrace()
-        dfa, _ = canonize(nfa, CanonConfig(pipeline="otf", threshold_init=3), trace)
-        assert trace.explored_trace
-        assert trace.state_map
-        assert trace.lookup_nfa is not None
-        # every created state id resolves to a live state of the output
-        assert set(trace.state_map.values()) <= set(range(dfa.num_states))
+        expected = {"sc-s": 1, "otf-s": 1, "brz-s": 2, "brz-otf-s": 2}
+        for pipeline in PIPELINES:
+            calls.clear()
+            canonize(nfa, CanonConfig(pipeline=pipeline))
+            assert len(calls) == expected.get(pipeline, 0), pipeline
 
 
 class TestThresholdControllers:

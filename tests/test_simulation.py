@@ -117,7 +117,7 @@ class TestPruneSaturate:
         nfa = random_nfa(rng, rng.randint(2, 7), 2)
         # quotient by simulation equivalence first so no two distinct states
         # are mutually similar; prune(saturate(q)) = prune(q) needs that
-        nfa = simulation_quotient(nfa, compute_similarity(nfa))
+        nfa, _ = simulation_quotient(nfa, compute_similarity(nfa))
         p = compute_similarity(nfa)
         mask = to_mask(
             [s for s in range(nfa.num_states) if rng.random() < 0.5]
@@ -137,7 +137,7 @@ class TestPruneSaturate:
 class TestSimulationQuotient:
     def test_no_mutual_similarity_unchanged(self, ends_in_a):
         p = compute_similarity(ends_in_a)
-        q = simulation_quotient(ends_in_a, p)
+        q, _ = simulation_quotient(ends_in_a, p)
         assert q.num_states == ends_in_a.num_states
 
     def test_bisimilar_states_merged(self):
@@ -148,7 +148,7 @@ class TestSimulationQuotient:
             initial=[0],
             final=[2, 4],
         )
-        q = simulation_quotient(nfa, compute_similarity(nfa))
+        q, _ = simulation_quotient(nfa, compute_similarity(nfa))
         assert q.num_states == 3
 
     @pytest.mark.parametrize("seed", range(6))
@@ -159,13 +159,25 @@ class TestSimulationQuotient:
 
         nfa = trim(generate(GenParams(n=30, density=8.0, seed=seed)))
         p = compute_similarity(nfa)
-        q = simulation_quotient(nfa, p)
+        q, _ = simulation_quotient(nfa, p)
         assert q.num_states == nfa.num_states
 
     @pytest.mark.parametrize("seed", range(15))
     def test_language_preserved(self, seed):
         rng = random.Random(200 + seed)
         nfa = random_nfa(rng, rng.randint(2, 10), 2)
-        q = simulation_quotient(nfa, compute_similarity(nfa))
+        q, _ = simulation_quotient(nfa, compute_similarity(nfa))
         assert enumerate_language(q, 10) == enumerate_language(nfa, 10)
 
+
+    def test_returned_preorder_is_quotient_similarity(self):
+        # the induced preorder on the classes is the quotient's largest
+        # simulation, so the quotient's similarity need not be recomputed
+        rng = random.Random(300)
+        merged = 0
+        for _ in range(200):
+            nfa = random_nfa(rng, rng.randint(2, 12), rng.randint(1, 3))
+            q, induced = simulation_quotient(nfa, compute_similarity(nfa))
+            assert induced.above == compute_similarity(q).above
+            merged += q.num_states < nfa.num_states
+        assert merged >= 20  # the check covers real merges

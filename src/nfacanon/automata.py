@@ -183,6 +183,45 @@ class Dfa:
         return f"Dfa(states={self.num_states}, symbols={self.alphabet_size})"
 
 
+class ReversedDfa:
+    """Read-only view of the reverse of a total DFA.
+
+    It is the input of Brzozowski's second subset pass: the initial metastate
+    is the DFA's final states and the only final state is its initial state.
+    The successor of a metastate Q on symbol a is the preimage
+    ``{t : dfa.trans[t][a] in Q}``; ``kernels.PreimageKernel`` computes it
+    without building the reversed NFA.
+    """
+
+    __slots__ = ("_dfa",)
+
+    def __init__(self, dfa: Dfa):
+        # an UNDEFINED (-1) entry would index the last state's bit
+        if not dfa.is_total():
+            raise ValueError("ReversedDfa requires a total DFA")
+        self._dfa = dfa
+
+    @property
+    def dfa(self) -> Dfa:
+        return self._dfa
+
+    @property
+    def num_states(self) -> int:
+        return self._dfa.num_states
+
+    @property
+    def alphabet_size(self) -> int:
+        return self._dfa.alphabet_size
+
+    @property
+    def initial_mask(self) -> int:
+        return to_mask(self._dfa.final)
+
+    @property
+    def final_mask(self) -> int:
+        return 1 << self._dfa.initial
+
+
 def successors(nfa: Nfa, metastate: Iterable[int] | int, symbol: int) -> frozenset[int]:
     """Union of per-state successor sets: the metastate transition function."""
     if not 0 <= symbol < nfa.alphabet_size:

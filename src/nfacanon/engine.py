@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .automata import UNDEFINED, Dfa, Nfa, complete, reverse, trim
+from .automata import UNDEFINED, Dfa, Nfa, ReversedDfa, complete, reverse, trim
 from .kernels import successor_kernel
 from .partition import (
     SIG_ACCEPTING,
@@ -96,7 +96,7 @@ class DeterminizeResult:
 
 
 def otf_determinize(
-    nfa: Nfa,
+    nfa: Nfa | ReversedDfa,
     registry: Registry,
     controller: Threshold | None = None,
     deadline: float | None = None,
@@ -108,7 +108,8 @@ def otf_determinize(
     final, *not* finally-minimized automaton; all of its states are explored
     and total.  ``state_map`` resolves every state id ever created (including
     ids absorbed by intermediate minimizations) to a state of the result.
-    Without a ``controller`` no intermediate minimization happens.
+    Without a ``controller`` no intermediate minimization happens.  ``nfa``
+    may be a ``ReversedDfa``, the input of Brzozowski's second pass.
     """
     kern = successor_kernel(nfa)
     uf = registry.uf
@@ -303,8 +304,7 @@ def _run_pipeline(nfa, config, stats, deadline):
 
     if brz:
         # subset construction of a reversed reachable DFA yields the minimal DFA
-        phase2_input = reverse(res.dfa.to_nfa())
-        res = otf_determinize(phase2_input, OneToOneRegistry(), None, deadline)
+        res = otf_determinize(ReversedDfa(res.dfa), OneToOneRegistry(), None, deadline)
         _fold(stats, res)
         dfa = res.dfa
     else:

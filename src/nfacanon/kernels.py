@@ -1,8 +1,20 @@
-"""Successor kernel: every per-symbol successor metastate of a metastate."""
+"""Successor kernels: every per-symbol successor metastate of a metastate.
+
+``SuccessorKernel`` serves any NFA, including the reversed quotient of
+Brzozowski's first pass: it ORs the per-state successor masks of the
+metastate's members.  ``PreimageKernel`` serves Brzozowski's second pass,
+whose input is the reverse of the first pass's total DFA (a
+``ReversedDfa``).  There a successor set is a preimage, so one numpy gather
+through the DFA's transition table computes it without a loop over the
+metastate's members and without building the reversed NFA.
+``successor_kernel`` picks the kernel by input type.
+"""
 
 from __future__ import annotations
 
-from .automata import Nfa
+import numpy as np
+
+from .automata import Nfa, ReversedDfa
 
 
 class SuccessorKernel:
@@ -32,13 +44,49 @@ class SuccessorKernel:
         return out
 
 
+class PreimageKernel:
+    """Successor metastates on the reverse of a total DFA.
+
+    The successor of Q on symbol a is ``{t : delta(t, a) in Q}``: Q's bit
+    vector gathered through row a of the transposed transition table.  Rows
+    are padded to whole bytes with index n, a padding bit of the unpacked
+    mask that is always 0, so one flat ``packbits`` yields every symbol's
+    mask bytes in turn.
+    """
+
+    def __init__(self, rev: ReversedDfa):
+        n, k = rev.num_states, rev.alphabet_size
+        self.alphabet_size = k
+        self._nbytes = (n + 7) // 8
+        width = 8 * self._nbytes
+        self._delta = np.full((k, width), n, np.intp)
+        self._delta[:, :n] = np.asarray(rev.dfa.trans, np.intp).T
+        self._bits = np.empty((k, width), np.uint8)
+
+    def successors(self, mask: int) -> list[int]:
+        nb = self._nbytes
+        bits = np.unpackbits(
+            np.frombuffer(mask.to_bytes(nb, "little"), np.uint8), bitorder="little"
+        )
+        # indices are in range, and "clip" skips the bounds-checked copy
+        np.take(bits, self._delta, out=self._bits, mode="clip")
+        raw = np.packbits(self._bits, bitorder="little").tobytes()
+        return [
+            int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)
+        ]
+
+
 def default_backend() -> str:
     # kept because perfbench/run.py imports it to print the backend it ran
     return "python"
 
 
-def successor_kernel(nfa: Nfa, backend: str | None = None) -> SuccessorKernel:
+def successor_kernel(
+    nfa: Nfa | ReversedDfa, backend: str | None = None
+) -> SuccessorKernel | PreimageKernel:
     # the backend argument stays because perfbench/tracer.py passes one
     if backend not in (None, "python"):
         raise ValueError(f"unknown kernel backend {backend!r}")
+    if isinstance(nfa, ReversedDfa):
+        return PreimageKernel(nfa)
     return SuccessorKernel(nfa)

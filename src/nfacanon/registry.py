@@ -45,10 +45,12 @@ class UnionFind:
 
     def find(self, x: int) -> int:
         parent = self._parent
-        root = x
-        while parent.get(root, root) != root:
+        if x not in parent:
+            return x  # roots are never keys of _parent
+        root = parent[x]
+        while root in parent:
             root = parent[root]
-        while parent.get(x, x) != x:
+        while x != root:
             parent[x], x = root, parent[x]
         return root
 

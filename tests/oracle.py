@@ -151,3 +151,18 @@ def blowup_nfa(n: int) -> Nfa:
     for i in range(1, n):
         edges += [(i, 0, i + 1), (i, 1, i + 1)]
     return Nfa(n + 1, 2, edges, [0], [n])
+
+
+def tv_nfa(rng, n: int, r: float, f: float) -> Nfa:
+    """Tabakov-Vardi random NFA: 2 symbols, initial state 0.
+
+    Each symbol gets ``round(r*n)`` distinct transitions drawn uniformly from
+    all n*n state pairs; ``round(f*n)`` distinct states are final.
+    """
+    edges = [
+        (pair // n, a, pair % n)
+        for a in range(2)
+        for pair in rng.sample(range(n * n), round(r * n))
+    ]
+    final = rng.sample(range(n), round(f * n))
+    return Nfa(n, 2, edges, [0], final)

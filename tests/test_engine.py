@@ -3,13 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfacanon.automata import (
     Dfa,
+    ReversedDfa,
     complete,
     enumerate_language,
     isomorphic,
     language_equivalent,
+    reverse,
 )
 import nfacanon.engine as engine
 from nfacanon.engine import (
@@ -30,6 +34,7 @@ from oracle import (
     canonical_dfa,
     random_nfa,
     textbook_subset_construction,
+    tv_nfa,
 )
 
 
@@ -273,6 +278,66 @@ class TestCanonize:
             calls.clear()
             canonize(nfa, CanonConfig(pipeline=pipeline))
             assert len(calls) == expected.get(pipeline, 0), pipeline
+
+
+class TestBrzozowskiPhase2:
+    @staticmethod
+    def _inputs():
+        rng = random.Random(77)
+        yield from (tv_nfa(rng, n, 1.25, 0.5) for n in (6, 10, 14, 18, 24))
+        yield from (random_nfa(rng, rng.randint(3, 9), 2) for _ in range(5))
+        yield generate(GenParams(n=30, density=3.0, seed=2))
+
+    @pytest.mark.parametrize("pipeline", [p for p in PIPELINES if p.startswith("brz")])
+    def test_preimage_pass_matches_reversed_nfa_pass(self, monkeypatch, pipeline):
+        # the second pass determinizes ReversedDfa(phase-1 DFA); the old path
+        # determinized reverse(dfa.to_nfa()) and must give the same DFA and counts
+        config = CanonConfig(pipeline=pipeline, threshold_init=3)
+        inputs = list(self._inputs())
+        seen_types = []
+        determinize = engine.otf_determinize
+
+        def recording(nfa, *args):
+            seen_types.append(type(nfa))
+            return determinize(nfa, *args)
+
+        monkeypatch.setattr(engine, "otf_determinize", recording)
+        new = [canonize(nfa, config) for nfa in inputs]
+        assert seen_types == [type(inputs[0]), ReversedDfa] * len(inputs)
+        monkeypatch.setattr(engine, "ReversedDfa", lambda dfa: reverse(dfa.to_nfa()))
+        old = [canonize(nfa, config) for nfa in inputs]
+        minimized = 0
+        for (d1, s1), (d2, s2) in zip(new, old):
+            assert (d1.trans, d1.final, d1.initial) == (d2.trans, d2.final, d2.initial)
+            s1.wall_time_ms = s2.wall_time_ms = 0.0
+            assert s1 == s2
+            minimized += s1.minimizations
+        if "otf" in pipeline:
+            # threshold 3 makes phase 1 minimize a partly explored DFA
+            assert minimized > 0
+
+
+@st.composite
+def _small_nfas(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_nfa(rng, draw(st.integers(1, 8)), draw(st.integers(1, 3)))
+    r, f = draw(st.sampled_from([1.25, 1.5, 2.0])), draw(st.sampled_from([0.25, 0.5]))
+    return tv_nfa(rng, draw(st.integers(2, 12)), r, f)
+
+
+class TestDifferential:
+    # thresholds 1-7 make the otf pipelines minimize while most of the
+    # DFA is still unexplored, so merges and cover hits reach the oracle check
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nfa=_small_nfas())
+    def test_every_pipeline_and_threshold_matches_oracle(self, nfa):
+        expected = canonical_dfa(nfa)
+        for pipeline in PIPELINES:
+            for threshold_init in (1, 2, 3, 7):
+                config = CanonConfig(pipeline=pipeline, threshold_init=threshold_init)
+                dfa, _ = canonize(nfa, config)
+                assert isomorphic(dfa, expected), (pipeline, threshold_init)
 
 
 class TestThresholdControllers:

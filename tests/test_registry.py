@@ -31,6 +31,26 @@ class TestUnionFind:
         assert uf.find(2) == 2
         assert uf.find(1) == 0
 
+    def test_find_of_never_unioned_id_writes_nothing(self):
+        uf = UnionFind()
+        assert uf.find(7) == 7
+        uf.union(0, 1)
+        assert uf.find(7) == 7
+        assert uf._parent == {1: 0}
+
+    def test_path_compression_keeps_smallest_root(self):
+        uf = UnionFind()
+        # build the chain 9 -> 7 -> 4 -> 1 one link at a time
+        uf.union(7, 9)
+        uf.union(4, 7)
+        uf.union(1, 4)
+        assert uf._parent == {9: 7, 7: 4, 4: 1}
+        assert uf.find(9) == 1
+        assert uf._parent == {9: 1, 7: 1, 4: 1}
+        uf.union(9, 0)
+        assert [uf.find(x) for x in (0, 1, 4, 7, 9)] == [0] * 5
+        assert 0 not in uf._parent
+
 
 class TestOneToOne:
     def test_put_then_get(self):

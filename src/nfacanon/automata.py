@@ -82,9 +82,6 @@ class Nfa:
         """Per-state successor bitmasks for one symbol (do not mutate)."""
         return self._succ[symbol]
 
-    def delta(self, state: int, symbol: int) -> frozenset[int]:
-        return frozenset(members(self._succ[symbol][state]))
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         for a, row in enumerate(self._succ):
             for s, mask in enumerate(row):
@@ -113,13 +110,9 @@ class Nfa:
 
 
 class Dfa:
-    """A possibly partial deterministic automaton with integer states.
+    """A possibly partial deterministic automaton with integer states."""
 
-    ``explored`` tracks states whose outgoing transitions are all set; it is
-    maintained by the construction code, not enforced here.
-    """
-
-    __slots__ = ("num_states", "alphabet_size", "initial", "final", "trans", "explored")
+    __slots__ = ("num_states", "alphabet_size", "initial", "final", "trans")
 
     def __init__(
         self,
@@ -127,7 +120,6 @@ class Dfa:
         alphabet_size: int,
         initial: int,
         final: Iterable[int] = (),
-        explored: Iterable[int] = (),
     ):
         if num_states < 1:
             raise ValueError("num_states must be >= 1")
@@ -139,7 +131,6 @@ class Dfa:
         self.alphabet_size = alphabet_size
         self.initial = initial
         self.final = set(final)
-        self.explored = set(explored)
         self.trans = [[UNDEFINED] * alphabet_size for _ in range(num_states)]
 
     def add_state(self) -> int:
@@ -149,10 +140,6 @@ class Dfa:
 
     def set_transition(self, src: int, symbol: int, dst: int) -> None:
         self.trans[src][symbol] = dst
-
-    def step(self, state: int, symbol: int) -> int:
-        """Successor state, or UNDEFINED."""
-        return self.trans[state][symbol]
 
     def is_total(self) -> bool:
         return all(t != UNDEFINED for row in self.trans for t in row)
@@ -166,7 +153,7 @@ class Dfa:
         return s in self.final
 
     def copy(self) -> "Dfa":
-        d = Dfa(self.num_states, self.alphabet_size, self.initial, self.final, self.explored)
+        d = Dfa(self.num_states, self.alphabet_size, self.initial, self.final)
         d.trans = [row[:] for row in self.trans]
         return d
 
@@ -315,7 +302,6 @@ def complete(dfa: Dfa) -> Dfa:
         for a in range(out.alphabet_size):
             if row[a] == UNDEFINED:
                 row[a] = sink
-    out.explored = set(range(out.num_states))
     return out
 
 

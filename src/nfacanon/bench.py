@@ -6,45 +6,44 @@ import csv
 import statistics
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 from .automata import Nfa
-from .engine import CanonConfig, Dfa, canonize
+from .engine import CanonConfig, Dfa, RunStats, canonize
 from .generator import sweep_instances
-
-CSV_COLUMNS = [
-    "instance",
-    "pipeline",
-    "wall_time_ms",
-    "final_states",
-    "peak_intermediate_states",
-    "overhead",
-    "minimizations",
-    "explored_metastates",
-    "timed_out",
-]
 
 
 @dataclass
-class ResultRow:
+class _RowKey:
     instance: str
     pipeline: str
-    wall_time_ms: float
-    final_states: int
-    peak_intermediate_states: int
-    overhead: int
-    minimizations: int
-    explored_metastates: int
-    timed_out: bool
+
+
+# A dataclass takes the fields of its last base first, so the CSV columns
+# are instance, pipeline, then the RunStats fields in their order.
+@dataclass
+class ResultRow(RunStats, _RowKey):
+    """One run: its instance and pipeline, then every ``RunStats`` field."""
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
     def to_csv_row(self) -> list:
-        d = asdict(self)
-        return [d[c] for c in CSV_COLUMNS]
+        return [getattr(self, c) for c in CSV_COLUMNS]
 
 
-assert CSV_COLUMNS == [f.name for f in fields(ResultRow)]
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
+
+
+def _parse_bool(text: str) -> bool:
+    return text == "True"
+
+
+# column -> parser of its CSV text, by the field's type
+_PARSERS = {
+    name: _parse_bool if tp is bool else tp
+    for name, tp in get_type_hints(ResultRow).items()
+}
 
 
 def run_once(
@@ -52,17 +51,8 @@ def run_once(
 ) -> tuple[ResultRow, Dfa | None]:
     """Canonize one instance and package the metrics as a result row."""
     dfa, stats = canonize(nfa, config)
-    row = ResultRow(
-        instance=instance_id,
-        pipeline=config.pipeline,
-        wall_time_ms=round(stats.wall_time_ms, 3),
-        final_states=stats.final_states,
-        peak_intermediate_states=stats.peak_intermediate_states,
-        overhead=stats.overhead,
-        minimizations=stats.minimizations,
-        explored_metastates=stats.explored_metastates,
-        timed_out=stats.timed_out,
-    )
+    row = ResultRow(instance=instance_id, pipeline=config.pipeline, **asdict(stats))
+    row.wall_time_ms = round(row.wall_time_ms, 3)
     return row, dfa
 
 
@@ -136,23 +126,11 @@ def write_cactus(rows: list[ResultRow], path: str) -> None:
 
 
 def read_csv(path: str) -> list[ResultRow]:
-    rows = []
     with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            rows.append(
-                ResultRow(
-                    instance=rec["instance"],
-                    pipeline=rec["pipeline"],
-                    wall_time_ms=float(rec["wall_time_ms"]),
-                    final_states=int(rec["final_states"]),
-                    peak_intermediate_states=int(rec["peak_intermediate_states"]),
-                    overhead=int(rec["overhead"]),
-                    minimizations=int(rec["minimizations"]),
-                    explored_metastates=int(rec["explored_metastates"]),
-                    timed_out=rec["timed_out"] == "True",
-                )
-            )
-    return rows
+        return [
+            ResultRow(**{c: _PARSERS[c](rec[c]) for c in CSV_COLUMNS})
+            for rec in csv.DictReader(f)
+        ]
 
 
 def summarize(rows: list[ResultRow]) -> dict[str, dict[str, dict[str, float]]]:

@@ -3,12 +3,15 @@
 Determinization is classic subset construction with two twists: the
 metastate-to-state mapping goes through an equivalence registry, and a
 threshold predicate may interrupt exploration to minimize the partial DFA,
-feeding the discovered state equivalences back into the registry.
+feeding the discovered state equivalences back into the registry.  The
+registry alone resolves merged state ids; the loop keeps only the sparse
+transition table, the final and explored id sets and its worklist.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 
 from .automata import UNDEFINED, Dfa, Nfa, ReversedDfa, complete, reverse, trim
@@ -74,25 +77,30 @@ class Threshold:
         self.s_old = s_new
 
 
-def build_signature(dfa: Dfa) -> Signature:
-    """Boolean acceptance tags for explored states, unique tags otherwise."""
+def build_signature(
+    ids: Sequence[int], final: Container[int], explored: Container[int]
+) -> Signature:
+    """Signature of the states ``ids`` in dense order.
+
+    Explored states get Boolean acceptance tags; unexplored states get unique
+    tags, so minimization never merges them.
+    """
     return [
-        (SIG_ACCEPTING if i in dfa.final else SIG_REJECTING)
-        if i in dfa.explored
+        (SIG_ACCEPTING if s in final else SIG_REJECTING)
+        if s in explored
         else sig_unique(i)
-        for i in range(dfa.num_states)
+        for i, s in enumerate(ids)
     ]
 
 
 @dataclass
 class DeterminizeResult:
     dfa: Dfa
-    state_map: dict[int, int]  # every created state id -> state in `dfa`
+    dense: dict[int, int]  # live state id -> state of `dfa`; see Registry.find
     explored_count: int
     peak_states: int
     minimizations: int
     sizes_after_min: list[int] = field(default_factory=list)
-    explored_trace: list[int] | None = None
 
 
 def otf_determinize(
@@ -100,19 +108,21 @@ def otf_determinize(
     registry: Registry,
     controller: Threshold | None = None,
     deadline: float | None = None,
-    trace_explored: bool = False,
 ) -> DeterminizeResult:
     """Subset construction with registry lookups and on-the-fly minimization.
 
-    Exploration uses a LIFO worklist (depth-first).  The returned DFA is the
-    final, *not* finally-minimized automaton; all of its states are explored
-    and total.  ``state_map`` resolves every state id ever created (including
-    ids absorbed by intermediate minimizations) to a state of the result.
-    Without a ``controller`` no intermediate minimization happens.  ``nfa``
-    may be a ``ReversedDfa``, the input of Brzozowski's second pass.
+    Exploration uses a LIFO worklist (depth-first) of (metastate, state id)
+    pairs.  The registry resolves every id: lookups return representatives,
+    and intermediate minimizations report their merges to it with ``unify``.
+    Only explored states are ever merged, because each unexplored state
+    carries a unique signature tag.  The returned DFA is the final, *not*
+    finally-minimized automaton; all of its states are explored and total.
+    ``dense`` maps each live id to its state in the DFA; other ids resolve
+    through ``registry.find``.  Without a ``controller`` no intermediate
+    minimization happens.  ``nfa`` may be a ``ReversedDfa``, the input of
+    Brzozowski's second pass.
     """
     kern = successor_kernel(nfa)
-    uf = registry.uf
     k = nfa.alphabet_size
     final_mask = nfa.final_mask
     init_mask = nfa.initial_mask
@@ -122,9 +132,8 @@ def otf_determinize(
     final: set[int] = {0} if init_mask & final_mask else set()
     explored: set[int] = set()
     registry.put(init_mask, 0)
-    stack = [init_mask]
+    stack = [(init_mask, 0)]
 
-    explored_trace: list[int] | None = [] if trace_explored else None
     explored_count = 0
     peak = 1
     minimizations = 0
@@ -133,10 +142,8 @@ def otf_determinize(
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
             raise CanonTimeout(explored_count, peak, minimizations)
-        current = stack.pop()
-        c = uf.find(registry.get(current))
-        if c in explored:
-            continue  # absorbed into an already-explored state
+        # c is unexplored, so no minimization has merged it: it is still live
+        current, c = stack.pop()
         row = trans[c]
         succs = kern.successors(current)
         for a in range(k):
@@ -149,69 +156,59 @@ def otf_determinize(
                 if nxt & final_mask:
                     final.add(n)
                 registry.put(nxt, n)
-                stack.append(nxt)
-            else:
-                n = uf.find(n)
+                stack.append((nxt, n))
             row[a] = n
         explored.add(c)
         explored_count += 1
-        if explored_trace is not None:
-            explored_trace.append(current)
         if len(trans) > peak:
             peak = len(trans)
         if controller is not None and controller.should_minimize():
-            _intermediate_minimize(trans, final, explored, registry, uf, k)
+            _intermediate_minimize(trans, final, explored, registry, k)
             minimizations += 1
             sizes_after_min.append(len(trans))
             controller.after_minimize(len(trans))
 
-    dfa, _, pos = _snapshot(trans, final, explored, uf, k)
-    state_map = {i: pos[uf.find(i)] for i in range(counter + 1)}
+    dfa, _, dense = _snapshot(trans, final, registry, k)
     return DeterminizeResult(
         dfa=dfa,
-        state_map=state_map,
+        dense=dense,
         explored_count=explored_count,
         peak_states=peak,
         minimizations=minimizations,
         sizes_after_min=sizes_after_min,
-        explored_trace=explored_trace,
     )
 
 
-def _intermediate_minimize(trans, final, explored, registry, uf, k) -> None:
+def _intermediate_minimize(trans, final, explored, registry, k) -> None:
     """Minimize the partial DFA in place and forward merges to the registry."""
-    snap, ids, _ = _snapshot(trans, final, explored, uf, k)
-    _, merges = minimize(snap, build_signature(snap))
+    snap, ids, _ = _snapshot(trans, final, registry, k)
+    _, merges = minimize(snap, build_signature(ids, final, explored))
     for surv_dense, absorbed_dense in merges:
         surv, absorbed = ids[surv_dense], ids[absorbed_dense]
         registry.unify(surv, absorbed)
-        uf.union(surv, absorbed)  # no-op for registries that already merged
         del trans[absorbed]
         final.discard(absorbed)
         explored.discard(absorbed)
 
 
-def _snapshot(trans, final, explored, uf, k) -> tuple[Dfa, list[int], dict[int, int]]:
+def _snapshot(trans, final, registry, k) -> tuple[Dfa, list[int], dict[int, int]]:
     """Dense copy of the sparse partial DFA, with its id maps.
 
-    Returns the DFA, the sorted sparse ids (dense index -> id) and their
-    inverse (id -> dense index).
+    Returns the DFA, the sorted live ids (dense index -> id) and their
+    inverse (id -> dense index).  Row entries may name ids merged since they
+    were written; ``registry.find`` resolves them.  Id 0 is the smallest, so
+    it survives every merge and stays dense state 0, the initial state.
     """
     ids = sorted(trans)
     pos = {s: i for i, s in enumerate(ids)}
-    dfa = Dfa(
-        len(ids),
-        k,
-        pos[uf.find(0)],
-        final={pos[s] for s in ids if s in final},
-        explored={pos[s] for s in ids if s in explored},
-    )
+    find = registry.find
+    dfa = Dfa(len(ids), k, 0, final={pos[s] for s in ids if s in final})
     for s in ids:
         row = trans[s]
         dense_row = dfa.trans[pos[s]]
         for a in range(k):
             if row[a] != UNDEFINED:
-                dense_row[a] = pos[uf.find(row[a])]
+                dense_row[a] = pos[find(row[a])]
     return dfa, ids, pos
 
 
@@ -226,8 +223,8 @@ class CanonConfig:
 @dataclass
 class RunStats:
     wall_time_ms: float = 0.0
-    peak_intermediate_states: int = 0
     final_states: int = 0
+    peak_intermediate_states: int = 0
     overhead: int = 0
     minimizations: int = 0
     explored_metastates: int = 0
@@ -309,7 +306,8 @@ def _run_pipeline(nfa, config, stats, deadline):
         dfa = res.dfa
     else:
         # the determinized DFA is total and fully explored
-        dfa, _ = minimize(res.dfa, build_signature(res.dfa))
+        states = range(res.dfa.num_states)
+        dfa, _ = minimize(res.dfa, build_signature(states, res.dfa.final, states))
         stats.minimizations += 1
     dfa = complete(dfa) if config.complete_output else _drop_sink(dfa)
     stats.final_states = dfa.num_states
@@ -335,5 +333,4 @@ def _drop_sink(dfa: Dfa) -> Dfa:
     new_id[sink] = UNDEFINED  # transitions into the sink become undefined
     out = Dfa(len(keep), k, new_id[dfa.initial], final=[new_id[s] for s in dfa.final])
     out.trans = [[new_id[t] for t in dfa.trans[s]] for s in keep]
-    out.explored = set(range(len(keep)))
     return out

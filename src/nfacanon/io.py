@@ -71,9 +71,6 @@ def parse_dfa(text: str) -> tuple[Dfa, dict[str, str]]:
             dfa.set_transition(s, a, t)
     except (ValueError, IndexError) as e:
         raise ParseError(0, str(e)) from e
-    dfa.explored = {
-        s for s in range(num_states) if UNDEFINED not in dfa.trans[s]
-    }
     return dfa, meta
 
 

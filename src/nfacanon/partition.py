@@ -79,7 +79,6 @@ def minimize(dfa: Dfa, sig: Signature) -> tuple[Dfa, MergeList]:
         k,
         new_id[survivor_of[dfa.initial]],
         final={new_id[s] for s in survivors if s in dfa.final},
-        explored={new_id[s] for s in survivors if s in dfa.explored},
     )
     for s in survivors:
         row = dfa.trans[s]

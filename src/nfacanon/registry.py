@@ -1,15 +1,23 @@
 """Equivalence registries mapping metastates to DFA states modulo language.
 
-A registry supports three operations: ``get`` looks up a DFA state whose
-language equals the queried metastate's, ``put`` links a metastate to a
-freshly created state, and ``unify`` records that two DFA states were found
-language-equivalent (by intermediate minimization).  Metastates are integer
-bitmasks over NFA states.
+A registry is the one owner of which DFA state ids stand for the same
+language.  Metastates are integer bitmasks over NFA states.  The contract:
+
+* ``get(mask)`` returns the current representative of a state whose
+  language equals the metastate's, or ``None``;
+* ``put(mask, state)`` links a metastate to a freshly created state (a
+  metastate is put at most once; a conflicting put raises
+  ``RegistryContractError``);
+* ``unify(q1, q2)`` records that two states were found language-equivalent
+  (by intermediate minimization) and merges their classes;
+* ``find(state)`` returns the current representative of any state id ever
+  put.  The representative of a class is its smallest id.
 
 Three implementations are provided:
 
-* ``OneToOneRegistry`` -- plain hash map, ``unify`` is a no-op; reproduces
-  classic subset construction.
+* ``OneToOneRegistry`` -- plain hash map plus a union-find; reproduces
+  classic subset construction, which never calls ``unify``.  It is the base
+  of the other two, which share its exact map, contract check and union-find.
 * ``CCLRegistry`` -- convexity-closure lattices: each known equivalence class
   is summarized by a greatest element plus an antichain of minimal elements,
   covering every metastate sandwiched in between.
@@ -243,19 +251,21 @@ class Registry(Protocol):
     def get(self, mask: int) -> Optional[int]: ...
     def put(self, mask: int, state: int) -> None: ...
     def unify(self, q1: int, q2: int) -> None: ...
+    def find(self, state: int) -> int: ...
 
 
 class OneToOneRegistry:
-    """Exact hash-based registry; ``unify`` does nothing."""
+    """Exact hash-based registry whose ``unify`` merges in a union-find."""
 
     def __init__(self):
         self._exact: dict[int, int] = {}
         self.uf = UnionFind()
 
     def get(self, mask: int) -> Optional[int]:
-        # no uf.find: this registry never unifies, and the engine resolves
-        # every returned id through this registry's union-find itself
-        return self._exact.get(mask)
+        state = self._exact.get(mask)
+        if state is None:
+            return self._cover(mask)
+        return self.uf.find(state)
 
     def put(self, mask: int, state: int) -> None:
         old = self._exact.setdefault(mask, state)
@@ -265,10 +275,17 @@ class OneToOneRegistry:
             )
 
     def unify(self, q1: int, q2: int) -> None:
-        pass
+        self.uf.union(q1, q2)
+
+    def find(self, state: int) -> int:
+        return self.uf.find(state)
+
+    def _cover(self, mask: int) -> Optional[int]:
+        """State of a metastate that is not a key of the exact map."""
+        return None
 
 
-class CCLRegistry:
+class CCLRegistry(OneToOneRegistry):
     """Convexity-closure-lattice registry.
 
     Lattices are keyed by union-find roots of their representative states;
@@ -280,17 +297,10 @@ class CCLRegistry:
     """
 
     def __init__(self):
-        self._exact: dict[int, int] = {}
-        self.uf = UnionFind()
+        super().__init__()
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
-
-    def get(self, mask: int) -> Optional[int]:
-        state = self._exact.get(mask)
-        if state is not None:
-            return self.uf.find(state)
-        return self._cover(mask, mask)
 
     def put(self, mask: int, state: int) -> None:
         self._put(mask, state, mask, [mask])
@@ -317,11 +327,7 @@ class CCLRegistry:
             self._index.insert(root, merged)
 
     def _put(self, mask: int, state: int, greatest: int, minimals: list[int]) -> None:
-        old = self._exact.setdefault(mask, state)
-        if old != state:
-            raise RegistryContractError(
-                f"metastate already mapped to {old}, refusing remap to {state}"
-            )
+        super().put(mask, state)
         root = self.uf.find(state)
         existing = self.lattices.get(root)
         if existing is None:
@@ -332,13 +338,16 @@ class CCLRegistry:
             existing.absorb(greatest, minimals)
             self._index.update(root, existing)
 
-    def _cover(self, query: int, original: int) -> Optional[int]:
-        rep = self._index.find(query)
+    def _cover(self, mask: int) -> Optional[int]:
+        return self._hit(mask, self._index.find(mask))
+
+    def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:
+        """Resolve the index's answer for ``mask`` and record a cover hit."""
         if rep is None:
             return None
         state = self.uf.find(rep)
         if self.cover_hits is not None:
-            self.cover_hits.append((original, state))
+            self.cover_hits.append((mask, state))
         return state
 
 
@@ -346,20 +355,18 @@ class CCLSRegistry(CCLRegistry):
     """CCL refined by a similarity preorder on the input NFA.
 
     ``put`` stores a lattice spanning from the pruned to the saturated form
-    of the metastate; ``get`` normalizes the query by pruning first.
+    of the metastate; a lookup that misses the exact map prunes the query
+    before the cover test.
     """
 
     def __init__(self, preorder: Preorder):
         super().__init__()
         self.preorder = preorder
 
-    def get(self, mask: int) -> Optional[int]:
-        state = self._exact.get(mask)
-        if state is not None:
-            return self.uf.find(state)
-        return self._cover(prune(mask, self.preorder), mask)
-
     def put(self, mask: int, state: int) -> None:
         pruned = prune(mask, self.preorder)
         saturated = saturate(mask, self.preorder)
         self._put(mask, state, saturated, [pruned])
+
+    def _cover(self, mask: int) -> Optional[int]:
+        return self._hit(mask, self._index.find(prune(mask, self.preorder)))

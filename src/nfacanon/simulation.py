@@ -13,7 +13,7 @@ from .automata import Nfa, members
 class Preorder:
     """Boolean relation over NFA states stored as per-state bitmask rows."""
 
-    __slots__ = ("num_states", "above", "below")
+    __slots__ = ("num_states", "above", "below", "pruned_by")
 
     def __init__(self, above: list[int]):
         self.num_states = len(above)
@@ -26,6 +26,11 @@ class Preorder:
                 below[low.bit_length() - 1] |= 1 << x
                 m ^= low
         self.below = below  # below[y] = bitmask of all x with x <= y
+        # pruned_by[y] = the x that y drops from a metastate holding both:
+        # x <= y but not y <= x, or x and y mutually similar and x > y
+        self.pruned_by = [
+            below[y] & ~(above[y] & ((2 << y) - 1)) for y in range(self.num_states)
+        ]
 
     def leq(self, x: int, y: int) -> bool:
         return bool(self.above[x] >> y & 1)
@@ -33,9 +38,6 @@ class Preorder:
     @classmethod
     def identity(cls, num_states: int) -> "Preorder":
         return cls([1 << x for x in range(num_states)])
-
-    def is_identity(self) -> bool:
-        return all(row == 1 << x for x, row in enumerate(self.above))
 
 
 def compute_similarity(nfa: Nfa) -> Preorder:
@@ -84,24 +86,13 @@ def prune(metastate: int, p: Preorder) -> int:
 
     Among mutually similar members the smallest identifier survives.
     """
-    keep = 0
+    dropped = 0
     m = metastate
     while m:
         low = m & -m
         m ^= low
-        x = low.bit_length() - 1
-        dominators = metastate & p.above[x] & ~low
-        dominated = False
-        while dominators:
-            ylow = dominators & -dominators
-            dominators ^= ylow
-            y = ylow.bit_length() - 1
-            if not p.leq(y, x) or y < x:
-                dominated = True
-                break
-        if not dominated:
-            keep |= low
-    return keep
+        dropped |= p.pruned_by[low.bit_length() - 1]
+    return metastate & ~dropped
 
 
 def saturate(metastate: int, p: Preorder) -> int:

@@ -37,7 +37,6 @@ def textbook_subset_construction(
         nfa.alphabet_size,
         0,
         final={i for m, i in index.items() if m & nfa.final_mask},
-        explored=set(range(len(index))),
     )
     for s, row in rows.items():
         for a, t in enumerate(row):
@@ -77,7 +76,6 @@ def table_filling_minimize(dfa: Dfa) -> Dfa:
         d.alphabet_size,
         new_id[rep[d.initial]],
         final={new_id[rep[s]] for s in d.final},
-        explored=set(range(len(reps))),
     )
     for r in reps:
         for a in range(d.alphabet_size):
@@ -102,7 +100,6 @@ def _reachable_part(dfa: Dfa) -> Dfa:
         dfa.alphabet_size,
         new_id[dfa.initial],
         final={new_id[s] for s in keep if s in dfa.final},
-        explored=set(range(len(keep))),
     )
     for s in keep:
         for a in range(dfa.alphabet_size):

@@ -121,32 +121,32 @@ def test_registry_soundness():
             full = complete(res.dfa)
             for mask, state in reg.cover_hits:
                 hits_seen += 1
-                target = res.state_map[state]
+                target = res.dense[reg.find(state)]
                 assert language_equivalent(
                     dfa_from_metastate(nfa, mask), rooted_at(full, target)
                 )
         assert hits_seen > 0  # the instrumentation actually exercised cover hits
 
 
-def test_ccls_equals_ccl_under_identity_preorder():
+def test_ccls_equals_ccl_under_identity_preorder(explored_masks):
     with criterion("CCLS == CCL with identity preorder: identical explored traces"):
+        explored = explored_masks
         rng = random.Random(99)
         for _ in range(100):
             nfa = random_nfa(rng, rng.randint(3, 9), 2)
             interval = rng.choice([1, 2, 3])
+            explored.clear()
             a = otf_determinize(
-                nfa,
-                CCLRegistry(),
-                Threshold(interval, max_increase=0),
-                trace_explored=True,
+                nfa, CCLRegistry(), Threshold(interval, max_increase=0)
             )
+            trace_a = list(explored)
+            explored.clear()
             b = otf_determinize(
                 nfa,
                 CCLSRegistry(Preorder.identity(nfa.num_states)),
                 Threshold(interval, max_increase=0),
-                trace_explored=True,
             )
-            assert a.explored_trace == b.explored_trace
+            assert trace_a == explored
             assert isomorphic(complete(a.dfa), complete(b.dfa))
 
 

@@ -112,7 +112,7 @@ class TestLanguageEquivalent:
         assert language_equivalent(ends_in_a_dfa_min, ends_in_a_dfa_redundant)
 
     def test_ends_in_b_differs(self, ends_in_a_dfa_min):
-        ends_in_b = Dfa(2, 2, 0, final={1}, explored={0, 1})
+        ends_in_b = Dfa(2, 2, 0, final={1})
         ends_in_b.set_transition(0, 1, 1)
         ends_in_b.set_transition(0, 0, 0)
         ends_in_b.set_transition(1, 1, 1)
@@ -142,7 +142,7 @@ class TestIsomorphic:
         assert isomorphic(ends_in_a_dfa_min, ends_in_a_dfa_min)
 
     def test_renumbering(self, ends_in_a_dfa_min):
-        d = Dfa(2, 2, 1, final={0}, explored={0, 1})
+        d = Dfa(2, 2, 1, final={0})
         d.set_transition(1, 0, 0)
         d.set_transition(1, 1, 1)
         d.set_transition(0, 0, 0)
@@ -187,7 +187,6 @@ def _random_total_dfa(rng, num_states: int, alphabet_size: int = 2) -> Dfa:
         alphabet_size,
         0,
         final={s for s in range(num_states) if rng.random() < 0.4},
-        explored=set(range(num_states)),
     )
     for s in range(num_states):
         for a in range(alphabet_size):

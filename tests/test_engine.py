@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfacanon.automata import (
-    Dfa,
     ReversedDfa,
     complete,
     enumerate_language,
@@ -26,7 +25,7 @@ from nfacanon.engine import (
 )
 from nfacanon.generator import GenParams, generate
 from nfacanon.partition import SIG_ACCEPTING, SIG_REJECTING, minimize, sig_unique
-from nfacanon.registry import CCLRegistry, OneToOneRegistry
+from nfacanon.registry import CCLRegistry, CCLSRegistry, OneToOneRegistry
 from nfacanon.simulation import compute_similarity
 
 from oracle import (
@@ -96,24 +95,52 @@ class TestUpdateThreshold:
 
 class TestBuildSignature:
     def test_all_explored_is_boolean(self):
-        d = Dfa(3, 1, 0, final={1}, explored={0, 1, 2})
-        assert build_signature(d) == [SIG_REJECTING, SIG_ACCEPTING, SIG_REJECTING]
+        sig = build_signature([0, 1, 2], final={1}, explored={0, 1, 2})
+        assert sig == [SIG_REJECTING, SIG_ACCEPTING, SIG_REJECTING]
 
     def test_unexplored_gets_unique_tag(self):
-        d = Dfa(2, 1, 0, final={1}, explored={0})
-        sig = build_signature(d)
+        sig = build_signature([0, 1], final={1}, explored={0})
         assert sig[0] == SIG_REJECTING
         assert sig[1] == sig_unique(1)
 
     def test_mixed_partial_dfa(self):
         # Algorithm trace on the 2-symbols-from-the-end family, stopped after
-        # exploring two metastates: 2 Boolean tags, 2 unique tags
-        d = Dfa(4, 2, 0, final={3}, explored={0, 1})
-        sig = build_signature(d)
+        # exploring two metastates: 2 Boolean tags, 2 unique tags.  The live
+        # ids are sparse; tags follow their dense positions.
+        sig = build_signature([0, 3, 4, 7], final={7}, explored={0, 3})
         assert sig[:2] == [SIG_REJECTING, SIG_REJECTING]
         assert sig[2:] == [sig_unique(2), sig_unique(3)]
         # the two unexplored states get tags distinct from everything else
         assert len(set(sig)) == 3
+
+
+def _counting(registry_cls, explored: list[int] | None = None):
+    """Subclass of a registry class that logs its get and unify calls.
+
+    Each logged unify also notes how many metastates of ``explored`` had
+    been explored when it was called.
+    """
+
+    class Counting(registry_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.gets = 0
+            self.unified: list[tuple[int, int, int]] = []
+            self.metastate_of: dict[int, int] = {}
+
+        def get(self, mask):
+            self.gets += 1
+            return super().get(mask)
+
+        def put(self, mask, state):
+            self.metastate_of.setdefault(state, mask)
+            super().put(mask, state)
+
+        def unify(self, q1, q2):
+            self.unified.append((q1, q2, len(explored or ())))
+            super().unify(q1, q2)
+
+    return Counting
 
 
 class TestOtfDeterminize:
@@ -137,14 +164,52 @@ class TestOtfDeterminize:
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_explored_trace_matches_textbook_order(self, seed):
+    def test_explored_trace_matches_textbook_order(self, explored_masks, seed):
         # one-to-one registry + never-firing threshold is exactly classic
         # subset construction with a LIFO worklist
         rng = random.Random(seed)
         nfa = random_nfa(rng, rng.randint(2, 7), 2)
-        res = otf_determinize(nfa, OneToOneRegistry(), trace_explored=True)
+        otf_determinize(nfa, OneToOneRegistry())
         _, order = textbook_subset_construction(nfa, lifo=True)
-        assert res.explored_trace == order
+        assert explored_masks == order
+
+    def test_one_get_per_successor(self):
+        # a popped metastate carries its id, so each explored metastate
+        # costs exactly k lookups: one per successor
+        rng = random.Random(31)
+        inputs = [random_nfa(rng, rng.randint(3, 8), 2) for _ in range(6)]
+        inputs += [tv_nfa(rng, 10, 1.25, 0.5), blowup_nfa(6)]
+        for nfa in inputs:
+            p = compute_similarity(nfa)
+            for cls, args in (
+                (OneToOneRegistry, ()),
+                (CCLRegistry, ()),
+                (CCLSRegistry, (p,)),
+            ):
+                for controller in (None, Threshold(2, max_increase=0)):
+                    reg = _counting(cls)(*args)
+                    res = otf_determinize(nfa, reg, controller)
+                    assert reg.gets == nfa.alphabet_size * res.explored_count
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_only_explored_states_are_unified(self, explored_masks, seed):
+        # minimizing after every step merges only explored states, which is
+        # why a popped id needs no resolving; the registry then resolves
+        # each absorbed id to its survivor.  (blowup_nfa's states are pairwise
+        # inequivalent, so nothing is ever merged there.)
+        nfa = tv_nfa(random.Random(seed), 12, 1.25, 0.5)
+        explored = explored_masks
+        for cls, args in ((CCLRegistry, ()), (CCLSRegistry, (compute_similarity(nfa),))):
+            explored.clear()
+            reg = _counting(cls, explored)(*args)
+            res = otf_determinize(nfa, reg, Threshold(1, max_increase=0))
+            assert res.minimizations == res.explored_count
+            assert reg.unified
+            for surv, absorbed, seen in reg.unified:
+                done = set(explored[:seen])
+                assert reg.metastate_of[surv] in done
+                assert reg.metastate_of[absorbed] in done
+                assert reg.find(absorbed) == reg.find(surv) <= surv
 
     @pytest.mark.parametrize("seed", range(15))
     def test_language_preserved_under_minimization(self, seed):

@@ -85,8 +85,6 @@ class TestDfaFormat:
         d.set_transition(0, 0, 1)
         parsed, _ = parse_dfa(serialize_dfa(d))
         assert parsed.trans == d.trans
-        # no state has all its transitions defined
-        assert parsed.explored == set()
 
     def test_multiple_initial_rejected(self):
         with pytest.raises(ParseError):

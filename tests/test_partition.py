@@ -30,7 +30,7 @@ def _all_explored_sig(dfa):
 class TestMinimize:
     def test_forced_merge_of_identical_accepting_states(self):
         # two accepting states with identical successors collapse into one
-        d = Dfa(3, 1, 0, final={1, 2}, explored={0, 1, 2})
+        d = Dfa(3, 1, 0, final={1, 2})
         d.set_transition(0, 0, 1)
         d.set_transition(1, 0, 2)
         d.set_transition(2, 0, 2)
@@ -40,7 +40,7 @@ class TestMinimize:
 
     def test_unique_tag_blocks_merge(self):
         # structurally identical states stay apart while one is tagged unique
-        d = Dfa(3, 1, 0, final=set(), explored={0, 1})
+        d = Dfa(3, 1, 0, final=set())
         d.set_transition(0, 0, 1)
         d.set_transition(1, 0, 2)
         d.set_transition(2, 0, 2)
@@ -56,7 +56,7 @@ class TestMinimize:
         assert language_equivalent(complete(out), ends_in_a_dfa_min)
 
     def test_sig_size_mismatch_rejected(self):
-        d = Dfa(2, 1, 0, explored={0, 1})
+        d = Dfa(2, 1, 0)
         d.set_transition(0, 0, 1)
         d.set_transition(1, 0, 1)
         with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ class TestMinimize:
 
     def test_partial_dfa_separated_from_total_state(self):
         # with an implicit sink, a state missing an edge differs from a looping one
-        d = Dfa(2, 1, 0, final=set(), explored={0})
+        d = Dfa(2, 1, 0, final=set())
         d.set_transition(0, 0, 0)
         out, merges = minimize(d, [SIG_REJECTING, SIG_REJECTING])
         assert out.num_states == 2

@@ -62,13 +62,18 @@ class TestOneToOne:
         reg = OneToOneRegistry()
         assert reg.get(to_mask([1, 2])) is None
 
-    def test_unify_is_noop(self):
+    def test_unify_merges_to_smallest_id(self):
         reg = OneToOneRegistry()
         reg.put(to_mask([0]), 1)
         reg.put(to_mask([1]), 2)
-        reg.unify(1, 2)
-        assert reg.get(to_mask([0])) == 1
-        assert reg.get(to_mask([1])) == 2
+        reg.put(to_mask([2]), 3)
+        reg.unify(3, 2)
+        assert reg.get(to_mask([2])) == reg.find(3) == 2
+        reg.unify(2, 1)
+        assert [reg.get(to_mask([x])) for x in range(3)] == [1, 1, 1]
+        assert [reg.find(s) for s in (1, 2, 3)] == [1, 1, 1]
+        # an exact registry covers nothing beyond its keys
+        assert reg.get(to_mask([0, 1])) is None
 
     def test_conflicting_put_rejected(self):
         reg = OneToOneRegistry()
@@ -86,7 +91,7 @@ class TestCCL:
         reg = CCLRegistry()
         q = to_mask([1, 2])
         reg.put(q, 7)
-        lat = reg.lattices[reg.uf.find(7)]
+        lat = reg.lattices[reg.find(7)]
         assert lat.greatest == q
         assert lat.minimals == [q]
         assert lat.rep == 7
@@ -247,7 +252,7 @@ class TestCCLS:
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([0]), 4)
-        lat = reg.lattices[reg.uf.find(4)]
+        lat = reg.lattices[reg.find(4)]
         assert lat.greatest & to_mask([0, 1]) == to_mask([0, 1])
         assert lat.minimals == [to_mask([0])]
 
@@ -290,11 +295,11 @@ def _reference_get(reg, mask):
     """
     state = reg._exact.get(mask)
     if state is not None:
-        return reg.uf.find(state), None
+        return reg.find(state), None
     query = prune(mask, reg.preorder) if isinstance(reg, CCLSRegistry) else mask
     for lat in reg.lattices.values():
         if lat.covers(query):
-            state = reg.uf.find(lat.rep)
+            state = reg.find(lat.rep)
             return state, (mask, state)
     return None, None
 

@@ -111,6 +111,35 @@ class TestPruneSaturate:
         assert saturate(mask, p) == mask
         assert prune(mask, p) == mask
 
+    def test_prune_matches_definition_with_ties(self):
+        # x survives iff no other member y has x <= y, unless y <= x too and
+        # x is the smaller id
+        rng = random.Random(61)
+        ties = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            above = [1 << x for x in range(n)]
+            for _ in range(n):
+                above[rng.randrange(n)] |= 1 << rng.randrange(n)
+            for k in range(n):  # transitive closure
+                for i in range(n):
+                    if above[i] >> k & 1:
+                        above[i] |= above[k]
+            p = Preorder(above)
+            ties += sum(p.leq(x, y) and p.leq(y, x) for x in range(n) for y in range(x))
+            for _ in range(50):
+                q = [x for x in range(n) if rng.random() < 0.5]
+                expected = [
+                    x
+                    for x in q
+                    if not any(
+                        y != x and p.leq(x, y) and (not p.leq(y, x) or y < x)
+                        for y in q
+                    )
+                ]
+                assert prune(to_mask(q), p) == to_mask(expected)
+        assert ties > 0
+
     @pytest.mark.parametrize("seed", range(15))
     def test_normalization_properties(self, seed):
         rng = random.Random(100 + seed)

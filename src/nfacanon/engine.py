@@ -196,7 +196,8 @@ def _snapshot(trans, final, registry, k) -> tuple[Dfa, list[int], dict[int, int]
 
     Returns the DFA, the sorted live ids (dense index -> id) and their
     inverse (id -> dense index).  Row entries may name ids merged since they
-    were written; ``registry.find`` resolves them.  Id 0 is the smallest, so
+    were written; ``registry.find`` resolves those, while a live id is its
+    own representative and maps directly.  Id 0 is the smallest, so
     it survives every merge and stays dense state 0, the initial state.
     """
     ids = sorted(trans)
@@ -207,8 +208,10 @@ def _snapshot(trans, final, registry, k) -> tuple[Dfa, list[int], dict[int, int]
         row = trans[s]
         dense_row = dfa.trans[pos[s]]
         for a in range(k):
-            if row[a] != UNDEFINED:
-                dense_row[a] = pos[find(row[a])]
+            t = row[a]
+            if t != UNDEFINED:
+                i = pos.get(t)
+                dense_row[a] = pos[find(t)] if i is None else i
     return dfa, ids, pos
 
 

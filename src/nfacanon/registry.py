@@ -356,17 +356,25 @@ class CCLSRegistry(CCLRegistry):
 
     ``put`` stores a lattice spanning from the pruned to the saturated form
     of the metastate; a lookup that misses the exact map prunes the query
-    before the cover test.
+    before the cover test, and a ``put`` of that same metastate reuses the
+    pruned form, so each new metastate is pruned once.
     """
 
     def __init__(self, preorder: Preorder):
         super().__init__()
         self.preorder = preorder
+        # (metastate, its pruned form) of the last lookup that missed the
+        # exact map: the engine puts a metastate right after such a miss
+        self._last_pruned = (-1, 0)
 
     def put(self, mask: int, state: int) -> None:
-        pruned = prune(mask, self.preorder)
+        last, pruned = self._last_pruned
+        if last != mask:
+            pruned = prune(mask, self.preorder)
         saturated = saturate(mask, self.preorder)
         self._put(mask, state, saturated, [pruned])
 
     def _cover(self, mask: int) -> Optional[int]:
-        return self._hit(mask, self._index.find(prune(mask, self.preorder)))
+        pruned = prune(mask, self.preorder)
+        self._last_pruned = (mask, pruned)
+        return self._hit(mask, self._index.find(pruned))

@@ -7,6 +7,8 @@ quotienting used by the simulation-enabled pipelines.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .automata import Nfa, members
 
 
@@ -43,42 +45,52 @@ class Preorder:
 def compute_similarity(nfa: Nfa) -> Preorder:
     """Coarsest simulation preorder, by greatest-fixpoint refinement.
 
-    Starts from the full acceptance-respecting relation and removes pairs
-    violating the step condition until stable.
+    ``R[x, y]`` (y simulates x) is a boolean matrix.  It starts as the
+    relation respecting acceptance (x final implies y final) and, for every
+    symbol, enabledness (x has a successor implies y has one).  Each round
+    then drops, symbol by symbol, every pair of sources (x, y) where some
+    successor of x is simulated by no successor of y, as whole-array
+    operations over the symbol's edges grouped by source.  Rounds repeat
+    until no pair is dropped (Ilie, Navarro & Yu, "On NFA Reductions", 2004).
     """
     n = nfa.num_states
-    k = nfa.alphabet_size
-    final = nfa.final_mask
-    all_states = (1 << n) - 1
-    above = [all_states if not (final >> x & 1) else final for x in range(n)]
+    final = np.zeros(n, dtype=bool)
+    final[list(nfa.final)] = True
+    rel = ~final[:, None] | final[None, :]
+    steps = []
+    for a in range(nfa.alphabet_size):
+        src, dst = [], []
+        for s, mask in enumerate(nfa.succ_masks(a)):
+            for t in members(mask):
+                src.append(s)
+                dst.append(t)
+        if not src:
+            continue
+        src_arr = np.array(src, dtype=np.intp)
+        starts = np.flatnonzero(np.r_[True, src_arr[1:] != src_arr[:-1]])
+        sources = src_arr[starts]
+        enabled = np.zeros(n, dtype=bool)
+        enabled[sources] = True
+        rel &= ~enabled[:, None] | enabled[None, :]
+        steps.append((np.ix_(sources, sources), np.array(dst, dtype=np.intp), starts))
 
     changed = True
     while changed:
         changed = False
-        for x in range(n):
-            keep = above[x]
-            cand = keep
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                y = low.bit_length() - 1
-                for a in range(k):
-                    ys = nfa.succ_mask(y, a)
-                    ok = True
-                    xs = nfa.succ_mask(x, a)
-                    while xs:
-                        xl = xs & -xs
-                        xs ^= xl
-                        if not (ys & above[xl.bit_length() - 1]):
-                            ok = False
-                            break
-                    if not ok:
-                        keep ^= low
-                        break
-            if keep != above[x]:
-                above[x] = keep
+        for block, dst, starts in steps:
+            # has_match[x', j]: source j has a successor that simulates x'
+            has_match = np.logical_or.reduceat(rel[:, dst], starts, axis=1)
+            # fails[i, j]: some successor of source i is matched by none of j's
+            fails = np.logical_or.reduceat(~has_match[dst], starts, axis=0)
+            kept = rel[block]
+            if (kept & fails).any():
+                rel[block] = kept & ~fails
                 changed = True
-    return Preorder(above)
+    rows = np.packbits(rel, axis=1, bitorder="little").tobytes()
+    width = (n + 7) // 8
+    return Preorder(
+        [int.from_bytes(rows[x * width : (x + 1) * width], "little") for x in range(n)]
+    )
 
 
 def prune(metastate: int, p: Preorder) -> int:

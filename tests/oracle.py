@@ -1,15 +1,25 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately avoid the library's engine and partition-refinement code
-paths: subset construction is a plain BFS/LIFO worklist over dict-keyed
-metastates, and minimization is classic table filling over completed DFAs.
+These deliberately avoid the library's engine, partition-refinement and
+similarity code paths: subset construction is a plain BFS/LIFO worklist over
+dict-keyed metastates, minimization is classic table filling over completed
+DFAs, and similarity is a pairwise fixpoint loop over bitmask rows.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from nfacanon.automata import UNDEFINED, Dfa, Nfa, complete, successor_mask, to_mask, trim
+from nfacanon.automata import (
+    UNDEFINED,
+    Dfa,
+    Nfa,
+    complete,
+    members,
+    successor_mask,
+    to_mask,
+    trim,
+)
 
 
 def textbook_subset_construction(
@@ -126,6 +136,35 @@ def rooted_at(dfa: Dfa, state: int) -> Dfa:
     out = dfa.copy()
     out.initial = state
     return out
+
+
+def similarity_reference(nfa: Nfa) -> list[int]:
+    """Largest simulation as ``above`` rows: bit y of row x iff y simulates x.
+
+    Greatest-fixpoint loop over state pairs: start from every pair that
+    respects acceptance and drop (x, y) while some successor of x on some
+    symbol is simulated by no successor of y on that symbol.
+    """
+    n = nfa.num_states
+    final = nfa.final_mask
+    above = [final if final >> x & 1 else (1 << n) - 1 for x in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            keep = above[x]
+            for y in range(n):
+                if not keep >> y & 1:
+                    continue
+                for a in range(nfa.alphabet_size):
+                    ys = nfa.succ_mask(y, a)
+                    if any(not ys & above[xs] for xs in members(nfa.succ_mask(x, a))):
+                        keep &= ~(1 << y)
+                        break
+            if keep != above[x]:
+                above[x] = keep
+                changed = True
+    return above
 
 
 def random_nfa(rng, num_states: int, alphabet_size: int, edge_prob: float = 0.25) -> Nfa:

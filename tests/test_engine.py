@@ -15,6 +15,7 @@ from nfacanon.automata import (
     reverse,
 )
 import nfacanon.engine as engine
+import nfacanon.registry as registry_module
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
@@ -343,6 +344,43 @@ class TestCanonize:
             calls.clear()
             canonize(nfa, CanonConfig(pipeline=pipeline))
             assert len(calls) == expected.get(pipeline, 0), pipeline
+
+    def test_ccls_prunes_each_metastate_once(self, monkeypatch):
+        # a lookup that misses the exact map prunes its query, and the put
+        # that follows a miss reuses that form: one prune per put, plus one
+        # per cover hit (a hit is not put)
+        prunes = []
+        real_prune = registry_module.prune
+
+        def counting_prune(mask, preorder):
+            prunes.append(mask)
+            return real_prune(mask, preorder)
+
+        monkeypatch.setattr(registry_module, "prune", counting_prune)
+        made = []
+
+        class Counting(CCLSRegistry):
+            def __init__(self, preorder):
+                super().__init__(preorder)
+                self.cover_hits = []
+                self.puts = 0
+                made.append(self)
+
+            def put(self, mask, state):
+                self.puts += 1
+                super().put(mask, state)
+
+        monkeypatch.setattr(engine, "CCLSRegistry", Counting)
+        cover_hits = 0
+        for seed in range(4):
+            nfa = tv_nfa(random.Random(seed), 16, 1.25, 0.5)
+            for pipeline in ("sc-s", "otf-s"):
+                prunes.clear()
+                canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
+                reg = made[-1]
+                assert len(prunes) == reg.puts + len(reg.cover_hits), (seed, pipeline)
+                cover_hits += len(reg.cover_hits)
+        assert cover_hits > 0
 
 
 class TestBrzozowskiPhase2:

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfacanon.automata import Nfa, enumerate_language, members, to_mask
 from nfacanon.simulation import (
@@ -13,7 +15,7 @@ from nfacanon.simulation import (
     simulation_quotient,
 )
 
-from oracle import random_nfa
+from oracle import random_nfa, similarity_reference, tv_nfa
 
 
 def _lang_from(nfa, mask, depth):
@@ -41,7 +43,46 @@ def _strict_pair_nfa():
     )
 
 
+@st.composite
+def _nfas(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+        return random_nfa(rng, n, k, draw(st.sampled_from([0.05, 0.15, 0.3])))
+    r, f = draw(st.sampled_from([1.0, 1.25, 2.0])), draw(st.sampled_from([0.25, 0.5]))
+    return tv_nfa(rng, draw(st.integers(2, 16)), r, f)
+
+
 class TestComputeSimilarity:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nfa=_nfas())
+    def test_matches_reference(self, nfa):
+        assert compute_similarity(nfa).above == similarity_reference(nfa)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
+    def test_matches_reference_across_row_widths(self, n):
+        # rows are packed 8 states to a byte; these sizes straddle byte and
+        # uint64 boundaries, and reflexivity sets bit x of every row x
+        rng = random.Random(n)
+        for nfa in (tv_nfa(rng, n, 1.25, 0.5), random_nfa(rng, n, 3, min(0.3, 2 / n))):
+            assert compute_similarity(nfa).above == similarity_reference(nfa)
+
+    @pytest.mark.parametrize(
+        "edges, final",
+        [
+            # symbol 1 has no edges
+            ([(0, 0, 1), (1, 0, 1), (2, 2, 0), (2, 0, 2), (0, 2, 2)], [1]),
+            # no final states
+            ([(0, 0, 1), (1, 1, 2), (2, 2, 0), (0, 1, 1)], []),
+            # every state final
+            ([(0, 0, 1), (1, 1, 2), (2, 0, 0), (0, 1, 1)], [0, 1, 2]),
+        ],
+        ids=["symbol-without-edges", "no-final", "all-final"],
+    )
+    def test_matches_reference_on_edge_cases(self, edges, final):
+        nfa = Nfa(3, 3, edges, initial=[0], final=final)
+        assert compute_similarity(nfa).above == similarity_reference(nfa)
+
     def test_reflexive(self, ends_in_a):
         p = compute_similarity(ends_in_a)
         for x in range(ends_in_a.num_states):

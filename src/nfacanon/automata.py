@@ -120,6 +120,7 @@ class Dfa:
         alphabet_size: int,
         initial: int,
         final: Iterable[int] = (),
+        trans: list[list[int]] | None = None,
     ):
         if num_states < 1:
             raise ValueError("num_states must be >= 1")
@@ -131,7 +132,10 @@ class Dfa:
         self.alphabet_size = alphabet_size
         self.initial = initial
         self.final = set(final)
-        self.trans = [[UNDEFINED] * alphabet_size for _ in range(num_states)]
+        # trans[s][a]: successor of s on a, or UNDEFINED; taken, not copied
+        if trans is None:
+            trans = [[UNDEFINED] * alphabet_size for _ in range(num_states)]
+        self.trans = trans
 
     def add_state(self) -> int:
         self.trans.append([UNDEFINED] * self.alphabet_size)
@@ -142,7 +146,7 @@ class Dfa:
         self.trans[src][symbol] = dst
 
     def is_total(self) -> bool:
-        return all(t != UNDEFINED for row in self.trans for t in row)
+        return all(UNDEFINED not in row for row in self.trans)
 
     def accepts(self, word: Word) -> bool:
         s = self.initial
@@ -153,9 +157,8 @@ class Dfa:
         return s in self.final
 
     def copy(self) -> "Dfa":
-        d = Dfa(self.num_states, self.alphabet_size, self.initial, self.final)
-        d.trans = [row[:] for row in self.trans]
-        return d
+        rows = [row[:] for row in self.trans]
+        return Dfa(self.num_states, self.alphabet_size, self.initial, self.final, rows)
 
     def to_nfa(self) -> Nfa:
         edges = [

@@ -4,22 +4,22 @@ Determinization is classic subset construction with two twists: the
 metastate-to-state mapping goes through an equivalence registry, and a
 threshold predicate may interrupt exploration to minimize the partial DFA,
 feeding the discovered state equivalences back into the registry.  The
-registry alone resolves merged state ids; the loop keeps only the sparse
-transition table, the final and explored id sets and its worklist.
+registry alone resolves merged state ids; the loop keeps only a row table
+indexed by state id, the final flags and its worklist.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .automata import UNDEFINED, Dfa, Nfa, ReversedDfa, complete, reverse, trim
 from .kernels import successor_kernel
 from .partition import (
     SIG_ACCEPTING,
     SIG_REJECTING,
-    Signature,
     bisimulation_quotient,
     minimize,
     sig_unique,
@@ -77,26 +77,10 @@ class Threshold:
         self.s_old = s_new
 
 
-def build_signature(
-    ids: Sequence[int], final: Container[int], explored: Container[int]
-) -> Signature:
-    """Signature of the states ``ids`` in dense order.
-
-    Explored states get Boolean acceptance tags; unexplored states get unique
-    tags, so minimization never merges them.
-    """
-    return [
-        (SIG_ACCEPTING if s in final else SIG_REJECTING)
-        if s in explored
-        else sig_unique(i)
-        for i, s in enumerate(ids)
-    ]
-
-
 @dataclass
 class DeterminizeResult:
     dfa: Dfa
-    dense: dict[int, int]  # live state id -> state of `dfa`; see Registry.find
+    ids: list[int]  # live state ids, sorted: state i of `dfa` stands for ids[i]
     explored_count: int
     peak_states: int
     minimizations: int
@@ -112,29 +96,31 @@ def otf_determinize(
     """Subset construction with registry lookups and on-the-fly minimization.
 
     Exploration uses a LIFO worklist (depth-first) of (metastate, state id)
-    pairs.  The registry resolves every id: lookups return representatives,
-    and intermediate minimizations report their merges to it with ``unify``.
-    Only explored states are ever merged, because each unexplored state
-    carries a unique signature tag.  The returned DFA is the final, *not*
-    finally-minimized automaton; all of its states are explored and total.
-    ``dense`` maps each live id to its state in the DFA; other ids resolve
-    through ``registry.find``.  Without a ``controller`` no intermediate
-    minimization happens.  ``nfa`` may be a ``ReversedDfa``, the input of
-    Brzozowski's second pass.
+    pairs; the unexplored states are exactly the ids on it.  The table is
+    ``rows``, indexed by state id, with ``final`` flags alongside; the row
+    of a state merged away is ``None``.  The registry resolves every id:
+    lookups return representatives, and intermediate minimizations report
+    their merges to it with ``unify`` and rewrite the rows that named an
+    absorbed id, so every row names live ids only.  Only explored states are
+    ever merged, because each unexplored state carries a unique signature
+    tag.  The returned DFA is the final, *not* finally-minimized automaton;
+    all of its states are explored and total.  ``ids`` lists the live ids
+    its states stand for; other ids resolve through ``registry.find``.
+    Without a ``controller`` no intermediate minimization happens.  ``nfa``
+    may be a ``ReversedDfa``, the input of Brzozowski's second pass.
     """
     kern = successor_kernel(nfa)
     k = nfa.alphabet_size
     final_mask = nfa.final_mask
     init_mask = nfa.initial_mask
 
-    counter = 0
-    trans: dict[int, list[int]] = {0: [UNDEFINED] * k}
-    final: set[int] = {0} if init_mask & final_mask else set()
-    explored: set[int] = set()
+    rows: list[list[int] | None] = [[UNDEFINED] * k]
+    final = [bool(init_mask & final_mask)]
     registry.put(init_mask, 0)
     stack = [(init_mask, 0)]
 
     explored_count = 0
+    absorbed = 0
     peak = 1
     minimizations = 0
     sizes_after_min: list[int] = []
@@ -144,34 +130,39 @@ def otf_determinize(
             raise CanonTimeout(explored_count, peak, minimizations)
         # c is unexplored, so no minimization has merged it: it is still live
         current, c = stack.pop()
-        row = trans[c]
+        row = rows[c]
         succs = kern.successors(current)
         for a in range(k):
             nxt = succs[a]
             n = registry.get(nxt)
             if n is None:
-                counter += 1
-                n = counter
-                trans[n] = [UNDEFINED] * k
-                if nxt & final_mask:
-                    final.add(n)
+                n = len(rows)
+                rows.append([UNDEFINED] * k)
+                final.append(bool(nxt & final_mask))
                 registry.put(nxt, n)
                 stack.append((nxt, n))
             row[a] = n
-        explored.add(c)
         explored_count += 1
-        if len(trans) > peak:
-            peak = len(trans)
+        size = len(rows) - absorbed
+        if size > peak:
+            peak = size
         if controller is not None and controller.should_minimize():
-            _intermediate_minimize(trans, final, explored, registry, k)
+            absorbed += _intermediate_minimize(rows, final, stack, registry, k)
+            size = len(rows) - absorbed
             minimizations += 1
-            sizes_after_min.append(len(trans))
-            controller.after_minimize(len(trans))
+            sizes_after_min.append(size)
+            controller.after_minimize(size)
 
-    dfa, _, dense = _snapshot(trans, final, registry, k)
+    if absorbed:
+        ids, table = _dense(rows)
+        finals = np.flatnonzero(np.take(final, ids)).tolist()
+        dfa = Dfa(len(ids), k, 0, finals, table.tolist())
+    else:
+        ids = list(range(len(rows)))
+        dfa = Dfa(len(rows), k, 0, [s for s in ids if final[s]], rows)
     return DeterminizeResult(
         dfa=dfa,
-        dense=dense,
+        ids=ids,
         explored_count=explored_count,
         peak_states=peak,
         minimizations=minimizations,
@@ -179,40 +170,49 @@ def otf_determinize(
     )
 
 
-def _intermediate_minimize(trans, final, explored, registry, k) -> None:
-    """Minimize the partial DFA in place and forward merges to the registry."""
-    snap, ids, _ = _snapshot(trans, final, registry, k)
-    _, merges = minimize(snap, build_signature(ids, final, explored))
-    for surv_dense, absorbed_dense in merges:
-        surv, absorbed = ids[surv_dense], ids[absorbed_dense]
-        registry.unify(surv, absorbed)
-        del trans[absorbed]
-        final.discard(absorbed)
-        explored.discard(absorbed)
+def _dense(rows) -> tuple[list[int], np.ndarray]:
+    """Sorted live ids and the live rows renumbered to dense positions.
 
-
-def _snapshot(trans, final, registry, k) -> tuple[Dfa, list[int], dict[int, int]]:
-    """Dense copy of the sparse partial DFA, with its id maps.
-
-    Returns the DFA, the sorted live ids (dense index -> id) and their
-    inverse (id -> dense index).  Row entries may name ids merged since they
-    were written; ``registry.find`` resolves those, while a live id is its
-    own representative and maps directly.  Id 0 is the smallest, so
-    it survives every merge and stays dense state 0, the initial state.
+    Every row names live ids or ``UNDEFINED``.  Id 0 is the smallest, so it
+    survives every merge and stays dense state 0, the initial state.
     """
-    ids = sorted(trans)
-    pos = {s: i for i, s in enumerate(ids)}
-    find = registry.find
-    dfa = Dfa(len(ids), k, 0, final={pos[s] for s in ids if s in final})
-    for s in ids:
-        row = trans[s]
-        dense_row = dfa.trans[pos[s]]
-        for a in range(k):
-            t = row[a]
-            if t != UNDEFINED:
-                i = pos.get(t)
-                dense_row[a] = pos[find(t)] if i is None else i
-    return dfa, ids, pos
+    ids = [s for s, row in enumerate(rows) if row is not None]
+    # pos[id] = dense position; pos[-1] keeps UNDEFINED undefined
+    pos = np.full(len(rows) + 1, UNDEFINED)
+    pos[ids] = np.arange(len(ids))
+    return ids, pos[np.array([rows[s] for s in ids])]
+
+
+def _intermediate_minimize(rows, final, stack, registry, k) -> int:
+    """Minimize the partial DFA in place and forward merges to the registry.
+
+    Rows that named an absorbed id are rewritten to name its survivor.
+    Returns the number of states absorbed.
+    """
+    ids, table = _dense(rows)
+    n = len(ids)
+    is_final = np.take(final, ids)
+    sig = np.where(is_final, SIG_ACCEPTING, SIG_REJECTING)
+    unexplored = np.searchsorted(ids, [s for _, s in stack])
+    sig[unexplored] = sig_unique(unexplored)
+    # the table is an array here: minimize reads it without copying
+    snap = Dfa(n, k, 0, np.flatnonzero(is_final).tolist(), table)
+    _, merges = minimize(snap, sig)
+    if not merges:
+        return 0
+    # target[i]: id that dense state i now stands for; the extra last entry
+    # keeps UNDEFINED undefined
+    target = ids + [UNDEFINED]
+    gone = np.zeros(n + 1, dtype=bool)
+    for surv, dead in merges:
+        registry.unify(ids[surv], ids[dead])
+        rows[ids[dead]] = None
+        target[dead] = ids[surv]
+        gone[dead] = True
+    target = np.array(target)
+    for i in np.flatnonzero(gone[table].any(axis=1) & ~gone[:n]).tolist():
+        rows[ids[i]] = target[table[i]].tolist()
+    return len(merges)
 
 
 @dataclass
@@ -309,8 +309,10 @@ def _run_pipeline(nfa, config, stats, deadline):
         dfa = res.dfa
     else:
         # the determinized DFA is total and fully explored
-        states = range(res.dfa.num_states)
-        dfa, _ = minimize(res.dfa, build_signature(states, res.dfa.final, states))
+        sig = [SIG_REJECTING] * res.dfa.num_states
+        for s in res.dfa.final:
+            sig[s] = SIG_ACCEPTING
+        dfa, _ = minimize(res.dfa, sig)
         stats.minimizations += 1
     dfa = complete(dfa) if config.complete_output else _drop_sink(dfa)
     stats.final_states = dfa.num_states
@@ -334,6 +336,5 @@ def _drop_sink(dfa: Dfa) -> Dfa:
     keep = [s for s in range(dfa.num_states) if s != sink]
     new_id = {s: i for i, s in enumerate(keep)}
     new_id[sink] = UNDEFINED  # transitions into the sink become undefined
-    out = Dfa(len(keep), k, new_id[dfa.initial], final=[new_id[s] for s in dfa.final])
-    out.trans = [[new_id[t] for t in dfa.trans[s]] for s in keep]
-    return out
+    rows = [[new_id[t] for t in dfa.trans[s]] for s in keep]
+    return Dfa(len(keep), k, new_id[dfa.initial], [new_id[s] for s in dfa.final], rows)

@@ -1,5 +1,13 @@
 """Partition refinement: seeded DFA minimization and NFA bisimulation quotients.
 
+Both are Moore-style refinements over integer block labels (Moore 1956;
+Valmari & Lehtinen, STACS 2008, for the array form).  A round keys every
+state by its block and a list of integer columns, chained into 1-D integer
+codes that ``np.unique`` renumbers densely, and rounds repeat until the
+block count stops growing.  ``minimize`` passes the successor block on each
+symbol; ``bisimulation_quotient`` passes the set of (symbol, successor
+block) pairs.
+
 Minimization accepts a caller-supplied initial partition (the *signature*),
 which lets the on-the-fly engine keep half-explored states in singleton
 blocks so they are never merged before their behavior is fully determined.
@@ -7,9 +15,11 @@ blocks so they are never merged before their behavior is fully determined.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
+
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa, members
+from .automata import UNDEFINED, Dfa, Nfa
 
 # Signature tags: explored states carry a Boolean acceptance tag, unexplored
 # states carry a unique per-state tag so refinement can only ever split them.
@@ -21,8 +31,41 @@ def sig_unique(state: int) -> int:
     """Unique signature tag for an unexplored state."""
     return 2 + state
 
-Signature = list[int]
+Signature = Sequence[int] | np.ndarray
 MergeList = list[tuple[int, int]]
+
+# (labels, block count) -> (states x c matrix of keys in 0..m-1, m)
+Columns = Callable[[np.ndarray, int], tuple[np.ndarray, int]]
+
+# codes stay below this bound, so no int64 product overflows
+_CODE_LIMIT = 1 << 62
+
+
+def _refine(labels: np.ndarray, columns: Columns) -> np.ndarray:
+    """Coarsest refinement of the dense block ``labels`` stable under ``columns``.
+
+    Each round chains ``code = code * m + col`` over the columns of
+    ``columns(labels, num_blocks)``, starting from the labels themselves, and
+    renumbers ``code`` densely with ``np.unique`` whenever the next column
+    could overflow ``int64`` and at the end, so two states share a new block
+    iff they share a block and every column.  The fixpoint is reached when a
+    round adds no block.
+    """
+    num_blocks = int(labels.max()) + 1
+    while True:
+        cols, m = columns(labels, num_blocks)
+        code, bound = labels, num_blocks
+        for col in cols.T:
+            if bound * m > _CODE_LIMIT:
+                _, code = np.unique(code, return_inverse=True)
+                bound = int(code.max()) + 1
+            code = code * m + col
+            bound *= m
+        _, code = np.unique(code, return_inverse=True)
+        new_blocks = int(code.max()) + 1
+        if new_blocks == num_blocks:
+            return labels
+        labels, num_blocks = code, new_blocks
 
 
 def minimize(dfa: Dfa, sig: Signature) -> tuple[Dfa, MergeList]:
@@ -30,8 +73,10 @@ def minimize(dfa: Dfa, sig: Signature) -> tuple[Dfa, MergeList]:
 
     Undefined transitions are routed to an implicit sink during refinement
     (completed-language semantics); the sink never appears in the result.
-    Returns the quotient DFA (states renumbered densely, survivor of each
-    block = smallest original id) and the list of (survivor, absorbed) pairs.
+    The columns of a round are the successor blocks, one per symbol.
+    ``dfa.trans`` may be a list of rows or an integer array.  Returns the
+    quotient DFA (states renumbered densely, survivor of each block =
+    smallest original id) and the (survivor, absorbed) pairs, sorted.
     """
     n = dfa.num_states
     if len(sig) != n:
@@ -39,95 +84,78 @@ def minimize(dfa: Dfa, sig: Signature) -> tuple[Dfa, MergeList]:
     k = dfa.alphabet_size
 
     trans = np.asarray(dfa.trans, dtype=np.int64)
-    partial = bool((trans == UNDEFINED).any())
-    total = n + 1 if partial else n
-    if partial:
+    tags = np.asarray(sig, dtype=np.int64)
+    undefined = trans == UNDEFINED
+    if undefined.any():
         # implicit sink at index n, in its own initial block
-        trans = np.vstack([trans, np.full((1, k), n, dtype=np.int64)])
-        trans[trans == UNDEFINED] = n
+        trans = np.vstack([np.where(undefined, n, trans), np.full((1, k), n)])
+        tags = np.append(tags, -1)
+    _, labels = np.unique(tags, return_inverse=True)
+    labels = _refine(labels, lambda lab, m: (lab[trans], m))[:n]
 
-    init_tags = sig + [-1] if partial else list(sig)
-    _, labels = np.unique(np.asarray(init_tags), return_inverse=True)
-    num_blocks = int(labels.max()) + 1
-    mat = np.empty((total, k + 1), dtype=np.int64)
-    while True:
-        mat[:, 0] = labels
-        for a in range(k):
-            mat[:, a + 1] = labels[trans[:, a]]
-        _, labels = np.unique(mat, axis=0, return_inverse=True)
-        new_blocks = int(labels.max()) + 1
-        if new_blocks == num_blocks:
-            break
-        num_blocks = new_blocks
+    # survivor = smallest member of the block
+    _, first, block = np.unique(labels, return_index=True, return_inverse=True)
+    survivor = first[block]
+    states = np.arange(n)
+    absorbed = np.flatnonzero(survivor != states)
+    # a stable sort keeps ascending absorbed ids within each survivor
+    absorbed = absorbed[np.argsort(survivor[absorbed], kind="stable")]
+    merges = list(zip(survivor[absorbed].tolist(), absorbed.tolist()))
 
-    # group real states by block; survivor = smallest id
-    blocks: dict[int, list[int]] = {}
-    for s in range(n):
-        blocks.setdefault(int(labels[s]), []).append(s)
-    merges: MergeList = []
-    survivor_of = [0] * n
-    for group in blocks.values():
-        surv = group[0]
-        for s in group:
-            survivor_of[s] = surv
-        merges.extend((surv, s) for s in group[1:])
-
-    survivors = sorted({survivor_of[s] for s in range(n)})
-    new_id = {s: i for i, s in enumerate(survivors)}
+    kept = survivor == states
+    # new id of every state's block; the sink (index n) maps to UNDEFINED
+    new_id = np.append((np.cumsum(kept) - 1)[survivor], UNDEFINED)
+    is_final = np.zeros(n, dtype=bool)
+    is_final[list(dfa.final)] = True
     out = Dfa(
-        len(survivors),
+        len(first),
         k,
-        new_id[survivor_of[dfa.initial]],
-        final={new_id[s] for s in survivors if s in dfa.final},
+        int(new_id[dfa.initial]),
+        np.flatnonzero(is_final[kept]).tolist(),
+        new_id[trans[:n][kept]].tolist(),
     )
-    for s in survivors:
-        row = dfa.trans[s]
-        for a in range(k):
-            t = row[a]
-            if t != UNDEFINED:
-                out.set_transition(new_id[s], a, new_id[survivor_of[t]])
     return out, merges
 
 
 def bisimulation_quotient(nfa: Nfa) -> Nfa:
     """Merge states of ``nfa`` under the coarsest bisimulation.
 
-    Signature-refinement loop: split on acceptance, then repeatedly refine by
-    the per-symbol sets of successor blocks until a fixpoint is reached.
+    Signature refinement from the acceptance split.  The columns of a round
+    are each state's sorted distinct (symbol, successor block) pairs, coded
+    ``symbol * blocks + block`` and padded with a value below every pair.
+    Blocks are numbered by their smallest member.
     """
-    n = nfa.num_states
-    block = [1 if s in nfa.final else 0 for s in range(n)]
-    num_blocks = len(set(block))
-    while True:
-        keys = {}
-        new_block = [0] * n
-        for s in range(n):
-            key = (
-                block[s],
-                tuple(
-                    frozenset(block[t] for t in members(nfa.succ_mask(s, a)))
-                    for a in range(nfa.alphabet_size)
-                ),
-            )
-            new_block[s] = keys.setdefault(key, len(keys))
-        if len(keys) == num_blocks:
-            break
-        block, num_blocks = new_block, len(keys)
+    n, k = nfa.num_states, nfa.alphabet_size
+    src, sym, dst = np.array(list(nfa.edges()), dtype=np.int64).reshape(-1, 3).T
+
+    def successor_pairs(labels: np.ndarray, num_blocks: int):
+        m = k * num_blocks
+        owner, key = np.divmod(np.unique(src * m + sym * num_blocks + labels[dst]), m)
+        counts = np.bincount(owner, minlength=n)
+        rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+        pairs = np.zeros((n, counts.max()), dtype=np.int64)
+        pairs[owner, rank] = key + 1
+        return pairs, m + 1
+
+    is_final = np.zeros(n, dtype=np.int64)
+    is_final[list(nfa.final)] = 1
+    _, labels = np.unique(is_final, return_inverse=True)
+    labels = _refine(labels, successor_pairs)
 
     # renumber blocks by smallest member for deterministic output
-    rep: dict[int, int] = {}
-    for s in range(n):
-        rep.setdefault(block[s], s)
-    order = sorted(rep, key=rep.get)
-    dense = {b: i for i, b in enumerate(order)}
-    edges = {
-        (dense[block[s]], a, dense[block[t]])
-        for (s, a, t) in nfa.edges()
-    }
+    _, first = np.unique(labels, return_index=True)
+    num_blocks = len(first)
+    dense = np.empty(num_blocks, dtype=np.int64)
+    dense[np.argsort(first)] = np.arange(num_blocks)
+    block = dense[labels]
+    edges = np.unique((block[src] * k + sym) * num_blocks + block[dst])
+    head, q_dst = np.divmod(edges, num_blocks)
+    q_src, q_sym = np.divmod(head, k)
+    block_of = block.tolist()
     return Nfa(
-        len(order),
-        nfa.alphabet_size,
-        sorted(edges),
-        {dense[block[s]] for s in nfa.initial},
-        {dense[block[s]] for s in nfa.final},
+        num_blocks,
+        k,
+        zip(q_src.tolist(), q_sym.tolist(), q_dst.tolist()),
+        {block_of[s] for s in nfa.initial},
+        {block_of[s] for s in nfa.final},
     )

@@ -4,11 +4,16 @@ These deliberately avoid the library's engine, partition-refinement and
 similarity code paths: subset construction is a plain BFS/LIFO worklist over
 dict-keyed metastates, minimization is classic table filling over completed
 DFAs, and similarity is a pairwise fixpoint loop over bitmask rows.
+``minimize_reference`` and ``bisimulation_reference`` are the earlier
+row-signature refinements that ``nfacanon.partition`` must match exactly,
+merge order and state numbering included.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+import numpy as np
 
 from nfacanon.automata import (
     UNDEFINED,
@@ -165,6 +170,103 @@ def similarity_reference(nfa: Nfa) -> list[int]:
                 above[x] = keep
                 changed = True
     return above
+
+
+def minimize_reference(dfa: Dfa, sig: list[int]) -> tuple[Dfa, list[tuple[int, int]]]:
+    """Seeded Moore refinement over whole signature rows.
+
+    Same contract as ``partition.minimize``: undefined transitions go to an
+    implicit sink during refinement; survivors are the smallest ids of their
+    blocks; merges are (survivor, absorbed) pairs sorted by survivor, then
+    absorbed.
+    """
+    n = dfa.num_states
+    k = dfa.alphabet_size
+    trans = np.asarray(dfa.trans, dtype=np.int64)
+    partial = bool((trans == UNDEFINED).any())
+    total = n + 1 if partial else n
+    if partial:
+        trans = np.vstack([trans, np.full((1, k), n, dtype=np.int64)])
+        trans[trans == UNDEFINED] = n
+
+    init_tags = list(sig) + [-1] if partial else list(sig)
+    _, labels = np.unique(np.asarray(init_tags), return_inverse=True)
+    num_blocks = int(labels.max()) + 1
+    mat = np.empty((total, k + 1), dtype=np.int64)
+    while True:
+        mat[:, 0] = labels
+        for a in range(k):
+            mat[:, a + 1] = labels[trans[:, a]]
+        _, labels = np.unique(mat, axis=0, return_inverse=True)
+        new_blocks = int(labels.max()) + 1
+        if new_blocks == num_blocks:
+            break
+        num_blocks = new_blocks
+
+    blocks: dict[int, list[int]] = {}
+    for s in range(n):
+        blocks.setdefault(int(labels[s]), []).append(s)
+    merges = []
+    survivor_of = [0] * n
+    for group in blocks.values():
+        surv = group[0]
+        for s in group:
+            survivor_of[s] = surv
+        merges.extend((surv, s) for s in group[1:])
+
+    survivors = sorted({survivor_of[s] for s in range(n)})
+    new_id = {s: i for i, s in enumerate(survivors)}
+    out = Dfa(
+        len(survivors),
+        k,
+        new_id[survivor_of[dfa.initial]],
+        final={new_id[s] for s in survivors if s in dfa.final},
+    )
+    for s in survivors:
+        for a in range(k):
+            t = dfa.trans[s][a]
+            if t != UNDEFINED:
+                out.set_transition(new_id[s], a, new_id[survivor_of[t]])
+    return out, merges
+
+
+def bisimulation_reference(nfa: Nfa) -> Nfa:
+    """Coarsest bisimulation by per-state signatures of successor-block sets.
+
+    Blocks are numbered by their smallest member, as in
+    ``partition.bisimulation_quotient``.
+    """
+    n = nfa.num_states
+    block = [1 if s in nfa.final else 0 for s in range(n)]
+    num_blocks = len(set(block))
+    while True:
+        keys = {}
+        new_block = [0] * n
+        for s in range(n):
+            key = (
+                block[s],
+                tuple(
+                    frozenset(block[t] for t in members(nfa.succ_mask(s, a)))
+                    for a in range(nfa.alphabet_size)
+                ),
+            )
+            new_block[s] = keys.setdefault(key, len(keys))
+        if len(keys) == num_blocks:
+            break
+        block, num_blocks = new_block, len(keys)
+
+    rep: dict[int, int] = {}
+    for s in range(n):
+        rep.setdefault(block[s], s)
+    dense = {b: i for i, b in enumerate(sorted(rep, key=rep.get))}
+    edges = {(dense[block[s]], a, dense[block[t]]) for (s, a, t) in nfa.edges()}
+    return Nfa(
+        len(dense),
+        nfa.alphabet_size,
+        sorted(edges),
+        {dense[block[s]] for s in nfa.initial},
+        {dense[block[s]] for s in nfa.final},
+    )
 
 
 def random_nfa(rng, num_states: int, alphabet_size: int, edge_prob: float = 0.25) -> Nfa:

@@ -121,7 +121,7 @@ def test_registry_soundness():
             full = complete(res.dfa)
             for mask, state in reg.cover_hits:
                 hits_seen += 1
-                target = res.dense[reg.find(state)]
+                target = res.ids.index(reg.find(state))
                 assert language_equivalent(
                     dfa_from_metastate(nfa, mask), rooted_at(full, target)
                 )

@@ -1,6 +1,7 @@
 """Tests for the determinization engine, thresholds, and pipelines."""
 
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,11 @@ from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
     Threshold,
-    build_signature,
     canonize,
     otf_determinize,
 )
 from nfacanon.generator import GenParams, generate
-from nfacanon.partition import SIG_ACCEPTING, SIG_REJECTING, minimize, sig_unique
+from nfacanon.partition import SIG_ACCEPTING, SIG_REJECTING, minimize
 from nfacanon.registry import CCLRegistry, CCLSRegistry, OneToOneRegistry
 from nfacanon.simulation import compute_similarity
 
@@ -92,27 +92,6 @@ class TestUpdateThreshold:
         for _ in range(100):
             c.after_minimize(rng.randint(0, 100000))
             assert c.t == 3
-
-
-class TestBuildSignature:
-    def test_all_explored_is_boolean(self):
-        sig = build_signature([0, 1, 2], final={1}, explored={0, 1, 2})
-        assert sig == [SIG_REJECTING, SIG_ACCEPTING, SIG_REJECTING]
-
-    def test_unexplored_gets_unique_tag(self):
-        sig = build_signature([0, 1], final={1}, explored={0})
-        assert sig[0] == SIG_REJECTING
-        assert sig[1] == sig_unique(1)
-
-    def test_mixed_partial_dfa(self):
-        # Algorithm trace on the 2-symbols-from-the-end family, stopped after
-        # exploring two metastates: 2 Boolean tags, 2 unique tags.  The live
-        # ids are sparse; tags follow their dense positions.
-        sig = build_signature([0, 3, 4, 7], final={7}, explored={0, 3})
-        assert sig[:2] == [SIG_REJECTING, SIG_REJECTING]
-        assert sig[2:] == [sig_unique(2), sig_unique(3)]
-        # the two unexplored states get tags distinct from everything else
-        assert len(set(sig)) == 3
 
 
 def _counting(registry_cls, explored: list[int] | None = None):
@@ -221,6 +200,61 @@ class TestOtfDeterminize:
             nfa, CCLRegistry(), Threshold(interval, max_increase=0)
         )
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
+
+
+# (input, registry, threshold) -> (explored_count, minimizations, cover hits,
+# CRC-32 of repr(sizes_after_min)), recorded with the row-signature
+# refinement that oracle.minimize_reference keeps.  A change to which merges
+# an intermediate minimization finds, or to the registry's answers, moves
+# these counts even where every DFA stays correct.
+_PINNED_COUNTS = {
+    ("blowup8", "ccl", 1): (256, 256, 0, 3986797982),
+    ("blowup8", "ccl", 3): (256, 85, 0, 1382524850),
+    ("blowup8", "ccls", 1): (256, 256, 0, 3986797982),
+    ("blowup8", "ccls", 3): (256, 85, 0, 1382524850),
+    ("gen-11", "ccl", 1): (51, 51, 4, 3133591500),
+    ("gen-11", "ccl", 3): (52, 17, 2, 324806570),
+    ("gen-11", "ccls", 1): (47, 47, 10, 1294436416),
+    ("gen-11", "ccls", 3): (47, 15, 10, 87524276),
+    ("gen-26", "ccl", 1): (33, 33, 3, 3422275683),
+    ("gen-26", "ccl", 3): (34, 11, 1, 2923428515),
+    ("gen-26", "ccls", 1): (25, 25, 10, 2615893212),
+    ("gen-26", "ccls", 3): (25, 8, 10, 207059422),
+    ("tv-16", "ccl", 1): (39, 39, 14, 2603261490),
+    ("tv-16", "ccl", 3): (40, 13, 14, 2886686006),
+    ("tv-16", "ccls", 1): (34, 34, 19, 3058309205),
+    ("tv-16", "ccls", 3): (36, 12, 20, 4264544606),
+    ("tv-28", "ccl", 1): (51, 51, 8, 2586691289),
+    ("tv-28", "ccl", 3): (53, 17, 5, 2997803591),
+    ("tv-28", "ccls", 1): (50, 50, 11, 3389643223),
+    ("tv-28", "ccls", 3): (50, 16, 11, 3760622362),
+}
+
+
+def _pinned_input(name):
+    if name == "blowup8":
+        return blowup_nfa(8)
+    model, seed = name.split("-")
+    if model == "gen":
+        return generate(GenParams(n=24, density=2.0, seed=int(seed)))
+    return tv_nfa(random.Random(int(seed)), 16, 1.25, 0.5)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_COUNTS), ids=lambda c: "-".join(map(str, c)))
+def test_counts_match_pinned_values(case):
+    name, kind, interval = case
+    nfa = _pinned_input(name)
+    reg = CCLRegistry() if kind == "ccl" else CCLSRegistry(compute_similarity(nfa))
+    reg.cover_hits = []
+    res = otf_determinize(nfa, reg, Threshold(interval, max_increase=0))
+    sizes = res.sizes_after_min
+    got = (
+        res.explored_count,
+        res.minimizations,
+        len(reg.cover_hits),
+        zlib.crc32(repr(sizes).encode()),
+    )
+    assert got == _PINNED_COUNTS[case], sizes
 
 
 class TestCanonize:

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfacanon.automata import (
+    UNDEFINED,
     Dfa,
     Nfa,
     complete,
@@ -20,7 +23,14 @@ from nfacanon.partition import (
     sig_unique,
 )
 
-from oracle import random_nfa, table_filling_minimize, textbook_subset_construction
+from oracle import (
+    bisimulation_reference,
+    minimize_reference,
+    random_nfa,
+    table_filling_minimize,
+    textbook_subset_construction,
+    tv_nfa,
+)
 
 
 def _all_explored_sig(dfa):
@@ -145,3 +155,84 @@ def test_minimized_complete_language_equivalent(seed):
     d, _ = textbook_subset_construction(random_nfa(rng, rng.randint(2, 6), 2))
     out, _ = minimize(d, _all_explored_sig(d))
     assert language_equivalent(complete(out), complete(d))
+
+
+@st.composite
+def _seeded_dfas(draw):
+    """A random partial DFA and a signature with some unique tags."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    # few distinct targets make equivalent states, and so merges, likely
+    targets = draw(st.integers(1, n))
+    undefined = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    rows = [
+        [UNDEFINED if rng.random() < undefined else rng.randrange(targets) for _ in range(k)]
+        for _ in range(n)
+    ]
+    dfa = Dfa(n, k, rng.randrange(n), {s for s in range(n) if rng.random() < 0.5}, rows)
+    unique = draw(st.sampled_from([0.0, 0.25]))
+    sig = [
+        sig_unique(s)
+        if rng.random() < unique
+        else (SIG_ACCEPTING if s in dfa.final else SIG_REJECTING)
+        for s in range(n)
+    ]
+    return dfa, sig
+
+
+@st.composite
+def _nfas(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+        return random_nfa(rng, n, k, draw(st.sampled_from([0.05, 0.15, 0.3])))
+    r, f = draw(st.sampled_from([1.0, 1.25, 2.0])), draw(st.sampled_from([0.25, 0.5]))
+    return tv_nfa(rng, draw(st.integers(2, 16)), r, f)
+
+
+# (states, rows, final) of small DFAs; -1 is UNDEFINED
+_FIXED_DFAS = {
+    "single-state": (1, [[0, 0]], {0}),
+    "symbol-without-edges": (4, [[1, -1], [3, -1], [3, -1], [3, -1]], {3}),
+    "no-final": (3, [[1, 2], [2, 0], [2, 2]], set()),
+    "all-final": (3, [[1, 2], [2, 0], [2, 2]], {0, 1, 2}),
+}
+# (states, edges, final) of small NFAs over 2 symbols, initial state 0
+_FIXED_NFAS = {
+    "single-state": (1, [(0, 0, 0)], [0]),
+    "symbol-without-edges": (4, [(0, 0, 1), (0, 0, 2), (1, 0, 3), (2, 0, 3)], [3]),
+    "no-final": (3, [(0, 0, 1), (0, 1, 2), (1, 0, 1), (2, 0, 2)], []),
+    "all-final": (3, [(0, 0, 1), (0, 1, 2), (1, 0, 1), (2, 0, 2)], [0, 1, 2]),
+}
+
+
+class TestMatchesReference:
+    @staticmethod
+    def _check_minimize(dfa, sig):
+        out, merges = minimize(dfa, sig)
+        ref, ref_merges = minimize_reference(dfa, sig)
+        assert (out.trans, out.final, out.initial) == (ref.trans, ref.final, ref.initial)
+        # unify order follows the merge order, so it must match too
+        assert merges == ref_merges
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_seeded_dfas())
+    def test_minimize(self, case):
+        self._check_minimize(*case)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nfa=_nfas())
+    def test_bisimulation_quotient(self, nfa):
+        assert bisimulation_quotient(nfa) == bisimulation_reference(nfa)
+
+    @pytest.mark.parametrize("name", sorted(_FIXED_DFAS))
+    def test_minimize_edge_cases(self, name):
+        n, rows, final = _FIXED_DFAS[name]
+        dfa = Dfa(n, 2, 0, final, [row[:] for row in rows])
+        self._check_minimize(dfa, _all_explored_sig(dfa))
+
+    @pytest.mark.parametrize("name", sorted(_FIXED_NFAS))
+    def test_bisimulation_edge_cases(self, name):
+        n, edges, final = _FIXED_NFAS[name]
+        nfa = Nfa(n, 2, edges, [0], final)
+        assert bisimulation_quotient(nfa) == bisimulation_reference(nfa)

@@ -98,7 +98,9 @@ def otf_determinize(
     Exploration uses a LIFO worklist (depth-first) of (metastate, state id)
     pairs; the unexplored states are exactly the ids on it.  The table is
     ``rows``, indexed by state id, with ``final`` flags alongside; the row
-    of a state merged away is ``None``.  The registry resolves every id:
+    of a state merged away is ``None``.  The loop keeps the sorted live ids
+    itself: ids created since the last minimization are all live, and each
+    minimization drops the ids it absorbs.  The registry resolves every id:
     lookups return representatives, and intermediate minimizations report
     their merges to it with ``unify`` and rewrite the rows that named an
     absorbed id, so every row names live ids only.  Only explored states are
@@ -120,7 +122,9 @@ def otf_determinize(
     stack = [(init_mask, 0)]
 
     explored_count = 0
-    absorbed = 0
+    # sorted live ids among the first `listed`; later ids are all live
+    live: list[int] = []
+    listed = 0
     peak = 1
     minimizations = 0
     sizes_after_min: list[int] = []
@@ -143,18 +147,20 @@ def otf_determinize(
                 stack.append((nxt, n))
             row[a] = n
         explored_count += 1
-        size = len(rows) - absorbed
+        size = len(live) + len(rows) - listed
         if size > peak:
             peak = size
         if controller is not None and controller.should_minimize():
-            absorbed += _intermediate_minimize(rows, final, stack, registry, k)
-            size = len(rows) - absorbed
+            live.extend(range(listed, len(rows)))
+            listed = len(rows)
+            live = _intermediate_minimize(rows, final, live, stack, registry, k)
             minimizations += 1
-            sizes_after_min.append(size)
-            controller.after_minimize(size)
+            sizes_after_min.append(len(live))
+            controller.after_minimize(len(live))
 
-    if absorbed:
-        ids, table = _dense(rows)
+    if len(live) < listed:  # some id was absorbed
+        ids = live + list(range(listed, len(rows)))
+        table = _dense(rows, ids)
         finals = np.flatnonzero(np.take(final, ids)).tolist()
         dfa = Dfa(len(ids), k, 0, finals, table.tolist())
     else:
@@ -170,26 +176,25 @@ def otf_determinize(
     )
 
 
-def _dense(rows) -> tuple[list[int], np.ndarray]:
-    """Sorted live ids and the live rows renumbered to dense positions.
+def _dense(rows, ids: list[int]) -> np.ndarray:
+    """The rows of the sorted live ``ids``, renumbered to dense positions.
 
     Every row names live ids or ``UNDEFINED``.  Id 0 is the smallest, so it
     survives every merge and stays dense state 0, the initial state.
     """
-    ids = [s for s, row in enumerate(rows) if row is not None]
     # pos[id] = dense position; pos[-1] keeps UNDEFINED undefined
     pos = np.full(len(rows) + 1, UNDEFINED)
     pos[ids] = np.arange(len(ids))
-    return ids, pos[np.array([rows[s] for s in ids])]
+    return pos[np.array([rows[s] for s in ids])]
 
 
-def _intermediate_minimize(rows, final, stack, registry, k) -> int:
-    """Minimize the partial DFA in place and forward merges to the registry.
+def _intermediate_minimize(rows, final, ids, stack, registry, k) -> list[int]:
+    """Minimize the partial DFA of the sorted live ``ids`` in place.
 
-    Rows that named an absorbed id are rewritten to name its survivor.
-    Returns the number of states absorbed.
+    Merges go to the registry, and rows that named an absorbed id are
+    rewritten to name its survivor.  Returns the live ids left, sorted.
     """
-    ids, table = _dense(rows)
+    table = _dense(rows, ids)
     n = len(ids)
     is_final = np.take(final, ids)
     sig = np.where(is_final, SIG_ACCEPTING, SIG_REJECTING)
@@ -199,7 +204,7 @@ def _intermediate_minimize(rows, final, stack, registry, k) -> int:
     snap = Dfa(n, k, 0, np.flatnonzero(is_final).tolist(), table)
     _, merges = minimize(snap, sig)
     if not merges:
-        return 0
+        return ids
     # target[i]: id that dense state i now stands for; the extra last entry
     # keeps UNDEFINED undefined
     target = ids + [UNDEFINED]
@@ -210,9 +215,10 @@ def _intermediate_minimize(rows, final, stack, registry, k) -> int:
         target[dead] = ids[surv]
         gone[dead] = True
     target = np.array(target)
-    for i in np.flatnonzero(gone[table].any(axis=1) & ~gone[:n]).tolist():
+    kept = ~gone[:n]
+    for i in np.flatnonzero(gone[table].any(axis=1) & kept).tolist():
         rows[ids[i]] = target[table[i]].tolist()
-    return len(merges)
+    return target[:n][kept].tolist()
 
 
 @dataclass

@@ -24,20 +24,21 @@ Three implementations are provided:
 * ``CCLSRegistry`` -- CCL with a similarity preorder used to prune/saturate
   metastates, widening lattices without any ``unify`` calls.
 
-The CCL and CCLS cover test runs on a packed index: every (lattice, minimal)
-pair is one row of ``uint64`` words, and one numpy expression tests a query
-against all rows at once.  Point lattices (a single minimal equal to the
-greatest element) can only cover a metastate that is already an exact hit,
-so they get no rows: a CCL index holds rows only for states that stand for
-more than one metastate.
+The CCL and CCLS cover test runs on a bit-sliced index: every (lattice,
+minimal) pair is one row, and per NFA state one Python int holds a bit for
+each row whose greatest element (or minimal) contains that state.  A query
+ANDs the slices of its members, so a miss usually stops after a few of
+them.  Point lattices (a single minimal equal to the greatest element) can
+only cover a metastate that is already an exact hit, so they get no rows: a
+CCL index holds rows only for states that stand for more than one
+metastate.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Protocol
 
-import numpy as np
-
+from .automata import members
 from .simulation import Preorder, prune, saturate
 
 
@@ -91,57 +92,51 @@ class Lattice:
         return any(m & mask == m for m in self.minimals)
 
     def absorb(self, greatest: int, minimals: list[int]) -> None:
-        """Join another region into this one, refiltering the antichain."""
+        """Join another region into this one, merging the two antichains.
+
+        Both lists are antichains, so only cross pairs are tested: an old
+        minimal stays unless a new one lies strictly below it, and a new one
+        joins unless an old one lies below or equals it.  Old survivors come
+        first, then new ones.
+        """
         self.greatest |= greatest
-        self.minimals = _antichain(self.minimals + minimals)
-
-
-def _antichain(elems: list[int]) -> list[int]:
-    """Dedupe and drop every element with a strict subset in the list."""
-    out = []
-    seen = set()
-    for m in elems:
-        if m in seen:
-            continue
-        if any(o != m and o & m == o for o in elems):
-            continue
-        seen.add(m)
-        out.append(m)
-    return out
-
-
-_WORD = np.dtype("<u8")
-_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+        old = self.minimals
+        kept = [o for o in old if not any(n != o and n & o == n for n in minimals)]
+        kept += [n for n in minimals if not any(o & n == o for o in old)]
+        self.minimals = kept
 
 
 class _CoverIndex:
-    """Packed cover test over the lattices of a CCL registry.
+    """Bit-sliced cover test over the lattices of a CCL registry.
 
     Row ``r`` stands for one minimal ``m`` of one lattice with greatest
-    element ``g``: column ``r`` of ``notg`` holds ``~g`` and column ``r`` of
-    ``mins`` holds ``m``, each split into ``words`` little-endian ``uint64``
-    words (word-major, so the OR over words runs along whole rows of the
-    arrays).  A query ``q`` is covered by the row iff
-    ``(notg[:, r] & q) | (mins[:, r] & ~q)`` is zero in every word, i.e.
-    ``m <= q <= g``.  Dead rows are all ones in both arrays, which no query
-    passes.  ``seq[r]`` is the insertion number of the row's lattice
-    and ``rep[r]`` its representative state; among several hits the smallest
-    ``seq`` wins, which is the lattice an insertion-ordered scan finds first.
-    Nothing is allocated before the first row.
+    element ``g``, and bit ``r`` of every slice stands for that row:
+    ``in_greatest[s]`` holds the rows whose ``g`` contains NFA state ``s``,
+    ``in_minimal[s]`` the rows whose ``m`` contains ``s``, and ``live`` the
+    live rows; ``used`` is the OR of the minimals written.  A query ``q`` is
+    covered by row ``r`` iff ``m <= q <= g``, i.e. ``r`` is in
+    ``in_greatest[s]`` for every member ``s`` of ``q`` and in no
+    ``in_minimal[s]`` for ``s`` outside ``q``; ``find`` narrows ``live``
+    one member at a time and stops as soon as no row is left.  ``rows[r]``
+    is the (insertion number, representative state) of the row's lattice;
+    among several hits the smallest insertion number wins, which is the
+    lattice an insertion-ordered scan finds first.  A lattice's rows are
+    contiguous.  Killing them only clears their ``live`` bits; once dead
+    rows outnumber live ones the slices are rebuilt from the lattices still
+    indexed.
     """
 
     def __init__(self):
-        self.words = 0
-        self.size = 0  # rows written, live or dead
+        self.in_greatest: list[int] = []  # indexed by NFA state
+        self.in_minimal: list[int] = []
+        self.live = 0
+        self.used = 0
         self.dead = 0
-        self.notg = self.mins = self.seq = self.rep = None
-        self._span: dict[int, tuple[int, int]] = {}  # lattice key -> row range
+        self.rows: list[tuple[int, int]] = []  # rows written, live or dead
+        # lattice key -> (its row bits, the lattice), in row order
+        self._span: dict[int, tuple[int, Lattice]] = {}
         self._seq_of: dict[int, int] = {}  # lattice key -> insertion number
         self._next_seq = 0
-
-    @property
-    def live(self) -> int:
-        return self.size - self.dead
 
     def insert(self, key: int, lat: Lattice) -> None:
         """Index a lattice that takes the last place in insertion order."""
@@ -160,18 +155,28 @@ class _CoverIndex:
 
     def find(self, query: int) -> Optional[int]:
         """Representative of the earliest-inserted lattice covering ``query``."""
-        if not self.live:
-            return None
-        width = 8 * self.words
-        if query.bit_length() > 8 * width:
-            return None  # has a member outside every greatest element
-        q = np.frombuffer(query.to_bytes(width, "little"), dtype=_WORD)[:, None]
-        n = self.size
-        fails = (self.notg[:, :n] & q) | (self.mins[:, :n] & ~q)
-        hits = np.flatnonzero(np.bitwise_or.reduce(fails, axis=0) == 0)
-        if hits.size == 0:
-            return None
-        return int(self.rep[hits[self.seq[hits].argmin()]])
+        hits = self.live
+        in_greatest = self.in_greatest
+        if not hits or query.bit_length() > len(in_greatest):
+            return None  # no rows, or a member outside every greatest element
+        # the bit loops are inlined: this is the registry's innermost loop
+        rest = query
+        while rest:
+            low = rest & -rest
+            hits &= in_greatest[low.bit_length() - 1]
+            if not hits:
+                return None
+            rest ^= low
+        in_minimal = self.in_minimal
+        rest = self.used & ~query
+        while rest:
+            low = rest & -rest
+            hits &= ~in_minimal[low.bit_length() - 1]
+            if not hits:
+                return None
+            rest ^= low
+        rows = self.rows
+        return min(rows[r] for r in members(hits))[1]
 
     def _write(self, key: int, lat: Lattice) -> None:
         mins = lat.minimals
@@ -185,66 +190,52 @@ class _CoverIndex:
             # a kept one, q <= saturate(prune(q)) == m <= q: again q == m.
             # The exact map answers those before the index is asked.
             return
-        k = len(mins)
-        words = max(self.words, 1, -(-lat.greatest.bit_length() // 64))
-        cap = 0 if self.seq is None else len(self.seq)
-        rows = cap if self.size + k <= cap else max(2 * cap, self.size + k, 16)
-        if rows != cap or words != self.words:
-            self._resize(rows, words)
-        width = 8 * self.words
-        lo, hi = self.size, self.size + k
-        full = (1 << (8 * width)) - 1
-        self.notg[:, lo:hi] = np.frombuffer(
-            (~lat.greatest & full).to_bytes(width, "little"), dtype=_WORD
-        )[:, None]
-        self.mins[:, lo:hi] = np.frombuffer(
-            b"".join(m.to_bytes(width, "little") for m in mins), dtype=_WORD
-        ).reshape(k, self.words).T
-        self.seq[lo:hi] = self._seq_of[key]
-        self.rep[lo:hi] = lat.rep
-        self._span[key] = (lo, hi)
-        self.size = hi
+        lo = len(self.rows)
+        hi = lo + len(mins)
+        grow = lat.greatest.bit_length() - len(self.in_greatest)
+        if grow > 0:
+            self.in_greatest += [0] * grow
+            self.in_minimal += [0] * grow
+        block = ((1 << (hi - lo)) - 1) << lo
+        in_greatest = self.in_greatest
+        rest = lat.greatest
+        while rest:
+            low = rest & -rest
+            in_greatest[low.bit_length() - 1] |= block
+            rest ^= low
+        in_minimal = self.in_minimal
+        for r, m in enumerate(mins, lo):
+            row = 1 << r
+            rest = m
+            while rest:
+                low = rest & -rest
+                in_minimal[low.bit_length() - 1] |= row
+                rest ^= low
+            self.used |= m
+        self.live |= block
+        self.rows += [(self._seq_of[key], lat.rep)] * (hi - lo)
+        self._span[key] = (block, lat)
 
     def _kill(self, key: int) -> None:
         span = self._span.pop(key, None)
         if span is None:
             return
-        lo, hi = span
-        self.notg[:, lo:hi] = _ALL_ONES
-        self.mins[:, lo:hi] = _ALL_ONES
-        self.dead += hi - lo
-        if self.dead > self.live:
-            self._compact()
+        block, _ = span
+        self.live &= ~block
+        self.dead += block.bit_count()
+        if self.dead > len(self.rows) - self.dead:
+            self._rebuild()
 
-    def _compact(self) -> None:
-        """Move the live rows to the front, keeping their relative order."""
-        spans = sorted(self._span.items(), key=lambda item: item[1][0])
-        keep = np.array(
-            [r for _, (lo, hi) in spans for r in range(lo, hi)], dtype=np.intp
-        )
-        for arr in (self.notg, self.mins, self.seq, self.rep):
-            arr[..., : len(keep)] = arr[..., keep]
-        pos = 0
-        for key, (lo, hi) in spans:
-            self._span[key] = (pos, pos + hi - lo)
-            pos += hi - lo
-        self.size = pos
-        self.dead = 0
-
-    def _resize(self, rows: int, words: int) -> None:
-        """Reallocate to ``words`` x ``rows``; added words of ``~g`` are ones."""
-        notg = np.full((words, rows), _ALL_ONES, dtype=_WORD)
-        mins = np.zeros((words, rows), dtype=_WORD)
-        seq = np.zeros(rows, dtype=np.int64)
-        rep = np.zeros(rows, dtype=np.int64)
-        if self.seq is not None:
-            n, w = self.size, self.words
-            notg[:w, :n] = self.notg[:, :n]
-            mins[:w, :n] = self.mins[:, :n]
-            seq[:n] = self.seq[:n]
-            rep[:n] = self.rep[:n]
-        self.notg, self.mins, self.seq, self.rep = notg, mins, seq, rep
-        self.words = words
+    def _rebuild(self) -> None:
+        """Rewrite the live rows from scratch, keeping their relative order."""
+        spans = list(self._span.items())
+        width = len(self.in_greatest)
+        self.in_greatest = [0] * width
+        self.in_minimal = [0] * width
+        self.live = self.used = self.dead = 0
+        self.rows = []
+        for key, (_, lat) in spans:
+            self._write(key, lat)
 
 
 class Registry(Protocol):
@@ -291,7 +282,7 @@ class CCLRegistry(OneToOneRegistry):
     Lattices are keyed by union-find roots of their representative states;
     ``unify`` merges roots and joins the associated lattices.  A cover lookup
     returns the first covering lattice in insertion order (most recently
-    merged last), answered by a packed index rather than a scan.  Setting
+    merged last), answered by a bit-sliced index rather than a scan.  Setting
     ``cover_hits`` to a list records every non-exact hit as a (queried
     metastate, returned state) pair.
     """

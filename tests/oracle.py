@@ -6,7 +6,8 @@ dict-keyed metastates, minimization is classic table filling over completed
 DFAs, and similarity is a pairwise fixpoint loop over bitmask rows.
 ``minimize_reference`` and ``bisimulation_reference`` are the earlier
 row-signature refinements that ``nfacanon.partition`` must match exactly,
-merge order and state numbering included.
+merge order and state numbering included.  ``antichain_reference`` is the
+earlier pairwise antichain filter that ``Lattice.absorb`` must match.
 """
 
 from __future__ import annotations
@@ -267,6 +268,20 @@ def bisimulation_reference(nfa: Nfa) -> Nfa:
         {dense[block[s]] for s in nfa.initial},
         {dense[block[s]] for s in nfa.final},
     )
+
+
+def antichain_reference(elems: list[int]) -> list[int]:
+    """Dedupe and drop every element with a strict subset in the list."""
+    out = []
+    seen = set()
+    for m in elems:
+        if m in seen:
+            continue
+        if any(o != m and o & m == o for o in elems):
+            continue
+        seen.add(m)
+        out.append(m)
+    return out
 
 
 def random_nfa(rng, num_states: int, alphabet_size: int, edge_prob: float = 0.25) -> Nfa:

@@ -257,6 +257,29 @@ def test_counts_match_pinned_values(case):
     assert got == _PINNED_COUNTS[case], sizes
 
 
+# peak_states of the same runs, recorded before the loop kept its own list of
+# live ids (it used to count every id ever created, minus the absorbed ones)
+_PINNED_PEAKS = {
+    "blowup8": (256, 256, 256, 256),
+    "gen-11": (42, 45, 41, 41),
+    "gen-26": (26, 27, 20, 20),
+    "tv-16": (15, 16, 15, 15),
+    "tv-28": (26, 26, 26, 26),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PEAKS))
+def test_peak_states_match_pinned_values(name):
+    nfa = _pinned_input(name)
+    preorder = compute_similarity(nfa)
+    peaks = []
+    for make in (CCLRegistry, lambda: CCLSRegistry(preorder)):
+        for interval in (1, 3):
+            res = otf_determinize(nfa, make(), Threshold(interval, max_increase=0))
+            peaks.append(res.peak_states)
+    assert tuple(peaks) == _PINNED_PEAKS[name]
+
+
 class TestCanonize:
     def test_all_pipelines_isomorphic_on_fixed_instance(self):
         nfa = generate(GenParams(n=20, density=2.0, seed=42))

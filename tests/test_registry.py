@@ -16,6 +16,7 @@ from nfacanon.registry import (
     UnionFind,
 )
 from nfacanon.simulation import Preorder, compute_similarity, prune
+from oracle import antichain_reference
 
 
 class TestUnionFind:
@@ -274,6 +275,11 @@ class TestCCLS:
         assert reg.get(to_mask([2])) is None
 
 
+_antichains = st.lists(st.one_of(st.just(0), st.integers(1, 63)), max_size=8).map(
+    antichain_reference
+)
+
+
 class TestLattice:
     def test_covers_membership_rule(self):
         lat = Lattice(0, to_mask([0, 1, 2]), _masks([0], [1, 2]))
@@ -281,6 +287,31 @@ class TestLattice:
         assert lat.covers(to_mask([1, 2]))
         assert not lat.covers(to_mask([2]))
         assert not lat.covers(to_mask([0, 3]))
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(old=_antichains, fresh=_antichains, shared=st.lists(st.integers(0, 7)))
+    def test_absorb_matches_pairwise_filter(self, old, fresh, shared):
+        # some of the old minimals also arrive with the new antichain
+        new = antichain_reference([old[i] for i in shared if i < len(old)] + fresh)
+        lat = Lattice(0, 0, list(old))
+        lat.absorb(0, new)
+        assert lat.minimals == antichain_reference(old + new)
+
+    def test_absorb_fixed_cases(self):
+        a, b, ab, c = _masks([1], [2], [1, 2], [3])
+        cases = [
+            ([a, b], [ab], [a, b]),  # new above an old one: dropped
+            ([ab], [a, c], [a, c]),  # new below an old one: replaces it
+            ([a, c], [c, b], [a, c, b]),  # shared element kept once
+            ([a, b], [0], [0]),  # the empty metastate is below everything
+            ([0], [a, b], [0]),
+            ([], [a], [a]),
+            ([a], [], [a]),
+        ]
+        for old, new, expected in cases:
+            lat = Lattice(0, 0, list(old))
+            lat.absorb(0, new)
+            assert lat.minimals == expected == antichain_reference(old + new)
 
 
 # -- cover index against a linear scan ---------------------------------------
@@ -371,40 +402,93 @@ class TestCoverIndex:
         reg = CCLSRegistry(_random_preorder(rng, positions))
         _run_ops(reg, rng, positions, 60)
 
-    def test_words_grow_and_rows_compact(self, monkeypatch):
+    def test_dead_rows_are_rebuilt_away(self, monkeypatch):
         index_cls = type(CCLRegistry()._index)
-        compactions = []
-        original = index_cls._compact
+        rebuilds = []
+        original = index_cls._rebuild
 
         def counting(self):
-            compactions.append(self.live)
+            rebuilds.append(self.live.bit_count())
             original(self)
 
-        monkeypatch.setattr(index_cls, "_compact", counting)
+        monkeypatch.setattr(index_cls, "_rebuild", counting)
         rng = random.Random(4)
         reg = CCLRegistry()
-        widths = []
         for positions in ([3, 40, 50], [3, 40, 70, 100], [3, 40, 70, 100, 150, 250]):
             _run_ops(reg, rng, positions, 80)
-            widths.append(reg._index.words)
-        assert widths == [1, 2, 4]
-        assert compactions
-        assert reg._index.dead <= reg._index.live
+        assert rebuilds
+        index = reg._index
+        assert index.dead <= index.live.bit_count()
+        assert len(index.rows) - index.dead == index.live.bit_count()
 
     def test_point_lattices_get_no_rows(self):
         reg = CCLRegistry()
         a, b = _masks([1, 2], [3, 70])
         reg.put(a, 0)
         reg.put(b, 1)
-        assert reg._index.size == 0
-        assert reg._index.notg is None  # nothing allocated yet
+        assert reg._index.rows == []
+        assert reg._index.in_greatest == reg._index.in_minimal == []  # no slices
         reg.unify(0, 1)
-        assert reg._index.live == 2  # one row per minimal of the merged lattice
+        assert reg._index.live.bit_count() == 2  # one row per minimal
 
     def test_ccls_point_lattices_get_no_rows(self):
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([2]), 0)  # prune == saturate: a point
-        assert reg._index.size == 0
+        assert reg._index.rows == []
         reg.put(to_mask([0]), 1)  # saturates to {0, 1}: indexed
-        assert reg._index.live == 1
+        assert reg._index.live.bit_count() == 1
+
+    def test_empty_minimal_covers_everything_below_greatest(self):
+        reg = CCLRegistry()
+        reg.put(0, 0)
+        reg.put(to_mask([1, 2]), 1)
+        reg.unify(0, 1)
+        assert reg.lattices[0].minimals == [0]
+        for query in _masks([1], [2]):
+            assert reg.get(query) == 0
+        for query in _masks([3], [1, 3]):
+            assert reg.get(query) is None
+
+    def test_member_outside_every_greatest_misses(self):
+        reg = CCLRegistry()
+        for mask, state in zip(_masks([1, 2], [1, 3], [5, 6], [6]), range(4)):
+            reg.put(mask, state)
+        reg.unify(0, 1)
+        reg.unify(2, 3)  # {6} .. {5,6} widens the slices to state 6
+        assert reg.get(to_mask([1, 2, 3])) == 0
+        # 4 is inside the slices' width but in no greatest element
+        assert reg.get(to_mask([1, 2, 4])) is None
+        assert reg.get(to_mask([1, 2, 99])) is None
+
+    def test_lattice_updated_in_place_keeps_its_place(self):
+        reg = CCLRegistry()
+        reg.put(to_mask([1, 2]), 0)
+        reg.put(to_mask([3]), 1)
+        reg.unify(0, 1)  # A: {1,2} | {3} .. {1,2,3}
+        reg.put(to_mask([1]), 2)
+        reg.put(to_mask([1, 2, 3, 4]), 3)
+        reg.unify(2, 3)  # B, inserted later: {1} .. {1,2,3,4}
+        reg.put(to_mask([5]), 0)  # absorbed into A: its rows move to the end
+        spans = reg._index._span
+        assert spans[0][0] > spans[2][0]  # A's row bits lie above B's
+        query = to_mask([1, 3])
+        assert reg.lattices[0].covers(query) and reg.lattices[2].covers(query)
+        assert reg.get(query) == 0
+
+    def test_cover_hits_records_every_hit(self):
+        reg = CCLRegistry()
+        reg.cover_hits = []
+        reg.put(to_mask([1]), 0)
+        reg.put(to_mask([1, 2, 3]), 1)
+        reg.unify(0, 1)
+        reg.put(to_mask([4]), 2)
+        reg.put(to_mask([4, 5]), 3)
+        reg.unify(2, 3)
+        queries = _masks([1, 2], [4], [1, 3], [2], [1, 4], [4, 5], [1, 2])
+        got = [reg.get(q) for q in queries]
+        assert got == [0, 2, 0, None, None, 2, 0]
+        # exact hits ({4}, {4, 5}) and misses record nothing; a repeated
+        # cover hit is recorded each time
+        q12, q13 = _masks([1, 2], [1, 3])
+        assert reg.cover_hits == [(q12, 0), (q13, 0), (q12, 0)]

@@ -85,8 +85,10 @@ class Nfa:
     def edges(self) -> Iterator[tuple[int, int, int]]:
         for a, row in enumerate(self._succ):
             for s, mask in enumerate(row):
-                for t in members(mask):
-                    yield (s, a, t)
+                while mask:  # inlined: most masks are empty
+                    low = mask & -mask
+                    yield (s, a, low.bit_length() - 1)
+                    mask ^= low
 
     def num_transitions(self) -> int:
         return sum(m.bit_count() for row in self._succ for m in row)
@@ -256,15 +258,19 @@ def trim(nfa: Nfa) -> Nfa:
     survives, a canonical one-state automaton with no transitions and no final
     states is returned.
     """
-    fwd = _closure(nfa, nfa.initial, forward=True)
-    bwd = _closure(nfa, nfa.final, forward=False)
-    keep = sorted(fwd & bwd)
+    edges = list(nfa.edges())
+    succ = [0] * nfa.num_states
+    pred = [0] * nfa.num_states
+    for (s, _, t) in edges:
+        succ[s] |= 1 << t
+        pred[t] |= 1 << s
+    keep = members(_closure(nfa.initial_mask, succ) & _closure(nfa.final_mask, pred))
     if not keep:
         return Nfa(EMPTY_LANGUAGE_STATES, nfa.alphabet_size, [], [0], [])
     remap = {s: i for i, s in enumerate(keep)}
     edges = [
         (remap[s], a, remap[t])
-        for (s, a, t) in nfa.edges()
+        for (s, a, t) in edges
         if s in remap and t in remap
     ]
     return Nfa(
@@ -276,22 +282,15 @@ def trim(nfa: Nfa) -> Nfa:
     )
 
 
-def _closure(nfa: Nfa, seed: Iterable[int], forward: bool) -> set[int]:
-    if forward:
-        succ = lambda s: (t for a in range(nfa.alphabet_size) for t in members(nfa.succ_mask(s, a)))
-    else:
-        pred = [[] for _ in range(nfa.num_states)]
-        for (s, a, t) in nfa.edges():
-            pred[t].append(s)
-        succ = lambda s: pred[s]
-    seen = set(seed)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for t in succ(s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
+def _closure(seed: int, adj: list[int]) -> int:
+    """Mask of the states reachable from ``seed`` along ``adj[s]`` masks."""
+    seen = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
     return seen
 
 

@@ -17,13 +17,7 @@ import numpy as np
 
 from .automata import UNDEFINED, Dfa, Nfa, ReversedDfa, complete, reverse, trim
 from .kernels import successor_kernel
-from .partition import (
-    SIG_ACCEPTING,
-    SIG_REJECTING,
-    bisimulation_quotient,
-    minimize,
-    sig_unique,
-)
+from .partition import bisimulation_quotient, minimize
 from .registry import CCLRegistry, CCLSRegistry, OneToOneRegistry, Registry
 from .simulation import compute_similarity, simulation_quotient
 
@@ -104,10 +98,11 @@ def otf_determinize(
     lookups return representatives, and intermediate minimizations report
     their merges to it with ``unify`` and rewrite the rows that named an
     absorbed id, so every row names live ids only.  Only explored states are
-    ever merged, because each unexplored state carries a unique signature
-    tag.  The returned DFA is the final, *not* finally-minimized automaton;
-    all of its states are explored and total.  ``ids`` lists the live ids
-    its states stand for; other ids resolve through ``registry.find``.
+    ever merged, because minimization keeps each unexplored state in a
+    block of its own.  The returned DFA is the final, *not*
+    finally-minimized automaton; all of its states are explored and total.
+    ``ids`` lists the live ids its states stand for; other ids resolve
+    through ``registry.find``.
     Without a ``controller`` no intermediate minimization happens.  ``nfa``
     may be a ``ReversedDfa``, the input of Brzozowski's second pass.
     """
@@ -196,13 +191,10 @@ def _intermediate_minimize(rows, final, ids, stack, registry, k) -> list[int]:
     """
     table = _dense(rows, ids)
     n = len(ids)
-    is_final = np.take(final, ids)
-    sig = np.where(is_final, SIG_ACCEPTING, SIG_REJECTING)
-    unexplored = np.searchsorted(ids, [s for _, s in stack])
-    sig[unexplored] = sig_unique(unexplored)
+    finals = np.flatnonzero(np.take(final, ids)).tolist()
     # the table is an array here: minimize reads it without copying
-    snap = Dfa(n, k, 0, np.flatnonzero(is_final).tolist(), table)
-    _, merges = minimize(snap, sig)
+    snap = Dfa(n, k, 0, finals, table)
+    _, merges = minimize(snap, np.searchsorted(ids, [s for _, s in stack]))
     if not merges:
         return ids
     # target[i]: id that dense state i now stands for; the extra last entry
@@ -315,10 +307,7 @@ def _run_pipeline(nfa, config, stats, deadline):
         dfa = res.dfa
     else:
         # the determinized DFA is total and fully explored
-        sig = [SIG_REJECTING] * res.dfa.num_states
-        for s in res.dfa.final:
-            sig[s] = SIG_ACCEPTING
-        dfa, _ = minimize(res.dfa, sig)
+        dfa, _ = minimize(res.dfa, [])
         stats.minimizations += 1
     dfa = complete(dfa) if config.complete_output else _drop_sink(dfa)
     stats.final_states = dfa.num_states

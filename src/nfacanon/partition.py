@@ -8,9 +8,10 @@ block count stops growing.  ``minimize`` passes the successor block on each
 symbol; ``bisimulation_quotient`` passes the set of (symbol, successor
 block) pairs.
 
-Minimization accepts a caller-supplied initial partition (the *signature*),
-which lets the on-the-fly engine keep half-explored states in singleton
-blocks so they are never merged before their behavior is fully determined.
+Minimization starts from the final/non-final split and gives each state
+the caller lists as unexplored a block of its own, which lets the
+on-the-fly engine keep half-explored states apart so they are never merged
+before their behavior is fully determined.
 """
 
 from __future__ import annotations
@@ -21,17 +22,6 @@ import numpy as np
 
 from .automata import UNDEFINED, Dfa, Nfa
 
-# Signature tags: explored states carry a Boolean acceptance tag, unexplored
-# states carry a unique per-state tag so refinement can only ever split them.
-SIG_REJECTING = 0
-SIG_ACCEPTING = 1
-
-
-def sig_unique(state: int) -> int:
-    """Unique signature tag for an unexplored state."""
-    return 2 + state
-
-Signature = Sequence[int] | np.ndarray
 MergeList = list[tuple[int, int]]
 
 # (labels, block count) -> (states x c matrix of keys in 0..m-1, m)
@@ -68,9 +58,11 @@ def _refine(labels: np.ndarray, columns: Columns) -> np.ndarray:
         labels, num_blocks = code, new_blocks
 
 
-def minimize(dfa: Dfa, sig: Signature) -> tuple[Dfa, MergeList]:
-    """Quotient ``dfa`` by the coarsest transition-stable refinement of ``sig``.
+def minimize(dfa: Dfa, unexplored: Sequence[int] | np.ndarray) -> tuple[Dfa, MergeList]:
+    """Quotient ``dfa`` by its coarsest transition-stable partition.
 
+    Refinement starts from the final/non-final split, with each state listed
+    in ``unexplored`` in a block of its own, so those are never merged.
     Undefined transitions are routed to an implicit sink during refinement
     (completed-language semantics); the sink never appears in the result.
     The columns of a round are the successor blocks, one per symbol.
@@ -79,12 +71,14 @@ def minimize(dfa: Dfa, sig: Signature) -> tuple[Dfa, MergeList]:
     smallest original id) and the (survivor, absorbed) pairs, sorted.
     """
     n = dfa.num_states
-    if len(sig) != n:
-        raise ValueError(f"signature covers {len(sig)} states, DFA has {n}")
     k = dfa.alphabet_size
 
     trans = np.asarray(dfa.trans, dtype=np.int64)
-    tags = np.asarray(sig, dtype=np.int64)
+    is_final = np.zeros(n, dtype=bool)
+    is_final[list(dfa.final)] = True
+    # initial blocks: 0 rejecting, 1 accepting, 2.. one per unexplored state
+    tags = is_final.astype(np.int64)
+    tags[np.asarray(unexplored, dtype=np.int64)] = 2 + np.arange(len(unexplored))
     undefined = trans == UNDEFINED
     if undefined.any():
         # implicit sink at index n, in its own initial block
@@ -105,8 +99,6 @@ def minimize(dfa: Dfa, sig: Signature) -> tuple[Dfa, MergeList]:
     kept = survivor == states
     # new id of every state's block; the sink (index n) maps to UNDEFINED
     new_id = np.append((np.cumsum(kept) - 1)[survivor], UNDEFINED)
-    is_final = np.zeros(n, dtype=bool)
-    is_final[list(dfa.final)] = True
     out = Dfa(
         len(first),
         k,

@@ -6,7 +6,8 @@ language.  Metastates are integer bitmasks over NFA states.  The contract:
 * ``get(mask)`` returns the current representative of a state whose
   language equals the metastate's, or ``None``;
 * ``put(mask, state)`` links a metastate to a freshly created state (a
-  metastate is put at most once; a conflicting put raises
+  metastate is put at most once, and the CCL registries also refuse a state
+  that was put or absorbed before; a conflicting put raises
   ``RegistryContractError``);
 * ``unify(q1, q2)`` records that two states were found language-equivalent
   (by intermediate minimization) and merges their classes;
@@ -28,17 +29,18 @@ The CCL and CCLS cover test runs on a bit-sliced index: every (lattice,
 minimal) pair is one row, and per NFA state one Python int holds a bit for
 each row whose greatest element (or minimal) contains that state.  A query
 ANDs the slices of its members, so a miss usually stops after a few of
-them.  Point lattices (a single minimal equal to the greatest element) can
-only cover a metastate that is already an exact hit, so they get no rows: a
-CCL index holds rows only for states that stand for more than one
-metastate.
+them.  A lattice is written once, when it enters the index (at a put, or
+when ``unify`` joins two), so row order is insertion order and the lowest
+hit row names the earliest-inserted covering lattice.  Point lattices (a
+single minimal equal to the greatest element) can only cover a metastate
+that is already an exact hit, so they get no rows: a CCL index holds rows
+only for states that stand for more than one metastate.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Protocol
 
-from .automata import members
 from .simulation import Preorder, prune, saturate
 
 
@@ -118,12 +120,13 @@ class _CoverIndex:
     ``in_greatest[s]`` for every member ``s`` of ``q`` and in no
     ``in_minimal[s]`` for ``s`` outside ``q``; ``find`` narrows ``live``
     one member at a time and stops as soon as no row is left.  ``rows[r]``
-    is the (insertion number, representative state) of the row's lattice;
-    among several hits the smallest insertion number wins, which is the
-    lattice an insertion-ordered scan finds first.  A lattice's rows are
-    contiguous.  Killing them only clears their ``live`` bits; once dead
-    rows outnumber live ones the slices are rebuilt from the lattices still
-    indexed.
+    is the representative state of the row's lattice.  A lattice is written
+    once, when it is inserted, and never changed in place, so rows follow
+    insertion order and the lowest hit row belongs to the lattice an
+    insertion-ordered scan finds first.  A lattice's rows are contiguous.
+    Discarding them only clears their ``live`` bits; once dead rows
+    outnumber live ones the slices are rebuilt from the lattices still
+    indexed, in their old order.
     """
 
     def __init__(self):
@@ -132,26 +135,57 @@ class _CoverIndex:
         self.live = 0
         self.used = 0
         self.dead = 0
-        self.rows: list[tuple[int, int]] = []  # rows written, live or dead
+        self.rows: list[int] = []  # rows written, live or dead
         # lattice key -> (its row bits, the lattice), in row order
         self._span: dict[int, tuple[int, Lattice]] = {}
-        self._seq_of: dict[int, int] = {}  # lattice key -> insertion number
-        self._next_seq = 0
 
     def insert(self, key: int, lat: Lattice) -> None:
         """Index a lattice that takes the last place in insertion order."""
-        self._seq_of[key] = self._next_seq
-        self._next_seq += 1
-        self._write(key, lat)
-
-    def update(self, key: int, lat: Lattice) -> None:
-        """Re-index a lattice that changed in place, keeping its place."""
-        self._kill(key)
-        self._write(key, lat)
+        mins = lat.minimals
+        if len(mins) == 1 and mins[0] == lat.greatest:
+            # A point lattice covers nothing but exact hits, so it needs no
+            # rows.  CCL: m <= q <= m forces q == m, a metastate that was put.
+            # CCLS: every metastate x put in the class has
+            # m <= prune(x) <= x <= saturate(x) <= m, so x == m and
+            # prune(m) == saturate(m) == m.  Covering prune(q) forces
+            # prune(q) == m, and since prune only drops members dominated by
+            # a kept one, q <= saturate(prune(q)) == m <= q: again q == m.
+            # The exact map answers those before the index is asked.
+            return
+        lo = len(self.rows)
+        grow = lat.greatest.bit_length() - len(self.in_greatest)
+        if grow > 0:
+            self.in_greatest += [0] * grow
+            self.in_minimal += [0] * grow
+        block = ((1 << len(mins)) - 1) << lo
+        in_greatest = self.in_greatest
+        rest = lat.greatest
+        while rest:
+            low = rest & -rest
+            in_greatest[low.bit_length() - 1] |= block
+            rest ^= low
+        in_minimal = self.in_minimal
+        for r, m in enumerate(mins, lo):
+            row = 1 << r
+            rest = m
+            while rest:
+                low = rest & -rest
+                in_minimal[low.bit_length() - 1] |= row
+                rest ^= low
+            self.used |= m
+        self.live |= block
+        self.rows += [lat.rep] * len(mins)
+        self._span[key] = (block, lat)
 
     def discard(self, key: int) -> None:
-        self._kill(key)
-        self._seq_of.pop(key, None)
+        span = self._span.pop(key, None)
+        if span is None:
+            return
+        block, _ = span
+        self.live &= ~block
+        self.dead += block.bit_count()
+        if self.dead > len(self.rows) - self.dead:
+            self._rebuild()
 
     def find(self, query: int) -> Optional[int]:
         """Representative of the earliest-inserted lattice covering ``query``."""
@@ -175,56 +209,7 @@ class _CoverIndex:
             if not hits:
                 return None
             rest ^= low
-        rows = self.rows
-        return min(rows[r] for r in members(hits))[1]
-
-    def _write(self, key: int, lat: Lattice) -> None:
-        mins = lat.minimals
-        if len(mins) == 1 and mins[0] == lat.greatest:
-            # A point lattice covers nothing but exact hits, so it needs no
-            # rows.  CCL: m <= q <= m forces q == m, a metastate that was put.
-            # CCLS: every metastate x put in the class has
-            # m <= prune(x) <= x <= saturate(x) <= m, so x == m and
-            # prune(m) == saturate(m) == m.  Covering prune(q) forces
-            # prune(q) == m, and since prune only drops members dominated by
-            # a kept one, q <= saturate(prune(q)) == m <= q: again q == m.
-            # The exact map answers those before the index is asked.
-            return
-        lo = len(self.rows)
-        hi = lo + len(mins)
-        grow = lat.greatest.bit_length() - len(self.in_greatest)
-        if grow > 0:
-            self.in_greatest += [0] * grow
-            self.in_minimal += [0] * grow
-        block = ((1 << (hi - lo)) - 1) << lo
-        in_greatest = self.in_greatest
-        rest = lat.greatest
-        while rest:
-            low = rest & -rest
-            in_greatest[low.bit_length() - 1] |= block
-            rest ^= low
-        in_minimal = self.in_minimal
-        for r, m in enumerate(mins, lo):
-            row = 1 << r
-            rest = m
-            while rest:
-                low = rest & -rest
-                in_minimal[low.bit_length() - 1] |= row
-                rest ^= low
-            self.used |= m
-        self.live |= block
-        self.rows += [(self._seq_of[key], lat.rep)] * (hi - lo)
-        self._span[key] = (block, lat)
-
-    def _kill(self, key: int) -> None:
-        span = self._span.pop(key, None)
-        if span is None:
-            return
-        block, _ = span
-        self.live &= ~block
-        self.dead += block.bit_count()
-        if self.dead > len(self.rows) - self.dead:
-            self._rebuild()
+        return self.rows[(hits & -hits).bit_length() - 1]
 
     def _rebuild(self) -> None:
         """Rewrite the live rows from scratch, keeping their relative order."""
@@ -235,7 +220,7 @@ class _CoverIndex:
         self.live = self.used = self.dead = 0
         self.rows = []
         for key, (_, lat) in spans:
-            self._write(key, lat)
+            self.insert(key, lat)
 
 
 class Registry(Protocol):
@@ -294,7 +279,7 @@ class CCLRegistry(OneToOneRegistry):
         self._index = _CoverIndex()
 
     def put(self, mask: int, state: int) -> None:
-        self._put(mask, state, mask, [mask])
+        self._put(mask, state, mask, mask)
 
     def unify(self, q1: int, q2: int) -> None:
         r1, r2 = self.uf.find(q1), self.uf.find(q2)
@@ -317,17 +302,13 @@ class CCLRegistry(OneToOneRegistry):
             self.lattices[root] = merged
             self._index.insert(root, merged)
 
-    def _put(self, mask: int, state: int, greatest: int, minimals: list[int]) -> None:
+    def _put(self, mask: int, state: int, greatest: int, minimal: int) -> None:
+        if state in self.lattices or self.uf.find(state) != state:
+            raise RegistryContractError(f"state {state} is not fresh, refusing metastate {mask}")
         super().put(mask, state)
-        root = self.uf.find(state)
-        existing = self.lattices.get(root)
-        if existing is None:
-            lat = Lattice(root, greatest, list(minimals))
-            self.lattices[root] = lat
-            self._index.insert(root, lat)
-        else:
-            existing.absorb(greatest, minimals)
-            self._index.update(root, existing)
+        lat = Lattice(state, greatest, [minimal])
+        self.lattices[state] = lat
+        self._index.insert(state, lat)
 
     def _cover(self, mask: int) -> Optional[int]:
         return self._hit(mask, self._index.find(mask))
@@ -363,7 +344,7 @@ class CCLSRegistry(CCLRegistry):
         if last != mask:
             pruned = prune(mask, self.preorder)
         saturated = saturate(mask, self.preorder)
-        self._put(mask, state, saturated, [pruned])
+        self._put(mask, state, saturated, pruned)
 
     def _cover(self, mask: int) -> Optional[int]:
         pruned = prune(mask, self.preorder)

@@ -25,7 +25,7 @@ from nfacanon.engine import (
     otf_determinize,
 )
 from nfacanon.generator import GenParams, generate
-from nfacanon.partition import SIG_ACCEPTING, SIG_REJECTING, minimize
+from nfacanon.partition import minimize
 from nfacanon.registry import CCLRegistry, CCLSRegistry, OneToOneRegistry
 from nfacanon.simulation import compute_similarity
 
@@ -294,11 +294,7 @@ class TestCanonize:
     def test_output_already_minimal(self, pipeline):
         nfa = generate(GenParams(n=25, density=2.0, seed=9))
         dfa, _ = canonize(nfa, CanonConfig(pipeline=pipeline))
-        sig = [
-            SIG_ACCEPTING if s in dfa.final else SIG_REJECTING
-            for s in range(dfa.num_states)
-        ]
-        _, merges = minimize(dfa, sig)
+        _, merges = minimize(dfa, [])
         assert merges == []
 
     @pytest.mark.parametrize("pipeline", PIPELINES)

@@ -15,13 +15,7 @@ from nfacanon.automata import (
     isomorphic,
     language_equivalent,
 )
-from nfacanon.partition import (
-    SIG_ACCEPTING,
-    SIG_REJECTING,
-    bisimulation_quotient,
-    minimize,
-    sig_unique,
-)
+from nfacanon.partition import bisimulation_quotient, minimize
 
 from oracle import (
     bisimulation_reference,
@@ -33,10 +27,6 @@ from oracle import (
 )
 
 
-def _all_explored_sig(dfa):
-    return [SIG_ACCEPTING if s in dfa.final else SIG_REJECTING for s in range(dfa.num_states)]
-
-
 class TestMinimize:
     def test_forced_merge_of_identical_accepting_states(self):
         # two accepting states with identical successors collapse into one
@@ -44,39 +34,31 @@ class TestMinimize:
         d.set_transition(0, 0, 1)
         d.set_transition(1, 0, 2)
         d.set_transition(2, 0, 2)
-        out, merges = minimize(d, _all_explored_sig(d))
+        out, merges = minimize(d, [])
         assert out.num_states == 2
         assert merges == [(1, 2)]
 
-    def test_unique_tag_blocks_merge(self):
-        # structurally identical states stay apart while one is tagged unique
+    def test_unexplored_state_blocks_merge(self):
+        # structurally identical states stay apart while one is unexplored
         d = Dfa(3, 1, 0, final=set())
         d.set_transition(0, 0, 1)
         d.set_transition(1, 0, 2)
         d.set_transition(2, 0, 2)
-        sig = [SIG_REJECTING, SIG_REJECTING, sig_unique(2)]
-        out, merges = minimize(d, sig)
+        out, merges = minimize(d, [2])
         assert out.num_states == 3
         assert merges == []
 
     def test_redundant_ends_in_a_dfa(self, ends_in_a_dfa_redundant, ends_in_a_dfa_min):
-        out, merges = minimize(ends_in_a_dfa_redundant, _all_explored_sig(ends_in_a_dfa_redundant))
+        out, merges = minimize(ends_in_a_dfa_redundant, [])
         assert out.num_states == 2
         assert len(merges) == 1
         assert language_equivalent(complete(out), ends_in_a_dfa_min)
-
-    def test_sig_size_mismatch_rejected(self):
-        d = Dfa(2, 1, 0)
-        d.set_transition(0, 0, 1)
-        d.set_transition(1, 0, 1)
-        with pytest.raises(ValueError):
-            minimize(d, [SIG_REJECTING])
 
     def test_partial_dfa_separated_from_total_state(self):
         # with an implicit sink, a state missing an edge differs from a looping one
         d = Dfa(2, 1, 0, final=set())
         d.set_transition(0, 0, 0)
-        out, merges = minimize(d, [SIG_REJECTING, SIG_REJECTING])
+        out, merges = minimize(d, [])
         assert out.num_states == 2
         assert merges == []
 
@@ -84,7 +66,7 @@ class TestMinimize:
     def test_matches_brute_force_oracle(self, seed):
         rng = random.Random(seed)
         d, _ = textbook_subset_construction(random_nfa(rng, rng.randint(2, 6), 2))
-        out, _ = minimize(d, _all_explored_sig(d))
+        out, _ = minimize(d, [])
         oracle = table_filling_minimize(complete(d))
         assert complete(out).num_states == oracle.num_states
         assert language_equivalent(complete(out), d)
@@ -93,8 +75,8 @@ class TestMinimize:
     def test_idempotent(self, seed):
         rng = random.Random(100 + seed)
         d, _ = textbook_subset_construction(random_nfa(rng, rng.randint(2, 6), 2))
-        once, _ = minimize(d, _all_explored_sig(d))
-        twice, merges = minimize(once, _all_explored_sig(once))
+        once, _ = minimize(d, [])
+        twice, merges = minimize(once, [])
         assert merges == []
         assert twice.num_states == once.num_states
 
@@ -103,13 +85,7 @@ class TestMinimize:
         rng = random.Random(200 + seed)
         d, _ = textbook_subset_construction(random_nfa(rng, rng.randint(3, 6), 2))
         uniques = {s for s in range(d.num_states) if rng.random() < 0.4}
-        sig = []
-        for s in range(d.num_states):
-            if s in uniques:
-                sig.append(sig_unique(s))
-            else:
-                sig.append(SIG_ACCEPTING if s in d.final else SIG_REJECTING)
-        _, merges = minimize(d, sig)
+        _, merges = minimize(d, sorted(uniques))
         for surv, gone in merges:
             assert surv not in uniques
             assert gone not in uniques
@@ -118,9 +94,7 @@ class TestMinimize:
 class TestBisimulationQuotient:
     def test_dfa_input_matches_minimization_size(self, ends_in_a_dfa_redundant):
         q = bisimulation_quotient(ends_in_a_dfa_redundant.to_nfa())
-        out, _ = minimize(
-            ends_in_a_dfa_redundant, _all_explored_sig(ends_in_a_dfa_redundant)
-        )
+        out, _ = minimize(ends_in_a_dfa_redundant, [])
         assert q.num_states == out.num_states
 
     def test_parallel_branches_merged(self):
@@ -153,13 +127,13 @@ class TestBisimulationQuotient:
 def test_minimized_complete_language_equivalent(seed):
     rng = random.Random(400 + seed)
     d, _ = textbook_subset_construction(random_nfa(rng, rng.randint(2, 6), 2))
-    out, _ = minimize(d, _all_explored_sig(d))
+    out, _ = minimize(d, [])
     assert language_equivalent(complete(out), complete(d))
 
 
 @st.composite
 def _seeded_dfas(draw):
-    """A random partial DFA and a signature with some unique tags."""
+    """A random partial DFA and some of its states, listed as unexplored."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
     # few distinct targets make equivalent states, and so merges, likely
@@ -171,13 +145,7 @@ def _seeded_dfas(draw):
     ]
     dfa = Dfa(n, k, rng.randrange(n), {s for s in range(n) if rng.random() < 0.5}, rows)
     unique = draw(st.sampled_from([0.0, 0.25]))
-    sig = [
-        sig_unique(s)
-        if rng.random() < unique
-        else (SIG_ACCEPTING if s in dfa.final else SIG_REJECTING)
-        for s in range(n)
-    ]
-    return dfa, sig
+    return dfa, [s for s in range(n) if rng.random() < unique]
 
 
 @st.composite
@@ -208,8 +176,13 @@ _FIXED_NFAS = {
 
 class TestMatchesReference:
     @staticmethod
-    def _check_minimize(dfa, sig):
-        out, merges = minimize(dfa, sig)
+    def _check_minimize(dfa, unexplored):
+        out, merges = minimize(dfa, unexplored)
+        # the reference takes one tag per state: 0/1 for rejecting/accepting,
+        # a tag of its own for each unexplored state
+        sig = [int(s in dfa.final) for s in range(dfa.num_states)]
+        for s in unexplored:
+            sig[s] = 2 + s
         ref, ref_merges = minimize_reference(dfa, sig)
         assert (out.trans, out.final, out.initial) == (ref.trans, ref.final, ref.initial)
         # unify order follows the merge order, so it must match too
@@ -229,7 +202,7 @@ class TestMatchesReference:
     def test_minimize_edge_cases(self, name):
         n, rows, final = _FIXED_DFAS[name]
         dfa = Dfa(n, 2, 0, final, [row[:] for row in rows])
-        self._check_minimize(dfa, _all_explored_sig(dfa))
+        self._check_minimize(dfa, [])
 
     @pytest.mark.parametrize("name", sorted(_FIXED_NFAS))
     def test_bisimulation_edge_cases(self, name):

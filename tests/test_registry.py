@@ -209,6 +209,25 @@ class TestCCL:
                         if a != b:
                             assert a & b not in (a, b)
 
+    @pytest.mark.parametrize(
+        "make", [CCLRegistry, lambda: CCLSRegistry(Preorder.identity(4))], ids=["ccl", "ccls"]
+    )
+    def test_put_to_a_used_state_rejected(self, make):
+        reg = make()
+        reg.put(to_mask([1]), 0)
+        reg.put(to_mask([2]), 1)
+        q = to_mask([3])
+        with pytest.raises(RegistryContractError):
+            reg.put(q, 0)  # a live state
+        reg.unify(0, 1)
+        with pytest.raises(RegistryContractError):
+            reg.put(q, 1)  # absorbed by the unify
+        with pytest.raises(RegistryContractError):
+            reg.put(q, 0)  # the root of the merged class
+        assert q not in reg._exact and reg.get(q) is None
+        reg.put(q, 2)  # a fresh state is accepted
+        assert reg.get(q) == 2
+
     def test_put_then_get_identity(self):
         rng = random.Random(3)
         reg = CCLRegistry()
@@ -363,17 +382,15 @@ def _run_ops(reg, rng, positions, steps):
     def draw_mask():
         return to_mask([x for x in positions if rng.random() < 0.4])
 
-    for step in range(steps):
+    for _ in range(steps):
         op = rng.random()
         if op < 0.4:
             mask = draw_mask()
             if mask in reg._exact:
                 continue
-            if states and rng.random() < 0.25:
-                reg.put(mask, rng.choice(states))  # absorbed in place
-            else:
-                reg.put(mask, step)
-                states.append(step)
+            state = len(reg._exact)  # fresh, also when ``reg`` is reused
+            reg.put(mask, state)
+            states.append(state)
         elif op < 0.65 and len(states) >= 2:
             reg.unify(*rng.sample(states, 2))
         else:
@@ -461,20 +478,26 @@ class TestCoverIndex:
         assert reg.get(to_mask([1, 2, 4])) is None
         assert reg.get(to_mask([1, 2, 99])) is None
 
-    def test_lattice_updated_in_place_keeps_its_place(self):
+    def test_earliest_inserted_lattice_wins(self):
         reg = CCLRegistry()
-        reg.put(to_mask([1, 2]), 0)
-        reg.put(to_mask([3]), 1)
-        reg.unify(0, 1)  # A: {1,2} | {3} .. {1,2,3}
-        reg.put(to_mask([1]), 2)
-        reg.put(to_mask([1, 2, 3, 4]), 3)
-        reg.unify(2, 3)  # B, inserted later: {1} .. {1,2,3,4}
-        reg.put(to_mask([5]), 0)  # absorbed into A: its rows move to the end
-        spans = reg._index._span
-        assert spans[0][0] > spans[2][0]  # A's row bits lie above B's
+        reg.put(to_mask([5]), 4)
+        reg.put(to_mask([5, 6]), 5)
+        reg.unify(4, 5)  # C: {5} .. {5,6}
+        reg.put(to_mask([1, 2]), 2)
+        reg.put(to_mask([3]), 3)
+        reg.unify(2, 3)  # A: {1,2} | {3} .. {1,2,3}
+        reg.put(to_mask([1]), 0)
+        reg.put(to_mask([1, 2, 3, 4]), 1)
+        reg.unify(0, 1)  # B, inserted later but keyed lower: {1} .. {1,2,3,4}
+        reg.unify(0, 4)  # B joins C: re-inserted last, C's row is now dead
         query = to_mask([1, 3])
-        assert reg.lattices[0].covers(query) and reg.lattices[2].covers(query)
-        assert reg.get(query) == 0
+        assert reg.lattices[2].covers(query) and reg.lattices[0].covers(query)
+        index = reg._index
+        assert (index.rows, index.dead) == ([4, 2, 2, 0, 0, 0], 2)
+        assert reg.get(query) == 2
+        index._rebuild()
+        assert (index.rows, index.dead) == ([2, 2, 0, 0], 0)
+        assert reg.get(query) == 2
 
     def test_cover_hits_records_every_hit(self):
         reg = CCLRegistry()

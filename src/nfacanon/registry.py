@@ -25,16 +25,14 @@ Three implementations are provided:
 * ``CCLSRegistry`` -- CCL with a similarity preorder used to prune/saturate
   metastates, widening lattices without any ``unify`` calls.
 
-The CCL and CCLS cover test runs on a bit-sliced index: every (lattice,
-minimal) pair is one row, and per NFA state one Python int holds a bit for
-each row whose greatest element (or minimal) contains that state.  A query
-ANDs the slices of its members, so a miss usually stops after a few of
-them.  A lattice is written once, when it enters the index (at a put, or
-when ``unify`` joins two), so row order is insertion order and the lowest
-hit row names the earliest-inserted covering lattice.  Point lattices (a
-single minimal equal to the greatest element) can only cover a metastate
-that is already an exact hit, so they get no rows: a CCL index holds rows
-only for states that stand for more than one metastate.
+The CCL and CCLS cover test runs on an index with one bit per lattice: per
+NFA state, one Python int holds the bits of the lattices whose greatest
+element contains it.  A query ANDs the ints of its members, so a miss
+usually stops after a few of them, then tests the minimals of the lattices
+left in bit order.  Bit order is insertion order (at a put, or when
+``unify`` joins two lattices), so the first hit is the earliest-inserted
+covering lattice.  Point lattices (a single minimal equal to the greatest
+element) only cover exact hits, so they get no bit.
 """
 
 from __future__ import annotations
@@ -109,42 +107,29 @@ class Lattice:
 
 
 class _CoverIndex:
-    """Bit-sliced cover test over the lattices of a CCL registry.
+    """Greatest-element slices over the lattices of a CCL registry.
 
-    Row ``r`` stands for one minimal ``m`` of one lattice with greatest
-    element ``g``, and bit ``r`` of every slice stands for that row:
-    ``in_greatest[s]`` holds the rows whose ``g`` contains NFA state ``s``,
-    ``in_minimal[s]`` the rows whose ``m`` contains ``s``, and ``live`` the
-    live rows; ``used`` is the OR of the minimals written.  A query ``q`` is
-    covered by row ``r`` iff ``m <= q <= g``, i.e. ``r`` is in
-    ``in_greatest[s]`` for every member ``s`` of ``q`` and in no
-    ``in_minimal[s]`` for ``s`` outside ``q``; ``find`` narrows ``live``
-    one member at a time and stops as soon as no row is left.  ``rows[r]``
-    is the representative state of the row's lattice.  A lattice is written
-    once, when it is inserted, and never changed in place, so rows follow
-    insertion order and the lowest hit row belongs to the lattice an
-    insertion-ordered scan finds first.  A lattice's rows are contiguous.
-    Discarding them only clears their ``live`` bits; once dead rows
-    outnumber live ones the slices are rebuilt from the lattices still
-    indexed, in their old order.
+    ``rows[b]`` is the lattice of bit ``b``, ``in_greatest[s]`` holds the
+    bits of the lattices whose greatest element contains NFA state ``s``,
+    and ``live`` the bits in use.  A lattice keeps its bit from ``insert``
+    to ``discard``, so bit order is insertion order.  That is the order of
+    the registry's ``lattices`` too, which ``unify`` pops from and appends
+    to as it discards and inserts here; once dead bits outnumber live ones,
+    the slices are rebuilt from it.
     """
 
-    def __init__(self):
+    def __init__(self, lattices: dict[int, Lattice]):
+        self.lattices = lattices  # the registry's, in insertion order
         self.in_greatest: list[int] = []  # indexed by NFA state
-        self.in_minimal: list[int] = []
-        self.live = 0
-        self.used = 0
-        self.dead = 0
-        self.rows: list[int] = []  # rows written, live or dead
-        # lattice key -> (its row bits, the lattice), in row order
-        self._span: dict[int, tuple[int, Lattice]] = {}
+        self.live = self.dead = 0
+        self.rows: list[Lattice] = []  # by bit, live or dead
+        self._bit: dict[int, int] = {}  # lattice key -> its bit
 
     def insert(self, key: int, lat: Lattice) -> None:
         """Index a lattice that takes the last place in insertion order."""
-        mins = lat.minimals
-        if len(mins) == 1 and mins[0] == lat.greatest:
+        if lat.minimals == [lat.greatest]:
             # A point lattice covers nothing but exact hits, so it needs no
-            # rows.  CCL: m <= q <= m forces q == m, a metastate that was put.
+            # bit.  CCL: m <= q <= m forces q == m, a metastate that was put.
             # CCLS: every metastate x put in the class has
             # m <= prune(x) <= x <= saturate(x) <= m, so x == m and
             # prune(m) == saturate(m) == m.  Covering prune(q) forces
@@ -152,47 +137,32 @@ class _CoverIndex:
             # a kept one, q <= saturate(prune(q)) == m <= q: again q == m.
             # The exact map answers those before the index is asked.
             return
-        lo = len(self.rows)
-        grow = lat.greatest.bit_length() - len(self.in_greatest)
-        if grow > 0:
-            self.in_greatest += [0] * grow
-            self.in_minimal += [0] * grow
-        block = ((1 << len(mins)) - 1) << lo
+        bit = 1 << len(self.rows)
+        self.in_greatest += [0] * (lat.greatest.bit_length() - len(self.in_greatest))
         in_greatest = self.in_greatest
         rest = lat.greatest
         while rest:
             low = rest & -rest
-            in_greatest[low.bit_length() - 1] |= block
+            in_greatest[low.bit_length() - 1] |= bit
             rest ^= low
-        in_minimal = self.in_minimal
-        for r, m in enumerate(mins, lo):
-            row = 1 << r
-            rest = m
-            while rest:
-                low = rest & -rest
-                in_minimal[low.bit_length() - 1] |= row
-                rest ^= low
-            self.used |= m
-        self.live |= block
-        self.rows += [lat.rep] * len(mins)
-        self._span[key] = (block, lat)
+        self.live |= bit
+        self.rows.append(lat)
+        self._bit[key] = bit
 
     def discard(self, key: int) -> None:
-        span = self._span.pop(key, None)
-        if span is None:
-            return
-        block, _ = span
-        self.live &= ~block
-        self.dead += block.bit_count()
-        if self.dead > len(self.rows) - self.dead:
-            self._rebuild()
+        bit = self._bit.pop(key, 0)
+        if bit:
+            self.live &= ~bit
+            self.dead += 1
+            if self.dead > len(self.rows) - self.dead:
+                self._rebuild()
 
     def find(self, query: int) -> Optional[int]:
         """Representative of the earliest-inserted lattice covering ``query``."""
         hits = self.live
         in_greatest = self.in_greatest
         if not hits or query.bit_length() > len(in_greatest):
-            return None  # no rows, or a member outside every greatest element
+            return None  # no lattices, or a member outside every greatest element
         # the bit loops are inlined: this is the registry's innermost loop
         rest = query
         while rest:
@@ -201,25 +171,20 @@ class _CoverIndex:
             if not hits:
                 return None
             rest ^= low
-        in_minimal = self.in_minimal
-        rest = self.used & ~query
-        while rest:
-            low = rest & -rest
-            hits &= ~in_minimal[low.bit_length() - 1]
-            if not hits:
-                return None
-            rest ^= low
-        return self.rows[(hits & -hits).bit_length() - 1]
+        rows = self.rows
+        while hits:
+            low = hits & -hits
+            lat = rows[low.bit_length() - 1]
+            for m in lat.minimals:
+                if m & query == m:
+                    return lat.rep
+            hits ^= low
+        return None
 
     def _rebuild(self) -> None:
-        """Rewrite the live rows from scratch, keeping their relative order."""
-        spans = list(self._span.items())
-        width = len(self.in_greatest)
-        self.in_greatest = [0] * width
-        self.in_minimal = [0] * width
-        self.live = self.used = self.dead = 0
-        self.rows = []
-        for key, (_, lat) in spans:
+        """Rewrite the live lattices from scratch, keeping their relative order."""
+        self.__init__(self.lattices)
+        for key, lat in self.lattices.items():
             self.insert(key, lat)
 
 
@@ -276,7 +241,7 @@ class CCLRegistry(OneToOneRegistry):
         super().__init__()
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
-        self._index = _CoverIndex()
+        self._index = _CoverIndex(self.lattices)
 
     def put(self, mask: int, state: int) -> None:
         self._put(mask, state, mask, mask)
@@ -286,21 +251,15 @@ class CCLRegistry(OneToOneRegistry):
         if r1 == r2:
             return
         root = self.uf.union(r1, r2)
-        l1 = self.lattices.pop(r1, None)
-        l2 = self.lattices.pop(r2, None)
+        # every put state has a lattice, re-keyed under its class's root
+        merged = self.lattices.pop(r1)
+        other = self.lattices.pop(r2)
         self._index.discard(r1)
         self._index.discard(r2)
-        if l1 is None:
-            merged = l2
-        elif l2 is None:
-            merged = l1
-        else:
-            l1.absorb(l2.greatest, l2.minimals)
-            merged = l1
-        if merged is not None:
-            merged.rep = root
-            self.lattices[root] = merged
-            self._index.insert(root, merged)
+        merged.absorb(other.greatest, other.minimals)
+        merged.rep = root
+        self.lattices[root] = merged
+        self._index.insert(root, merged)
 
     def _put(self, mask: int, state: int, greatest: int, minimal: int) -> None:
         if state in self.lattices or self.uf.find(state) != state:

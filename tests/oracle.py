@@ -319,3 +319,69 @@ def tv_nfa(rng, n: int, r: float, f: float) -> Nfa:
     ]
     final = rng.sample(range(n), round(f * n))
     return Nfa(n, 2, edges, [0], final)
+
+
+
+def auto_tracks(rng, m: int) -> list[tuple[list[list[int]], set[int]]]:
+    """The random DFAs A, B, C of ``auto_nfa``: rows of targets and finals.
+
+    Each has m states over {0,1}.  State 0 is initial and loops on 0, so
+    leading zeros change nothing and a DFA reads a number msd-first whatever
+    its padding; every other target is uniform, and each state is final with
+    probability 0.5.
+    """
+    return [
+        (
+            [[0 if q == a == 0 else rng.randrange(m) for a in range(2)] for q in range(m)],
+            {q for q in range(m) if rng.random() < 0.5},
+        )
+        for _ in range(3)
+    ]
+
+
+def auto_nfa(tracks) -> Nfa:
+    """Automatic-sequence style NFA for ``∃y,z: x + y = z ∧ A(y) ∧ B(z) ∧ C(x)``.
+
+    ``tracks`` is ``auto_tracks``'s (A, B, C).  Words are the bits of x,
+    most significant first.  The adder's state is the carry the less
+    significant side must supply: it starts and accepts at 0, and
+    ``(c; x, y, z) -> c'`` iff ``x + y + c' = z + 2c``.  The NFA is the
+    reachable product with the y and z tracks projected away.
+    """
+    (ta, fa), (tb, fb), (tc, fc) = tracks
+    start = (0, 0, 0, 0)
+    index = {start: 0}
+    work = [start]
+    edges = []
+    while work:
+        c, a, b, k = src = work.pop()
+        for x in range(2):
+            for y in range(2):
+                for z in range(2):
+                    carry = z + 2 * c - x - y
+                    if carry not in (0, 1):
+                        continue
+                    dst = (carry, ta[a][y], tb[b][z], tc[k][x])
+                    if dst not in index:
+                        index[dst] = len(index)
+                        work.append(dst)
+                    edges.append((index[src], x, index[dst]))
+    final = [
+        i for (c, a, b, k), i in index.items() if c == 0 and a in fa and b in fb and k in fc
+    ]
+    return Nfa(len(index), 2, edges, [0], final)
+
+
+def auto_members(tracks, bits: int) -> set[int]:
+    """The x < 2^bits with ``∃y,z < 2^bits: x + y = z ∧ A(y) ∧ B(z) ∧ C(x)``."""
+    (ta, fa), (tb, fb), (tc, fc) = tracks
+
+    def holds(rows, final, n):
+        q = 0
+        for i in reversed(range(bits)):
+            q = rows[q][n >> i & 1]
+        return q in final
+
+    ys = [y for y in range(1 << bits) if holds(ta, fa, y)]
+    zs = {z for z in range(1 << bits) if holds(tb, fb, z)}
+    return {x for x in range(1 << bits) if holds(tc, fc, x) and any(x + y in zs for y in ys)}

@@ -12,6 +12,7 @@ import pytest
 
 from nfacanon.automata import (
     Nfa,
+    accepts,
     complete,
     enumerate_language,
     isomorphic,
@@ -33,7 +34,16 @@ from nfacanon.partition import minimize
 from nfacanon.registry import CCLRegistry, CCLSRegistry
 from nfacanon.simulation import Preorder, compute_similarity
 
-from oracle import blowup_nfa, canonical_dfa, dfa_from_metastate, random_nfa, rooted_at
+from oracle import (
+    auto_members,
+    auto_nfa,
+    auto_tracks,
+    blowup_nfa,
+    canonical_dfa,
+    dfa_from_metastate,
+    random_nfa,
+    rooted_at,
+)
 
 
 @contextmanager
@@ -228,6 +238,26 @@ def test_qualitative_overhead_trend():
                 otf_overheads.append(otf_stats.overhead)
         assert sc_done <= otf_done  # OTF completes everything SC completes
         assert statistics.median(otf_overheads) <= statistics.median(sc_overheads)
+
+
+def test_automatic_sequence_family():
+    with criterion("automatic sequences: oracle membership, OTF explores less than SC"):
+        bits = 10
+        for m, seed in [(6, 1), (6, 3), (6, 5), (8, 3), (8, 6)]:
+            tracks = auto_tracks(random.Random(100 * seed + m), m)
+            nfa = auto_nfa(tracks)
+            expected = auto_members(tracks, bits)
+            for x in range(1 << bits):
+                word = [x >> i & 1 for i in reversed(range(bits))]
+                assert accepts(nfa, word) == (x in expected), (m, seed, x)
+            oracle = canonical_dfa(nfa)
+            explored = {}
+            for pipeline in PIPELINES:
+                dfa, stats = canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=50))
+                assert isomorphic(dfa, oracle), (m, seed, pipeline)
+                explored[pipeline] = stats.explored_metastates
+            assert explored["sc"] > 50  # more than otf's first threshold
+            assert explored["otf"] < explored["sc"], (m, seed)
 
 
 def test_determinism():

@@ -335,7 +335,7 @@ class TestLattice:
 
 # -- cover index against a linear scan ---------------------------------------
 
-_UNIVERSE = 200  # metastates span up to 4 uint64 words
+_UNIVERSE = 1000  # metastates span up to 16 uint64 words
 
 
 def _reference_get(reg, mask):
@@ -402,7 +402,9 @@ def _run_ops(reg, rng, positions, steps):
 _positions = st.tuples(
     st.lists(st.integers(0, 63), min_size=1, max_size=4, unique=True),
     st.lists(st.integers(64, 127), min_size=1, max_size=4, unique=True),
-    st.lists(st.integers(128, _UNIVERSE - 1), min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(128, 199), min_size=1, max_size=4, unique=True),
+    # as wide as the widest metastates of the automatic-sequence family
+    st.lists(st.integers(870, _UNIVERSE - 1), min_size=1, max_size=12, unique=True),
 ).map(lambda parts: sorted(set().union(*parts)))
 
 
@@ -443,10 +445,11 @@ class TestCoverIndex:
         a, b = _masks([1, 2], [3, 70])
         reg.put(a, 0)
         reg.put(b, 1)
-        assert reg._index.rows == []
-        assert reg._index.in_greatest == reg._index.in_minimal == []  # no slices
+        assert reg._index.rows == reg._index.in_greatest == []  # no slices
         reg.unify(0, 1)
-        assert reg._index.live.bit_count() == 2  # one row per minimal
+        # one bit for the merged lattice, however many minimals it has
+        assert len(reg.lattices[0].minimals) == 2
+        assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
 
     def test_ccls_point_lattices_get_no_rows(self):
         p = _strict_preorder()
@@ -486,17 +489,22 @@ class TestCoverIndex:
         reg.put(to_mask([1, 2]), 2)
         reg.put(to_mask([3]), 3)
         reg.unify(2, 3)  # A: {1,2} | {3} .. {1,2,3}
+        reg.put(to_mask([7]), 6)
+        reg.put(to_mask([7, 8]), 7)
+        reg.unify(6, 7)  # D: {7} .. {7,8}
         reg.put(to_mask([1]), 0)
         reg.put(to_mask([1, 2, 3, 4]), 1)
         reg.unify(0, 1)  # B, inserted later but keyed lower: {1} .. {1,2,3,4}
-        reg.unify(0, 4)  # B joins C: re-inserted last, C's row is now dead
+        reg.unify(0, 4)  # B joins C: re-inserted last, both old bits are dead
         query = to_mask([1, 3])
         assert reg.lattices[2].covers(query) and reg.lattices[0].covers(query)
         index = reg._index
-        assert (index.rows, index.dead) == ([4, 2, 2, 0, 0, 0], 2)
+        # one bit per non-point lattice, in insertion order
+        assert ([lat.rep for lat in index.rows], index.dead) == ([4, 2, 6, 0, 0], 2)
         assert reg.get(query) == 2
         index._rebuild()
-        assert (index.rows, index.dead) == ([2, 2, 0, 0], 0)
+        assert index.rows == list(reg.lattices.values()) and index.dead == 0
+        assert [lat.rep for lat in index.rows] == [2, 6, 0]
         assert reg.get(query) == 2
 
     def test_cover_hits_records_every_hit(self):

@@ -139,11 +139,6 @@ class Dfa:
             trans = [[UNDEFINED] * alphabet_size for _ in range(num_states)]
         self.trans = trans
 
-    def add_state(self) -> int:
-        self.trans.append([UNDEFINED] * self.alphabet_size)
-        self.num_states += 1
-        return self.num_states - 1
-
     def set_transition(self, src: int, symbol: int, dst: int) -> None:
         self.trans[src][symbol] = dst
 
@@ -157,10 +152,6 @@ class Dfa:
             if s == UNDEFINED:
                 return False
         return s in self.final
-
-    def copy(self) -> "Dfa":
-        rows = [row[:] for row in self.trans]
-        return Dfa(self.num_states, self.alphabet_size, self.initial, self.final, rows)
 
     def to_nfa(self) -> Nfa:
         edges = [
@@ -298,13 +289,12 @@ def complete(dfa: Dfa) -> Dfa:
     """Route every undefined transition to a fresh non-final sink state."""
     if dfa.is_total():
         return dfa
-    out = dfa.copy()
-    sink = out.add_state()
-    for row in out.trans:
-        for a in range(out.alphabet_size):
-            if row[a] == UNDEFINED:
-                row[a] = sink
-    return out
+    sink = dfa.num_states
+    rows = [
+        [sink if t == UNDEFINED else t for t in row]
+        for row in dfa.trans + [[UNDEFINED] * dfa.alphabet_size]
+    ]
+    return Dfa(sink + 1, dfa.alphabet_size, dfa.initial, dfa.final, rows)
 
 
 def language_equivalent(d1: Dfa, d2: Dfa) -> bool:

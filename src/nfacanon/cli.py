@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``generate``, ``canonize``, ``sweep``, ``summarize``.
-Exit codes: 0 success, 2 parse error, 3 timeout, 4 registry contract
+Exit codes: 0 success, 2 bad input (a parse error, an invalid option value
+or a file that cannot be read or written), 3 timeout, 4 registry contract
 violation.
 """
 
@@ -27,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except io.ParseError as e:
+    except (io.ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except RegistryContractError as e:
@@ -40,8 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a modular random NFA")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--density", type=float, default=2.0)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--density", type=_positive_float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_generate)
@@ -61,9 +62,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_canonize)
 
     p = sub.add_parser("sweep", help="run a benchmark sweep over generated NFAs")
-    p.add_argument("--n-values", default="20:300:10", help="'start:stop:step' or comma list")
+    p.add_argument(
+        "--n-values",
+        type=_n_values,
+        default="20:300:10",
+        help="'start:stop:step' or comma list",
+    )
     p.add_argument("--seeds-per-n", type=int, default=10)
-    p.add_argument("--density", type=float, default=2.0)
+    p.add_argument("--density", type=_positive_float, default=2.0)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument(
         "--pipelines",
@@ -88,6 +94,22 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0: {value}")
+    return value
+
+
+def _n_values(spec: str) -> list[int]:
+    if ":" not in spec:
+        return [_positive_int(x) for x in spec.split(",") if x]
+    start, stop, step = ([int(x) for x in spec.split(":")] + [1])[:3]
+    if start < 1 or step < 1:
+        raise argparse.ArgumentTypeError(f"start and step must be at least 1: {spec}")
+    return list(range(start, stop + 1, step))
 
 
 def _cmd_generate(args) -> int:
@@ -127,18 +149,9 @@ def _cmd_canonize(args) -> int:
     return EXIT_OK
 
 
-def _parse_n_values(spec: str) -> list[int]:
-    if ":" in spec:
-        parts = [int(x) for x in spec.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return list(range(start, stop + 1, step))
-    return [int(x) for x in spec.split(",") if x]
-
-
 def _cmd_sweep(args) -> int:
     bench.run_sweep(
-        n_values=_parse_n_values(args.n_values),
+        n_values=args.n_values,
         seeds_per_n=args.seeds_per_n,
         density=args.density,
         pipelines=[p.strip() for p in args.pipelines.split(",") if p.strip()],

@@ -77,14 +77,16 @@ class Lattice:
 
     A metastate Q is covered iff Q is a subset of ``greatest`` and some
     element of ``minimals`` is a subset of Q.  ``minimals`` is an antichain.
+    ``bit`` is the lattice's bit in the cover index, or 0 while it has none.
     """
 
-    __slots__ = ("rep", "greatest", "minimals")
+    __slots__ = ("rep", "greatest", "minimals", "bit")
 
     def __init__(self, rep: int, greatest: int, minimals: list[int]):
         self.rep = rep
         self.greatest = greatest
         self.minimals = minimals
+        self.bit = 0
 
     def covers(self, mask: int) -> bool:
         if mask | self.greatest != self.greatest:
@@ -109,23 +111,19 @@ class Lattice:
 class _CoverIndex:
     """Greatest-element slices over the lattices of a CCL registry.
 
-    ``rows[b]`` is the lattice of bit ``b``, ``in_greatest[s]`` holds the
-    bits of the lattices whose greatest element contains NFA state ``s``,
-    and ``live`` the bits in use.  A lattice keeps its bit from ``insert``
-    to ``discard``, so bit order is insertion order.  That is the order of
-    the registry's ``lattices`` too, which ``unify`` pops from and appends
-    to as it discards and inserts here; once dead bits outnumber live ones,
-    the slices are rebuilt from it.
+    ``rows[b]`` is the lattice that took bit ``b``, ``in_greatest[s]`` holds
+    the bits of the lattices whose greatest element contains NFA state
+    ``s``, and ``live`` the bits in use.  A lattice keeps its bit from
+    ``insert`` to ``discard``, so bit order is insertion order.  Once dead
+    bits outnumber live ones, the live rows are re-inserted in bit order.
     """
 
-    def __init__(self, lattices: dict[int, Lattice]):
-        self.lattices = lattices  # the registry's, in insertion order
+    def __init__(self):
         self.in_greatest: list[int] = []  # indexed by NFA state
-        self.live = self.dead = 0
+        self.live = 0
         self.rows: list[Lattice] = []  # by bit, live or dead
-        self._bit: dict[int, int] = {}  # lattice key -> its bit
 
-    def insert(self, key: int, lat: Lattice) -> None:
+    def insert(self, lat: Lattice) -> None:
         """Index a lattice that takes the last place in insertion order."""
         if lat.minimals == [lat.greatest]:
             # A point lattice covers nothing but exact hits, so it needs no
@@ -136,6 +134,7 @@ class _CoverIndex:
             # prune(q) == m, and since prune only drops members dominated by
             # a kept one, q <= saturate(prune(q)) == m <= q: again q == m.
             # The exact map answers those before the index is asked.
+            lat.bit = 0
             return
         bit = 1 << len(self.rows)
         self.in_greatest += [0] * (lat.greatest.bit_length() - len(self.in_greatest))
@@ -147,14 +146,12 @@ class _CoverIndex:
             rest ^= low
         self.live |= bit
         self.rows.append(lat)
-        self._bit[key] = bit
+        lat.bit = bit
 
-    def discard(self, key: int) -> None:
-        bit = self._bit.pop(key, 0)
-        if bit:
-            self.live &= ~bit
-            self.dead += 1
-            if self.dead > len(self.rows) - self.dead:
+    def discard(self, lat: Lattice) -> None:
+        if lat.bit:
+            self.live &= ~lat.bit
+            if 2 * self.live.bit_count() < len(self.rows):
                 self._rebuild()
 
     def find(self, query: int) -> Optional[int]:
@@ -183,9 +180,12 @@ class _CoverIndex:
 
     def _rebuild(self) -> None:
         """Rewrite the live lattices from scratch, keeping their relative order."""
-        self.__init__(self.lattices)
-        for key, lat in self.lattices.items():
-            self.insert(key, lat)
+        rows, live = self.rows, self.live
+        self.__init__()
+        # by row, not by ``lat.bit``: a merged lattice also sits at its old row
+        for b, lat in enumerate(rows):
+            if live >> b & 1:
+                self.insert(lat)
 
 
 class Registry(Protocol):
@@ -241,7 +241,7 @@ class CCLRegistry(OneToOneRegistry):
         super().__init__()
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
-        self._index = _CoverIndex(self.lattices)
+        self._index = _CoverIndex()
 
     def put(self, mask: int, state: int) -> None:
         self._put(mask, state, mask, mask)
@@ -254,12 +254,12 @@ class CCLRegistry(OneToOneRegistry):
         # every put state has a lattice, re-keyed under its class's root
         merged = self.lattices.pop(r1)
         other = self.lattices.pop(r2)
-        self._index.discard(r1)
-        self._index.discard(r2)
+        self._index.discard(merged)
+        self._index.discard(other)
         merged.absorb(other.greatest, other.minimals)
         merged.rep = root
         self.lattices[root] = merged
-        self._index.insert(root, merged)
+        self._index.insert(merged)
 
     def _put(self, mask: int, state: int, greatest: int, minimal: int) -> None:
         if state in self.lattices or self.uf.find(state) != state:
@@ -267,19 +267,17 @@ class CCLRegistry(OneToOneRegistry):
         super().put(mask, state)
         lat = Lattice(state, greatest, [minimal])
         self.lattices[state] = lat
-        self._index.insert(state, lat)
+        self._index.insert(lat)
 
     def _cover(self, mask: int) -> Optional[int]:
         return self._hit(mask, self._index.find(mask))
 
     def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:
-        """Resolve the index's answer for ``mask`` and record a cover hit."""
-        if rep is None:
-            return None
-        state = self.uf.find(rep)
-        if self.cover_hits is not None:
-            self.cover_hits.append((mask, state))
-        return state
+        """Record the index's answer for ``mask`` if it is a cover hit."""
+        # a live lattice's rep is its class root: unify re-keys it at every merge
+        if rep is not None and self.cover_hits is not None:
+            self.cover_hits.append((mask, rep))
+        return rep
 
 
 class CCLSRegistry(CCLRegistry):

@@ -9,37 +9,38 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automata import Nfa, members
+from .automata import Nfa
 
 
 class Preorder:
-    """Boolean relation over NFA states stored as per-state bitmask rows."""
+    """Boolean relation over NFA states, with per-state bitmask rows.
 
-    __slots__ = ("num_states", "above", "below", "pruned_by")
+    ``rel[x, y]`` is the relation as a boolean matrix; the rows are packed
+    from it for the bit loops of ``prune`` and ``saturate``.
+    """
 
-    def __init__(self, above: list[int]):
-        self.num_states = len(above)
-        self.above = above  # above[x] = bitmask of all y with x <= y
-        below = [0] * self.num_states
-        for x, row in enumerate(above):
-            m = row
-            while m:
-                low = m & -m
-                below[low.bit_length() - 1] |= 1 << x
-                m ^= low
-        self.below = below  # below[y] = bitmask of all x with x <= y
+    __slots__ = ("rel", "above", "below", "pruned_by")
+
+    def __init__(self, rel: np.ndarray):
+        self.rel = rel
+        self.above = _rows(rel)  # above[x] = bitmask of all y with x <= y
+        self.below = _rows(rel.T)  # below[y] = bitmask of all x with x <= y
         # pruned_by[y] = the x that y drops from a metastate holding both:
         # x <= y but not y <= x, or x and y mutually similar and x > y
-        self.pruned_by = [
-            below[y] & ~(above[y] & ((2 << y) - 1)) for y in range(self.num_states)
-        ]
+        self.pruned_by = _rows(rel.T & ~(rel & np.tri(len(rel), dtype=bool)))
 
     def leq(self, x: int, y: int) -> bool:
-        return bool(self.above[x] >> y & 1)
+        return bool(self.rel[x, y])
 
     @classmethod
     def identity(cls, num_states: int) -> "Preorder":
-        return cls([1 << x for x in range(num_states)])
+        return cls(np.eye(num_states, dtype=bool))
+
+
+def _rows(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as the bitmask of its true columns."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def compute_similarity(nfa: Nfa) -> Preorder:
@@ -57,40 +58,34 @@ def compute_similarity(nfa: Nfa) -> Preorder:
     final = np.zeros(n, dtype=bool)
     final[list(nfa.final)] = True
     rel = ~final[:, None] | final[None, :]
+    # edges() runs by symbol, then source, then target
+    src, sym, dst = np.array(list(nfa.edges()), dtype=np.intp).reshape(-1, 3).T
+    cuts = np.searchsorted(sym, np.arange(nfa.alphabet_size + 1)).tolist()
     steps = []
-    for a in range(nfa.alphabet_size):
-        src, dst = [], []
-        for s, mask in enumerate(nfa.succ_masks(a)):
-            for t in members(mask):
-                src.append(s)
-                dst.append(t)
-        if not src:
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == hi:
             continue
-        src_arr = np.array(src, dtype=np.intp)
-        starts = np.flatnonzero(np.r_[True, src_arr[1:] != src_arr[:-1]])
-        sources = src_arr[starts]
+        src_a = src[lo:hi]
+        starts = np.flatnonzero(np.r_[True, src_a[1:] != src_a[:-1]])
+        sources = src_a[starts]
         enabled = np.zeros(n, dtype=bool)
         enabled[sources] = True
         rel &= ~enabled[:, None] | enabled[None, :]
-        steps.append((np.ix_(sources, sources), np.array(dst, dtype=np.intp), starts))
+        steps.append((np.ix_(sources, sources), dst[lo:hi], starts))
 
     changed = True
     while changed:
         changed = False
-        for block, dst, starts in steps:
+        for block, dst_a, starts in steps:
             # has_match[x', j]: source j has a successor that simulates x'
-            has_match = np.logical_or.reduceat(rel[:, dst], starts, axis=1)
+            has_match = np.logical_or.reduceat(rel[:, dst_a], starts, axis=1)
             # fails[i, j]: some successor of source i is matched by none of j's
-            fails = np.logical_or.reduceat(~has_match[dst], starts, axis=0)
+            fails = np.logical_or.reduceat(~has_match[dst_a], starts, axis=0)
             kept = rel[block]
             if (kept & fails).any():
                 rel[block] = kept & ~fails
                 changed = True
-    rows = np.packbits(rel, axis=1, bitorder="little").tobytes()
-    width = (n + 7) // 8
-    return Preorder(
-        [int.from_bytes(rows[x * width : (x + 1) * width], "little") for x in range(n)]
-    )
+    return Preorder(rel)
 
 
 def prune(metastate: int, p: Preorder) -> int:
@@ -124,21 +119,16 @@ def simulation_quotient(nfa: Nfa, p: Preorder) -> tuple[Nfa, Preorder]:
     Also returns the quotient's similarity preorder, which is the one ``p``
     induces on the classes: ``[x] <= [y]`` iff ``x <= y``.
     """
-    n = nfa.num_states
-    rep = [0] * n
-    for x in range(n):
-        mutual = p.above[x] & p.below[x]  # includes x by reflexivity
-        rep[x] = (mutual & -mutual).bit_length() - 1
-    reps = sorted(set(rep))
-    dense = {r: i for i, r in enumerate(reps)}
-    rep_mask = sum(1 << r for r in reps)
-    above = [sum(1 << dense[y] for y in members(p.above[r] & rep_mask)) for r in reps]
-    edges = {(dense[rep[s]], a, dense[rep[t]]) for (s, a, t) in nfa.edges()}
+    # each state's class is named by its smallest mutually similar state,
+    # the first true column of its row (x itself, by reflexivity, at worst)
+    reps, block = np.unique(np.argmax(p.rel & p.rel.T, axis=1), return_inverse=True)
+    block = block.tolist()
+    edges = {(block[s], a, block[t]) for (s, a, t) in nfa.edges()}
     quotient = Nfa(
         len(reps),
         nfa.alphabet_size,
         sorted(edges),
-        {dense[rep[s]] for s in nfa.initial},
-        {dense[rep[s]] for s in nfa.final},
+        {block[s] for s in nfa.initial},
+        {block[s] for s in nfa.final},
     )
-    return quotient, Preorder(above)
+    return quotient, Preorder(p.rel[np.ix_(reps, reps)])

@@ -139,9 +139,8 @@ def dfa_from_metastate(nfa: Nfa, mask: int) -> Dfa:
 
 def rooted_at(dfa: Dfa, state: int) -> Dfa:
     """Copy of ``dfa`` with a different initial state."""
-    out = dfa.copy()
-    out.initial = state
-    return out
+    rows = [row[:] for row in dfa.trans]
+    return Dfa(dfa.num_states, dfa.alphabet_size, state, dfa.final, rows)
 
 
 def similarity_reference(nfa: Nfa) -> list[int]:
@@ -171,6 +170,23 @@ def similarity_reference(nfa: Nfa) -> list[int]:
                 above[x] = keep
                 changed = True
     return above
+
+
+def preorder_rows_reference(above: list[int]) -> tuple[list[int], list[int]]:
+    """``below`` and ``pruned_by`` rows of a relation given by ``above`` rows.
+
+    ``below[y]`` holds every x whose row ``above[x]`` has bit y.
+    ``pruned_by[y]`` holds the x of ``below[y]`` that y drops from a
+    metastate holding both: all of them except the x with y <= x as well
+    and x <= y as ids.  Derived bit by bit.
+    """
+    n = len(above)
+    below = [0] * n
+    for x, row in enumerate(above):
+        for y in members(row):
+            below[y] |= 1 << x
+    pruned_by = [below[y] & ~(above[y] & ((2 << y) - 1)) for y in range(n)]
+    return below, pruned_by
 
 
 def minimize_reference(dfa: Dfa, sig: list[int]) -> tuple[Dfa, list[tuple[int, int]]]:

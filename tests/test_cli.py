@@ -37,6 +37,24 @@ class TestGenerate:
         main(["generate", "--n", "30", "--seed", "9", "--out", p2])
         assert open(p1).read() == open(p2).read()
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--n", "0"], "--n"),
+            (["--n", "5", "--density", "0"], "--density"),
+            (["--n", "5", "--density", "-1.5"], "--density"),
+        ],
+        ids=["n-zero", "density-zero", "density-negative"],
+    )
+    def test_bad_value_rejected(self, capsys, args, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", *args])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {option}:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestCanonize:
     def test_emits_json_row(self, instance_file, capsys):
@@ -69,6 +87,13 @@ class TestCanonize:
         captured = capsys.readouterr()
         assert captured.out == ""  # no result row
         assert "line 4" in captured.err
+
+    def test_missing_file_exit_code(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.nfa")
+        assert main(["canonize", missing]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and missing in captured.err
 
     def test_timeout_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.nfa"
@@ -127,6 +152,15 @@ class TestSweepAndSummarize:
             main(["sweep", "--n-values", "10", "--threshold-init", "0", "--out", str(out)])
         assert exc.value.code == EXIT_PARSE
         assert "--threshold-init" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["5:10:0", "5:10:-1", "0,5", "5:x"])
+    def test_bad_n_values_rejected(self, tmp_path, capsys, spec):
+        out = tmp_path / "n.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n-values", spec, "--out", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        assert "argument --n-values:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_n_values_range_syntax(self, tmp_path):

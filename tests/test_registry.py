@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,15 +364,13 @@ def _checked_get(reg, mask):
 
 def _random_preorder(rng, positions):
     """Reflexive-transitive closure of random edges among ``positions``."""
-    above = [1 << x for x in range(_UNIVERSE)]
+    rel = np.eye(_UNIVERSE, dtype=bool)
     for _ in range(len(positions)):
         x, y = rng.sample(positions, 2)
-        above[x] |= 1 << y
+        rel[x, y] = True
     for k in positions:
-        for i in positions:
-            if above[i] >> k & 1:
-                above[i] |= above[k]
-    return Preorder(above)
+        rel |= rel[:, [k]] & rel[k]
+    return Preorder(rel)
 
 
 def _run_ops(reg, rng, positions, steps):
@@ -397,6 +396,15 @@ def _run_ops(reg, rng, positions, steps):
             _checked_get(reg, draw_mask())
     for mask in list(reg._exact):
         _checked_get(reg, mask)
+    # the index's live rows are the non-point lattices, in the dict's order,
+    # each keyed by its own representative, which is a class root
+    index = reg._index
+    live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
+    lattices = list(reg.lattices.values())
+    assert live_rows == [lat for lat in lattices if lat.minimals != [lat.greatest]]
+    for lat in live_rows:
+        assert reg.lattices[lat.rep] is lat and reg.find(lat.rep) == lat.rep
+    assert all(lat.bit == 0 for lat in lattices if lat.minimals == [lat.greatest])
 
 
 _positions = st.tuples(
@@ -437,8 +445,8 @@ class TestCoverIndex:
             _run_ops(reg, rng, positions, 80)
         assert rebuilds
         index = reg._index
-        assert index.dead <= index.live.bit_count()
-        assert len(index.rows) - index.dead == index.live.bit_count()
+        assert index.live >> len(index.rows) == 0  # every live bit has a row
+        assert 2 * index.live.bit_count() >= len(index.rows)  # at most half dead
 
     def test_point_lattices_get_no_rows(self):
         reg = CCLRegistry()
@@ -500,10 +508,11 @@ class TestCoverIndex:
         assert reg.lattices[2].covers(query) and reg.lattices[0].covers(query)
         index = reg._index
         # one bit per non-point lattice, in insertion order
-        assert ([lat.rep for lat in index.rows], index.dead) == ([4, 2, 6, 0, 0], 2)
+        assert [lat.rep for lat in index.rows] == [4, 2, 6, 0, 0]
+        assert index.live == 0b10110  # the old bits of B and C are dead
         assert reg.get(query) == 2
         index._rebuild()
-        assert index.rows == list(reg.lattices.values()) and index.dead == 0
+        assert index.rows == list(reg.lattices.values()) and index.live == 0b111
         assert [lat.rep for lat in index.rows] == [2, 6, 0]
         assert reg.get(query) == 2
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from nfacanon.simulation import (
     simulation_quotient,
 )
 
-from oracle import random_nfa, similarity_reference, tv_nfa
+from oracle import preorder_rows_reference, random_nfa, similarity_reference, tv_nfa
 
 
 def _lang_from(nfa, mask, depth):
@@ -123,6 +124,27 @@ class TestComputeSimilarity:
                         assert p.leq(x, z)
 
 
+class TestPreorder:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 65])
+    def test_rows_match_reference_with_ties(self, n):
+        # any relation, not only preorders; mutual pairs exercise the id
+        # tie-break of pruned_by
+        rng = np.random.default_rng(n)
+        for density in (0.1, 0.5, 0.9):
+            rel = rng.random((n, n)) < density
+            rel |= rel.T & (rng.random((n, n)) < 0.5)
+            p = Preorder(rel)
+            above = [to_mask(np.flatnonzero(row).tolist()) for row in rel]
+            assert p.above == above
+            assert (p.below, p.pruned_by) == preorder_rows_reference(above)
+            assert all(p.leq(x, y) == rel[x, y] for x in range(n) for y in range(n))
+
+    def test_identity(self):
+        p = Preorder.identity(70)
+        assert p.above == p.below == [1 << x for x in range(70)]
+        assert p.pruned_by == [0] * 70
+
+
 class TestPruneSaturate:
     def test_prune_strictly_dominated(self):
         nfa = _strict_pair_nfa()
@@ -159,14 +181,12 @@ class TestPruneSaturate:
         ties = 0
         for _ in range(300):
             n = rng.randint(1, 12)
-            above = [1 << x for x in range(n)]
+            rel = np.eye(n, dtype=bool)
             for _ in range(n):
-                above[rng.randrange(n)] |= 1 << rng.randrange(n)
+                rel[rng.randrange(n), rng.randrange(n)] = True
             for k in range(n):  # transitive closure
-                for i in range(n):
-                    if above[i] >> k & 1:
-                        above[i] |= above[k]
-            p = Preorder(above)
+                rel |= rel[:, [k]] & rel[k]
+            p = Preorder(rel)
             ties += sum(p.leq(x, y) and p.leq(y, x) for x in range(n) for y in range(x))
             for _ in range(50):
                 q = [x for x in range(n) if rng.random() < 0.5]

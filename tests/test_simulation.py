@@ -138,11 +138,9 @@ class TestPreorder:
             assert p.above == above
             assert (p.below, p.pruned_by) == preorder_rows_reference(above)
             assert all(p.leq(x, y) == rel[x, y] for x in range(n) for y in range(n))
-
-    def test_identity(self):
-        p = Preorder.identity(70)
-        assert p.above == p.below == [1 << x for x in range(70)]
-        assert p.pruned_by == [0] * 70
+        p = Preorder.identity(n)
+        assert p.above == p.below == [1 << x for x in range(n)]
+        assert p.pruned_by == [0] * n
 
 
 class TestPruneSaturate:

@@ -3,7 +3,9 @@
 NFA states are integers ``0..num_states-1`` and symbols are integers
 ``0..alphabet_size-1``.  Metastates (sets of NFA states) are represented as
 integer bitmasks throughout the hot paths; :func:`to_mask` / :func:`members`
-convert between masks and explicit state collections.
+convert between masks and explicit state collections.  The reverse of a
+total DFA that Brzozowski's second pass determinizes is
+``kernels.ReversedDfa``, which computes its own successors.
 """
 
 from __future__ import annotations
@@ -164,45 +166,6 @@ class Dfa:
 
     def __repr__(self) -> str:
         return f"Dfa(states={self.num_states}, symbols={self.alphabet_size})"
-
-
-class ReversedDfa:
-    """Read-only view of the reverse of a total DFA.
-
-    It is the input of Brzozowski's second subset pass: the initial metastate
-    is the DFA's final states and the only final state is its initial state.
-    The successor of a metastate Q on symbol a is the preimage
-    ``{t : dfa.trans[t][a] in Q}``; ``kernels.PreimageKernel`` computes it
-    without building the reversed NFA.
-    """
-
-    __slots__ = ("_dfa",)
-
-    def __init__(self, dfa: Dfa):
-        # an UNDEFINED (-1) entry would index the last state's bit
-        if not dfa.is_total():
-            raise ValueError("ReversedDfa requires a total DFA")
-        self._dfa = dfa
-
-    @property
-    def dfa(self) -> Dfa:
-        return self._dfa
-
-    @property
-    def num_states(self) -> int:
-        return self._dfa.num_states
-
-    @property
-    def alphabet_size(self) -> int:
-        return self._dfa.alphabet_size
-
-    @property
-    def initial_mask(self) -> int:
-        return to_mask(self._dfa.final)
-
-    @property
-    def final_mask(self) -> int:
-        return 1 << self._dfa.initial
 
 
 def successors(nfa: Nfa, metastate: Iterable[int] | int, symbol: int) -> frozenset[int]:

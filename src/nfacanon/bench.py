@@ -11,6 +11,7 @@ from typing import get_type_hints
 from .automata import Nfa
 from .engine import CanonConfig, Dfa, RunStats, canonize
 from .generator import sweep_instances
+from .io import ParseError
 
 
 @dataclass
@@ -126,11 +127,13 @@ def write_cactus(rows: list[ResultRow], path: str) -> None:
 
 
 def read_csv(path: str) -> list[ResultRow]:
+    """Rows of a sweep CSV; a header without some column raises ``ParseError``."""
     with open(path, newline="") as f:
-        return [
-            ResultRow(**{c: _PARSERS[c](rec[c]) for c in CSV_COLUMNS})
-            for rec in csv.DictReader(f)
-        ]
+        reader = csv.DictReader(f)
+        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or CSV_COLUMNS)]
+        if missing:
+            raise ParseError(1, f"not a sweep CSV: no {missing[0]!r} column")
+        return [ResultRow(**{c: _PARSERS[c](rec[c]) for c in CSV_COLUMNS}) for rec in reader]
 
 
 def summarize(rows: list[ResultRow]) -> dict[str, dict[str, dict[str, float]]]:

@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=PIPELINES,
         default="sc",
     )
-    p.add_argument("--timeout-ms", type=float, default=None)
+    p.add_argument("--timeout-ms", type=_positive_float, default=None)
     p.add_argument("--threshold-init", type=_positive_int, default=5000)
     p.add_argument("--complete", dest="complete", action="store_true", default=True)
     p.add_argument("--no-complete", dest="complete", action="store_false")
@@ -68,15 +68,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default="20:300:10",
         help="'start:stop:step' or comma list",
     )
-    p.add_argument("--seeds-per-n", type=int, default=10)
+    p.add_argument("--seeds-per-n", type=_positive_int, default=10)
     p.add_argument("--density", type=_positive_float, default=2.0)
     p.add_argument("--base-seed", type=int, default=0)
     p.add_argument(
         "--pipelines",
+        type=_pipelines,
         default=",".join(PIPELINES),
         help="comma-separated pipeline names",
     )
-    p.add_argument("--timeout-ms", type=float, default=None)
+    p.add_argument("--timeout-ms", type=_positive_float, default=None)
     p.add_argument("--threshold-init", type=_positive_int, default=5000)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
@@ -110,6 +111,13 @@ def _n_values(spec: str) -> list[int]:
     if start < 1 or step < 1:
         raise argparse.ArgumentTypeError(f"start and step must be at least 1: {spec}")
     return list(range(start, stop + 1, step))
+
+
+def _pipelines(spec: str) -> list[str]:
+    names = [p.strip() for p in spec.split(",") if p.strip()]
+    if not names or any(p not in PIPELINES for p in names):
+        raise argparse.ArgumentTypeError(f"choose from {','.join(PIPELINES)}: {spec}")
+    return names
 
 
 def _cmd_generate(args) -> int:
@@ -154,7 +162,7 @@ def _cmd_sweep(args) -> int:
         n_values=args.n_values,
         seeds_per_n=args.seeds_per_n,
         density=args.density,
-        pipelines=[p.strip() for p in args.pipelines.split(",") if p.strip()],
+        pipelines=args.pipelines,
         timeout_ms=args.timeout_ms,
         out_csv=args.out,
         base_seed=args.base_seed,

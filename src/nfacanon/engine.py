@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa, ReversedDfa, complete, reverse, trim
-from .kernels import successor_kernel
+from .automata import UNDEFINED, Dfa, Nfa, complete, reverse, trim
+from .kernels import ReversedDfa, successor_kernel
 from .partition import bisimulation_quotient, minimize
 from .registry import CCLRegistry, CCLSRegistry, OneToOneRegistry, Registry
 from .simulation import compute_similarity, simulation_quotient
@@ -93,18 +93,19 @@ def otf_determinize(
     pairs; the unexplored states are exactly the ids on it.  The table is
     ``rows``, indexed by state id, with ``final`` flags alongside; the row
     of a state merged away is ``None``.  The loop keeps the sorted live ids
-    itself: ids created since the last minimization are all live, and each
-    minimization drops the ids it absorbs.  The registry resolves every id:
-    lookups return representatives, and intermediate minimizations report
-    their merges to it with ``unify`` and rewrite the rows that named an
-    absorbed id, so every row names live ids only.  Only explored states are
-    ever merged, because minimization keeps each unexplored state in a
-    block of its own.  The returned DFA is the final, *not*
-    finally-minimized automaton; all of its states are explored and total.
-    ``ids`` lists the live ids its states stand for; other ids resolve
-    through ``registry.find``.
-    Without a ``controller`` no intermediate minimization happens.  ``nfa``
-    may be a ``ReversedDfa``, the input of Brzozowski's second pass.
+    itself: each new id is appended, and each minimization drops the ids it
+    absorbs.  The registry resolves every id: lookups return
+    representatives, and intermediate minimizations report their merges to
+    it with ``unify`` and rewrite the rows that named an absorbed id, so
+    every row names live ids only.  Only explored states are ever merged,
+    because minimization keeps each unexplored state in a block of its own.
+    The returned DFA is the final, *not* finally-minimized automaton; all of
+    its states are explored and total.  ``ids`` lists the live ids its
+    states stand for; other ids resolve through ``registry.find``.
+    Without a ``controller`` no intermediate minimization happens; with
+    one, the registry must be able to ``unify``, so it is a CCL or CCLS
+    registry.  ``nfa`` may be a ``ReversedDfa``, the input of Brzozowski's
+    second pass.
     """
     kern = successor_kernel(nfa)
     k = nfa.alphabet_size
@@ -117,9 +118,7 @@ def otf_determinize(
     stack = [(init_mask, 0)]
 
     explored_count = 0
-    # sorted live ids among the first `listed`; later ids are all live
-    live: list[int] = []
-    listed = 0
+    live = [0]  # sorted live ids
     peak = 1
     minimizations = 0
     sizes_after_min: list[int] = []
@@ -140,30 +139,26 @@ def otf_determinize(
                 final.append(bool(nxt & final_mask))
                 registry.put(nxt, n)
                 stack.append((nxt, n))
+                live.append(n)
             row[a] = n
         explored_count += 1
-        size = len(live) + len(rows) - listed
-        if size > peak:
-            peak = size
+        if len(live) > peak:
+            peak = len(live)
         if controller is not None and controller.should_minimize():
-            live.extend(range(listed, len(rows)))
-            listed = len(rows)
             live = _intermediate_minimize(rows, final, live, stack, registry, k)
             minimizations += 1
             sizes_after_min.append(len(live))
             controller.after_minimize(len(live))
 
-    if len(live) < listed:  # some id was absorbed
-        ids = live + list(range(listed, len(rows)))
-        table = _dense(rows, ids)
-        finals = np.flatnonzero(np.take(final, ids)).tolist()
-        dfa = Dfa(len(ids), k, 0, finals, table.tolist())
+    if len(live) < len(rows):  # some id was absorbed
+        table = _dense(rows, live)
+        finals = np.flatnonzero(np.take(final, live)).tolist()
+        dfa = Dfa(len(live), k, 0, finals, table.tolist())
     else:
-        ids = list(range(len(rows)))
-        dfa = Dfa(len(rows), k, 0, [s for s in ids if final[s]], rows)
+        dfa = Dfa(len(rows), k, 0, [s for s in live if final[s]], rows)
     return DeterminizeResult(
         dfa=dfa,
-        ids=ids,
+        ids=live,
         explored_count=explored_count,
         peak_states=peak,
         minimizations=minimizations,

@@ -2,19 +2,19 @@
 
 ``SuccessorKernel`` serves any NFA, including the reversed quotient of
 Brzozowski's first pass: it ORs the per-state successor masks of the
-metastate's members.  ``PreimageKernel`` serves Brzozowski's second pass,
-whose input is the reverse of the first pass's total DFA (a
-``ReversedDfa``).  There a successor set is a preimage, so one numpy gather
-through the DFA's transition table computes it without a loop over the
-metastate's members and without building the reversed NFA.
-``successor_kernel`` picks the kernel by input type.
+metastate's members.  Brzozowski's second pass determinizes the reverse of
+the first pass's total DFA, a ``ReversedDfa``, which is its own kernel:
+there a successor set is a preimage, so one numpy gather through the DFA's
+transition table computes it without a loop over the metastate's members
+and without building the reversed NFA.  ``successor_kernel`` picks the
+kernel by input type.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .automata import Nfa, ReversedDfa
+from .automata import Dfa, Nfa, to_mask
 
 
 class SuccessorKernel:
@@ -44,23 +44,32 @@ class SuccessorKernel:
         return out
 
 
-class PreimageKernel:
-    """Successor metastates on the reverse of a total DFA.
+class ReversedDfa:
+    """The reverse of a total DFA, as its own successor kernel.
 
-    The successor of Q on symbol a is ``{t : delta(t, a) in Q}``: Q's bit
-    vector gathered through row a of the transposed transition table.  Rows
-    are padded to whole bytes with index n, a padding bit of the unpacked
-    mask that is always 0, so one flat ``packbits`` yields every symbol's
-    mask bytes in turn.
+    It is the input of Brzozowski's second subset pass: the initial metastate
+    is the DFA's final states and the only final state is its initial state.
+    The successor of Q on symbol a is the preimage ``{t : delta(t, a) in Q}``:
+    Q's bit vector gathered through row a of the transposed transition
+    table, with no loop over Q's members and no reversed NFA.  Rows are
+    padded to whole bytes with index n, a padding bit of the unpacked mask
+    that is always 0, so one flat ``packbits`` yields every symbol's mask
+    bytes in turn.
     """
 
-    def __init__(self, rev: ReversedDfa):
-        n, k = rev.num_states, rev.alphabet_size
+    def __init__(self, dfa: Dfa):
+        # the gather would read an UNDEFINED (-1) entry as a state
+        if not dfa.is_total():
+            raise ValueError("ReversedDfa requires a total DFA")
+        n, k = dfa.num_states, dfa.alphabet_size
+        self.num_states = n
         self.alphabet_size = k
+        self.initial_mask = to_mask(dfa.final)
+        self.final_mask = 1 << dfa.initial
         self._nbytes = (n + 7) // 8
         width = 8 * self._nbytes
         self._delta = np.full((k, width), n, np.intp)
-        self._delta[:, :n] = np.asarray(rev.dfa.trans, np.intp).T
+        self._delta[:, :n] = np.asarray(dfa.trans, np.intp).T
         self._bits = np.empty((k, width), np.uint8)
 
     def successors(self, mask: int) -> list[int]:
@@ -83,10 +92,10 @@ def default_backend() -> str:
 
 def successor_kernel(
     nfa: Nfa | ReversedDfa, backend: str | None = None
-) -> SuccessorKernel | PreimageKernel:
+) -> SuccessorKernel | ReversedDfa:
     # the backend argument stays because perfbench/tracer.py passes one
     if backend not in (None, "python"):
         raise ValueError(f"unknown kernel backend {backend!r}")
     if isinstance(nfa, ReversedDfa):
-        return PreimageKernel(nfa)
+        return nfa
     return SuccessorKernel(nfa)

@@ -8,17 +8,19 @@ language.  Metastates are integer bitmasks over NFA states.  The contract:
 * ``put(mask, state)`` links a metastate to a freshly created state (a
   metastate is put at most once, and the CCL registries also refuse a state
   that was put or absorbed before; a conflicting put raises
-  ``RegistryContractError``);
-* ``unify(q1, q2)`` records that two states were found language-equivalent
-  (by intermediate minimization) and merges their classes;
-* ``find(state)`` returns the current representative of any state id ever
-  put.  The representative of a class is its smallest id.
+  ``RegistryContractError``).
+
+The CCL registries also merge: ``unify(q1, q2)`` records that two states
+were found language-equivalent (by intermediate minimization) and merges
+their classes, and ``find(state)`` returns the current representative of
+any state id ever put, the smallest id of its class.  A minimization
+controller needs a registry that can ``unify``, so it runs with CCL or
+CCLS only.
 
 Three implementations are provided:
 
-* ``OneToOneRegistry`` -- plain hash map plus a union-find; reproduces
-  classic subset construction, which never calls ``unify``.  It is the base
-  of the other two, which share its exact map, contract check and union-find.
+* ``OneToOneRegistry`` -- the exact hash map alone; reproduces classic
+  subset construction, which never merges states.  The other two extend it.
 * ``CCLRegistry`` -- convexity-closure lattices: each known equivalence class
   is summarized by a greatest element plus an antichain of minimal elements,
   covering every metastate sandwiched in between.
@@ -191,22 +193,16 @@ class _CoverIndex:
 class Registry(Protocol):
     def get(self, mask: int) -> Optional[int]: ...
     def put(self, mask: int, state: int) -> None: ...
-    def unify(self, q1: int, q2: int) -> None: ...
-    def find(self, state: int) -> int: ...
 
 
 class OneToOneRegistry:
-    """Exact hash-based registry whose ``unify`` merges in a union-find."""
+    """Exact hash-based registry: one state per metastate, never merged."""
 
     def __init__(self):
         self._exact: dict[int, int] = {}
-        self.uf = UnionFind()
 
     def get(self, mask: int) -> Optional[int]:
-        state = self._exact.get(mask)
-        if state is None:
-            return self._cover(mask)
-        return self.uf.find(state)
+        return self._exact.get(mask)
 
     def put(self, mask: int, state: int) -> None:
         old = self._exact.setdefault(mask, state)
@@ -215,36 +211,37 @@ class OneToOneRegistry:
                 f"metastate already mapped to {old}, refusing remap to {state}"
             )
 
-    def unify(self, q1: int, q2: int) -> None:
-        self.uf.union(q1, q2)
-
-    def find(self, state: int) -> int:
-        return self.uf.find(state)
-
-    def _cover(self, mask: int) -> Optional[int]:
-        """State of a metastate that is not a key of the exact map."""
-        return None
-
 
 class CCLRegistry(OneToOneRegistry):
-    """Convexity-closure-lattice registry.
+    """Convexity-closure-lattice registry, the one that merges states.
 
     Lattices are keyed by union-find roots of their representative states;
-    ``unify`` merges roots and joins the associated lattices.  A cover lookup
-    returns the first covering lattice in insertion order (most recently
-    merged last), answered by a bit-sliced index rather than a scan.  Setting
-    ``cover_hits`` to a list records every non-exact hit as a (queried
-    metastate, returned state) pair.
+    ``unify`` merges roots and joins the associated lattices.  An exact hit
+    resolves to its class root, and anything else goes to the cover index.
+    A cover lookup returns the first covering lattice in insertion order
+    (most recently merged last), answered by a bit-sliced index rather than
+    a scan.  Setting ``cover_hits`` to a list records every non-exact hit as
+    a (queried metastate, returned state) pair.
     """
 
     def __init__(self):
         super().__init__()
+        self.uf = UnionFind()
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
 
+    def get(self, mask: int) -> Optional[int]:
+        state = self._exact.get(mask)
+        if state is None:
+            return self._cover(mask)
+        return self.uf.find(state)
+
     def put(self, mask: int, state: int) -> None:
         self._put(mask, state, mask, mask)
+
+    def find(self, state: int) -> int:
+        return self.uf.find(state)
 
     def unify(self, q1: int, q2: int) -> None:
         r1, r2 = self.uf.find(q1), self.uf.find(q2)
@@ -270,6 +267,7 @@ class CCLRegistry(OneToOneRegistry):
         self._index.insert(lat)
 
     def _cover(self, mask: int) -> Optional[int]:
+        """State of a metastate that is not a key of the exact map."""
         return self._hit(mask, self._index.find(mask))
 
     def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:

@@ -19,11 +19,10 @@ class Preorder:
     from it for the bit loops of ``prune`` and ``saturate``.
     """
 
-    __slots__ = ("rel", "above", "below", "pruned_by")
+    __slots__ = ("rel", "below", "pruned_by")
 
     def __init__(self, rel: np.ndarray):
         self.rel = rel
-        self.above = _rows(rel)  # above[x] = bitmask of all y with x <= y
         self.below = _rows(rel.T)  # below[y] = bitmask of all x with x <= y
         # pruned_by[y] = the x that y drops from a metastate holding both:
         # x <= y but not y <= x, or x and y mutually similar and x > y

@@ -98,9 +98,18 @@ class TestCanonize:
     def test_timeout_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.nfa"
         main(["generate", "--n", "100", "--density", "3", "--out", str(path)])
-        rc = main(["canonize", str(path), "--timeout-ms", "0"])
+        rc = main(["canonize", str(path), "--timeout-ms", "0.001"])
         assert rc == EXIT_TIMEOUT
         assert json.loads(capsys.readouterr().out)["timed_out"] is True
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_timeout_not_positive_rejected(self, instance_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["canonize", instance_file, "--timeout-ms", value])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --timeout-ms:" in captured.err
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_threshold_below_one_rejected(self, instance_file, capsys, value):
@@ -163,6 +172,33 @@ class TestSweepAndSummarize:
         assert "argument --n-values:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["--pipelines", "bogus"], "--pipelines"),
+            (["--pipelines", "sc,bogus"], "--pipelines"),
+            (["--seeds-per-n", "-1"], "--seeds-per-n"),
+            (["--seeds-per-n", "0"], "--seeds-per-n"),
+            (["--timeout-ms", "-1"], "--timeout-ms"),
+        ],
+        ids=[
+            "pipeline-unknown",
+            "pipeline-one-unknown",
+            "seeds-negative",
+            "seeds-zero",
+            "timeout-negative",
+        ],
+    )
+    def test_bad_value_rejected(self, tmp_path, capsys, args, option):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n-values", "5", "--seeds-per-n", "1", *args, "--out", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert f"argument {option}:" in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_n_values_range_syntax(self, tmp_path):
         out = str(tmp_path / "r.csv")
         main(
@@ -175,6 +211,12 @@ class TestSweepAndSummarize:
 
         rows = read_csv(out)
         assert [r.instance for r in rows] == ["mod-n10-i0", "mod-n15-i0", "mod-n20-i0"]
+
+    def test_summarize_rejects_non_sweep_file(self, instance_file, capsys):
+        assert main(["summarize", instance_file]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'instance'" in captured.err
 
     def test_empty_csv_warns(self, tmp_path, capsys):
         path = tmp_path / "e.csv"

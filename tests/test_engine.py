@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfacanon.automata import (
-    ReversedDfa,
     complete,
     enumerate_language,
     isomorphic,
@@ -25,6 +24,7 @@ from nfacanon.engine import (
     otf_determinize,
 )
 from nfacanon.generator import GenParams, generate
+from nfacanon.kernels import ReversedDfa
 from nfacanon.partition import minimize
 from nfacanon.registry import CCLRegistry, CCLSRegistry, OneToOneRegistry
 from nfacanon.simulation import compute_similarity
@@ -161,15 +161,16 @@ class TestOtfDeterminize:
         inputs += [tv_nfa(rng, 10, 1.25, 0.5), blowup_nfa(6)]
         for nfa in inputs:
             p = compute_similarity(nfa)
-            for cls, args in (
-                (OneToOneRegistry, ()),
-                (CCLRegistry, ()),
-                (CCLSRegistry, (p,)),
+            for cls, args, controller in (
+                (OneToOneRegistry, (), None),
+                (CCLRegistry, (), None),
+                (CCLRegistry, (), Threshold(2, max_increase=0)),
+                (CCLSRegistry, (p,), None),
+                (CCLSRegistry, (p,), Threshold(2, max_increase=0)),
             ):
-                for controller in (None, Threshold(2, max_increase=0)):
-                    reg = _counting(cls)(*args)
-                    res = otf_determinize(nfa, reg, controller)
-                    assert reg.gets == nfa.alphabet_size * res.explored_count
+                reg = _counting(cls)(*args)
+                res = otf_determinize(nfa, reg, controller)
+                assert reg.gets == nfa.alphabet_size * res.explored_count
 
     @pytest.mark.parametrize("seed", range(5))
     def test_only_explored_states_are_unified(self, explored_masks, seed):

@@ -4,16 +4,9 @@ import random
 
 import pytest
 
-from nfacanon.automata import (
-    UNDEFINED,
-    Dfa,
-    ReversedDfa,
-    reverse,
-    successor_mask,
-    to_mask,
-)
+from nfacanon.automata import UNDEFINED, Dfa, reverse, successor_mask, to_mask
 from nfacanon.kernels import (
-    PreimageKernel,
+    ReversedDfa,
     SuccessorKernel,
     default_backend,
     successor_kernel,
@@ -67,13 +60,15 @@ def _random_total_dfa(rng, n, k):
 
 
 class TestPreimageKernel:
+    """``ReversedDfa``, the kernel that gathers preimages through a DFA."""
+
     # 8, 64 and their neighbours sit on the byte and word edges of the masks
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_successor_kernel_on_reversed_nfa(self, n, k):
         rng = random.Random(1000 * n + k)
         dfa = _random_total_dfa(rng, n, k)
-        fast = PreimageKernel(ReversedDfa(dfa))
+        fast = ReversedDfa(dfa)
         slow = SuccessorKernel(reverse(dfa.to_nfa()))
         full = (1 << n) - 1
         masks = [0, full] + [rng.getrandbits(n) for _ in range(30)]
@@ -99,7 +94,8 @@ class TestPreimageKernel:
 
     def test_factory_picks_kernel_by_input_type(self, ends_in_a):
         dfa = _random_total_dfa(random.Random(3), 5, 2)
-        assert type(successor_kernel(ReversedDfa(dfa))) is PreimageKernel
-        assert type(successor_kernel(ReversedDfa(dfa), "python")) is PreimageKernel
+        rev = ReversedDfa(dfa)
+        assert successor_kernel(rev) is rev
+        assert successor_kernel(rev, "python") is rev
         assert type(successor_kernel(ends_in_a)) is SuccessorKernel
         assert type(successor_kernel(reverse(dfa.to_nfa()))) is SuccessorKernel

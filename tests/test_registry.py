@@ -58,24 +58,14 @@ class TestOneToOne:
     def test_put_then_get(self):
         reg = OneToOneRegistry()
         reg.put(to_mask([0]), 0)
+        reg.put(to_mask([1]), 1)
         assert reg.get(to_mask([0])) == 0
+        # an exact registry covers nothing beyond its keys
+        assert reg.get(to_mask([0, 1])) is None
 
     def test_unseen_undefined(self):
         reg = OneToOneRegistry()
         assert reg.get(to_mask([1, 2])) is None
-
-    def test_unify_merges_to_smallest_id(self):
-        reg = OneToOneRegistry()
-        reg.put(to_mask([0]), 1)
-        reg.put(to_mask([1]), 2)
-        reg.put(to_mask([2]), 3)
-        reg.unify(3, 2)
-        assert reg.get(to_mask([2])) == reg.find(3) == 2
-        reg.unify(2, 1)
-        assert [reg.get(to_mask([x])) for x in range(3)] == [1, 1, 1]
-        assert [reg.find(s) for s in (1, 2, 3)] == [1, 1, 1]
-        # an exact registry covers nothing beyond its keys
-        assert reg.get(to_mask([0, 1])) is None
 
     def test_conflicting_put_rejected(self):
         reg = OneToOneRegistry()

@@ -37,6 +37,8 @@ CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def _parse_bool(text: str) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError(text)
     return text == "True"
 
 
@@ -127,13 +129,29 @@ def write_cactus(rows: list[ResultRow], path: str) -> None:
 
 
 def read_csv(path: str) -> list[ResultRow]:
-    """Rows of a sweep CSV; a header without some column raises ``ParseError``."""
+    """Rows of a sweep CSV.
+
+    A header without some column, a row without some field or a field that
+    does not parse raises ``ParseError`` naming the line and the column.
+    """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or CSV_COLUMNS)]
         if missing:
             raise ParseError(1, f"not a sweep CSV: no {missing[0]!r} column")
-        return [ResultRow(**{c: _PARSERS[c](rec[c]) for c in CSV_COLUMNS}) for rec in reader]
+        return [_parse_row(rec, reader.line_num) for rec in reader]
+
+
+def _parse_row(rec: dict, lineno: int) -> ResultRow:
+    values = {}
+    for c in CSV_COLUMNS:
+        if rec[c] is None:
+            raise ParseError(lineno, f"no {c!r} field")
+        try:
+            values[c] = _PARSERS[c](rec[c])
+        except ValueError:
+            raise ParseError(lineno, f"bad {c!r} field {rec[c]!r}") from None
+    return ResultRow(**values)
 
 
 def summarize(rows: list[ResultRow]) -> dict[str, dict[str, dict[str, float]]]:

@@ -47,13 +47,19 @@ def _rows(matrix: np.ndarray) -> list[int]:
 def compute_similarity(nfa: Nfa) -> Preorder:
     """Coarsest simulation preorder, by greatest-fixpoint refinement.
 
-    ``R[x, y]`` (y simulates x) is a boolean matrix.  It starts as the
-    relation respecting acceptance (x final implies y final) and, for every
-    symbol, enabledness (x has a successor implies y has one).  Each round
-    then drops, symbol by symbol, every pair of sources (x, y) where some
-    successor of x is simulated by no successor of y, as whole-array
-    operations over the symbol's edges grouped by source.  Rounds repeat
-    until no pair is dropped (Ilie, Navarro & Yu, "On NFA Reductions", 2004).
+    ``R[x, y]`` (y simulates x) starts as the relation respecting acceptance
+    (x final implies y final) and, for every symbol, enabledness (x has a
+    successor implies y has one).  Each round then drops every pair of
+    sources (x, y) where, on some symbol, a successor of x is simulated by
+    no successor of y.  Rounds repeat until none drops a pair (Ilie,
+    Navarro & Yu, "On NFA Reductions", 2004).
+
+    The rounds work on the transpose, whose row y lists the states that y
+    simulates, so every reduction runs over whole rows.  A round packs the
+    rows into ``uint64`` words and ORs them over the edges of every (symbol,
+    source) group in one call, for all symbols at once: the existential
+    quantifier.  Each symbol then ANDs the unpacked results of its groups
+    over its edges, grouped by source: the universal one.
     """
     n = nfa.num_states
     final = np.zeros(n, dtype=bool)
@@ -61,32 +67,63 @@ def compute_similarity(nfa: Nfa) -> Preorder:
     rel = ~final[:, None] | final[None, :]
     # edges() runs by symbol, then source, then target
     src, sym, dst = np.array(list(nfa.edges()), dtype=np.intp).reshape(-1, 3).T
-    cuts = np.searchsorted(sym, np.arange(nfa.alphabet_size + 1)).tolist()
+    # first[g]: the first edge of group g, the g-th (symbol, source) pair
+    first = np.flatnonzero(np.diff(sym * n + src, prepend=-1))
+    symbols = np.arange(nfa.alphabet_size + 1)
+    edge_cuts = np.searchsorted(sym, symbols).tolist()
+    group_cuts = np.searchsorted(sym[first], symbols).tolist()
     steps = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        if lo == hi:
+    for glo, ghi, lo, hi in zip(group_cuts, group_cuts[1:], edge_cuts, edge_cuts[1:]):
+        if glo == ghi:
             continue
-        src_a = src[lo:hi]
-        starts = np.flatnonzero(np.r_[True, src_a[1:] != src_a[:-1]])
-        sources = src_a[starts]
+        sources = src[first[glo:ghi]]
         enabled = np.zeros(n, dtype=bool)
         enabled[sources] = True
-        rel &= ~enabled[:, None] | enabled[None, :]
-        steps.append((np.ix_(sources, sources), dst[lo:hi], starts))
+        rel[sources] &= enabled  # a source is simulated only by sources
+        steps.append((glo, sources, dst[lo:hi], first[glo:ghi] - lo))
 
-    changed = True
-    while changed:
-        changed = False
-        for block, dst_a, starts in steps:
-            # has_match[x', j]: source j has a successor that simulates x'
-            has_match = np.logical_or.reduceat(rel[:, dst_a], starts, axis=1)
-            # fails[i, j]: some successor of source i is matched by none of j's
-            fails = np.logical_or.reduceat(~has_match[dst_a], starts, axis=0)
-            kept = rel[block]
-            if (kept & fails).any():
-                rel[block] = kept & ~fails
-                changed = True
+    # sim[y, x] = R[x, y], its rows padded to whole uint64 words.  Each n x n
+    # matrix is dropped as soon as it is copied, so at most two are alive.
+    sim = np.zeros((n, -(-n // 64) * 64), dtype=bool)
+    sim[:, :n] = rel.T
+    del rel
+    pairs, before = np.count_nonzero(sim), None
+    while pairs != before:
+        _refine(sim, dst, first, steps)
+        pairs, before = np.count_nonzero(sim), pairs
+    rel = np.ascontiguousarray(sim[:, :n].T)
+    del sim
     return Preorder(rel)
+
+
+def _refine(sim: np.ndarray, dst: np.ndarray, first: np.ndarray, steps: list) -> None:
+    """One round of ``compute_similarity``, clearing pairs of ``sim`` in place.
+
+    The existential rows are computed once, from the relation the round
+    starts with.  Pairs cleared earlier in the round leave them stale, but a
+    stale row only holds more states, so a round may clear less than it
+    could, never more; the round that clears nothing has exact rows.
+    """
+    n = len(sim)
+    packed = np.packbits(sim, axis=1, bitorder="little").view(np.uint64)
+    # exists[g]: the states that some edge target of group g simulates; the
+    # 7 zero rows past the last group let every symbol read whole words below
+    exists = np.zeros((len(first) + 7, packed.shape[1]), dtype=np.uint64)
+    np.bitwise_or.reduceat(packed[dst], first, axis=0, out=exists[: len(first)])
+    exists = exists.view(np.uint8)
+    for glo, sources, dst_a, starts in steps:
+        width = -(-len(sources) // 8) * 8
+        # has[x', j]: source j has a successor on the symbol simulating x';
+        # the columns past the symbol's sources are read and dropped
+        has = np.unpackbits(exists[glo : glo + width].T, axis=0, count=n, bitorder="little")
+        # keep[i, j]: every successor of source i is simulated by one of j's;
+        # 0/1 bytes AND eight at a time as words
+        keep = np.bitwise_and.reduceat(has[dst_a].view(np.uint64), starts, axis=0)
+        # whole rows, then columns: np.ix_ indexes a boolean matrix several
+        # times slower
+        rows = sim[sources]
+        rows[:, sources] &= keep.view(bool)[:, : len(sources)].T
+        sim[sources] = rows
 
 
 def prune(metastate: int, p: Preorder) -> int:

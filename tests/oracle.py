@@ -4,6 +4,8 @@ These deliberately avoid the library's engine, partition-refinement and
 similarity code paths: subset construction is a plain BFS/LIFO worklist over
 dict-keyed metastates, minimization is classic table filling over completed
 DFAs, and similarity is a pairwise fixpoint loop over bitmask rows.
+``similarity_fixpoint_reference`` is the earlier per-symbol numpy fixpoint,
+fast enough to check ``compute_similarity`` on benchmark-sized inputs.
 ``minimize_reference`` and ``bisimulation_reference`` are the earlier
 row-signature refinements that ``nfacanon.partition`` must match exactly,
 merge order and state numbering included.  ``antichain_reference`` is the
@@ -170,6 +172,51 @@ def similarity_reference(nfa: Nfa) -> list[int]:
                 above[x] = keep
                 changed = True
     return above
+
+
+def similarity_fixpoint_reference(nfa: Nfa) -> np.ndarray:
+    """Largest simulation as a boolean matrix: ``rel[x, y]`` iff y simulates x.
+
+    The earlier numpy fixpoint of ``compute_similarity``, one symbol at a
+    time: fast enough for inputs far beyond ``similarity_reference``.
+    ``rel`` starts from acceptance and, per symbol, enabledness.  Each round
+    drops, symbol by symbol, every pair of sources (x, y) where some
+    successor of x is simulated by no successor of y, as whole-array
+    operations over the symbol's edges grouped by source, until a round
+    drops none.
+    """
+    n = nfa.num_states
+    final = np.zeros(n, dtype=bool)
+    final[list(nfa.final)] = True
+    rel = ~final[:, None] | final[None, :]
+    # edges() runs by symbol, then source, then target
+    src, sym, dst = np.array(list(nfa.edges()), dtype=np.intp).reshape(-1, 3).T
+    cuts = np.searchsorted(sym, np.arange(nfa.alphabet_size + 1)).tolist()
+    steps = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo == hi:
+            continue
+        src_a = src[lo:hi]
+        starts = np.flatnonzero(np.r_[True, src_a[1:] != src_a[:-1]])
+        sources = src_a[starts]
+        enabled = np.zeros(n, dtype=bool)
+        enabled[sources] = True
+        rel &= ~enabled[:, None] | enabled[None, :]
+        steps.append((np.ix_(sources, sources), dst[lo:hi], starts))
+
+    changed = True
+    while changed:
+        changed = False
+        for block, dst_a, starts in steps:
+            # has_match[x', j]: source j has a successor that simulates x'
+            has_match = np.logical_or.reduceat(rel[:, dst_a], starts, axis=1)
+            # fails[i, j]: some successor of source i is matched by none of j's
+            fails = np.logical_or.reduceat(~has_match[dst_a], starts, axis=0)
+            kept = rel[block]
+            if (kept & fails).any():
+                rel[block] = kept & ~fails
+                changed = True
+    return rel
 
 
 def preorder_rows_reference(above: list[int]) -> tuple[list[int], list[int]]:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from nfacanon.automata import isomorphic
+from nfacanon.bench import CSV_COLUMNS
 from nfacanon.cli import EXIT_OK, EXIT_PARSE, EXIT_TIMEOUT, main
 from nfacanon.io import parse_dfa, parse_nfa, serialize_nfa
 
@@ -217,6 +218,23 @@ class TestSweepAndSummarize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "'instance'" in captured.err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("i0,sc,x,3,3,0,0,3,False", "line 3: bad 'wall_time_ms' field 'x'"),
+            ("i0,sc,1.5", "line 3: no 'final_states' field"),
+            ("i0,sc,1.5,3,3,0,0,3,maybe", "line 3: bad 'timed_out' field 'maybe'"),
+        ],
+        ids=["not-a-number", "short-row", "not-a-bool"],
+    )
+    def test_summarize_rejects_malformed_row(self, tmp_path, capsys, row, message):
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\ni0,sc,1.5,3,3,0,0,3,False\n" + row + "\n")
+        assert main(["summarize", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_empty_csv_warns(self, tmp_path, capsys):
         path = tmp_path / "e.csv"

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import Nfa, enumerate_language, members, to_mask
+from nfacanon import simulation
+from nfacanon.automata import Nfa, enumerate_language, members, reverse, to_mask
+from nfacanon.generator import GenParams, generate
 from nfacanon.simulation import (
     Preorder,
     compute_similarity,
@@ -16,7 +18,13 @@ from nfacanon.simulation import (
     simulation_quotient,
 )
 
-from oracle import preorder_rows_reference, random_nfa, similarity_reference, tv_nfa
+from oracle import (
+    preorder_rows_reference,
+    random_nfa,
+    similarity_fixpoint_reference,
+    similarity_reference,
+    tv_nfa,
+)
 
 
 def _above(p):
@@ -49,6 +57,43 @@ def _strict_pair_nfa():
     )
 
 
+def _gappy_nfa(rng, n, k):
+    """Random NFA where some symbols have no edges and some states no successors."""
+    silent = {a for a in range(k) if rng.random() < 0.3}
+    if k > 1 and not silent:
+        silent.add(rng.randrange(k))
+    dead = {s for s in range(n) if rng.random() < 0.3}
+    p = min(0.5, 2 / n)
+    edges = [
+        (s, a, t)
+        for s in range(n)
+        if s not in dead
+        for a in range(k)
+        if a not in silent
+        for t in range(n)
+        if rng.random() < p
+    ]
+    final = {s for s in range(n) if rng.random() < 0.4}
+    return Nfa(n, k, edges, initial=[0], final=final)
+
+
+def _chain_nfa(m):
+    """Chains x_0 -> ... -> x_m (states 0..m) and y_0 -> ... -> y_m (m+1..2m+1).
+
+    The links of both chains alternate symbols, ending on symbol 0.  Only
+    x_m is final, so y_i simulates x_i for no i, and refinement learns it
+    from the end: (x_i, y_i) drops only after (x_{i+1}, y_{i+1}) has.  A round
+    handles symbol 0 first, so with rows computed once per round it drops
+    one pair of the chain per round; rows updated after every symbol would
+    drop two.
+    """
+    edges = []
+    for i in range(m):
+        a = (m - 1 - i) % 2
+        edges += [(i, a, i + 1), (m + 1 + i, a, m + 2 + i)]
+    return Nfa(2 * m + 2, 2, edges, initial=[0, m + 1], final=[m])
+
+
 @st.composite
 def _nfas(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -72,6 +117,40 @@ class TestComputeSimilarity:
         rng = random.Random(n)
         for nfa in (tv_nfa(rng, n, 1.25, 0.5), random_nfa(rng, n, 3, min(0.3, 2 / n))):
             assert _above(compute_similarity(nfa)) == similarity_reference(nfa)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+    @pytest.mark.parametrize("k", [1, 2, 5, 24])
+    def test_matches_reference_with_silent_symbols_and_dead_states(self, k, n):
+        rng = random.Random(1000 * k + n)
+        for _ in range(2):
+            nfa = _gappy_nfa(rng, n, k)
+            assert _above(compute_similarity(nfa)) == similarity_reference(nfa)
+
+    def test_removals_propagating_backwards_over_rounds(self, monkeypatch):
+        rounds = []
+        refine = simulation._refine
+        monkeypatch.setattr(
+            simulation, "_refine", lambda *args: rounds.append(1) or refine(*args)
+        )
+        nfa = _chain_nfa(6)
+        p = compute_similarity(nfa)
+        assert _above(p) == similarity_reference(nfa)
+        assert not any(p.leq(i, 7 + i) for i in range(7))
+        assert len(rounds) >= 3  # six rounds drop pairs, the seventh none
+
+    @pytest.mark.parametrize(
+        "params",
+        [GenParams(150, 2.0, 1), GenParams(600, 2.0, 2), GenParams(1000, 8.0, 3)],
+        ids=["n150-d2", "n600-d2", "n1000-d8"],
+    )
+    def test_matches_fixpoint_reference_on_generated(self, params):
+        # sizes far beyond the pairwise reference; the reversed simulation
+        # quotient is the input similarity gets in the brz-s pipelines
+        nfa = generate(params)
+        q, _ = simulation_quotient(nfa, compute_similarity(nfa))
+        for work in (nfa, reverse(q)):
+            rel = compute_similarity(work).rel
+            assert np.array_equal(rel, similarity_fixpoint_reference(work))
 
     @pytest.mark.parametrize(
         "edges, final",
@@ -246,7 +325,6 @@ class TestSimulationQuotient:
     def test_modular_generator_yields_identity(self, seed):
         # modular-structure instances show no similarity once dead states are trimmed
         from nfacanon.automata import trim
-        from nfacanon.generator import GenParams, generate
 
         nfa = trim(generate(GenParams(n=30, density=8.0, seed=seed)))
         p = compute_similarity(nfa)

@@ -3,9 +3,10 @@
 NFA states are integers ``0..num_states-1`` and symbols are integers
 ``0..alphabet_size-1``.  Metastates (sets of NFA states) are represented as
 integer bitmasks throughout the hot paths; :func:`to_mask` / :func:`members`
-convert between masks and explicit state collections.  The reverse of a
-total DFA that Brzozowski's second pass determinizes is
-``kernels.ReversedDfa``, which computes its own successors.
+convert between masks and explicit state collections.  Subset construction
+asks an ``Nfa`` for every per-symbol successor of a metastate
+(``Nfa.successors``).  The reverse of a total DFA that Brzozowski's second
+pass determinizes is ``kernels.ReversedDfa``, which also computes its own.
 """
 
 from __future__ import annotations
@@ -60,14 +61,14 @@ class Nfa:
         for s in self.initial | self.final:
             if not 0 <= s < num_states:
                 raise ValueError(f"state {s} out of range")
-        # _succ[a][s] = bitmask of successors of s on symbol a
-        self._succ = [[0] * num_states for _ in range(alphabet_size)]
+        # _succ[s][a] = bitmask of successors of s on symbol a
+        self._succ = [[0] * alphabet_size for _ in range(num_states)]
         for (src, sym, dst) in transitions:
             if not 0 <= src < num_states or not 0 <= dst < num_states:
                 raise ValueError(f"transition ({src},{sym},{dst}) out of range")
             if not 0 <= sym < alphabet_size:
                 raise ValueError(f"symbol {sym} out of range")
-            self._succ[sym][src] |= 1 << dst
+            self._succ[src][sym] |= 1 << dst
 
     @property
     def initial_mask(self) -> int:
@@ -78,15 +79,23 @@ class Nfa:
         return to_mask(self.final)
 
     def succ_mask(self, state: int, symbol: int) -> int:
-        return self._succ[symbol][state]
+        return self._succ[state][symbol]
 
-    def succ_masks(self, symbol: int) -> list[int]:
-        """Per-state successor bitmasks for one symbol (do not mutate)."""
-        return self._succ[symbol]
+    def successors(self, mask: int) -> list[int]:
+        """Every per-symbol successor metastate of ``mask``, in one member loop."""
+        out = [0] * self.alphabet_size
+        succ = self._succ
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            for a, v in enumerate(succ[low.bit_length() - 1]):
+                out[a] |= v
+        return out
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        for a, row in enumerate(self._succ):
-            for s, mask in enumerate(row):
+        """Every transition ``(src, symbol, dst)``, by symbol, source, target."""
+        for a, column in enumerate(zip(*self._succ)):
+            for s, mask in enumerate(column):
                 while mask:  # inlined: most masks are empty
                     low = mask & -mask
                     yield (s, a, low.bit_length() - 1)
@@ -177,11 +186,11 @@ def successors(nfa: Nfa, metastate: Iterable[int] | int, symbol: int) -> frozens
 
 
 def successor_mask(nfa: Nfa, mask: int, symbol: int) -> int:
-    row = nfa.succ_masks(symbol)
+    # apart from Nfa.successors, so the oracles built on it check that loop
     out = 0
     while mask:
         low = mask & -mask
-        out |= row[low.bit_length() - 1]
+        out |= nfa.succ_mask(low.bit_length() - 1, symbol)
         mask ^= low
     return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bench, io
@@ -99,18 +100,22 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be greater than 0: {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be finite and greater than 0: {value}")
     return value
 
 
 def _n_values(spec: str) -> list[int]:
     if ":" not in spec:
-        return [_positive_int(x) for x in spec.split(",") if x]
-    start, stop, step = ([int(x) for x in spec.split(":")] + [1])[:3]
-    if start < 1 or step < 1:
-        raise argparse.ArgumentTypeError(f"start and step must be at least 1: {spec}")
-    return list(range(start, stop + 1, step))
+        values = [_positive_int(x) for x in spec.split(",") if x]
+    else:
+        start, stop, step = ([int(x) for x in spec.split(":")] + [1])[:3]
+        if start < 1 or step < 1:
+            raise argparse.ArgumentTypeError(f"start and step must be at least 1: {spec}")
+        values = list(range(start, stop + 1, step))
+    if not values:
+        raise argparse.ArgumentTypeError(f"names no value of n: {spec}")
+    return values
 
 
 def _pipelines(spec: str) -> list[str]:

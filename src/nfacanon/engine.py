@@ -104,8 +104,8 @@ def otf_determinize(
     states stand for; other ids resolve through ``registry.find``.
     Without a ``controller`` no intermediate minimization happens; with
     one, the registry must be able to ``unify``, so it is a CCL or CCLS
-    registry.  ``nfa`` may be a ``ReversedDfa``, the input of Brzozowski's
-    second pass.
+    registry.  ``nfa`` is an ``Nfa`` or a ``ReversedDfa``, the input of
+    Brzozowski's second pass; either computes its own successors.
     """
     kern = successor_kernel(nfa)
     k = nfa.alphabet_size

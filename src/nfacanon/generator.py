@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import isqrt
+from math import isfinite, isqrt
 
 from .automata import Nfa
 
@@ -30,8 +30,8 @@ class GenParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.density <= 0:
-            raise ValueError("density must be > 0")
+        if not (self.density > 0 and isfinite(self.density)):
+            raise ValueError("density must be finite and > 0")
 
     @property
     def num_classes(self) -> int:

@@ -1,13 +1,13 @@
 """Successor kernels: every per-symbol successor metastate of a metastate.
 
-``SuccessorKernel`` serves any NFA, including the reversed quotient of
-Brzozowski's first pass: it ORs the per-state successor masks of the
-metastate's members.  Brzozowski's second pass determinizes the reverse of
-the first pass's total DFA, a ``ReversedDfa``, which is its own kernel:
+Subset construction asks the automaton it determinizes for the successors
+of each metastate, so every input is its own kernel.  An ``Nfa``, including
+the reversed quotient of Brzozowski's first pass, ORs the successor masks
+of the metastate's members (``Nfa.successors``).  Brzozowski's second pass
+determinizes the reverse of the first pass's total DFA, a ``ReversedDfa``:
 there a successor set is a preimage, so one numpy gather through the DFA's
 transition table computes it without a loop over the metastate's members
-and without building the reversed NFA.  ``successor_kernel`` picks the
-kernel by input type.
+and without building the reversed NFA.
 """
 
 from __future__ import annotations
@@ -15,33 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .automata import Dfa, Nfa, to_mask
-
-
-class SuccessorKernel:
-    """Computes all per-symbol successor metastates of a metastate.
-
-    Transition rows are pre-grouped by source state so one pass over the set
-    bits of the metastate fills every symbol's accumulator.
-    """
-
-    def __init__(self, nfa: Nfa):
-        self.alphabet_size = nfa.alphabet_size
-        rows = [nfa.succ_masks(a) for a in range(nfa.alphabet_size)]
-        self._by_state = [
-            tuple(rows[a][s] for a in range(nfa.alphabet_size))
-            for s in range(nfa.num_states)
-        ]
-
-    def successors(self, mask: int) -> list[int]:
-        out = [0] * self.alphabet_size
-        by_state = self._by_state
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            for a, v in enumerate(by_state[low.bit_length() - 1]):
-                out[a] |= v
-        return out
 
 
 class ReversedDfa:
@@ -92,10 +65,9 @@ def default_backend() -> str:
 
 def successor_kernel(
     nfa: Nfa | ReversedDfa, backend: str | None = None
-) -> SuccessorKernel | ReversedDfa:
-    # the backend argument stays because perfbench/tracer.py passes one
+) -> Nfa | ReversedDfa:
+    # kept as the engine's call site, which perfbench/tracer.py and the
+    # tests patch; the backend argument stays because the tracer passes one
     if backend not in (None, "python"):
         raise ValueError(f"unknown kernel backend {backend!r}")
-    if isinstance(nfa, ReversedDfa):
-        return nfa
-    return SuccessorKernel(nfa)
+    return nfa

@@ -39,6 +39,20 @@ class TestSuccessors:
             successors(ends_in_a, {0}, 2)
 
 
+class TestEdges:
+    def test_order_is_symbol_then_source_then_target(self):
+        given = [(2, 0, 1), (0, 1, 2), (0, 0, 2), (1, 1, 1), (0, 0, 1), (1, 0, 0)]
+        nfa = Nfa(3, 3, given, [0], [2])
+        assert list(nfa.edges()) == [
+            (0, 0, 1),
+            (0, 0, 2),
+            (1, 0, 0),
+            (2, 0, 1),
+            (0, 1, 2),
+            (1, 1, 1),
+        ]
+
+
 class TestAccepts:
     @pytest.mark.parametrize(
         "w,expected",

@@ -44,8 +44,9 @@ class TestGenerate:
             (["--n", "0"], "--n"),
             (["--n", "5", "--density", "0"], "--density"),
             (["--n", "5", "--density", "-1.5"], "--density"),
+            (["--n", "4", "--density", "inf"], "--density"),
         ],
-        ids=["n-zero", "density-zero", "density-negative"],
+        ids=["n-zero", "density-zero", "density-negative", "density-inf"],
     )
     def test_bad_value_rejected(self, capsys, args, option):
         with pytest.raises(SystemExit) as exc:
@@ -164,7 +165,15 @@ class TestSweepAndSummarize:
         assert "--threshold-init" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec", ["5:10:0", "5:10:-1", "0,5", "5:x"])
+    def test_sweep_non_finite_density_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--n-values", "5", "--density", "inf", "--out", str(out)])
+        assert exc.value.code == EXIT_PARSE
+        assert "argument --density:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["5:10:0", "5:10:-1", "0,5", "5:x", "10:5", ","])
     def test_bad_n_values_rejected(self, tmp_path, capsys, spec):
         out = tmp_path / "n.csv"
         with pytest.raises(SystemExit) as exc:

@@ -32,6 +32,11 @@ class TestParams:
         with pytest.raises(ValueError):
             GenParams(n=5, density=0.0)
 
+    @pytest.mark.parametrize("density", [float("inf"), float("nan")])
+    def test_non_finite_density_rejected(self, density):
+        with pytest.raises(ValueError, match="finite"):
+            GenParams(n=4, density=density)
+
 
 class TestGenerate:
     def test_state_class_membership(self):

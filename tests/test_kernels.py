@@ -4,13 +4,8 @@ import random
 
 import pytest
 
-from nfacanon.automata import UNDEFINED, Dfa, reverse, successor_mask, to_mask
-from nfacanon.kernels import (
-    ReversedDfa,
-    SuccessorKernel,
-    default_backend,
-    successor_kernel,
-)
+from nfacanon.automata import UNDEFINED, Dfa, Nfa, reverse, successor_mask, to_mask
+from nfacanon.kernels import ReversedDfa, default_backend, successor_kernel
 
 from oracle import random_nfa
 
@@ -27,30 +22,47 @@ def test_unknown_backend_rejected(ends_in_a):
         successor_kernel(ends_in_a, "fortran")
 
 
+def _sparse_nfa(rng, n, k):
+    """Random NFA with edgeless odd symbols and successor-free states ``0 mod 3``."""
+    edges = [
+        (s, a, rng.randrange(n))
+        for s in range(n)
+        if s % 3
+        for a in range(0, k, 2)
+        for _ in range(rng.randint(0, 3))
+    ]
+    return Nfa(n, k, edges, [0], [n - 1])
+
+
 class TestKernelCorrectness:
+    """``Nfa.successors``, the kernel of every pass but Brzozowski's second."""
+
     def test_ends_in_a(self, ends_in_a):
-        kern = successor_kernel(ends_in_a)
-        assert kern.successors(to_mask([0])) == [to_mask([0, 1]), to_mask([0])]
+        assert ends_in_a.successors(to_mask([0])) == [to_mask([0, 1]), to_mask([0])]
 
     def test_empty_metastate(self, ends_in_a):
-        kern = successor_kernel(ends_in_a)
-        assert kern.successors(0) == [0, 0]
+        assert ends_in_a.successors(0) == [0, 0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_successor(self, seed):
         rng = random.Random(seed)
-        # the 200-state input has masks wider than one 64-bit word
-        for n in (rng.randint(1, 80), 200):
-            nfa = random_nfa(rng, n, rng.randint(1, 4))
-            kern = successor_kernel(nfa)
-            for _ in range(20):
-                mask = to_mask(
-                    [s for s in range(nfa.num_states) if rng.random() < 0.3]
-                )
-                expect = [
-                    successor_mask(nfa, mask, a) for a in range(nfa.alphabet_size)
-                ]
-                assert kern.successors(mask) == expect
+        k = (1, 2, 3, 4, 5, 8, 12, 16, 23, 24)[seed]
+        # 8, 64 and their neighbours sit on the byte and word edges of the masks
+        for n in (1, 7, 8, 9, 63, 64, 65, 200):
+            full = (1 << n) - 1
+            for nfa in (random_nfa(rng, n, k, 0.1), _sparse_nfa(rng, n, k)):
+                masks = [0, full] + [rng.getrandbits(n) for _ in range(20)]
+                masks += [1 << s for s in range(min(n, 10))]
+                for mask in masks:
+                    expect = [successor_mask(nfa, mask, a) for a in range(k)]
+                    assert nfa.successors(mask) == expect, mask
+
+    def test_silent_states_and_symbols_give_empty_successors(self):
+        nfa = _sparse_nfa(random.Random(2), 30, 4)
+        silent = to_mask(range(0, 30, 3))
+        assert nfa.successors(silent) == [0, 0, 0, 0]
+        succs = nfa.successors((1 << 30) - 1)
+        assert succs[1] == succs[3] == 0
 
 
 def _random_total_dfa(rng, n, k):
@@ -69,7 +81,7 @@ class TestPreimageKernel:
         rng = random.Random(1000 * n + k)
         dfa = _random_total_dfa(rng, n, k)
         fast = ReversedDfa(dfa)
-        slow = SuccessorKernel(reverse(dfa.to_nfa()))
+        slow = reverse(dfa.to_nfa())
         full = (1 << n) - 1
         masks = [0, full] + [rng.getrandbits(n) for _ in range(30)]
         masks += [1 << rng.randrange(n) for _ in range(5)]
@@ -92,10 +104,9 @@ class TestPreimageKernel:
         with pytest.raises(ValueError, match="total"):
             ReversedDfa(partial)
 
-    def test_factory_picks_kernel_by_input_type(self, ends_in_a):
+    def test_factory_returns_its_input(self, ends_in_a):
         dfa = _random_total_dfa(random.Random(3), 5, 2)
-        rev = ReversedDfa(dfa)
-        assert successor_kernel(rev) is rev
-        assert successor_kernel(rev, "python") is rev
-        assert type(successor_kernel(ends_in_a)) is SuccessorKernel
-        assert type(successor_kernel(reverse(dfa.to_nfa()))) is SuccessorKernel
+        rev, nfa = ReversedDfa(dfa), reverse(dfa.to_nfa())
+        for kern in (rev, nfa, ends_in_a):
+            assert successor_kernel(kern) is kern
+            assert successor_kernel(kern, "python") is kern

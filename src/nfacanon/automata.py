@@ -5,8 +5,8 @@ NFA states are integers ``0..num_states-1`` and symbols are integers
 integer bitmasks throughout the hot paths; :func:`to_mask` / :func:`members`
 convert between masks and explicit state collections.  Subset construction
 asks an ``Nfa`` for every per-symbol successor of a metastate
-(``Nfa.successors``).  The reverse of a total DFA that Brzozowski's second
-pass determinizes is ``kernels.ReversedDfa``, which also computes its own.
+(``Nfa.successors``); every determinization, both Brzozowski passes
+included, runs on an ``Nfa``.
 """
 
 from __future__ import annotations

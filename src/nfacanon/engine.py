@@ -16,9 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .automata import UNDEFINED, Dfa, Nfa, complete, reverse, trim
-from .kernels import ReversedDfa, successor_kernel
+from .kernels import successor_kernel
 from .partition import bisimulation_quotient, minimize
-from .registry import CCLRegistry, CCLSRegistry, OneToOneRegistry, Registry
+from .registry import (
+    CCLRegistry,
+    CCLSRegistry,
+    OneToOneRegistry,
+    Registry,
+    ResidualRegistry,
+)
 from .simulation import compute_similarity, simulation_quotient
 
 PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s")
@@ -75,6 +81,7 @@ class Threshold:
 class DeterminizeResult:
     dfa: Dfa
     ids: list[int]  # live state ids, sorted: state i of `dfa` stands for ids[i]
+    metastates: list[int]  # metastates[i]: the metastate ids[i] was put for
     explored_count: int
     peak_states: int
     minimizations: int
@@ -82,7 +89,7 @@ class DeterminizeResult:
 
 
 def otf_determinize(
-    nfa: Nfa | ReversedDfa,
+    nfa: Nfa,
     registry: Registry,
     controller: Threshold | None = None,
     deadline: float | None = None,
@@ -104,8 +111,8 @@ def otf_determinize(
     states stand for; other ids resolve through ``registry.find``.
     Without a ``controller`` no intermediate minimization happens; with
     one, the registry must be able to ``unify``, so it is a CCL or CCLS
-    registry.  ``nfa`` is an ``Nfa`` or a ``ReversedDfa``, the input of
-    Brzozowski's second pass; either computes its own successors.
+    registry.  ``metastates`` lists the metastate each live id was put for,
+    which Brzozowski's second pass reads.
     """
     kern = successor_kernel(nfa)
     k = nfa.alphabet_size
@@ -114,6 +121,7 @@ def otf_determinize(
 
     rows: list[list[int] | None] = [[UNDEFINED] * k]
     final = [bool(init_mask & final_mask)]
+    metastates = [init_mask]  # by id
     registry.put(init_mask, 0)
     stack = [(init_mask, 0)]
 
@@ -137,6 +145,7 @@ def otf_determinize(
                 n = len(rows)
                 rows.append([UNDEFINED] * k)
                 final.append(bool(nxt & final_mask))
+                metastates.append(nxt)
                 registry.put(nxt, n)
                 stack.append((nxt, n))
                 live.append(n)
@@ -154,11 +163,13 @@ def otf_determinize(
         table = _dense(rows, live)
         finals = np.flatnonzero(np.take(final, live)).tolist()
         dfa = Dfa(len(live), k, 0, finals, table.tolist())
+        metastates = [metastates[s] for s in live]
     else:
         dfa = Dfa(len(rows), k, 0, [s for s in live if final[s]], rows)
     return DeterminizeResult(
         dfa=dfa,
         ids=live,
+        metastates=metastates,
         explored_count=explored_count,
         peak_states=peak,
         minimizations=minimizations,
@@ -206,6 +217,23 @@ def _intermediate_minimize(rows, final, ids, stack, registry, k) -> list[int]:
     for i in np.flatnonzero(gone[table].any(axis=1) & kept).tolist():
         rows[ids[i]] = target[table[i]].tolist()
     return target[:n][kept].tolist()
+
+
+def _columns(metastates: list[int], n: int) -> list[int]:
+    """The bit transpose of ``metastates``, masks over ``n`` states.
+
+    Bit j of ``columns[q]`` is set when ``metastates[j]`` contains q.
+    """
+    nb = (n + 7) // 8
+    raw = b"".join(m.to_bytes(nb, "little") for m in metastates)
+    bits = np.unpackbits(
+        np.frombuffer(raw, np.uint8).reshape(len(metastates), nb),
+        axis=1,
+        count=n,
+        bitorder="little",
+    )
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 @dataclass
@@ -266,6 +294,19 @@ def _check_deadline(deadline: float | None) -> None:
 
 
 def _run_pipeline(nfa, config, stats, deadline):
+    """Preprocess, determinize, then minimize or run Brzozowski's second pass.
+
+    The Brzozowski pipelines determinize rev(A), where A is the trimmed
+    quotient (bisimulation, or simulation for ``-s``), into D1.  Write S_i
+    for the metastate of D1's dense state i.  The second pass is
+    det(rev(D1)), the minimal DFA, and the metastate it reaches by a word w
+    is ``{i : S_i ∩ P_w ≠ ∅}``, where P_w is the forward subset of A after
+    w (Brzozowski 1962; Bonchi et al., ACM TOCL 2014).  So it runs as a
+    forward subset construction of A whose ``ResidualRegistry`` keys each
+    subset by that set, its signature: it finds the same states in the same
+    order as a subset construction of rev(D1), with the same counts.  The
+    key is exact for the reachable subsets, the only ones it is asked about.
+    """
     simulated = config.pipeline.endswith("-s")
     brz = config.pipeline.startswith("brz")
     uses_otf = "otf" in config.pipeline
@@ -276,6 +317,7 @@ def _run_pipeline(nfa, config, stats, deadline):
         work, preorder = simulation_quotient(work, compute_similarity(work))
     else:
         work = bisimulation_quotient(work)
+    fwd = work
     if brz:
         work = reverse(work)
         if simulated:
@@ -296,8 +338,8 @@ def _run_pipeline(nfa, config, stats, deadline):
     _check_deadline(deadline)
 
     if brz:
-        # subset construction of a reversed reachable DFA yields the minimal DFA
-        res = otf_determinize(ReversedDfa(res.dfa), OneToOneRegistry(), None, deadline)
+        registry = ResidualRegistry(_columns(res.metastates, fwd.num_states))
+        res = otf_determinize(fwd, registry, None, deadline)
         _fold(stats, res)
         dfa = res.dfa
     else:

@@ -17,10 +17,13 @@ any state id ever put, the smallest id of its class.  A minimization
 controller needs a registry that can ``unify``, so it runs with CCL or
 CCLS only.
 
-Three implementations are provided:
+Four implementations are provided:
 
 * ``OneToOneRegistry`` -- the exact hash map alone; reproduces classic
-  subset construction, which never merges states.  The other two extend it.
+  subset construction, which never merges states.  The others extend it.
+* ``ResidualRegistry`` -- Brzozowski's second pass: metastates of the
+  forward automaton keyed by their signature over the first pass's
+  metastates, so forward subset construction yields the minimal DFA.
 * ``CCLRegistry`` -- convexity-closure lattices: each known equivalence class
   is summarized by a greatest element plus an antichain of minimal elements,
   covering every metastate sandwiched in between.
@@ -210,6 +213,67 @@ class OneToOneRegistry:
             raise RegistryContractError(
                 f"metastate already mapped to {old}, refusing remap to {state}"
             )
+
+
+class ResidualRegistry(OneToOneRegistry):
+    """Brzozowski's second pass, run forward: metastates keyed by signature.
+
+    Phase 1 determinizes rev(A), the reverse of the forward automaton A,
+    into D1; ``columns[q]`` has bit j set when the metastate S_j of dense
+    D1 state j contains A's state q.  The signature of a metastate P of A
+    is the OR of ``columns[q]`` over q in P, the set ``{j : S_j ∩ P ≠ ∅}``.
+    Lemma (Brzozowski 1962; Bonchi et al., ACM TOCL 2014): if P is the
+    forward subset reached from A's initial states by a word w, its
+    signature is the metastate that the subset construction of rev(D1)
+    reaches by w.  So a forward subset construction keyed by signatures
+    discovers the states of det(rev(D1)) in the same order, with the same
+    final flags, and never builds rev(D1) or computes a preimage.
+
+    Signatures are exact only for reachable metastates: when phase 1
+    merged states, S_j is merely language-equivalent to the subset that
+    rev(w) reaches in rev(A), so two unreachable metastates may share a
+    signature without sharing a language.  The determinization loop only
+    asks about reachable ones.  A hit caches its metastate in the exact
+    map, and a ``put`` right after a miss reuses the signature of that
+    miss, so each distinct metastate is signed once.
+    """
+
+    def __init__(self, columns: list[int]):
+        super().__init__()
+        self.columns = columns
+        self._by_signature: dict[int, int] = {}
+        # (metastate, signature) of the last lookup that missed the exact map
+        self._last = (-1, 0)
+
+    def signature(self, mask: int) -> int:
+        columns = self.columns
+        sig = 0
+        while mask:
+            low = mask & -mask
+            sig |= columns[low.bit_length() - 1]
+            mask ^= low
+        return sig
+
+    def get(self, mask: int) -> Optional[int]:
+        state = self._exact.get(mask)
+        if state is None:
+            sig = self.signature(mask)
+            self._last = (mask, sig)
+            state = self._by_signature.get(sig)
+            if state is not None:
+                self._exact[mask] = state
+        return state
+
+    def put(self, mask: int, state: int) -> None:
+        last, sig = self._last
+        if last != mask:
+            sig = self.signature(mask)
+        old = self._by_signature.setdefault(sig, state)
+        if old != state:
+            raise RegistryContractError(
+                f"signature already mapped to {old}, refusing remap to {state}"
+            )
+        super().put(mask, state)
 
 
 class CCLRegistry(OneToOneRegistry):

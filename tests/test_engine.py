@@ -24,7 +24,6 @@ from nfacanon.engine import (
     otf_determinize,
 )
 from nfacanon.generator import GenParams, generate
-from nfacanon.kernels import ReversedDfa
 from nfacanon.partition import minimize
 from nfacanon.registry import CCLRegistry, CCLSRegistry, OneToOneRegistry
 from nfacanon.simulation import compute_similarity
@@ -446,32 +445,49 @@ class TestBrzozowskiPhase2:
         yield generate(GenParams(n=30, density=3.0, seed=2))
 
     @pytest.mark.parametrize("pipeline", [p for p in PIPELINES if p.startswith("brz")])
-    def test_preimage_pass_matches_reversed_nfa_pass(self, monkeypatch, pipeline):
-        # the second pass determinizes ReversedDfa(phase-1 DFA); the old path
-        # determinized reverse(dfa.to_nfa()) and must give the same DFA and counts
+    def test_forward_pass_matches_reversed_dfa_pass(self, monkeypatch, pipeline):
+        # the second pass runs forward on the quotient, keyed by residual
+        # signatures; it must give the subset construction of the reversed
+        # phase-1 DFA, state for state and count for count
         config = CanonConfig(pipeline=pipeline, threshold_init=3)
-        inputs = list(self._inputs())
-        seen_types = []
+        runs = []
         determinize = engine.otf_determinize
 
-        def recording(nfa, *args):
-            seen_types.append(type(nfa))
-            return determinize(nfa, *args)
+        def recording(*args):
+            runs.append(determinize(*args))
+            return runs[-1]
 
         monkeypatch.setattr(engine, "otf_determinize", recording)
-        new = [canonize(nfa, config) for nfa in inputs]
-        assert seen_types == [type(inputs[0]), ReversedDfa] * len(inputs)
-        monkeypatch.setattr(engine, "ReversedDfa", lambda dfa: reverse(dfa.to_nfa()))
-        old = [canonize(nfa, config) for nfa in inputs]
         minimized = 0
-        for (d1, s1), (d2, s2) in zip(new, old):
-            assert (d1.trans, d1.final, d1.initial) == (d2.trans, d2.final, d2.initial)
-            s1.wall_time_ms = s2.wall_time_ms = 0.0
-            assert s1 == s2
-            minimized += s1.minimizations
+        for nfa in self._inputs():
+            runs.clear()
+            canonize(nfa, config)
+            first, second = runs
+            # one metastate per state of the phase-1 DFA, merged ids left out
+            assert len(first.metastates) == first.dfa.num_states
+            expect = determinize(reverse(first.dfa.to_nfa()), OneToOneRegistry())
+            assert second.dfa.trans == expect.dfa.trans
+            assert second.dfa.final == expect.dfa.final
+            assert second.explored_count == expect.explored_count
+            assert second.peak_states == expect.peak_states
+            minimized += first.minimizations
         if "otf" in pipeline:
             # threshold 3 makes phase 1 minimize a partly explored DFA
             assert minimized > 0
+
+    # 8, 64 and their neighbours sit on the byte and word edges of the masks
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
+    @pytest.mark.parametrize("count", [1, 8, 9, 65])
+    def test_columns_transpose_metastates(self, n, count):
+        rng = random.Random(1000 * n + count)
+        metastates = [(1 << n) - 1, 0] + [rng.getrandbits(n) for _ in range(count)]
+        metastates = metastates[:count]
+        expect = [0] * n
+        for j, m in enumerate(metastates):
+            for q in range(n):
+                if m >> q & 1:
+                    expect[q] |= 1 << j
+        assert engine._columns(metastates, n) == expect
 
 
 @st.composite

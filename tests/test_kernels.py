@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from nfacanon.automata import UNDEFINED, Dfa, Nfa, reverse, successor_mask, to_mask
-from nfacanon.kernels import ReversedDfa, default_backend, successor_kernel
+from nfacanon.automata import Nfa, successor_mask, to_mask
+from nfacanon.kernels import default_backend, successor_kernel
 
 from oracle import random_nfa
 
@@ -35,7 +35,7 @@ def _sparse_nfa(rng, n, k):
 
 
 class TestKernelCorrectness:
-    """``Nfa.successors``, the kernel of every pass but Brzozowski's second."""
+    """``Nfa.successors``, the kernel of every determinization."""
 
     def test_ends_in_a(self, ends_in_a):
         assert ends_in_a.successors(to_mask([0])) == [to_mask([0, 1]), to_mask([0])]
@@ -65,48 +65,8 @@ class TestKernelCorrectness:
         assert succs[1] == succs[3] == 0
 
 
-def _random_total_dfa(rng, n, k):
-    d = Dfa(n, k, rng.randrange(n), final=[s for s in range(n) if rng.random() < 0.4])
-    d.trans = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
-    return d
-
-
-class TestPreimageKernel:
-    """``ReversedDfa``, the kernel that gathers preimages through a DFA."""
-
-    # 8, 64 and their neighbours sit on the byte and word edges of the masks
-    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 200])
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_successor_kernel_on_reversed_nfa(self, n, k):
-        rng = random.Random(1000 * n + k)
-        dfa = _random_total_dfa(rng, n, k)
-        fast = ReversedDfa(dfa)
-        slow = reverse(dfa.to_nfa())
-        full = (1 << n) - 1
-        masks = [0, full] + [rng.getrandbits(n) for _ in range(30)]
-        masks += [1 << rng.randrange(n) for _ in range(5)]
-        for mask in masks:
-            assert fast.successors(mask) == slow.successors(mask), mask
-        # every state has one successor per symbol, so the full mask maps to itself
-        assert fast.successors(full) == [full] * k
-
-    def test_view_matches_reversed_nfa(self):
-        rng = random.Random(5)
-        dfa = _random_total_dfa(rng, 12, 2)
-        rev, nfa = ReversedDfa(dfa), reverse(dfa.to_nfa())
-        assert (rev.num_states, rev.alphabet_size) == (nfa.num_states, nfa.alphabet_size)
-        assert rev.initial_mask == nfa.initial_mask
-        assert rev.final_mask == nfa.final_mask
-
-    def test_partial_dfa_rejected(self):
-        partial = Dfa(2, 2, 0, final=[1])
-        partial.trans = [[1, 0], [1, UNDEFINED]]
-        with pytest.raises(ValueError, match="total"):
-            ReversedDfa(partial)
-
-    def test_factory_returns_its_input(self, ends_in_a):
-        dfa = _random_total_dfa(random.Random(3), 5, 2)
-        rev, nfa = ReversedDfa(dfa), reverse(dfa.to_nfa())
-        for kern in (rev, nfa, ends_in_a):
-            assert successor_kernel(kern) is kern
-            assert successor_kernel(kern, "python") is kern
+def test_factory_returns_its_input(ends_in_a):
+    nfa = random_nfa(random.Random(3), 5, 2)
+    for kern in (nfa, ends_in_a):
+        assert successor_kernel(kern) is kern
+        assert successor_kernel(kern, "python") is kern

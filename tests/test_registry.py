@@ -7,17 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import Nfa, to_mask
+from nfacanon.automata import Nfa, isomorphic, members, reverse, to_mask
+from nfacanon.engine import Threshold, otf_determinize
 from nfacanon.registry import (
     CCLRegistry,
     CCLSRegistry,
     Lattice,
     OneToOneRegistry,
     RegistryContractError,
+    ResidualRegistry,
     UnionFind,
 )
 from nfacanon.simulation import Preorder, compute_similarity, prune
-from oracle import antichain_reference
+from oracle import (
+    antichain_reference,
+    canonical_dfa,
+    dfa_from_metastate,
+    random_nfa,
+    textbook_subset_construction,
+    tv_nfa,
+)
 
 
 class TestUnionFind:
@@ -288,6 +297,76 @@ class TestCCLS:
 _antichains = st.lists(st.one_of(st.just(0), st.integers(1, 63)), max_size=8).map(
     antichain_reference
 )
+
+
+def _columns(metastates, n):
+    """``columns[q]``: bit j set when ``metastates[j]`` contains q."""
+    columns = [0] * n
+    for j, m in enumerate(metastates):
+        for q in members(m):
+            columns[q] |= 1 << j
+    return columns
+
+
+class TestResidual:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equal_signatures_iff_equal_languages(self, seed):
+        rng = random.Random(seed)
+        if seed % 2:
+            nfa = random_nfa(rng, rng.randint(2, 8), rng.randint(1, 3))
+        else:
+            nfa = tv_nfa(rng, rng.randint(4, 12), 1.25, 0.5)
+        _, reached = textbook_subset_construction(nfa)
+        canon = [canonical_dfa(dfa_from_metastate(nfa, m).to_nfa()) for m in reached]
+        # phase 1 without merges, and merging after every explored state
+        for registry, controller in (
+            (OneToOneRegistry(), None),
+            (CCLRegistry(), Threshold(1, max_increase=0)),
+        ):
+            phase1 = otf_determinize(reverse(nfa), registry, controller)
+            reg = ResidualRegistry(_columns(phase1.metastates, nfa.num_states))
+            sigs = [reg.signature(m) for m in reached]
+            for i in range(len(reached)):
+                for j in range(i):
+                    same = isomorphic(canon[i], canon[j])
+                    assert (sigs[i] == sigs[j]) == same, (reached[i], reached[j])
+
+    def test_hit_caches_metastate(self):
+        # states 0 and 2 lie in the same phase-1 metastates
+        reg = ResidualRegistry([0b01, 0b10, 0b01])
+        reg.put(to_mask([0]), 0)
+        assert reg.get(to_mask([1])) is None
+        assert reg.get(to_mask([2])) == 0
+        assert reg._exact[to_mask([2])] == 0
+        assert reg.get(to_mask([0, 2])) == 0
+        assert reg.get(to_mask([0, 1])) is None
+
+    def test_each_metastate_signed_once(self):
+        signed = []
+
+        class Counting(ResidualRegistry):
+            def signature(self, mask):
+                signed.append(mask)
+                return super().signature(mask)
+
+        nfa = tv_nfa(random.Random(4), 14, 1.25, 0.5)
+        phase1 = otf_determinize(reverse(nfa), OneToOneRegistry())
+        reg = Counting(_columns(phase1.metastates, nfa.num_states))
+        res = otf_determinize(nfa, reg)
+        # a put after a miss reuses its signature, and a hit is cached
+        assert sorted(signed) == sorted(reg._exact)
+        assert len(reg._exact) > res.dfa.num_states
+
+    def test_conflicting_put_rejected(self):
+        reg = ResidualRegistry([0b01, 0b10, 0b01])
+        reg.put(to_mask([0]), 0)
+        with pytest.raises(RegistryContractError):
+            reg.put(to_mask([0]), 1)
+        # a new metastate whose signature is already taken
+        with pytest.raises(RegistryContractError):
+            reg.put(to_mask([2]), 1)
+        reg.put(to_mask([1]), 1)
+        assert reg.get(to_mask([1])) == 1
 
 
 class TestLattice:

@@ -82,14 +82,28 @@ class Nfa:
         return self._succ[state][symbol]
 
     def successors(self, mask: int) -> list[int]:
-        """Every per-symbol successor metastate of ``mask``, in one member loop."""
-        out = [0] * self.alphabet_size
+        """Every per-symbol successor metastate of ``mask``, a new list.
+
+        The first member's row is copied; the other members' rows are
+        gathered once and each symbol's column is ORed over them.
+        """
+        if not mask:
+            return [0] * self.alphabet_size
         succ = self._succ
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            for a, v in enumerate(succ[low.bit_length() - 1]):
-                out[a] |= v
+        low = mask & -mask
+        mask ^= low
+        out = succ[low.bit_length() - 1][:]
+        if mask:
+            rows = []
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                rows.append(succ[low.bit_length() - 1])
+            for a in range(len(out)):
+                v = out[a]
+                for row in rows:
+                    v |= row[a]
+                out[a] = v
         return out
 
     def edges(self) -> Iterator[tuple[int, int, int]]:

@@ -108,7 +108,8 @@ def otf_determinize(
     because minimization keeps each unexplored state in a block of its own.
     The returned DFA is the final, *not* finally-minimized automaton; all of
     its states are explored and total.  ``ids`` lists the live ids its
-    states stand for; other ids resolve through ``registry.find``.
+    states stand for; an absorbed id resolves through ``registry.find``,
+    which reads its class root off the metastate it was put for.
     Without a ``controller`` no intermediate minimization happens; with
     one, the registry must be able to ``unify``, so it is a CCL or CCLS
     registry.  ``metastates`` lists the metastate each live id was put for,

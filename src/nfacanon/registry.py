@@ -13,9 +13,11 @@ language.  Metastates are integer bitmasks over NFA states.  The contract:
 The CCL registries also merge: ``unify(q1, q2)`` records that two states
 were found language-equivalent (by intermediate minimization) and merges
 their classes, and ``find(state)`` returns the current representative of
-any state id ever put, the smallest id of its class.  A minimization
-controller needs a registry that can ``unify``, so it runs with CCL or
-CCLS only.
+any state id ever put, the smallest id of its class (an id never put is
+its own).  Their exact map names class roots, and ``unify`` rewrites the
+entries of the class it absorbs, so an exact hit needs no further lookup.
+A minimization controller needs a registry that can ``unify``, so it runs
+with CCL or CCLS only.
 
 Four implementations are provided:
 
@@ -49,32 +51,6 @@ from .simulation import Preorder, prune, saturate
 
 class RegistryContractError(Exception):
     """A registry operation violated its contract (e.g. conflicting put)."""
-
-
-class UnionFind:
-    """Growable union-find over DFA state ids; the smallest id is the root."""
-
-    def __init__(self):
-        self._parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        if x not in parent:
-            return x  # roots are never keys of _parent
-        root = parent[x]
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        root, other = (ra, rb) if ra < rb else (rb, ra)
-        self._parent[other] = root
-        return root
 
 
 class Lattice:
@@ -279,39 +255,47 @@ class ResidualRegistry(OneToOneRegistry):
 class CCLRegistry(OneToOneRegistry):
     """Convexity-closure-lattice registry, the one that merges states.
 
-    Lattices are keyed by union-find roots of their representative states;
-    ``unify`` merges roots and joins the associated lattices.  An exact hit
-    resolves to its class root, and anything else goes to the cover index.
-    A cover lookup returns the first covering lattice in insertion order
-    (most recently merged last), answered by a bit-sliced index rather than
-    a scan.  Setting ``cover_hits`` to a list records every non-exact hit as
+    The exact map names class roots, so an exact hit is one dict lookup.
+    Each class keeps the list of the metastates put for its states;
+    ``unify`` points the exact entries of the absorbed class at the new
+    root and joins the two lattices, which are keyed by class root.
+    ``find`` reads a state's root through the metastate it was put for.
+    Anything that misses the exact map goes to the cover index: a cover
+    lookup returns the first covering lattice in insertion order (most
+    recently merged last), answered by a bit-sliced index rather than a
+    scan.  Setting ``cover_hits`` to a list records every non-exact hit as
     a (queried metastate, returned state) pair.
     """
 
     def __init__(self):
         super().__init__()
-        self.uf = UnionFind()
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
+        self._put_for: dict[int, int] = {}  # state -> the metastate put for it
+        self._class_puts: dict[int, list[int]] = {}  # root -> its put metastates
 
     def get(self, mask: int) -> Optional[int]:
         state = self._exact.get(mask)
-        if state is None:
-            return self._cover(mask)
-        return self.uf.find(state)
+        return self._cover(mask) if state is None else state
 
     def put(self, mask: int, state: int) -> None:
         self._put(mask, state, mask, mask)
 
     def find(self, state: int) -> int:
-        return self.uf.find(state)
+        mask = self._put_for.get(state)
+        return state if mask is None else self._exact[mask]
 
     def unify(self, q1: int, q2: int) -> None:
-        r1, r2 = self.uf.find(q1), self.uf.find(q2)
+        r1, r2 = self.find(q1), self.find(q2)
         if r1 == r2:
             return
-        root = self.uf.union(r1, r2)
+        root, gone = (r1, r2) if r1 < r2 else (r2, r1)
+        moved = self._class_puts.pop(gone)
+        exact = self._exact
+        for mask in moved:
+            exact[mask] = root
+        self._class_puts[root] += moved
         # every put state has a lattice, re-keyed under its class's root
         merged = self.lattices.pop(r1)
         other = self.lattices.pop(r2)
@@ -323,9 +307,11 @@ class CCLRegistry(OneToOneRegistry):
         self._index.insert(merged)
 
     def _put(self, mask: int, state: int, greatest: int, minimal: int) -> None:
-        if state in self.lattices or self.uf.find(state) != state:
+        if state in self._put_for:
             raise RegistryContractError(f"state {state} is not fresh, refusing metastate {mask}")
         super().put(mask, state)
+        self._put_for[state] = mask
+        self._class_puts[state] = [mask]
         lat = Lattice(state, greatest, [minimal])
         self.lattices[state] = lat
         self._index.insert(lat)

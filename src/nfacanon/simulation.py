@@ -1,8 +1,9 @@
 """Similarity preorders on NFA states and metastate normalization.
 
-``leq(x, y)`` means y simulates x, hence L(x) is a subset of L(y).  The
-preorder powers metastate pruning/saturation and simulation-equivalence
-quotienting used by the simulation-enabled pipelines.
+``rel[x, y]`` of a ``Preorder`` means y simulates x, hence L(x) is a
+subset of L(y).  The preorder powers metastate pruning/saturation and
+simulation-equivalence quotienting used by the simulation-enabled
+pipelines.
 """
 
 from __future__ import annotations
@@ -13,27 +14,30 @@ from .automata import Nfa
 
 
 class Preorder:
-    """Boolean relation over NFA states, with per-state bitmask rows.
+    """Reflexive boolean relation over NFA states, with per-state bitmask rows.
 
     ``rel[x, y]`` is the relation as a boolean matrix; the rows are packed
-    from it for the bit loops of ``prune`` and ``saturate``.
+    from it for the bit loops of ``prune`` and ``saturate``, which read
+    only the members whose row is not trivial: ``lowered`` holds the states
+    whose ``below`` row has a bit besides their own, ``pruners`` those whose
+    ``pruned_by`` row is not empty.  ``saturate`` counts on every other
+    state's ``below`` row being the state alone, so ``rel`` must be
+    reflexive.
     """
 
-    __slots__ = ("rel", "below", "pruned_by")
+    __slots__ = ("rel", "below", "pruned_by", "lowered", "pruners")
 
     def __init__(self, rel: np.ndarray):
         self.rel = rel
         self.below = _rows(rel.T)  # below[y] = bitmask of all x with x <= y
         # pruned_by[y] = the x that y drops from a metastate holding both:
         # x <= y but not y <= x, or x and y mutually similar and x > y
-        self.pruned_by = _rows(rel.T & ~(rel & np.tri(len(rel), dtype=bool)))
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.rel[x, y])
-
-    @classmethod
-    def identity(cls, num_states: int) -> "Preorder":
-        return cls(np.eye(num_states, dtype=bool))
+        pruned_by = rel.T & ~(rel & np.tri(len(rel), dtype=bool))
+        self.pruned_by = _rows(pruned_by)
+        # column y of rel is below[y]: it has a bit besides y's own when it
+        # counts more than its diagonal entry
+        self.lowered = _mask(np.count_nonzero(rel, axis=0) > rel.diagonal())
+        self.pruners = _mask(pruned_by.any(axis=1))
 
 
 def _rows(matrix: np.ndarray) -> list[int]:
@@ -42,6 +46,11 @@ def _rows(matrix: np.ndarray) -> list[int]:
     # a transposed view packs several times slower than a C-ordered copy
     packed = np.packbits(np.ascontiguousarray(matrix), axis=1, bitorder="little").tobytes()
     return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+
+
+def _mask(flags: np.ndarray) -> int:
+    """The bitmask of the true entries of a boolean vector."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def compute_similarity(nfa: Nfa) -> Preorder:
@@ -129,10 +138,11 @@ def _refine(sim: np.ndarray, dst: np.ndarray, first: np.ndarray, steps: list) ->
 def prune(metastate: int, p: Preorder) -> int:
     """Drop members strictly dominated by another member.
 
-    Among mutually similar members the smallest identifier survives.
+    Among mutually similar members the smallest identifier survives.  Only
+    members in ``p.pruners`` can drop any.
     """
     dropped = 0
-    m = metastate
+    m = metastate & p.pruners
     while m:
         low = m & -m
         m ^= low
@@ -141,9 +151,12 @@ def prune(metastate: int, p: Preorder) -> int:
 
 
 def saturate(metastate: int, p: Preorder) -> int:
-    """Add every state dominated by some member."""
-    out = 0
-    m = metastate
+    """Add every state dominated by some member.
+
+    Only members in ``p.lowered`` dominate a state besides themselves.
+    """
+    out = metastate
+    m = metastate & p.lowered
     while m:
         low = m & -m
         m ^= low

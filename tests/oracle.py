@@ -10,6 +10,9 @@ fast enough to check ``compute_similarity`` on benchmark-sized inputs.
 row-signature refinements that ``nfacanon.partition`` must match exactly,
 merge order and state numbering included.  ``antichain_reference`` is the
 earlier pairwise antichain filter that ``Lattice.absorb`` must match.
+``prune_reference`` and ``saturate_reference`` are the earlier loops over
+every member that the masked ``prune`` and ``saturate`` must match.
+``leq`` and ``identity_preorder`` read and build ``Preorder`` relations.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from nfacanon.automata import (
     to_mask,
     trim,
 )
+from nfacanon.simulation import Preorder
 
 
 def textbook_subset_construction(
@@ -234,6 +238,37 @@ def preorder_rows_reference(above: list[int]) -> tuple[list[int], list[int]]:
             below[y] |= 1 << x
     pruned_by = [below[y] & ~(above[y] & ((2 << y) - 1)) for y in range(n)]
     return below, pruned_by
+
+
+def leq(p: Preorder, x: int, y: int) -> bool:
+    """Whether y simulates x under ``p``."""
+    return bool(p.rel[x, y])
+
+
+def identity_preorder(num_states: int) -> Preorder:
+    return Preorder(np.eye(num_states, dtype=bool))
+
+
+def prune_reference(metastate: int, p: Preorder) -> int:
+    """``prune`` ORing the ``pruned_by`` row of every member."""
+    dropped = 0
+    m = metastate
+    while m:
+        low = m & -m
+        m ^= low
+        dropped |= p.pruned_by[low.bit_length() - 1]
+    return metastate & ~dropped
+
+
+def saturate_reference(metastate: int, p: Preorder) -> int:
+    """``saturate`` ORing the ``below`` row of every member."""
+    out = 0
+    m = metastate
+    while m:
+        low = m & -m
+        m ^= low
+        out |= p.below[low.bit_length() - 1]
+    return out
 
 
 def minimize_reference(dfa: Dfa, sig: list[int]) -> tuple[Dfa, list[tuple[int, int]]]:

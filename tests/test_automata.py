@@ -12,6 +12,7 @@ from nfacanon.automata import (
     language_equivalent,
     members,
     reverse,
+    successor_mask,
     successors,
     to_mask,
     trim,
@@ -37,6 +38,33 @@ class TestSuccessors:
     def test_symbol_out_of_range(self, ends_in_a):
         with pytest.raises(ValueError):
             successors(ends_in_a, {0}, 2)
+
+
+class TestNfaSuccessors:
+    @pytest.mark.parametrize("k", [1, 2, 24])
+    def test_matches_successor_mask(self, k):
+        rng = random.Random(k)
+        for n in (1, 5, 30, 70):
+            nfa = random_nfa(rng, n, k, min(0.3, 3 / n))
+            # one member copies its row; two gather a single other row
+            masks = [0] + [1 << s for s in range(n)]
+            masks += [1 << s | 1 << t for s in range(min(n, 30)) for t in range(s)]
+            masks += [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(30)]
+            masks.append((1 << n) - 1)
+            for mask in masks:
+                expect = [successor_mask(nfa, mask, a) for a in range(k)]
+                assert nfa.successors(mask) == expect, mask
+
+    def test_result_belongs_to_the_caller(self):
+        nfa = Nfa(3, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2)], [0], [2])
+        before = [nfa.succ_mask(s, a) for s in range(3) for a in range(2)]
+        for mask in (to_mask([0]), to_mask([0, 1]), 0):
+            expect = nfa.successors(mask)
+            out = nfa.successors(mask)
+            out[0] = out[1] = 0b111
+            out.append(5)
+            assert nfa.successors(mask) == expect
+        assert [nfa.succ_mask(s, a) for s in range(3) for a in range(2)] == before
 
 
 class TestEdges:

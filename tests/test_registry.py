@@ -16,51 +16,97 @@ from nfacanon.registry import (
     OneToOneRegistry,
     RegistryContractError,
     ResidualRegistry,
-    UnionFind,
 )
 from nfacanon.simulation import Preorder, compute_similarity, prune
 from oracle import (
     antichain_reference,
     canonical_dfa,
     dfa_from_metastate,
+    identity_preorder,
+    leq,
     random_nfa,
     textbook_subset_construction,
     tv_nfa,
 )
 
 
-class TestUnionFind:
+def _registry_with(states):
+    """A CCL registry with a distinct singleton metastate put for each state."""
+    reg = CCLRegistry()
+    for q in states:
+        reg.put(1 << q, q)
+    return reg
+
+
+class TestFind:
+    """Class roots through ``CCLRegistry.find``: the smallest id of a class."""
+
     def test_smallest_id_is_root(self):
-        uf = UnionFind()
-        uf.union(5, 2)
-        uf.union(2, 9)
-        assert uf.find(5) == uf.find(9) == 2
+        reg = _registry_with([2, 5, 9])
+        reg.unify(5, 2)
+        reg.unify(2, 9)
+        assert reg.find(5) == reg.find(9) == 2
 
     def test_unrelated_ids_stay_apart(self):
-        uf = UnionFind()
-        uf.union(0, 1)
-        assert uf.find(2) == 2
-        assert uf.find(1) == 0
+        reg = _registry_with([0, 1, 2])
+        reg.unify(0, 1)
+        assert reg.find(2) == 2
+        assert reg.find(1) == 0
 
-    def test_find_of_never_unioned_id_writes_nothing(self):
-        uf = UnionFind()
-        assert uf.find(7) == 7
-        uf.union(0, 1)
-        assert uf.find(7) == 7
-        assert uf._parent == {1: 0}
+    def test_find_of_never_put_id_writes_nothing(self):
+        reg = _registry_with([0, 1])
+        assert reg.find(7) == 7
+        reg.unify(0, 1)
+        assert reg.find(7) == 7
+        assert reg._exact == {1: 0, 2: 0}
+        assert reg._put_for == {0: 1, 1: 2}
+        assert reg._class_puts == {0: [1, 2]}
 
-    def test_path_compression_keeps_smallest_root(self):
-        uf = UnionFind()
-        # build the chain 9 -> 7 -> 4 -> 1 one link at a time
-        uf.union(7, 9)
-        uf.union(4, 7)
-        uf.union(1, 4)
-        assert uf._parent == {9: 7, 7: 4, 4: 1}
-        assert uf.find(9) == 1
-        assert uf._parent == {9: 1, 7: 1, 4: 1}
-        uf.union(9, 0)
-        assert [uf.find(x) for x in (0, 1, 4, 7, 9)] == [0] * 5
-        assert 0 not in uf._parent
+    def test_chain_of_merges_keeps_smallest_root(self):
+        reg = _registry_with([0, 1, 4, 7, 9])
+        # merge the chain 9 -> 7 -> 4 -> 1 one link at a time: every exact
+        # entry names the root directly, with no chain to follow
+        reg.unify(7, 9)
+        reg.unify(4, 7)
+        reg.unify(1, 4)
+        assert reg._exact == {1: 0, 2: 1, 16: 1, 128: 1, 512: 1}
+        assert reg.find(9) == 1
+        reg.unify(9, 0)
+        assert [reg.find(x) for x in (0, 1, 4, 7, 9)] == [0] * 5
+        assert set(reg._exact.values()) == {0}
+        assert list(reg._class_puts) == list(reg.lattices) == [0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_merges_match_a_class_model(self, seed):
+        rng = random.Random(seed)
+        reg = CCLRegistry()
+        classes: dict[int, set[int]] = {}  # state -> the ids of its class
+        put_for = {}
+        for step in range(200):
+            if rng.random() < 0.5 or len(put_for) < 2:
+                mask = to_mask([s for s in range(14) if rng.random() < 0.4])
+                if mask in reg._exact:
+                    continue
+                state = rng.choice([step, 1000 - step])  # ids out of put order
+                reg.put(mask, state)
+                put_for[state] = mask
+                classes[state] = {state}
+            else:
+                q1, q2 = rng.sample(sorted(put_for), 2)
+                reg.unify(q1, q2)
+                merged = classes[q1] | classes[q2]
+                for q in merged:
+                    classes[q] = merged
+            for state, mask in put_for.items():
+                assert reg.get(mask) == reg.find(state) == min(classes[state])
+        absorbed = [q for q in put_for if min(classes[q]) != q]
+        assert absorbed
+        for q in absorbed:
+            with pytest.raises(RegistryContractError):
+                reg.put(to_mask([20]), q)
+        for q in (-1, 500, 2000):
+            if q not in put_for:
+                assert reg.find(q) == q
 
 
 class TestOneToOne:
@@ -210,7 +256,7 @@ class TestCCL:
                             assert a & b not in (a, b)
 
     @pytest.mark.parametrize(
-        "make", [CCLRegistry, lambda: CCLSRegistry(Preorder.identity(4))], ids=["ccl", "ccls"]
+        "make", [CCLRegistry, lambda: CCLSRegistry(identity_preorder(4))], ids=["ccl", "ccls"]
     )
     def test_put_to_a_used_state_rejected(self, make):
         reg = make()
@@ -245,7 +291,7 @@ def _strict_preorder():
     """Preorder over 3 states where 1 is strictly below 0."""
     nfa = Nfa(3, 1, [(0, 0, 2), (1, 0, 2), (0, 0, 0)], initial=[0], final=[2])
     p = compute_similarity(nfa)
-    assert p.leq(1, 0) and not p.leq(0, 1)
+    assert leq(p, 1, 0) and not leq(p, 0, 1)
     return p
 
 
@@ -253,7 +299,7 @@ class TestCCLS:
     def test_identity_preorder_matches_ccl(self):
         rng = random.Random(5)
         ccl = CCLRegistry()
-        ccls = CCLSRegistry(Preorder.identity(10))
+        ccls = CCLSRegistry(identity_preorder(10))
         states = []
         for step in range(200):
             mask = to_mask([s for s in range(10) if rng.random() < 0.4])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfacanon import simulation
-from nfacanon.automata import Nfa, enumerate_language, members, reverse, to_mask
+from nfacanon.automata import Nfa, enumerate_language, members, reverse, to_mask, trim
 from nfacanon.generator import GenParams, generate
 from nfacanon.simulation import (
     Preorder,
@@ -19,8 +19,12 @@ from nfacanon.simulation import (
 )
 
 from oracle import (
+    identity_preorder,
+    leq,
     preorder_rows_reference,
+    prune_reference,
     random_nfa,
+    saturate_reference,
     similarity_fixpoint_reference,
     similarity_reference,
     tv_nfa,
@@ -135,7 +139,7 @@ class TestComputeSimilarity:
         nfa = _chain_nfa(6)
         p = compute_similarity(nfa)
         assert _above(p) == similarity_reference(nfa)
-        assert not any(p.leq(i, 7 + i) for i in range(7))
+        assert not any(leq(p, i, 7 + i) for i in range(7))
         assert len(rounds) >= 3  # six rounds drop pairs, the seventh none
 
     @pytest.mark.parametrize(
@@ -171,17 +175,17 @@ class TestComputeSimilarity:
     def test_reflexive(self, ends_in_a):
         p = compute_similarity(ends_in_a)
         for x in range(ends_in_a.num_states):
-            assert p.leq(x, x)
+            assert leq(p, x, x)
 
     def test_extra_edge_dominates(self):
         p = compute_similarity(_strict_pair_nfa())
-        assert p.leq(0, 1)
-        assert not p.leq(1, 0)
+        assert leq(p, 0, 1)
+        assert not leq(p, 1, 0)
 
     def test_final_not_below_nonfinal(self):
         nfa = Nfa(2, 1, [(0, 0, 0), (1, 0, 1)], initial=[0], final=[0])
         p = compute_similarity(nfa)
-        assert not p.leq(0, 1)
+        assert not leq(p, 0, 1)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_implies_language_inclusion(self, seed):
@@ -192,7 +196,7 @@ class TestComputeSimilarity:
         langs = [_lang_from(nfa, 1 << x, depth) for x in range(nfa.num_states)]
         for x in range(nfa.num_states):
             for y in range(nfa.num_states):
-                if p.leq(x, y):
+                if leq(p, x, y):
                     assert langs[x] <= langs[y]
 
     @pytest.mark.parametrize("seed", range(8))
@@ -204,8 +208,39 @@ class TestComputeSimilarity:
         for x in range(n):
             for y in range(n):
                 for z in range(n):
-                    if p.leq(x, y) and p.leq(y, z):
-                        assert p.leq(x, z)
+                    if leq(p, x, y) and leq(p, y, z):
+                        assert leq(p, x, z)
+
+
+def _check_masks(p):
+    """``lowered`` and ``pruners`` hold exactly the states with non-trivial rows."""
+    n = len(p.below)
+    assert p.lowered == to_mask(y for y in range(n) if p.below[y] & ~(1 << y))
+    assert p.pruners == to_mask(y for y in range(n) if p.pruned_by[y])
+
+
+def _random_preorder(rng, n):
+    """Reflexive-transitive closure of about n random pairs."""
+    rel = np.eye(n, dtype=bool)
+    for _ in range(n):
+        rel[rng.randrange(n), rng.randrange(n)] = True
+    for k in range(n):
+        rel |= rel[:, [k]] & rel[k]
+    return Preorder(rel)
+
+
+def _check_against_references(p, rng, draws=40):
+    """Masked ``prune``/``saturate`` equal the loops over every member."""
+    _check_masks(p)
+    n = len(p.below)
+    masks = [0, (1 << n) - 1] + [1 << s for s in range(min(n, 64))]
+    for density in (0.02, 0.2, 0.6):
+        masks += [
+            to_mask(s for s in range(n) if rng.random() < density) for _ in range(draws)
+        ]
+    for mask in masks:
+        assert prune(mask, p) == prune_reference(mask, p), mask
+        assert saturate(mask, p) == saturate_reference(mask, p), mask
 
 
 class TestPreorder:
@@ -219,10 +254,12 @@ class TestPreorder:
             rel |= rel.T & (rng.random((n, n)) < 0.5)
             p = Preorder(rel)
             assert (p.below, p.pruned_by) == preorder_rows_reference(_above(p))
-            assert all(p.leq(x, y) == rel[x, y] for x in range(n) for y in range(n))
-        p = Preorder.identity(n)
+            assert all(leq(p, x, y) == rel[x, y] for x in range(n) for y in range(n))
+            _check_masks(p)
+        p = identity_preorder(n)
         assert p.below == [1 << x for x in range(n)]
         assert p.pruned_by == [0] * n
+        assert p.lowered == p.pruners == 0
 
 
 class TestPruneSaturate:
@@ -235,7 +272,7 @@ class TestPruneSaturate:
         nfa = _strict_pair_nfa()
         p = compute_similarity(nfa)
         # 2 and 3 accept different languages and are incomparable
-        assert not p.leq(2, 3) and not p.leq(3, 2)
+        assert not leq(p, 2, 3) and not leq(p, 3, 2)
         assert prune(to_mask([2, 3]), p) == to_mask([2, 3])
 
     def test_prune_mixed(self):
@@ -249,7 +286,7 @@ class TestPruneSaturate:
         assert saturate(to_mask([1]), p) & to_mask([0, 1]) == to_mask([0, 1])
 
     def test_saturate_identity_preorder_unchanged(self):
-        p = Preorder.identity(4)
+        p = identity_preorder(4)
         mask = to_mask([1, 3])
         assert saturate(mask, p) == mask
         assert prune(mask, p) == mask
@@ -260,26 +297,54 @@ class TestPruneSaturate:
         rng = random.Random(61)
         ties = 0
         for _ in range(300):
-            n = rng.randint(1, 12)
-            rel = np.eye(n, dtype=bool)
-            for _ in range(n):
-                rel[rng.randrange(n), rng.randrange(n)] = True
-            for k in range(n):  # transitive closure
-                rel |= rel[:, [k]] & rel[k]
-            p = Preorder(rel)
-            ties += sum(p.leq(x, y) and p.leq(y, x) for x in range(n) for y in range(x))
+            p = _random_preorder(rng, rng.randint(1, 12))
+            n = len(p.below)
+            ties += sum(leq(p, x, y) and leq(p, y, x) for x in range(n) for y in range(x))
             for _ in range(50):
                 q = [x for x in range(n) if rng.random() < 0.5]
                 expected = [
                     x
                     for x in q
                     if not any(
-                        y != x and p.leq(x, y) and (not p.leq(y, x) or y < x)
+                        y != x and leq(p, x, y) and (not leq(p, y, x) or y < x)
                         for y in q
                     )
                 ]
                 assert prune(to_mask(q), p) == to_mask(expected)
         assert ties > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
+    def test_masked_loops_match_references_on_random_preorders(self, n):
+        rng = random.Random(7000 + n)
+        for _ in range(5):
+            _check_against_references(_random_preorder(rng, n), rng)
+
+    @pytest.mark.parametrize("n", [1, 9, 65])
+    def test_masked_loops_match_references_on_identity(self, n):
+        _check_against_references(identity_preorder(n), random.Random(n))
+
+    @pytest.mark.parametrize(
+        "params",
+        [GenParams(150, 2.0, 1), GenParams(600, 2.0, 2), GenParams(100, 4.0, 3)],
+        ids=["n150-d2", "n600-d2", "n100-d4"],
+    )
+    def test_masked_loops_match_references_on_generated(self, params):
+        # the preorders the -s pipelines use: the quotient's induced one,
+        # and the similarity of the reversed quotient (brz-s); untrimmed,
+        # dead states make nearly every row non-trivial, trimmed only a few
+        rng = random.Random(params.seed)
+        for nfa in (generate(params), trim(generate(params))):
+            q, induced = simulation_quotient(nfa, compute_similarity(nfa))
+            for p in (compute_similarity(nfa), induced, compute_similarity(reverse(q))):
+                _check_against_references(p, rng, draws=15)
+
+    def test_masked_loops_match_references_on_tv(self):
+        rng = random.Random(17)
+        for _ in range(10):
+            nfa = tv_nfa(rng, 32, 1.25, 0.5)
+            q, induced = simulation_quotient(nfa, compute_similarity(nfa))
+            for p in (induced, compute_similarity(reverse(q))):
+                _check_against_references(p, rng, draws=10)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_normalization_properties(self, seed):
@@ -324,8 +389,6 @@ class TestSimulationQuotient:
     @pytest.mark.parametrize("seed", range(6))
     def test_modular_generator_yields_identity(self, seed):
         # modular-structure instances show no similarity once dead states are trimmed
-        from nfacanon.automata import trim
-
         nfa = trim(generate(GenParams(n=30, density=8.0, seed=seed)))
         p = compute_similarity(nfa)
         q, _ = simulation_quotient(nfa, p)

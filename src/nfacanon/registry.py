@@ -32,14 +32,33 @@ Four implementations are provided:
 * ``CCLSRegistry`` -- CCL with a similarity preorder used to prune/saturate
   metastates, widening lattices without any ``unify`` calls.
 
-The CCL and CCLS cover test runs on an index with one bit per lattice: per
-NFA state, one Python int holds the bits of the lattices whose greatest
-element contains it.  A query ANDs the ints of its members, so a miss
-usually stops after a few of them, then tests the minimals of the lattices
-left in bit order.  Bit order is insertion order (at a put, or when
-``unify`` joins two lattices), so the first hit is the earliest-inserted
-covering lattice.  Point lattices (a single minimal equal to the greatest
-element) only cover exact hits, so they get no bit.
+Each lattice is kept in one of three ways.  Let the preorder be reflexive and transitive (for CCL it is the
+identity) and ``prune`` keep, with its tie-break, a dominating member for
+every member it drops.  Lemma: the lattice ``[prune(m), saturate(m)]`` of a
+single put m, never merged, covers a pruned query p iff p == prune(m).
+(Each x in p lies below some y in m, y below some z in prune(m), which is a
+subset of p; p is an antichain under the tie-break, so x == z.)  Hence:
+
+* a *point* lattice (one minimal, equal to the greatest element) covers
+  only the metastate m put for it: a query q covered by it has
+  prune(q) == m, and q lies below saturate(prune(q)) == m.  The exact map
+  answers m first, so a point is kept nowhere else.  Every CCL lattice of
+  a single put is a point;
+* an *unmerged* CCLS lattice that is not a point is keyed by its pruned
+  minimal in a dict, provided no live lattice covered that minimal when it
+  was put (after the engine's miss, always);
+* every other lattice -- a merged one, or one whose minimal was already
+  covered when it was put -- goes to the cover index.  It has one bit per
+  lattice: per NFA state, one Python int holds the bits of the lattices
+  whose greatest element contains it.  A query ANDs the ints of its
+  members, so a miss usually stops after a few of them, then tests the
+  minimals of the lattices left in bit order.  Bit order is insertion
+  order (at a put, or when ``unify`` joins two lattices).
+
+A lookup that misses the exact map tries the dict, then the index.  Both
+answer with the earliest-inserted covering lattice: a dict entry covers
+its key and no lattice inserted before it does, and an index hit is the
+first in bit order, while no dict entry covers the query.
 """
 
 from __future__ import annotations
@@ -90,8 +109,12 @@ class Lattice:
 
 
 class _CoverIndex:
-    """Greatest-element slices over the lattices of a CCL registry.
+    """Greatest-element slices over the indexed lattices of a CCL registry.
 
+    It holds the merged lattices, and the rare unmerged one whose minimal a
+    live lattice already covered when it was put.  Points and the other
+    unmerged lattices need no index: by the lemma of the module docstring
+    they cover only the pruned queries equal to their minimal.
     ``rows[b]`` is the lattice that took bit ``b``, ``in_greatest[s]`` holds
     the bits of the lattices whose greatest element contains NFA state
     ``s``, and ``live`` the bits in use.  A lattice keeps its bit from
@@ -106,17 +129,6 @@ class _CoverIndex:
 
     def insert(self, lat: Lattice) -> None:
         """Index a lattice that takes the last place in insertion order."""
-        if lat.minimals == [lat.greatest]:
-            # A point lattice covers nothing but exact hits, so it needs no
-            # bit.  CCL: m <= q <= m forces q == m, a metastate that was put.
-            # CCLS: every metastate x put in the class has
-            # m <= prune(x) <= x <= saturate(x) <= m, so x == m and
-            # prune(m) == saturate(m) == m.  Covering prune(q) forces
-            # prune(q) == m, and since prune only drops members dominated by
-            # a kept one, q <= saturate(prune(q)) == m <= q: again q == m.
-            # The exact map answers those before the index is asked.
-            lat.bit = 0
-            return
         bit = 1 << len(self.rows)
         self.in_greatest += [0] * (lat.greatest.bit_length() - len(self.in_greatest))
         in_greatest = self.in_greatest
@@ -256,15 +268,20 @@ class CCLRegistry(OneToOneRegistry):
     """Convexity-closure-lattice registry, the one that merges states.
 
     The exact map names class roots, so an exact hit is one dict lookup.
-    Each class keeps the list of the metastates put for its states;
-    ``unify`` points the exact entries of the absorbed class at the new
-    root and joins the two lattices, which are keyed by class root.
+    A class that has been unified keeps the list of the metastates put for
+    its states (a class of one state has only the one its state was put
+    for); ``unify`` points the exact entries of the absorbed class at the
+    new root and joins the two lattices, which are keyed by class root.
     ``find`` reads a state's root through the metastate it was put for.
-    Anything that misses the exact map goes to the cover index: a cover
-    lookup returns the first covering lattice in insertion order (most
-    recently merged last), answered by a bit-sliced index rather than a
-    scan.  Setting ``cover_hits`` to a list records every non-exact hit as
-    a (queried metastate, returned state) pair.
+    The lattice of a put is a point, so anything that misses the exact map
+    goes to the cover index, which holds the merged lattices: a cover lookup
+    returns the first covering lattice in insertion order (most recently
+    merged last), answered by a bit-sliced index rather than a scan.
+    ``unify`` takes both lattices out of the index or out of the
+    ``_unmerged`` dict (which only ``CCLSRegistry`` fills), and indexes the
+    joined one.
+    Setting ``cover_hits`` to a list records every non-exact hit as a
+    (queried metastate, returned state) pair.
     """
 
     def __init__(self):
@@ -272,15 +289,18 @@ class CCLRegistry(OneToOneRegistry):
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
+        # pruned minimal -> unmerged non-point lattice; stays empty for CCL
+        self._unmerged: dict[int, Lattice] = {}
         self._put_for: dict[int, int] = {}  # state -> the metastate put for it
-        self._class_puts: dict[int, list[int]] = {}  # root -> its put metastates
+        # root of a unified class -> its put metastates
+        self._class_puts: dict[int, list[int]] = {}
 
     def get(self, mask: int) -> Optional[int]:
         state = self._exact.get(mask)
         return self._cover(mask) if state is None else state
 
     def put(self, mask: int, state: int) -> None:
-        self._put(mask, state, mask, mask)
+        self._put(mask, state, mask, mask)  # a point: indexed nowhere
 
     def find(self, state: int) -> int:
         mask = self._put_for.get(state)
@@ -291,30 +311,34 @@ class CCLRegistry(OneToOneRegistry):
         if r1 == r2:
             return
         root, gone = (r1, r2) if r1 < r2 else (r2, r1)
-        moved = self._class_puts.pop(gone)
+        puts, put_for = self._class_puts, self._put_for
+        moved = puts.pop(gone, None) or [put_for[gone]]
         exact = self._exact
         for mask in moved:
             exact[mask] = root
-        self._class_puts[root] += moved
+        puts.setdefault(root, [put_for[root]]).extend(moved)
         # every put state has a lattice, re-keyed under its class's root
         merged = self.lattices.pop(r1)
         other = self.lattices.pop(r2)
-        self._index.discard(merged)
-        self._index.discard(other)
+        for lat in (merged, other):
+            key = lat.minimals[0]
+            if self._unmerged.get(key) is lat:
+                del self._unmerged[key]
+            self._index.discard(lat)
         merged.absorb(other.greatest, other.minimals)
         merged.rep = root
         self.lattices[root] = merged
         self._index.insert(merged)
 
-    def _put(self, mask: int, state: int, greatest: int, minimal: int) -> None:
+    def _put(self, mask: int, state: int, greatest: int, minimal: int) -> Lattice:
+        """Map ``mask`` to ``state`` and give it a lattice, not yet indexed."""
         if state in self._put_for:
             raise RegistryContractError(f"state {state} is not fresh, refusing metastate {mask}")
         super().put(mask, state)
         self._put_for[state] = mask
-        self._class_puts[state] = [mask]
         lat = Lattice(state, greatest, [minimal])
         self.lattices[state] = lat
-        self._index.insert(lat)
+        return lat
 
     def _cover(self, mask: int) -> Optional[int]:
         """State of a metastate that is not a key of the exact map."""
@@ -331,27 +355,53 @@ class CCLRegistry(OneToOneRegistry):
 class CCLSRegistry(CCLRegistry):
     """CCL refined by a similarity preorder on the input NFA.
 
-    ``put`` stores a lattice spanning from the pruned to the saturated form
-    of the metastate; a lookup that misses the exact map prunes the query
-    before the cover test, and a ``put`` of that same metastate reuses the
-    pruned form, so each new metastate is pruned once.
+    The preorder must be reflexive and transitive.  ``put`` stores a
+    lattice spanning from the pruned to the saturated form of the
+    metastate, in the ``_unmerged`` dict or the cover index as the module
+    docstring says: by its lemma, a lattice that was never merged covers
+    exactly the pruned queries equal to its minimal.  A lookup that misses the exact map prunes the query,
+    then tries the dict and the index.  A ``put`` right after the miss of
+    the same metastate reuses its pruned form and its miss, so each new
+    metastate is pruned once.
     """
 
     def __init__(self, preorder: Preorder):
         super().__init__()
         self.preorder = preorder
-        # (metastate, its pruned form) of the last lookup that missed the
-        # exact map: the engine puts a metastate right after such a miss
-        self._last_pruned = (-1, 0)
+        # (metastate, its pruned form) of the last lookup that no lattice
+        # covered, until the next put or unify: the engine puts a metastate
+        # right after such a miss
+        self._last_miss = (-1, 0)
 
     def put(self, mask: int, state: int) -> None:
-        last, pruned = self._last_pruned
-        if last != mask:
+        last, pruned = self._last_miss
+        self._last_miss = (-1, 0)
+        if last == mask:
+            covered = False
+        else:
             pruned = prune(mask, self.preorder)
+            covered = self._lookup(pruned) is not None
         saturated = saturate(mask, self.preorder)
-        self._put(mask, state, saturated, pruned)
+        lat = self._put(mask, state, saturated, pruned)
+        if pruned == saturated:
+            return  # a point: only its exact hit
+        if covered:
+            self._index.insert(lat)
+        else:
+            self._unmerged[pruned] = lat
+
+    def unify(self, q1: int, q2: int) -> None:
+        self._last_miss = (-1, 0)  # the joined lattice may cover it
+        super().unify(q1, q2)
+
+    def _lookup(self, pruned: int) -> Optional[int]:
+        """Representative of the earliest-inserted lattice covering ``pruned``."""
+        lat = self._unmerged.get(pruned)
+        return self._index.find(pruned) if lat is None else lat.rep
 
     def _cover(self, mask: int) -> Optional[int]:
         pruned = prune(mask, self.preorder)
-        self._last_pruned = (mask, pruned)
-        return self._hit(mask, self._index.find(pruned))
+        rep = self._lookup(pruned)
+        if rep is None:
+            self._last_miss = (mask, pruned)
+        return self._hit(mask, rep)

@@ -14,15 +14,18 @@ from .automata import Nfa
 
 
 class Preorder:
-    """Reflexive boolean relation over NFA states, with per-state bitmask rows.
+    """Preorder over NFA states, with per-state bitmask rows.
 
     ``rel[x, y]`` is the relation as a boolean matrix; the rows are packed
     from it for the bit loops of ``prune`` and ``saturate``, which read
     only the members whose row is not trivial: ``lowered`` holds the states
     whose ``below`` row has a bit besides their own, ``pruners`` those whose
-    ``pruned_by`` row is not empty.  ``saturate`` counts on every other
-    state's ``below`` row being the state alone, so ``rel`` must be
-    reflexive.
+    ``pruned_by`` row is not empty.  ``rel`` must be reflexive and
+    transitive.  ``saturate`` counts on every other state's ``below`` row
+    being the state alone, and ``prune`` keeps a member that dominates each
+    member it drops only when ``rel`` is transitive, which the CCLS
+    registry's lattices rely on.  ``compute_similarity`` and
+    ``simulation_quotient`` return such relations.
     """
 
     __slots__ = ("rel", "below", "pruned_by", "lowered", "pruners")

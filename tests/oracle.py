@@ -13,6 +13,8 @@ earlier pairwise antichain filter that ``Lattice.absorb`` must match.
 ``prune_reference`` and ``saturate_reference`` are the earlier loops over
 every member that the masked ``prune`` and ``saturate`` must match.
 ``leq`` and ``identity_preorder`` read and build ``Preorder`` relations.
+``LinearScanCCLSRegistry`` is a CCLS registry that answers every lookup by
+scanning all of its lattices in insertion order.
 """
 
 from __future__ import annotations
@@ -269,6 +271,58 @@ def saturate_reference(metastate: int, p: Preorder) -> int:
         m ^= low
         out |= p.below[low.bit_length() - 1]
     return out
+
+
+class LinearScanCCLSRegistry:
+    """CCLS registry answering each lookup by a scan of every lattice.
+
+    A lattice is a ``[class root, greatest, minimals]`` list, kept in
+    insertion order.  A put appends ``[state, saturate(m), [prune(m)]]``;
+    ``unify`` removes the two classes' lattices and appends their join,
+    rooted at the smaller root.  A lookup of a metastate that was put
+    returns its state's root; any other returns the root of the first
+    lattice covering its pruned form, or ``None``.  Setting ``cover_hits``
+    to a list records the non-exact hits, as ``CCLSRegistry`` does.
+    """
+
+    def __init__(self, preorder: Preorder):
+        self.preorder = preorder
+        self.exact: dict[int, int] = {}
+        self.parent: dict[int, int] = {}  # absorbed root -> the root absorbing it
+        self.lattices: list[list] = []
+        self.cover_hits: list[tuple[int, int]] | None = None
+
+    def find(self, state: int) -> int:
+        while state in self.parent:
+            state = self.parent[state]
+        return state
+
+    def get(self, mask: int) -> int | None:
+        if mask in self.exact:
+            return self.find(self.exact[mask])
+        query = prune_reference(mask, self.preorder)
+        for root, greatest, minimals in self.lattices:
+            if query | greatest == greatest and any(m & query == m for m in minimals):
+                if self.cover_hits is not None:
+                    self.cover_hits.append((mask, root))
+                return root
+        return None
+
+    def put(self, mask: int, state: int) -> None:
+        assert mask not in self.exact
+        p = self.preorder
+        self.exact[mask] = state
+        self.lattices.append([state, saturate_reference(mask, p), [prune_reference(mask, p)]])
+
+    def unify(self, q1: int, q2: int) -> None:
+        r1, r2 = self.find(q1), self.find(q2)
+        if r1 == r2:
+            return
+        root, gone = min(r1, r2), max(r1, r2)
+        self.parent[gone] = root
+        (_, g1, m1), (_, g2, m2) = [lat for lat in self.lattices if lat[0] in (r1, r2)]
+        self.lattices = [lat for lat in self.lattices if lat[0] not in (r1, r2)]
+        self.lattices.append([root, g1 | g2, antichain_reference(m1 + m2)])
 
 
 def minimize_reference(dfa: Dfa, sig: list[int]) -> tuple[Dfa, list[tuple[int, int]]]:

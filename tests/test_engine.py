@@ -29,6 +29,7 @@ from nfacanon.registry import CCLRegistry, CCLSRegistry, OneToOneRegistry
 from nfacanon.simulation import compute_similarity
 
 from oracle import (
+    LinearScanCCLSRegistry,
     blowup_nfa,
     canonical_dfa,
     random_nfa,
@@ -170,6 +171,38 @@ class TestOtfDeterminize:
                 reg = _counting(cls)(*args)
                 res = otf_determinize(nfa, reg, controller)
                 assert reg.gets == nfa.alphabet_size * res.explored_count
+
+    @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
+    def test_ccls_matches_linear_scan_registry(self, family):
+        # the exact map, the dict of unmerged lattices and the cover index
+        # answer every lookup as a scan of all lattices in insertion order
+        # does; the reversed inputs prune by a preorder with ties, as brz-s
+        rng = random.Random(77)
+        if family == "tv":
+            inputs = [tv_nfa(rng, n, 1.25, 0.5) for n in (10, 16, 16, 24)]
+        elif family == "random":
+            inputs = [random_nfa(rng, rng.randint(3, 9), 2) for _ in range(8)]
+        else:
+            inputs = [blowup_nfa(4), blowup_nfa(7)]
+        hits = 0
+        for nfa in inputs:
+            for work in (nfa, reverse(nfa)):
+                p = compute_similarity(work)
+                for interval in (None, 2):
+                    runs = []
+                    for reg in (CCLSRegistry(p), LinearScanCCLSRegistry(p)):
+                        reg.cover_hits = []
+                        controller = interval and Threshold(interval, max_increase=0)
+                        res = otf_determinize(work, reg, controller)
+                        d = res.dfa
+                        runs.append((
+                            (d.num_states, sorted(d.final), [list(r) for r in d.trans]),
+                            (res.ids, res.metastates, res.explored_count, res.peak_states),
+                            (res.minimizations, res.sizes_after_min, reg.cover_hits),
+                        ))
+                    assert runs[0] == runs[1]
+                    hits += len(reg.cover_hits)
+        assert hits > 0 or family == "blowup"
 
     @pytest.mark.parametrize("seed", range(5))
     def test_only_explored_states_are_unified(self, explored_masks, seed):

@@ -17,7 +17,7 @@ from nfacanon.registry import (
     RegistryContractError,
     ResidualRegistry,
 )
-from nfacanon.simulation import Preorder, compute_similarity, prune
+from nfacanon.simulation import Preorder, compute_similarity, prune, saturate
 from oracle import (
     antichain_reference,
     canonical_dfa,
@@ -339,6 +339,75 @@ class TestCCLS:
         reg = CCLSRegistry(_strict_preorder())
         assert reg.get(to_mask([2])) is None
 
+    def test_covered_minimal_goes_to_the_index(self):
+        reg = CCLSRegistry(_strict_preorder())
+        reg.put(to_mask([0]), 1)  # [{0}, {0, 1}]: uncovered, keyed by {0}
+        reg.put(to_mask([0, 1]), 2)  # prunes to {0}, which lattice 1 covers
+        lat1, lat2 = reg.lattices[1], reg.lattices[2]
+        assert lat2.minimals == [to_mask([0])]
+        assert reg._unmerged == {to_mask([0]): lat1}
+        assert reg._index.rows == [lat2] and reg._index.live == 1
+        reg.put(to_mask([2]), 3)  # a point
+        reg.unify(2, 3)  # takes lattice 2 out of the index, not lattice 1's key
+        assert reg._unmerged == {to_mask([0]): lat1}
+        assert reg.lattices[2] is lat2  # joined with the point, re-inserted
+        assert reg._index.rows == [lat2] and reg._index.live == 1
+        assert reg.get(to_mask([0, 1])) == 2
+
+    def test_miss_is_not_reused_after_unify(self):
+        reg = CCLSRegistry(_strict_preorder())
+        reg.cover_hits = []
+        reg.put(to_mask([0]), 0)
+        reg.put(to_mask([2]), 1)
+        q = to_mask([0, 2])
+        assert reg.get(q) is None
+        reg.unify(0, 1)  # the joined lattice {0} | {2} .. {0, 1, 2} covers q
+        reg.put(q, 2)
+        # q's lattice went to the index, so a query pruning to q still
+        # finds the earlier, merged lattice
+        assert reg._unmerged == {}
+        assert reg.get(to_mask([0, 1, 2])) == 0
+        assert reg.cover_hits == [(to_mask([0, 1, 2]), 0)]
+
+
+def _random_relation_preorder(n, pairs, mutual):
+    """Reflexive-transitive closure of ``pairs`` plus both directions of ``mutual``."""
+    rel = np.eye(n, dtype=bool)
+    for x, y in pairs:
+        rel[x, y] = True
+    for x, y in mutual:
+        rel[x, y] = rel[y, x] = True
+    for k in range(n):
+        rel |= rel[:, [k]] & rel[k]
+    return Preorder(rel)
+
+
+@st.composite
+def _preorder_and_masks(draw):
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    p = _random_relation_preorder(
+        n, draw(st.lists(pair, max_size=2 * n)), draw(st.lists(pair, max_size=3))
+    )
+    m = draw(st.integers(0, (1 << n) - 1))
+    q = draw(st.integers(0, (1 << n) - 1))
+    if draw(st.booleans()):
+        q = m | q & saturate(m, p)  # a metastate between m and saturate(m)
+    return p, m, q
+
+
+class TestUnmergedLattice:
+    """The lemma behind the ``_unmerged`` dict of ``CCLSRegistry``."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(case=_preorder_and_masks())
+    def test_covers_a_pruned_query_iff_same_pruned_form(self, case):
+        # preorders with mutually similar states included: brz-s prunes by
+        # the similarity of the reversed quotient, which is not antisymmetric
+        p, m, q = case
+        lat = Lattice(0, saturate(m, p), [prune(m, p)])
+        assert lat.covers(prune(q, p)) == (prune(q, p) == prune(m, p))
+
 
 _antichains = st.lists(st.one_of(st.just(0), st.integers(1, 63)), max_size=8).map(
     antichain_reference
@@ -511,15 +580,25 @@ def _run_ops(reg, rng, positions, steps):
             _checked_get(reg, draw_mask())
     for mask in list(reg._exact):
         _checked_get(reg, mask)
-    # the index's live rows are the non-point lattices, in the dict's order,
-    # each keyed by its own representative, which is a class root
+    # the index's live rows are the lattices that are neither points nor
+    # entries of the unmerged dict, in the dict's order, each keyed by its
+    # own representative, which is a class root
     index = reg._index
     live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
     lattices = list(reg.lattices.values())
-    assert live_rows == [lat for lat in lattices if lat.minimals != [lat.greatest]]
+    unmerged = {id(lat) for lat in reg._unmerged.values()}
+    points = [lat for lat in lattices if lat.minimals == [lat.greatest]]
+    assert live_rows == [
+        lat for lat in lattices if lat.minimals != [lat.greatest] and id(lat) not in unmerged
+    ]
     for lat in live_rows:
         assert reg.lattices[lat.rep] is lat and reg.find(lat.rep) == lat.rep
-    assert all(lat.bit == 0 for lat in lattices if lat.minimals == [lat.greatest])
+    # each dict entry is the live, never merged lattice of one put, keyed by
+    # its one minimal
+    for key, lat in reg._unmerged.items():
+        assert lat.minimals == [key] and key != lat.greatest and lat.bit == 0
+        assert reg.lattices[lat.rep] is lat and lat.rep not in reg._class_puts
+    assert all(lat.bit == 0 for lat in points)
 
 
 _positions = st.tuples(
@@ -578,9 +657,13 @@ class TestCoverIndex:
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([2]), 0)  # prune == saturate: a point
+        assert reg._index.rows == [] and reg._unmerged == {}
+        reg.put(to_mask([0]), 1)  # saturates to {0, 1}: keyed by {0}
         assert reg._index.rows == []
-        reg.put(to_mask([0]), 1)  # saturates to {0, 1}: indexed
-        assert reg._index.live.bit_count() == 1
+        assert reg._unmerged == {to_mask([0]): reg.lattices[1]}
+        reg.unify(0, 1)  # the merged lattice is indexed
+        assert reg._unmerged == {}
+        assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
 
     def test_empty_minimal_covers_everything_below_greatest(self):
         reg = CCLRegistry()

@@ -199,6 +199,18 @@ class TestComputeSimilarity:
                 if leq(p, x, y):
                     assert langs[x] <= langs[y]
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(nfa=_nfas())
+    def test_similarity_and_quotient_preorders_are_preorders(self, nfa):
+        # CCLS's registry relies on it: prune must keep a dominator of every
+        # member it drops.  The reversed quotient is what brz-s prunes by.
+        for work in (nfa, reverse(nfa)):
+            p = compute_similarity(work)
+            _assert_preorder(p.rel)
+            q, induced = simulation_quotient(work, p)
+            _assert_preorder(induced.rel)
+            _assert_preorder(compute_similarity(reverse(q)).rel)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_transitive(self, seed):
         rng = random.Random(50 + seed)
@@ -210,6 +222,13 @@ class TestComputeSimilarity:
                 for z in range(n):
                     if leq(p, x, y) and leq(p, y, z):
                         assert leq(p, x, z)
+
+
+def _assert_preorder(rel):
+    """``rel`` is reflexive, and x <= y <= z implies x <= z."""
+    assert rel.diagonal().all()
+    m = rel.astype(np.int64)
+    assert not (m @ m > 0)[~rel].any()
 
 
 def _check_masks(p):

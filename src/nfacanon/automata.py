@@ -1,18 +1,24 @@
 """Core automaton representations and exact language oracles.
 
 NFA states are integers ``0..num_states-1`` and symbols are integers
-``0..alphabet_size-1``.  Metastates (sets of NFA states) are represented as
-integer bitmasks throughout the hot paths; :func:`to_mask` / :func:`members`
-convert between masks and explicit state collections.  Subset construction
-asks an ``Nfa`` for every per-symbol successor of a metastate
-(``Nfa.successors``); every determinization, both Brzozowski passes
-included, runs on an ``Nfa``.
+``0..alphabet_size-1``.  An ``Nfa`` keeps its transitions in two views: edge
+arrays, every transition once in (symbol, source, target) order, which
+trimming, reversal and the quotients read and produce whole; and
+per-state, per-symbol successor bitmasks, which subset construction reads.
+Metastates (sets of NFA states) are integer bitmasks throughout the hot
+paths; :func:`to_mask` / :func:`members` convert between masks and explicit
+state collections.  Subset construction asks an ``Nfa`` for every
+per-symbol successor of a metastate (``Nfa.successors``); every
+determinization, both Brzozowski passes included, runs on an ``Nfa``.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 Word = tuple[int, ...]
 
@@ -38,18 +44,53 @@ def members(mask: int) -> tuple[int, ...]:
 
 
 class Nfa:
-    """A nondeterministic finite automaton without epsilon transitions."""
+    """A nondeterministic finite automaton without epsilon transitions.
 
-    __slots__ = ("num_states", "alphabet_size", "initial", "final", "_succ")
+    ``transitions`` is any iterable of ``(src, symbol, dst)`` triples or an
+    ``(m, 3)`` integer array; duplicates are dropped.  The automaton keeps
+    two views of them.  ``edge_arrays()`` gives the read-only ``src``,
+    ``sym`` and ``dst`` integer arrays, every transition once, sorted by
+    symbol, source, target; trimming, reversal and the quotients work on
+    these.  ``_succ[s][a]``, built from them, is the bitmask of the targets
+    of ``s`` on ``a``; ``successors`` reads it for subset construction.
+    """
+
+    __slots__ = ("num_states", "alphabet_size", "initial", "final", "_edges", "_succ")
 
     def __init__(
         self,
         num_states: int,
         alphabet_size: int,
-        transitions: Iterable[tuple[int, int, int]],
+        transitions: Iterable[tuple[int, int, int]] | np.ndarray,
         initial: Iterable[int],
         final: Iterable[int],
     ):
+        self._set_states(num_states, alphabet_size, initial, final)
+        self._set_edges(*_sorted_columns(transitions, num_states, alphabet_size))
+
+    @classmethod
+    def _ordered(
+        cls,
+        num_states: int,
+        alphabet_size: int,
+        src: np.ndarray,
+        sym: np.ndarray,
+        dst: np.ndarray,
+        initial: Iterable[int],
+        final: Iterable[int],
+    ) -> Nfa:
+        """An ``Nfa`` from edge arrays already in range, unique and in order.
+
+        For producers that derive their edges from another ``Nfa``'s in
+        (symbol, source, target) order: the arrays are made read-only and
+        kept, not copied, checked or sorted.
+        """
+        nfa = cls.__new__(cls)
+        nfa._set_states(num_states, alphabet_size, initial, final)
+        nfa._set_edges(src, sym, dst)
+        return nfa
+
+    def _set_states(self, num_states, alphabet_size, initial, final) -> None:
         if num_states < 1:
             raise ValueError("num_states must be >= 1")
         if alphabet_size < 1:
@@ -61,14 +102,16 @@ class Nfa:
         for s in self.initial | self.final:
             if not 0 <= s < num_states:
                 raise ValueError(f"state {s} out of range")
+
+    def _set_edges(self, src: np.ndarray, sym: np.ndarray, dst: np.ndarray) -> None:
+        for column in (src, sym, dst):
+            column.flags.writeable = False
+        self._edges = (src, sym, dst)
         # _succ[s][a] = bitmask of successors of s on symbol a
-        self._succ = [[0] * alphabet_size for _ in range(num_states)]
-        for (src, sym, dst) in transitions:
-            if not 0 <= src < num_states or not 0 <= dst < num_states:
-                raise ValueError(f"transition ({src},{sym},{dst}) out of range")
-            if not 0 <= sym < alphabet_size:
-                raise ValueError(f"symbol {sym} out of range")
-            self._succ[src][sym] |= 1 << dst
+        succ = [[0] * self.alphabet_size for _ in range(self.num_states)]
+        for s, a, t in zip(src.tolist(), sym.tolist(), dst.tolist()):
+            succ[s][a] |= 1 << t
+        self._succ = succ
 
     @property
     def initial_mask(self) -> int:
@@ -106,17 +149,20 @@ class Nfa:
                 out[a] = v
         return out
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only ``src``, ``sym`` and ``dst`` arrays of the transitions.
+
+        Each transition appears once; they run by symbol, source, target.
+        """
+        return self._edges
+
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Every transition ``(src, symbol, dst)``, by symbol, source, target."""
-        for a, column in enumerate(zip(*self._succ)):
-            for s, mask in enumerate(column):
-                while mask:  # inlined: most masks are empty
-                    low = mask & -mask
-                    yield (s, a, low.bit_length() - 1)
-                    mask ^= low
+        src, sym, dst = self._edges
+        return zip(src.tolist(), sym.tolist(), dst.tolist())
 
     def num_transitions(self) -> int:
-        return sum(m.bit_count() for row in self._succ for m in row)
+        return len(self._edges[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Nfa):
@@ -126,7 +172,7 @@ class Nfa:
             and self.alphabet_size == other.alphabet_size
             and self.initial == other.initial
             and self.final == other.final
-            and self._succ == other._succ
+            and all(map(np.array_equal, self._edges, other._edges))
         )
 
     def __repr__(self) -> str:
@@ -134,6 +180,51 @@ class Nfa:
             f"Nfa(states={self.num_states}, symbols={self.alphabet_size}, "
             f"transitions={self.num_transitions()})"
         )
+
+
+def _sorted_columns(transitions, num_states: int, alphabet_size: int):
+    """The distinct ``transitions`` as ``src``, ``sym``, ``dst`` arrays, in edge order.
+
+    The first transition out of range, in the given order, names the error.
+    """
+    if not isinstance(transitions, np.ndarray):
+        triples = list(transitions)
+        if set(map(len, triples)) - {3}:
+            raise ValueError("transitions must be (src, symbol, dst) triples")
+        # a flat list converts several times faster than a list of tuples
+        transitions = np.array(list(chain.from_iterable(triples))).reshape(-1, 3)
+    if transitions.size and (transitions.ndim != 2 or transitions.shape[1] != 3):
+        raise ValueError("transitions must be (src, symbol, dst) triples")
+    if transitions.size and transitions.dtype.kind not in "biu":
+        raise TypeError("transitions must be integers")
+    edges = transitions.astype(np.int64, copy=False).reshape(-1, 3)
+    src, sym, dst = edges.T
+    shape = (alphabet_size, num_states, num_states)
+    try:
+        keys = np.ravel_multi_index((sym, src, dst), shape)
+    except ValueError:
+        bad_state = (src < 0) | (src >= num_states) | (dst < 0) | (dst >= num_states)
+        first = int(np.argmax(bad_state | (sym < 0) | (sym >= alphabet_size)))
+        s, a, t = edges[first].tolist()
+        if bad_state[first]:
+            raise ValueError(f"transition ({s},{a},{t}) out of range") from None
+        raise ValueError(f"symbol {a} out of range") from None
+    sym, src, dst = np.unravel_index(sorted_distinct(keys), shape)
+    return src, sym, dst
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of ``keys``, ascending; sorts ``keys`` in place.
+
+    A sort and a mask.  ``np.unique`` without ``return_inverse`` or
+    ``return_index`` hashes first, and is ten times slower on a thousand
+    keys.
+    """
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 class Dfa:
@@ -221,8 +312,14 @@ def accepts(nfa: Nfa, word: Word) -> bool:
 
 def reverse(nfa: Nfa) -> Nfa:
     """Flip every transition and swap initial/final state sets."""
-    edges = [(t, a, s) for (s, a, t) in nfa.edges()]
-    return Nfa(nfa.num_states, nfa.alphabet_size, edges, nfa.final, nfa.initial)
+    src, sym, dst = nfa.edge_arrays()
+    # a stable sort by (symbol, target) keeps the sources ascending within
+    # each, so the flipped edges come out in (symbol, source, target) order
+    order = np.argsort(sym * nfa.num_states + dst, kind="stable")
+    return Nfa._ordered(
+        nfa.num_states, nfa.alphabet_size, dst[order], sym[order], src[order],
+        nfa.final, nfa.initial,
+    )
 
 
 EMPTY_LANGUAGE_STATES = 1
@@ -235,40 +332,63 @@ def trim(nfa: Nfa) -> Nfa:
     survives, a canonical one-state automaton with no transitions and no final
     states is returned.
     """
-    edges = list(nfa.edges())
-    succ = [0] * nfa.num_states
-    pred = [0] * nfa.num_states
-    for (s, _, t) in edges:
-        succ[s] |= 1 << t
-        pred[t] |= 1 << s
-    keep = members(_closure(nfa.initial_mask, succ) & _closure(nfa.final_mask, pred))
-    if not keep:
+    src, sym, dst = nfa.edge_arrays()
+    n = nfa.num_states
+    keep = _reachable(nfa.initial, src, dst, n) & _reachable(nfa.final, dst, src, n)
+    if not keep.any():
         return Nfa(EMPTY_LANGUAGE_STATES, nfa.alphabet_size, [], [0], [])
-    remap = {s: i for i, s in enumerate(keep)}
-    edges = [
-        (remap[s], a, remap[t])
-        for (s, a, t) in edges
-        if s in remap and t in remap
-    ]
-    return Nfa(
-        len(keep),
+    # the renumbering is increasing, so the kept edges stay in order
+    new_id = np.where(keep, np.cumsum(keep) - 1, UNDEFINED)
+    kept = np.flatnonzero(keep[src] & keep[dst])
+    ids = new_id.tolist()
+    return Nfa._ordered(
+        int(np.count_nonzero(keep)),
         nfa.alphabet_size,
-        edges,
-        [remap[s] for s in nfa.initial if s in remap],
-        [remap[s] for s in nfa.final if s in remap],
+        new_id[src[kept]],
+        sym[kept],
+        new_id[dst[kept]],
+        [ids[s] for s in nfa.initial if ids[s] != UNDEFINED],
+        [ids[s] for s in nfa.final if ids[s] != UNDEFINED],
     )
 
 
-def _closure(seed: int, adj: list[int]) -> int:
-    """Mask of the states reachable from ``seed`` along ``adj[s]`` masks."""
-    seen = frontier = seed
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adj[low.bit_length() - 1] & ~seen
-        seen |= new
-        frontier |= new
-    return seen
+def _reachable(seeds: Iterable[int], heads: np.ndarray, tails: np.ndarray, n: int) -> np.ndarray:
+    """Flags of the states reachable from ``seeds`` along ``heads[i] -> tails[i]``.
+
+    Each round adds the tails of every edge whose head is already reached,
+    until a round adds none.
+    """
+    seen = np.zeros(n, dtype=bool)
+    seen[list(seeds)] = True
+    count = np.count_nonzero(seen)
+    while True:
+        seen[tails[seen[heads]]] = True
+        count, before = np.count_nonzero(seen), count
+        if count == before:
+            return seen
+
+
+def quotient(nfa: Nfa, block: np.ndarray, num_blocks: int) -> Nfa:
+    """Merge the states of ``nfa`` by ``block``, their classes in ``0..num_blocks-1``.
+
+    The class of an edge's ends gives its quotient edge; an initial or
+    final state makes its class initial or final.
+    """
+    src, sym, dst = nfa.edge_arrays()
+    # keyed symbol first, so the sorted distinct keys are in edge order
+    shape = (nfa.alphabet_size, num_blocks, num_blocks)
+    keys = np.ravel_multi_index((sym, block[src], block[dst]), shape)
+    q_sym, q_src, q_dst = np.unravel_index(sorted_distinct(keys), shape)
+    block_of = block.tolist()
+    return Nfa._ordered(
+        num_blocks,
+        nfa.alphabet_size,
+        q_src,
+        q_sym,
+        q_dst,
+        {block_of[s] for s in nfa.initial},
+        {block_of[s] for s in nfa.final},
+    )
 
 
 def complete(dfa: Dfa) -> Dfa:

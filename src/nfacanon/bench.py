@@ -34,6 +34,8 @@ class ResultRow(RunStats, _RowKey):
 
 
 CSV_COLUMNS = [f.name for f in fields(ResultRow)]
+# written since RunStats gained them; older CSVs lack them
+LATER_COLUMNS = ("preprocess_ms",)
 
 
 def _parse_bool(text: str) -> bool:
@@ -56,6 +58,7 @@ def run_once(
     dfa, stats = canonize(nfa, config)
     row = ResultRow(instance=instance_id, pipeline=config.pipeline, **asdict(stats))
     row.wall_time_ms = round(row.wall_time_ms, 3)
+    row.preprocess_ms = round(row.preprocess_ms, 3)
     return row, dfa
 
 
@@ -133,10 +136,13 @@ def read_csv(path: str) -> list[ResultRow]:
 
     A header without some column, a row without some field or a field that
     does not parse raises ``ParseError`` naming the line and the column.
+    Columns added since the first sweep CSVs (``LATER_COLUMNS``) may be
+    missing from the header or a row; they then read as their default.
     """
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        missing = [c for c in CSV_COLUMNS if c not in (reader.fieldnames or CSV_COLUMNS)]
+        header = reader.fieldnames or CSV_COLUMNS
+        missing = [c for c in CSV_COLUMNS if c not in header and c not in LATER_COLUMNS]
         if missing:
             raise ParseError(1, f"not a sweep CSV: no {missing[0]!r} column")
         return [_parse_row(rec, reader.line_num) for rec in reader]
@@ -145,12 +151,15 @@ def read_csv(path: str) -> list[ResultRow]:
 def _parse_row(rec: dict, lineno: int) -> ResultRow:
     values = {}
     for c in CSV_COLUMNS:
-        if rec[c] is None:
+        text = rec.get(c)
+        if text is None:
+            if c in LATER_COLUMNS:
+                continue
             raise ParseError(lineno, f"no {c!r} field")
         try:
-            values[c] = _PARSERS[c](rec[c])
+            values[c] = _PARSERS[c](text)
         except ValueError:
-            raise ParseError(lineno, f"bad {c!r} field {rec[c]!r}") from None
+            raise ParseError(lineno, f"bad {c!r} field {text!r}") from None
     return ResultRow(**values)
 
 

@@ -254,6 +254,9 @@ class RunStats:
     minimizations: int = 0
     explored_metastates: int = 0
     timed_out: bool = False
+    # from the start of ``canonize`` to the first determinization; 0.0 when
+    # the run timed out before it
+    preprocess_ms: float = 0.0
 
 
 def canonize(nfa: Nfa, config: CanonConfig) -> tuple[Dfa | None, RunStats]:
@@ -271,7 +274,7 @@ def canonize(nfa: Nfa, config: CanonConfig) -> tuple[Dfa | None, RunStats]:
         start + config.timeout_ms / 1000.0 if config.timeout_ms is not None else None
     )
     try:
-        dfa = _run_pipeline(nfa, config, stats, deadline)
+        dfa = _run_pipeline(nfa, config, stats, start, deadline)
     except CanonTimeout as e:
         stats.timed_out = True
         _fold(stats, e)
@@ -294,7 +297,7 @@ def _check_deadline(deadline: float | None) -> None:
         raise CanonTimeout
 
 
-def _run_pipeline(nfa, config, stats, deadline):
+def _run_pipeline(nfa, config, stats, start, deadline):
     """Preprocess, determinize, then minimize or run Brzozowski's second pass.
 
     The Brzozowski pipelines determinize rev(A), where A is the trimmed
@@ -333,6 +336,7 @@ def _run_pipeline(nfa, config, stats, deadline):
     else:
         registry = OneToOneRegistry()
     controller = Threshold(config.threshold_init) if uses_otf else None
+    stats.preprocess_ms = (time.perf_counter() - start) * 1000.0
     res = otf_determinize(work, registry, controller, deadline)
     _fold(stats, res)
     reference = max([res.dfa.num_states] + res.sizes_after_min)

@@ -14,6 +14,8 @@ and a single initial state; only defined transitions are listed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .automata import UNDEFINED, Dfa, Nfa
 
 
@@ -31,7 +33,9 @@ def serialize_nfa(nfa: Nfa, meta: dict[str, str] | None = None) -> str:
     lines.append("final " + " ".join(str(s) for s in sorted(nfa.final)))
     for key, value in (meta or {}).items():
         lines.append(f"meta {key} {value}")
-    for (s, a, t) in sorted(nfa.edges()):
+    src, sym, dst = nfa.edge_arrays()
+    order = np.lexsort((dst, sym, src))  # by source, symbol, target
+    for s, a, t in zip(src[order].tolist(), sym[order].tolist(), dst[order].tolist()):
         lines.append(f"t {s} {a} {t}")
     return "\n".join(lines) + "\n"
 

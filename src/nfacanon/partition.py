@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa
+from .automata import UNDEFINED, Dfa, Nfa, quotient, sorted_distinct
 
 MergeList = list[tuple[int, int]]
 
@@ -118,11 +118,11 @@ def bisimulation_quotient(nfa: Nfa) -> Nfa:
     Blocks are numbered by their smallest member.
     """
     n, k = nfa.num_states, nfa.alphabet_size
-    src, sym, dst = np.array(list(nfa.edges()), dtype=np.int64).reshape(-1, 3).T
+    src, sym, dst = nfa.edge_arrays()
 
     def successor_pairs(labels: np.ndarray, num_blocks: int):
         m = k * num_blocks
-        owner, key = np.divmod(np.unique(src * m + sym * num_blocks + labels[dst]), m)
+        owner, key = np.divmod(sorted_distinct(src * m + sym * num_blocks + labels[dst]), m)
         counts = np.bincount(owner, minlength=n)
         rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
         pairs = np.zeros((n, counts.max()), dtype=np.int64)
@@ -139,15 +139,4 @@ def bisimulation_quotient(nfa: Nfa) -> Nfa:
     num_blocks = len(first)
     dense = np.empty(num_blocks, dtype=np.int64)
     dense[np.argsort(first)] = np.arange(num_blocks)
-    block = dense[labels]
-    edges = np.unique((block[src] * k + sym) * num_blocks + block[dst])
-    head, q_dst = np.divmod(edges, num_blocks)
-    q_src, q_sym = np.divmod(head, k)
-    block_of = block.tolist()
-    return Nfa(
-        num_blocks,
-        k,
-        zip(q_src.tolist(), q_sym.tolist(), q_dst.tolist()),
-        {block_of[s] for s in nfa.initial},
-        {block_of[s] for s in nfa.final},
-    )
+    return quotient(nfa, dense[labels], num_blocks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automata import Nfa
+from .automata import Nfa, quotient
 
 
 class Preorder:
@@ -77,8 +77,8 @@ def compute_similarity(nfa: Nfa) -> Preorder:
     final = np.zeros(n, dtype=bool)
     final[list(nfa.final)] = True
     rel = ~final[:, None] | final[None, :]
-    # edges() runs by symbol, then source, then target
-    src, sym, dst = np.array(list(nfa.edges()), dtype=np.intp).reshape(-1, 3).T
+    # the edges run by symbol, then source, then target
+    src, sym, dst = nfa.edge_arrays()
     # first[g]: the first edge of group g, the g-th (symbol, source) pair
     first = np.flatnonzero(np.diff(sym * n + src, prepend=-1))
     symbols = np.arange(nfa.alphabet_size + 1)
@@ -176,14 +176,5 @@ def simulation_quotient(nfa: Nfa, p: Preorder) -> tuple[Nfa, Preorder]:
     # each state's class is named by its smallest mutually similar state,
     # the first true column of its row (x itself, by reflexivity, at worst)
     reps, block = np.unique(np.argmax(p.rel & p.rel.T, axis=1), return_inverse=True)
-    block = block.tolist()
-    edges = {(block[s], a, block[t]) for (s, a, t) in nfa.edges()}
-    quotient = Nfa(
-        len(reps),
-        nfa.alphabet_size,
-        sorted(edges),
-        {block[s] for s in nfa.initial},
-        {block[s] for s in nfa.final},
-    )
     # two 1-D takes: np.ix_ indexes a boolean matrix several times slower
-    return quotient, Preorder(p.rel[reps][:, reps])
+    return quotient(nfa, block, len(reps)), Preorder(p.rel[reps][:, reps])

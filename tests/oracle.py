@@ -13,6 +13,9 @@ earlier pairwise antichain filter that ``Lattice.absorb`` must match.
 ``prune_reference`` and ``saturate_reference`` are the earlier loops over
 every member that the masked ``prune`` and ``saturate`` must match.
 ``leq`` and ``identity_preorder`` read and build ``Preorder`` relations.
+``edges_reference`` and ``trim_reference`` are the earlier walks over every
+successor mask that the edge arrays of ``Nfa`` and the array ``trim`` must
+match.
 ``LinearScanCCLSRegistry`` is a CCLS registry that answers every lookup by
 scanning all of its lattices in insertion order.
 """
@@ -24,6 +27,7 @@ from itertools import combinations
 import numpy as np
 
 from nfacanon.automata import (
+    EMPTY_LANGUAGE_STATES,
     UNDEFINED,
     Dfa,
     Nfa,
@@ -420,6 +424,56 @@ def bisimulation_reference(nfa: Nfa) -> Nfa:
         {dense[block[s]] for s in nfa.initial},
         {dense[block[s]] for s in nfa.final},
     )
+
+
+def edges_reference(nfa: Nfa) -> list[tuple[int, int, int]]:
+    """Every transition by symbol, source, target: a walk over all k*n masks."""
+    out = []
+    for a in range(nfa.alphabet_size):
+        for s in range(nfa.num_states):
+            out.extend((s, a, t) for t in members(nfa.succ_mask(s, a)))
+    return out
+
+
+def trim_reference(nfa: Nfa) -> Nfa:
+    """The useful part of ``nfa``, by closures over per-state bitmasks.
+
+    Survivors are renumbered densely in ascending order; an empty result is
+    the one-state automaton without transitions or final states.
+    """
+    n = nfa.num_states
+    succ, pred = [0] * n, [0] * n
+    for (s, _, t) in edges_reference(nfa):
+        succ[s] |= 1 << t
+        pred[t] |= 1 << s
+    keep = members(_closure(nfa.initial_mask, succ) & _closure(nfa.final_mask, pred))
+    if not keep:
+        return Nfa(EMPTY_LANGUAGE_STATES, nfa.alphabet_size, [], [0], [])
+    remap = {s: i for i, s in enumerate(keep)}
+    edges = [
+        (remap[s], a, remap[t])
+        for (s, a, t) in edges_reference(nfa)
+        if s in remap and t in remap
+    ]
+    return Nfa(
+        len(keep),
+        nfa.alphabet_size,
+        edges,
+        [remap[s] for s in nfa.initial if s in remap],
+        [remap[s] for s in nfa.final if s in remap],
+    )
+
+
+def _closure(seed: int, adj: list[int]) -> int:
+    """Mask of the states reachable from ``seed`` along ``adj[s]`` masks."""
+    seen = frontier = seed
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adj[low.bit_length() - 1] & ~seen
+        seen |= new
+        frontier |= new
+    return seen
 
 
 def antichain_reference(elems: list[int]) -> list[int]:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from nfacanon.automata import (
@@ -17,7 +18,9 @@ from nfacanon.automata import (
     to_mask,
     trim,
 )
-from oracle import random_nfa
+from nfacanon.partition import bisimulation_quotient
+from nfacanon.simulation import compute_similarity, simulation_quotient
+from oracle import edges_reference, random_nfa, trim_reference
 
 
 def word(s: str):
@@ -80,6 +83,153 @@ class TestEdges:
             (1, 1, 1),
         ]
 
+
+
+def _raw_transitions(rng, n: int, k: int, edge_prob: float) -> list[tuple[int, int, int]]:
+    """Random transitions, shuffled and with some repeated."""
+    edges = [
+        (s, a, t)
+        for s in range(n)
+        for a in range(k)
+        for t in range(n)
+        if rng.random() < edge_prob
+    ]
+    edges += rng.sample(edges, len(edges) // 3)
+    rng.shuffle(edges)
+    return edges
+
+
+def _varied_nfas(seed: int):
+    """NFAs from shuffled transitions with repeats, and the edge cases.
+
+    Among them: no transitions at all, an empty language (no final state,
+    or none reachable), states without edges, and symbols no edge uses.
+    """
+    rng = random.Random(seed)
+    for _ in range(40):
+        n, k = rng.randint(1, 12), rng.randint(1, 4)
+        raw = _raw_transitions(rng, n, k, rng.choice([0.05, 0.2, 0.5]))
+        initial = rng.sample(range(n), rng.randint(0, min(n, 2)))
+        final = rng.sample(range(n), rng.randint(0, n))
+        yield Nfa(n, k, raw, initial, final)
+    yield Nfa(5, 3, [], [0], [4])
+    yield Nfa(4, 2, [(0, 0, 1), (1, 1, 0)], [0], [])
+    yield Nfa(4, 2, [(0, 0, 1), (2, 1, 3)], [0], [3])  # final not reachable
+    # symbol 2 and states 3, 4 have no edge
+    yield Nfa(5, 3, [(1, 0, 0), (0, 1, 2), (0, 0, 1), (1, 0, 0)], [0], [2])
+
+
+class TestEdgeArrays:
+    def test_edges_match_the_mask_walk(self):
+        for nfa in _varied_nfas(1):
+            assert list(nfa.edges()) == edges_reference(nfa)
+            assert nfa.num_transitions() == len(edges_reference(nfa))
+
+    def test_edges_are_python_ints(self):
+        nfa = Nfa(3, 2, np.array([[0, 1, 2], [2, 0, 0]]), [0], [2])
+        assert all(type(x) is int for edge in nfa.edges() for x in edge)
+
+    def test_trim_matches_reference(self):
+        for nfa in _varied_nfas(3):
+            assert trim(nfa) == trim_reference(nfa)
+
+    def test_reverse_is_an_involution(self):
+        for nfa in _varied_nfas(4):
+            rev = reverse(nfa)
+            assert reverse(rev) == nfa
+            flipped = sorted((a, t, s) for (s, a, t) in edges_reference(nfa))
+            assert list(rev.edges()) == [(s, a, t) for (a, s, t) in flipped]
+
+    def test_produced_automata_keep_edge_order(self):
+        # each producer hands its arrays over unsorted and unchecked
+        for nfa in _varied_nfas(5):
+            sim_quotient, _ = simulation_quotient(nfa, compute_similarity(nfa))
+            for out in (trim(nfa), reverse(nfa), bisimulation_quotient(nfa), sim_quotient):
+                assert list(out.edges()) == edges_reference(out)
+                assert out == Nfa(
+                    out.num_states, out.alphabet_size, edges_reference(out),
+                    out.initial, out.final,
+                )
+
+
+class TestInputForms:
+    def test_every_form_builds_the_same_nfa(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            n, k = rng.randint(1, 10), rng.randint(1, 3)
+            raw = _raw_transitions(rng, n, k, 0.3)
+            forms = [
+                raw,
+                set(raw),
+                (edge for edge in raw),
+                np.array(raw, dtype=np.int64).reshape(-1, 3),
+                np.array(raw, dtype=np.int32).reshape(-1, 3),
+            ]
+            built = [Nfa(n, k, form, [0], [n - 1]) for form in forms]
+            assert all(nfa == built[0] for nfa in built)
+            assert list(built[0].edges()) == sorted(set(raw), key=lambda e: (e[1], e[0], e[2]))
+
+    def test_edge_arrays_are_read_only(self):
+        given = np.array([[0, 0, 1], [1, 1, 0]])
+        nfa = Nfa(2, 2, given, [0], [1])
+        for column in nfa.edge_arrays():
+            with pytest.raises(ValueError):
+                column[0] = 1
+        for out in (trim(nfa), reverse(nfa)):
+            assert not any(c.flags.writeable for c in out.edge_arrays())
+        # the caller's array is neither frozen nor changed
+        given[0, 0] = 1
+        assert list(nfa.edges()) == [(0, 0, 1), (1, 1, 0)]
+
+    @pytest.mark.parametrize(
+        "transitions, message",
+        [
+            ([(0, 0, 1), (0, 0, 5)], "transition (0,0,5) out of range"),
+            ([(0, 0, 1), (-1, 0, 0)], "transition (-1,0,0) out of range"),
+            ([(0, 0, 1), (0, 3, 1)], "symbol 3 out of range"),
+            ([(0, -1, 1)], "symbol -1 out of range"),
+            # the first bad transition in the given order names the error
+            ([(0, 7, 0), (9, 0, 0)], "symbol 7 out of range"),
+            ([(0, 0, 9), (0, 7, 0)], "transition (0,0,9) out of range"),
+            ([(2, 9, 0)], "transition (2,9,0) out of range"),
+        ],
+    )
+    def test_out_of_range_messages(self, transitions, message):
+        for form in (transitions, np.array(transitions)):
+            with pytest.raises(ValueError) as exc:
+                Nfa(2, 2, form, [0], [1])
+            assert str(exc.value) == message
+
+    def test_state_out_of_range_message(self):
+        with pytest.raises(ValueError, match="state 4 out of range"):
+            Nfa(2, 2, [(0, 0, 1)], [0], [4])
+
+    @pytest.mark.parametrize(
+        "transitions",
+        [[(0, 0)], [(0, 0, 1), (0, 1)], [(0, 0, 1, 1)], np.zeros((2, 2), dtype=int)],
+    )
+    def test_not_triples_rejected(self, transitions):
+        with pytest.raises(ValueError, match="triples"):
+            Nfa(2, 2, transitions, [0], [1])
+
+    @pytest.mark.parametrize(
+        "transitions",
+        [[(0, 0, 1.5)], [(0, "1", 1)], np.array([[0.0, 0.0, 1.0]]), np.array([["0", "0", "1"]])],
+    )
+    def test_non_integers_rejected(self, transitions):
+        with pytest.raises(TypeError, match="integers"):
+            Nfa(2, 2, transitions, [0], [1])
+
+    def test_numpy_integer_triples_accepted(self):
+        given = [(np.int64(0), np.int32(1), np.uint8(1)), (1, 0, 0)]
+        assert list(Nfa(2, 2, given, [0], [1]).edges()) == [(1, 0, 0), (0, 1, 1)]
+
+    def test_empty_forms(self):
+        for form in ([], (), set(), iter([]), np.zeros((0, 3), dtype=int), np.array([])):
+            nfa = Nfa(2, 2, form, [0], [1])
+            assert nfa.num_transitions() == 0
+            assert list(nfa.edges()) == []
+            assert nfa.successors(0b11) == [0, 0]
 
 class TestAccepts:
     @pytest.mark.parametrize(

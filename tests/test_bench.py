@@ -15,7 +15,7 @@ from nfacanon.bench import (
     summarize,
     write_csv,
 )
-from nfacanon.engine import CanonConfig, canonize
+from nfacanon.engine import PIPELINES, CanonConfig, canonize
 from nfacanon.generator import GenParams, generate
 
 
@@ -52,6 +52,42 @@ class TestRunOnce:
         row, dfa = run_once(nfa, "i", CanonConfig(pipeline="sc", timeout_ms=0.0))
         assert row.timed_out
         assert dfa is None
+
+
+class TestPreprocessTime:
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_within_wall_time(self, pipeline):
+        nfa = generate(GenParams(n=40, density=2.0, seed=3))
+        row, _ = run_once(nfa, "i", CanonConfig(pipeline=pipeline))
+        assert 0 < row.preprocess_ms <= row.wall_time_ms
+        _, stats = canonize(nfa, CanonConfig(pipeline=pipeline))
+        assert 0 < stats.preprocess_ms <= stats.wall_time_ms
+
+    def test_zero_when_timed_out_before_determinizing(self):
+        nfa = generate(GenParams(n=40, density=2.0, seed=3))
+        _, stats = canonize(nfa, CanonConfig(pipeline="sc-s", timeout_ms=0.0))
+        assert stats.timed_out
+        assert stats.preprocess_ms == 0.0
+
+    def test_survives_csv_round_trip(self, tmp_path):
+        out = str(tmp_path / "p.csv")
+        rows = run_sweep([10, 20], 1, 2.0, list(PIPELINES), None, out)
+        back = read_csv(out)
+        assert [r.preprocess_ms for r in back] == [r.preprocess_ms for r in rows]
+        assert all(0 < r.preprocess_ms <= r.wall_time_ms for r in back)
+
+    def test_old_header_csv_still_summarizes(self, tmp_path):
+        path = tmp_path / "old.csv"
+        path.write_text(
+            "instance,pipeline,wall_time_ms,final_states,peak_intermediate_states,"
+            "overhead,minimizations,explored_metastates,timed_out\n"
+            "i0,sc,1.5,3,3,0,1,3,False\n"
+            "i1,sc,2.5,4,5,1,1,5,False\n"
+        )
+        rows = read_csv(str(path))
+        assert [r.preprocess_ms for r in rows] == [0.0, 0.0]
+        assert [r.wall_time_ms for r in rows] == [1.5, 2.5]
+        assert summarize(rows)["sc"]["overhead"]["max"] == 1
 
 
 class TestSweep:

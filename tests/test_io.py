@@ -1,10 +1,23 @@
 """Tests for the automaton text file format."""
 
+import random
+
 import pytest
 
 from nfacanon.automata import Dfa
 from nfacanon.generator import GenParams, generate, instance_meta
 from nfacanon.io import ParseError, parse_dfa, parse_nfa, serialize_dfa, serialize_nfa
+from oracle import edges_reference, random_nfa
+
+
+def _serialize_reference(nfa, meta=None) -> str:
+    """The text layout with transitions by source, symbol, target."""
+    lines = [f"nfa {nfa.num_states} {nfa.alphabet_size}"]
+    lines.append("initial " + " ".join(str(s) for s in sorted(nfa.initial)))
+    lines.append("final " + " ".join(str(s) for s in sorted(nfa.final)))
+    lines += [f"meta {key} {value}" for key, value in (meta or {}).items()]
+    lines += [f"t {s} {a} {t}" for (s, a, t) in sorted(edges_reference(nfa))]
+    return "\n".join(lines) + "\n"
 
 
 class TestNfaRoundTrip:
@@ -22,6 +35,19 @@ class TestNfaRoundTrip:
         parsed, meta = parse_nfa(text)
         assert parsed == nfa
         assert meta == instance_meta(params)
+
+    def test_random_text_matches_layout_and_round_trips(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n, k = rng.randint(1, 14), rng.randint(1, 5)
+            nfa = random_nfa(rng, n, k, rng.choice([0.0, 0.05, 0.3]))
+            meta = {"seed": str(rng.random())} if rng.random() < 0.5 else None
+            text = serialize_nfa(nfa, meta)
+            assert text == _serialize_reference(nfa, meta)
+            parsed, parsed_meta = parse_nfa(text)
+            assert parsed == nfa
+            assert parsed_meta == (meta or {})
+            assert serialize_nfa(parsed, meta) == text
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# comment\n\nnfa 2 1\ninitial 0\n# another\nfinal 1\nt 0 0 1\n"

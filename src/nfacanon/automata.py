@@ -51,8 +51,10 @@ class Nfa:
     two views of them.  ``edge_arrays()`` gives the read-only ``src``,
     ``sym`` and ``dst`` integer arrays, every transition once, sorted by
     symbol, source, target; trimming, reversal and the quotients work on
-    these.  ``_succ[s][a]``, built from them, is the bitmask of the targets
-    of ``s`` on ``a``; ``successors`` reads it for subset construction.
+    these.  ``_succ[s][a]``, built from them on first use, is the bitmask of
+    the targets of ``s`` on ``a``; ``successors`` reads it for subset
+    construction, so an automaton that is only trimmed, reversed or
+    quotiented never builds it.
     """
 
     __slots__ = ("num_states", "alphabet_size", "initial", "final", "_edges", "_succ")
@@ -107,11 +109,19 @@ class Nfa:
         for column in (src, sym, dst):
             column.flags.writeable = False
         self._edges = (src, sym, dst)
+
+    def _masks(self) -> list[list[int]]:
+        """``_succ``, built from the edge arrays on the first call."""
+        try:
+            return self._succ
+        except AttributeError:
+            pass
         # _succ[s][a] = bitmask of successors of s on symbol a
         succ = [[0] * self.alphabet_size for _ in range(self.num_states)]
-        for s, a, t in zip(src.tolist(), sym.tolist(), dst.tolist()):
+        for s, a, t in self.edges():
             succ[s][a] |= 1 << t
         self._succ = succ
+        return succ
 
     @property
     def initial_mask(self) -> int:
@@ -122,7 +132,7 @@ class Nfa:
         return to_mask(self.final)
 
     def succ_mask(self, state: int, symbol: int) -> int:
-        return self._succ[state][symbol]
+        return self._masks()[state][symbol]
 
     def successors(self, mask: int) -> list[int]:
         """Every per-symbol successor metastate of ``mask``, a new list.
@@ -132,7 +142,12 @@ class Nfa:
         """
         if not mask:
             return [0] * self.alphabet_size
-        succ = self._succ
+        # a try costs nothing until it raises: only the first call builds
+        # the masks (a ``__getattr__`` hook would slow every attribute read)
+        try:
+            succ = self._succ
+        except AttributeError:
+            succ = self._masks()
         low = mask & -mask
         mask ^= low
         out = succ[low.bit_length() - 1][:]
@@ -334,7 +349,14 @@ def trim(nfa: Nfa) -> Nfa:
     """
     src, sym, dst = nfa.edge_arrays()
     n = nfa.num_states
-    keep = _reachable(nfa.initial, src, dst, n) & _reachable(nfa.final, dst, src, n)
+    # one search over two copies of the states: the edges forward from the
+    # initial states in the first, reversed from the final states in the
+    # second, so it takes as many rounds as the deeper of the two searches
+    seeds = [*nfa.initial, *(s + n for s in nfa.final)]
+    heads = np.concatenate((src, dst + n))
+    tails = np.concatenate((dst, src + n))
+    seen = _reachable(seeds, heads, tails, 2 * n)
+    keep = seen[:n] & seen[n:]
     if not keep.any():
         return Nfa(EMPTY_LANGUAGE_STATES, nfa.alphabet_size, [], [0], [])
     # the renumbering is increasing, so the kept edges stay in order

@@ -35,7 +35,7 @@ class ResultRow(RunStats, _RowKey):
 
 CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 # written since RunStats gained them; older CSVs lack them
-LATER_COLUMNS = ("preprocess_ms",)
+LATER_COLUMNS = ("preprocess_ms", "exact_hits", "cover_hits", "misses")
 
 
 def _parse_bool(text: str) -> bool:

@@ -34,17 +34,22 @@ class CanonTimeout(Exception):
     """Raised internally when a run exceeds its deadline.
 
     Raised inside the determinization loop, it carries that loop's explored
-    count, peak state count and intermediate minimization count so far, so a
-    timed-out run keeps them.
+    count, peak state count, intermediate minimization count and lookup
+    counts so far, so a timed-out run keeps them.
     """
 
     def __init__(
-        self, explored_count: int = 0, peak_states: int = 0, minimizations: int = 0
+        self,
+        explored_count: int = 0,
+        peak_states: int = 0,
+        minimizations: int = 0,
+        lookups: tuple[int, int, int] = (0, 0, 0),
     ):
         super().__init__()
         self.explored_count = explored_count
         self.peak_states = peak_states
         self.minimizations = minimizations
+        self.exact_hits, self.cover_hits, self.misses = lookups
 
 
 class Threshold:
@@ -86,6 +91,11 @@ class DeterminizeResult:
     peak_states: int
     minimizations: int
     sizes_after_min: list[int] = field(default_factory=list)
+    # successor lookups answered by the exact map, by the registry past it,
+    # and by nobody (each miss puts a new state)
+    exact_hits: int = 0
+    cover_hits: int = 0
+    misses: int = 0
 
 
 def otf_determinize(
@@ -114,8 +124,15 @@ def otf_determinize(
     one, the registry must be able to ``unify``, so it is a CCL or CCLS
     registry.  ``metastates`` lists the metastate each live id was put for,
     which Brzozowski's second pass reads.
+
+    Each successor is looked up in the registry's exact map first, whose
+    hits are final; only a metastate it misses goes to ``registry.get``,
+    and one that ``get`` misses too is put as a new state.  So an exact hit
+    costs one dict lookup and no call, and the counts of the three outcomes
+    follow from the number of ``get`` calls alone.
     """
     kern = successor_kernel(nfa)
+    exact = registry._exact.get
     k = nfa.alphabet_size
     final_mask = nfa.final_mask
     init_mask = nfa.initial_mask
@@ -127,6 +144,7 @@ def otf_determinize(
     stack = [(init_mask, 0)]
 
     explored_count = 0
+    gets = 0  # registry.get calls: lookups the exact map missed
     live = [0]  # sorted live ids
     peak = 1
     minimizations = 0
@@ -134,22 +152,26 @@ def otf_determinize(
 
     while stack:
         if deadline is not None and time.perf_counter() > deadline:
-            raise CanonTimeout(explored_count, peak, minimizations)
+            lookups = _lookups(k, explored_count, gets, len(rows))
+            raise CanonTimeout(explored_count, peak, minimizations, lookups)
         # c is unexplored, so no minimization has merged it: it is still live
         current, c = stack.pop()
         row = rows[c]
         succs = kern.successors(current)
         for a in range(k):
             nxt = succs[a]
-            n = registry.get(nxt)
+            n = exact(nxt)
             if n is None:
-                n = len(rows)
-                rows.append([UNDEFINED] * k)
-                final.append(bool(nxt & final_mask))
-                metastates.append(nxt)
-                registry.put(nxt, n)
-                stack.append((nxt, n))
-                live.append(n)
+                gets += 1
+                n = registry.get(nxt)
+                if n is None:
+                    n = len(rows)
+                    rows.append([UNDEFINED] * k)
+                    final.append(bool(nxt & final_mask))
+                    metastates.append(nxt)
+                    registry.put(nxt, n)
+                    stack.append((nxt, n))
+                    live.append(n)
             row[a] = n
         explored_count += 1
         if len(live) > peak:
@@ -167,6 +189,7 @@ def otf_determinize(
         metastates = [metastates[s] for s in live]
     else:
         dfa = Dfa(len(rows), k, 0, [s for s in live if final[s]], rows)
+    exact_hits, cover_hits, misses = _lookups(k, explored_count, gets, len(rows))
     return DeterminizeResult(
         dfa=dfa,
         ids=live,
@@ -175,7 +198,21 @@ def otf_determinize(
         peak_states=peak,
         minimizations=minimizations,
         sizes_after_min=sizes_after_min,
+        exact_hits=exact_hits,
+        cover_hits=cover_hits,
+        misses=misses,
     )
+
+
+def _lookups(k: int, explored: int, gets: int, states: int) -> tuple[int, int, int]:
+    """(exact hits, cover hits, misses) of the lookups of ``explored`` rows.
+
+    Each explored row looks up ``k`` successors; ``gets`` of them missed
+    the exact map, and each miss of ``get`` made one of the ``states``
+    other than the initial one.
+    """
+    misses = states - 1
+    return k * explored - gets, gets - misses, misses
 
 
 def _dense(rows, ids: list[int]) -> np.ndarray:
@@ -257,6 +294,12 @@ class RunStats:
     # from the start of ``canonize`` to the first determinization; 0.0 when
     # the run timed out before it
     preprocess_ms: float = 0.0
+    # successor lookups over both determinizations: answered by the exact
+    # map, by the registry past it (cover hits, or signature hits in
+    # Brzozowski's second pass), or by nobody
+    exact_hits: int = 0
+    cover_hits: int = 0
+    misses: int = 0
 
 
 def canonize(nfa: Nfa, config: CanonConfig) -> tuple[Dfa | None, RunStats]:
@@ -290,6 +333,9 @@ def _fold(stats: RunStats, run: DeterminizeResult | CanonTimeout) -> None:
     stats.peak_intermediate_states = max(
         stats.peak_intermediate_states, run.peak_states
     )
+    stats.exact_hits += run.exact_hits
+    stats.cover_hits += run.cover_hits
+    stats.misses += run.misses
 
 
 def _check_deadline(deadline: float | None) -> None:

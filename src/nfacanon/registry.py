@@ -8,7 +8,11 @@ language.  Metastates are integer bitmasks over NFA states.  The contract:
 * ``put(mask, state)`` links a metastate to a freshly created state (a
   metastate is put at most once, and the CCL registries also refuse a state
   that was put or absorbed before; a conflicting put raises
-  ``RegistryContractError``).
+  ``RegistryContractError``);
+* ``_exact``, a dict from metastates to states, is the registry's exact
+  map: ``get`` answers from it first, and a hit there is the final answer.
+  So the determinization loop reads it itself and calls ``get`` only for
+  the metastates it misses.  A registry may keep it empty.
 
 The CCL registries also merge: ``unify(q1, q2)`` records that two states
 were found language-equivalent (by intermediate minimization) and merges
@@ -32,18 +36,20 @@ Four implementations are provided:
 * ``CCLSRegistry`` -- CCL with a similarity preorder used to prune/saturate
   metastates, widening lattices without any ``unify`` calls.
 
-Each lattice is kept in one of three ways.  Let the preorder be reflexive and transitive (for CCL it is the
-identity) and ``prune`` keep, with its tie-break, a dominating member for
-every member it drops.  Lemma: the lattice ``[prune(m), saturate(m)]`` of a
-single put m, never merged, covers a pruned query p iff p == prune(m).
-(Each x in p lies below some y in m, y below some z in prune(m), which is a
-subset of p; p is an antichain under the tie-break, so x == z.)  Hence:
+Each lattice is kept in one of three ways.  Let the preorder be reflexive
+and transitive (for CCL it is the identity) and ``prune`` keep, with its
+tie-break, a dominating member for every member it drops.  Lemma: the
+lattice ``[prune(m), saturate(m)]`` of a single put m, never merged, covers
+a pruned query p iff p == prune(m).  (Each x in p lies below some y in m,
+y below some z in prune(m), which is a subset of p; p is an antichain under
+the tie-break, so x == z.)  Hence:
 
 * a *point* lattice (one minimal, equal to the greatest element) covers
   only the metastate m put for it: a query q covered by it has
   prune(q) == m, and q lies below saturate(prune(q)) == m.  The exact map
-  answers m first, so a point is kept nowhere else.  Every CCL lattice of
-  a single put is a point;
+  answers m first, so a point is not built at its put: the state's entry
+  in the exact map and the metastate it was put for are all there is,
+  until ``unify`` builds the point to join it.  Every CCL put is a point;
 * an *unmerged* CCLS lattice that is not a point is keyed by its pruned
   minimal in a dict, provided no live lattice covered that minimal when it
   was put (after the engine's miss, always);
@@ -55,10 +61,13 @@ subset of p; p is an antichain under the tie-break, so x == z.)  Hence:
   minimals of the lattices left in bit order.  Bit order is insertion
   order (at a put, or when ``unify`` joins two lattices).
 
-A lookup that misses the exact map tries the dict, then the index.  Both
-answer with the earliest-inserted covering lattice: a dict entry covers
-its key and no lattice inserted before it does, and an index hit is the
-first in bit order, while no dict entry covers the query.
+So ``lattices`` holds the lattices of the unified classes and of the CCLS
+puts that are not points, keyed by class root; a registry that never
+merged, CCL or CCLS on an identity preorder, builds none and costs what its
+exact map costs.  A lookup that misses the exact map tries the dict, then
+the index.  Both answer with the earliest-inserted covering lattice: a dict
+entry covers its key and no lattice inserted before it does, and an index
+hit is the first in bit order, while no dict entry covers the query.
 """
 
 from __future__ import annotations
@@ -182,6 +191,8 @@ class _CoverIndex:
 
 
 class Registry(Protocol):
+    _exact: dict[int, int]  # hits are final; see the module docstring
+
     def get(self, mask: int) -> Optional[int]: ...
     def put(self, mask: int, state: int) -> None: ...
 
@@ -273,19 +284,21 @@ class CCLRegistry(OneToOneRegistry):
     for); ``unify`` points the exact entries of the absorbed class at the
     new root and joins the two lattices, which are keyed by class root.
     ``find`` reads a state's root through the metastate it was put for.
-    The lattice of a put is a point, so anything that misses the exact map
-    goes to the cover index, which holds the merged lattices: a cover lookup
-    returns the first covering lattice in insertion order (most recently
-    merged last), answered by a bit-sliced index rather than a scan.
+    The lattice of a put is a point, so a put builds none, and anything
+    that misses the exact map goes to the cover index, which holds the
+    merged lattices: a cover lookup returns the first covering lattice in
+    insertion order (most recently merged last), answered by a bit-sliced
+    index rather than a scan, and returns at once while the index is empty.
     ``unify`` takes both lattices out of the index or out of the
-    ``_unmerged`` dict (which only ``CCLSRegistry`` fills), and indexes the
-    joined one.
+    ``_unmerged`` dict (which only ``CCLSRegistry`` fills), building the
+    point of a class that has no lattice yet, and indexes the joined one.
     Setting ``cover_hits`` to a list records every non-exact hit as a
     (queried metastate, returned state) pair.
     """
 
     def __init__(self):
         super().__init__()
+        # class root -> lattice, for unified classes and non-point CCLS puts
         self.lattices: dict[int, Lattice] = {}
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
@@ -300,7 +313,7 @@ class CCLRegistry(OneToOneRegistry):
         return self._cover(mask) if state is None else state
 
     def put(self, mask: int, state: int) -> None:
-        self._put(mask, state, mask, mask)  # a point: indexed nowhere
+        self._put(mask, state)  # a point: built only if unified
 
     def find(self, state: int) -> int:
         mask = self._put_for.get(state)
@@ -317,31 +330,41 @@ class CCLRegistry(OneToOneRegistry):
         for mask in moved:
             exact[mask] = root
         puts.setdefault(root, [put_for[root]]).extend(moved)
-        # every put state has a lattice, re-keyed under its class's root
-        merged = self.lattices.pop(r1)
-        other = self.lattices.pop(r2)
-        for lat in (merged, other):
-            key = lat.minimals[0]
-            if self._unmerged.get(key) is lat:
-                del self._unmerged[key]
-            self._index.discard(lat)
+        # the joined lattice is re-keyed under the class's root
+        merged = self._take(r1)
+        other = self._take(r2)
         merged.absorb(other.greatest, other.minimals)
         merged.rep = root
         self.lattices[root] = merged
         self._index.insert(merged)
 
-    def _put(self, mask: int, state: int, greatest: int, minimal: int) -> Lattice:
-        """Map ``mask`` to ``state`` and give it a lattice, not yet indexed."""
+    def _take(self, root: int) -> Lattice:
+        """The lattice of class ``root``, taken out of the dict and the index.
+
+        A class without one is a single put whose lattice is a point, built
+        here from the metastate put for it.
+        """
+        lat = self.lattices.pop(root, None)
+        if lat is None:
+            mask = self._put_for[root]
+            return Lattice(root, mask, [mask])
+        key = lat.minimals[0]
+        if self._unmerged.get(key) is lat:
+            del self._unmerged[key]
+        self._index.discard(lat)
+        return lat
+
+    def _put(self, mask: int, state: int) -> None:
+        """Map ``mask`` to ``state``, which must be fresh."""
         if state in self._put_for:
             raise RegistryContractError(f"state {state} is not fresh, refusing metastate {mask}")
         super().put(mask, state)
         self._put_for[state] = mask
-        lat = Lattice(state, greatest, [minimal])
-        self.lattices[state] = lat
-        return lat
 
     def _cover(self, mask: int) -> Optional[int]:
         """State of a metastate that is not a key of the exact map."""
+        if not self._index.live:
+            return None
         return self._hit(mask, self._index.find(mask))
 
     def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:
@@ -357,9 +380,10 @@ class CCLSRegistry(CCLRegistry):
 
     The preorder must be reflexive and transitive.  ``put`` stores a
     lattice spanning from the pruned to the saturated form of the
-    metastate, in the ``_unmerged`` dict or the cover index as the module
-    docstring says: by its lemma, a lattice that was never merged covers
-    exactly the pruned queries equal to its minimal.  A lookup that misses the exact map prunes the query,
+    metastate, unless the two are equal (a point), in the ``_unmerged``
+    dict or the cover index as the module docstring says: by its lemma, a
+    lattice that was never merged covers exactly the pruned queries equal
+    to its minimal.  A lookup that misses the exact map prunes the query,
     then tries the dict and the index.  A ``put`` right after the miss of
     the same metastate reuses its pruned form and its miss, so each new
     metastate is pruned once.
@@ -382,9 +406,10 @@ class CCLSRegistry(CCLRegistry):
             pruned = prune(mask, self.preorder)
             covered = self._lookup(pruned) is not None
         saturated = saturate(mask, self.preorder)
-        lat = self._put(mask, state, saturated, pruned)
+        self._put(mask, state)
         if pruned == saturated:
             return  # a point: only its exact hit
+        lat = self.lattices[state] = Lattice(state, saturated, [pruned])
         if covered:
             self._index.insert(lat)
         else:

@@ -17,7 +17,8 @@ every member that the masked ``prune`` and ``saturate`` must match.
 successor mask that the edge arrays of ``Nfa`` and the array ``trim`` must
 match.
 ``LinearScanCCLSRegistry`` is a CCLS registry that answers every lookup by
-scanning all of its lattices in insertion order.
+scanning all of its lattices in insertion order; its exact map stays empty,
+so the engine sends every lookup to its ``get``.
 """
 
 from __future__ import annotations
@@ -287,11 +288,14 @@ class LinearScanCCLSRegistry:
     returns its state's root; any other returns the root of the first
     lattice covering its pruned form, or ``None``.  Setting ``cover_hits``
     to a list records the non-exact hits, as ``CCLSRegistry`` does.
+    ``_exact``, the exact map the engine reads before ``get``, is always
+    empty: the metastates put are kept in ``put_state`` instead.
     """
 
     def __init__(self, preorder: Preorder):
         self.preorder = preorder
-        self.exact: dict[int, int] = {}
+        self._exact: dict[int, int] = {}
+        self.put_state: dict[int, int] = {}  # metastate -> the state put for it
         self.parent: dict[int, int] = {}  # absorbed root -> the root absorbing it
         self.lattices: list[list] = []
         self.cover_hits: list[tuple[int, int]] | None = None
@@ -302,8 +306,8 @@ class LinearScanCCLSRegistry:
         return state
 
     def get(self, mask: int) -> int | None:
-        if mask in self.exact:
-            return self.find(self.exact[mask])
+        if mask in self.put_state:
+            return self.find(self.put_state[mask])
         query = prune_reference(mask, self.preorder)
         for root, greatest, minimals in self.lattices:
             if query | greatest == greatest and any(m & query == m for m in minimals):
@@ -313,9 +317,9 @@ class LinearScanCCLSRegistry:
         return None
 
     def put(self, mask: int, state: int) -> None:
-        assert mask not in self.exact
+        assert mask not in self.put_state
         p = self.preorder
-        self.exact[mask] = state
+        self.put_state[mask] = state
         self.lattices.append([state, saturate_reference(mask, p), [prune_reference(mask, p)]])
 
     def unify(self, q1: int, q2: int) -> None:

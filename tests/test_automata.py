@@ -133,6 +133,52 @@ class TestEdgeArrays:
         for nfa in _varied_nfas(3):
             assert trim(nfa) == trim_reference(nfa)
 
+    def test_trim_matches_reference_on_uneven_depths(self):
+        # one search over two copies of the states: the forward and the
+        # backward search reach their ends after different numbers of rounds
+        n = 20
+        chain = [(s, 0, s + 1) for s in range(n - 1)]
+        cases = [
+            Nfa(n, 2, chain, [0], [n - 1]),  # both searches n - 1 deep
+            Nfa(n, 2, chain, [0], [3, n - 1]),
+            Nfa(n, 2, chain, [n - 4], [n - 1]),  # shallow forward search
+            Nfa(n, 2, chain, [0], [2]),  # shallow backward search
+            Nfa(n, 2, chain + [(5, 1, 19), (19, 1, 0)], [9], [4]),  # a cycle
+            Nfa(n, 2, chain, [n - 1], [0]),  # nothing useful
+            Nfa(n, 2, chain, [7], [7]),  # one state, no edge kept
+        ]
+        for nfa in cases:
+            assert trim(nfa) == trim_reference(nfa)
+            assert trim(reverse(nfa)) == trim_reference(reverse(nfa))
+
+    def test_successor_masks_built_on_first_use(self):
+        def has_masks(nfa):
+            try:
+                Nfa.__dict__["_succ"].__get__(nfa, Nfa)  # the slot, unset or not
+            except AttributeError:
+                return False
+            return True
+
+        for nfa in _varied_nfas(5):
+            derived = [trim(nfa), reverse(nfa), bisimulation_quotient(nfa), nfa]
+            assert not any(map(has_masks, derived))
+            for d in derived:
+                expect = [[0] * d.alphabet_size for _ in range(d.num_states)]
+                for s, a, t in d.edges():
+                    expect[s][a] |= 1 << t
+                full = (1 << d.num_states) - 1
+                assert d.successors(full) == [
+                    successor_mask(d, full, a) for a in range(d.alphabet_size)
+                ]
+                assert has_masks(d) and d._succ == expect
+        for nfa in _varied_nfas(6):
+            # the other reader of the masks builds them too
+            expect = [[0] * nfa.alphabet_size for _ in range(nfa.num_states)]
+            for s, a, t in nfa.edges():
+                expect[s][a] |= 1 << t
+            assert [[nfa.succ_mask(s, a) for a in range(nfa.alphabet_size)]
+                    for s in range(nfa.num_states)] == expect
+
     def test_reverse_is_an_involution(self):
         for nfa in _varied_nfas(4):
             rev = reverse(nfa)

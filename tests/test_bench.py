@@ -90,6 +90,27 @@ class TestPreprocessTime:
         assert summarize(rows)["sc"]["overhead"]["max"] == 1
 
 
+class TestLookupColumns:
+    def test_survive_csv_round_trip(self, tmp_path):
+        out = str(tmp_path / "l.csv")
+        rows = run_sweep([10, 20], 1, 2.0, list(PIPELINES), None, out)
+        back = read_csv(out)
+        counts = [(r.exact_hits, r.cover_hits, r.misses) for r in rows]
+        assert [(r.exact_hits, r.cover_hits, r.misses) for r in back] == counts
+        assert all(r.misses > 0 and r.exact_hits > 0 for r in back)
+
+    def test_csv_before_the_lookup_columns_reads_zero(self, tmp_path):
+        path = tmp_path / "older.csv"
+        path.write_text(
+            "instance,pipeline,wall_time_ms,final_states,peak_intermediate_states,"
+            "overhead,minimizations,explored_metastates,timed_out,preprocess_ms\n"
+            "i0,otf,1.5,3,3,0,1,3,False,0.5\n"
+        )
+        (row,) = read_csv(str(path))
+        assert (row.exact_hits, row.cover_hits, row.misses) == (0, 0, 0)
+        assert row.preprocess_ms == 0.5
+
+
 class TestSweep:
     def test_row_count_and_files(self, tmp_path):
         out = str(tmp_path / "sweep.csv")

@@ -25,7 +25,12 @@ from nfacanon.engine import (
 )
 from nfacanon.generator import GenParams, generate
 from nfacanon.partition import minimize
-from nfacanon.registry import CCLRegistry, CCLSRegistry, OneToOneRegistry
+from nfacanon.registry import (
+    CCLRegistry,
+    CCLSRegistry,
+    OneToOneRegistry,
+    ResidualRegistry,
+)
 from nfacanon.simulation import compute_similarity
 
 from oracle import (
@@ -94,33 +99,89 @@ class TestUpdateThreshold:
             assert c.t == 3
 
 
-def _counting(registry_cls, explored: list[int] | None = None):
-    """Subclass of a registry class that logs its get and unify calls.
+class _LoggedMap(dict):
+    """An exact map that appends each ``get`` on it to ``log``."""
 
-    Each logged unify also notes how many metastates of ``explored`` had
-    been explored when it was called.
+    def __init__(self, log: list):
+        super().__init__()
+        self.log = log
+
+    def get(self, mask, default=None):
+        state = super().get(mask, default)
+        self.log.append(("exact", mask, state))
+        return state
+
+
+def _counting(registry_cls, explored: list[int] | None = None):
+    """Subclass of a registry class that logs its lookups, puts and unifies.
+
+    ``log`` lists, in call order, each ``get`` on the exact map as
+    ("exact", mask, answer), each ``get`` call as ("get", mask, answer) and
+    each ``put`` as ("put", mask, state); the exact lookups that ``get`` and
+    ``put`` make themselves are left out.  Each logged unify also notes how
+    many metastates of ``explored`` had been explored when it was called.
     """
 
     class Counting(registry_cls):
         def __init__(self, *args):
             super().__init__(*args)
-            self.gets = 0
+            self.log: list[tuple] = []
+            self._exact = _LoggedMap(self.log)
             self.unified: list[tuple[int, int, int]] = []
             self.metastate_of: dict[int, int] = {}
 
         def get(self, mask):
-            self.gets += 1
-            return super().get(mask)
+            mark = len(self.log)
+            state = super().get(mask)
+            del self.log[mark:]
+            self.log.append(("get", mask, state))
+            return state
 
         def put(self, mask, state):
             self.metastate_of.setdefault(state, mask)
+            mark = len(self.log)
             super().put(mask, state)
+            del self.log[mark:]
+            self.log.append(("put", mask, state))
 
         def unify(self, q1, q2):
             self.unified.append((q1, q2, len(explored or ())))
             super().unify(q1, q2)
 
     return Counting
+
+
+class _BehindEmptyExactMap:
+    """``registry`` behind an exact map that stays empty.
+
+    The engine then sends every lookup to the registry's own ``get``.
+    """
+
+    def __init__(self, registry):
+        self._exact: dict[int, int] = {}
+        self._registry = registry
+
+    def __getattr__(self, name):
+        return getattr(self._registry, name)
+
+
+def _lookup_registries(nfa):
+    """(registry class, its arguments, threshold interval) cases for ``nfa``.
+
+    The residual registry keys ``nfa``'s subsets by a first pass over its
+    reverse, as Brzozowski's second pass does.
+    """
+    p = compute_similarity(nfa)
+    phase1 = otf_determinize(reverse(nfa), OneToOneRegistry())
+    columns = engine._columns(phase1.metastates, nfa.num_states)
+    return [
+        (OneToOneRegistry, (), None),
+        (CCLRegistry, (), None),
+        (CCLRegistry, (), 2),
+        (CCLSRegistry, (p,), None),
+        (CCLSRegistry, (p,), 2),
+        (ResidualRegistry, (columns,), None),
+    ]
 
 
 class TestOtfDeterminize:
@@ -155,22 +216,72 @@ class TestOtfDeterminize:
 
     def test_one_get_per_successor(self):
         # a popped metastate carries its id, so each explored metastate
-        # costs exactly k lookups: one per successor
+        # costs exactly k lookups in the exact map, one per successor; a
+        # successor reaches ``get`` exactly when the exact map misses it,
+        # and is put exactly when ``get`` misses it too
         rng = random.Random(31)
         inputs = [random_nfa(rng, rng.randint(3, 8), 2) for _ in range(6)]
         inputs += [tv_nfa(rng, 10, 1.25, 0.5), blowup_nfa(6)]
+        cover_hits = 0
         for nfa in inputs:
-            p = compute_similarity(nfa)
-            for cls, args, controller in (
-                (OneToOneRegistry, (), None),
-                (CCLRegistry, (), None),
-                (CCLRegistry, (), Threshold(2, max_increase=0)),
-                (CCLSRegistry, (p,), None),
-                (CCLSRegistry, (p,), Threshold(2, max_increase=0)),
-            ):
+            for cls, args, interval in _lookup_registries(nfa):
                 reg = _counting(cls)(*args)
+                controller = interval and Threshold(interval, max_increase=0)
                 res = otf_determinize(nfa, reg, controller)
-                assert reg.gets == nfa.alphabet_size * res.explored_count
+                log = iter(reg.log)
+                assert next(log) == ("put", nfa.initial_mask, 0)
+                counts = {"exact": 0, "cover": 0, "miss": 0}
+                for kind, mask, state in log:
+                    assert kind == "exact"
+                    if state is None:
+                        kind, got, state = next(log)
+                        assert (kind, got) == ("get", mask)
+                        if state is None:
+                            kind, put, _ = next(log)
+                            assert (kind, put) == ("put", mask)
+                            counts["miss"] += 1
+                        else:
+                            counts["cover"] += 1
+                    else:
+                        counts["exact"] += 1
+                assert sum(counts.values()) == nfa.alphabet_size * res.explored_count
+                assert (res.exact_hits, res.cover_hits, res.misses) == (
+                    counts["exact"], counts["cover"], counts["miss"]
+                )
+                cover_hits += counts["cover"]
+        assert cover_hits > 0
+
+    @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
+    def test_empty_exact_map_changes_no_answer(self, family):
+        # the engine's exact lookup is a shortcut only: behind an exact map
+        # that stays empty, every lookup goes through the registry's ``get``
+        # and the DFA, the ids, every count and every cover hit are the same
+        rng = random.Random(41)
+        if family == "tv":
+            inputs = [tv_nfa(rng, n, 1.25, 0.5) for n in (10, 16, 24)]
+        elif family == "random":
+            inputs = [random_nfa(rng, rng.randint(3, 9), 2) for _ in range(6)]
+        else:
+            inputs = [blowup_nfa(4), blowup_nfa(7)]
+        for nfa in inputs:
+            for cls, args, interval in _lookup_registries(nfa):
+                runs = []
+                for wrap in (lambda reg: reg, _BehindEmptyExactMap):
+                    reg = cls(*args)
+                    reg.cover_hits = [] if issubclass(cls, CCLRegistry) else None
+                    controller = interval and Threshold(interval, max_increase=0)
+                    res = otf_determinize(nfa, wrap(reg), controller)
+                    d = res.dfa
+                    runs.append((
+                        (d.num_states, sorted(d.final), [list(r) for r in d.trans]),
+                        (res.ids, res.metastates, res.explored_count, res.peak_states),
+                        (res.minimizations, res.sizes_after_min, res.misses),
+                        res.exact_hits + res.cover_hits,
+                        reg.cover_hits,
+                    ))
+                    if wrap is _BehindEmptyExactMap:
+                        assert res.exact_hits == 0
+                assert runs[0] == runs[1], (cls.__name__, interval)
 
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
     def test_ccls_matches_linear_scan_registry(self, family):
@@ -373,6 +484,49 @@ class TestCanonize:
         assert stats.minimizations >= 1
         assert stats.overhead >= 0
         assert stats.explored_metastates >= 1
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_lookup_counts_add_up(self, pipeline):
+        # each successor lookup is an exact hit, a cover hit or a miss, and
+        # each miss makes a state that is explored later: every state but
+        # the initial one of each determinization
+        passes = 2 if pipeline.startswith("brz") else 1
+        for seed in range(3):
+            nfa = tv_nfa(random.Random(seed), 20, 1.25, 0.5)
+            _, stats = canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=4))
+            lookups = stats.exact_hits + stats.cover_hits + stats.misses
+            assert lookups == nfa.alphabet_size * stats.explored_metastates
+            assert stats.misses == stats.explored_metastates - passes
+            assert stats.exact_hits > 0
+            if pipeline == "sc":
+                assert stats.cover_hits == 0  # the exact map is all there is
+
+    @pytest.mark.parametrize("pipeline", ["otf", "otf-s"])
+    def test_cover_hits_match_the_registry(self, monkeypatch, pipeline):
+        made = []
+        cls = CCLSRegistry if pipeline == "otf-s" else CCLRegistry
+
+        class Recording(cls):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.cover_hits = []
+                made.append(self)
+
+        monkeypatch.setattr(engine, cls.__name__, Recording)
+        hits = 0
+        for seed in range(4):
+            nfa = tv_nfa(random.Random(seed), 32, 1.25, 0.5)
+            _, stats = canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
+            assert stats.cover_hits == len(made[-1].cover_hits)
+            hits += stats.cover_hits
+        assert hits > 0
+
+    def test_timeout_keeps_lookup_counts(self):
+        config = CanonConfig(pipeline="otf", threshold_init=50, timeout_ms=50.0)
+        _, stats = canonize(blowup_nfa(20), config)
+        assert stats.timed_out and stats.misses > 0
+        lookups = stats.exact_hits + stats.cover_hits + stats.misses
+        assert lookups == 2 * stats.explored_metastates
 
     def test_unknown_pipeline_rejected(self, ends_in_a):
         with pytest.raises(ValueError):

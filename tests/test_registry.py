@@ -135,11 +135,22 @@ def _masks(*sets):
 
 class TestCCL:
     def test_put_creates_singleton_lattice(self):
+        # a put's lattice is the point [q, q]: only the exact entry and the
+        # metastate put for the state are stored, and the point is built
+        # when its class is first unified
         reg = CCLRegistry()
         q = to_mask([1, 2])
         reg.put(q, 7)
-        lat = reg.lattices[reg.find(7)]
+        assert reg.lattices == {} and reg._index.live == 0
+        assert reg._exact == {q: 7} and reg._put_for == {7: q}
+        lat = reg._take(reg.find(7))
         assert lat.greatest == q
+        assert lat.minimals == [q]
+        assert lat.rep == 7
+        reg.put(to_mask([1, 2, 3]), 8)
+        reg.unify(7, 8)
+        lat = reg.lattices[7]
+        assert lat.greatest == to_mask([1, 2, 3])
         assert lat.minimals == [q]
         assert lat.rep == 7
 
@@ -147,7 +158,9 @@ class TestCCL:
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
-        assert len(reg.lattices) == 2
+        assert reg.lattices == {}
+        assert reg.get(to_mask([1, 2])) == 0 and reg.get(to_mask([3, 4])) == 1
+        assert reg.get(to_mask([1, 2, 3, 4])) is None
 
     def test_empty_metastate_is_valid_key(self):
         reg = CCLRegistry()
@@ -175,9 +188,14 @@ class TestCCL:
     def test_unify_self_is_noop(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
+        reg.unify(0, 0)  # builds no lattice for the point
+        assert reg.lattices == {} and reg._class_puts == {}
+        reg.put(to_mask([3]), 1)
+        reg.unify(0, 1)
         before = (reg.lattices[0].greatest, list(reg.lattices[0].minimals))
-        reg.unify(0, 0)
+        reg.unify(1, 0)
         assert (reg.lattices[0].greatest, reg.lattices[0].minimals) == before
+        assert before == (to_mask([1, 2, 3]), _masks([1, 2], [3]))
 
     def test_get_covered_metastate(self):
         reg = CCLRegistry()
@@ -580,17 +598,26 @@ def _run_ops(reg, rng, positions, steps):
             _checked_get(reg, draw_mask())
     for mask in list(reg._exact):
         _checked_get(reg, mask)
-    # the index's live rows are the lattices that are neither points nor
-    # entries of the unmerged dict, in the dict's order, each keyed by its
-    # own representative, which is a class root
+    # ``lattices`` holds the unified classes and the puts that are not
+    # points, each keyed by its class root; no point is built before its
+    # class is unified
+    lattices = list(reg.lattices.values())
+    assert not [lat for lat in lattices if lat.minimals == [lat.greatest]]
+    assert set(reg._class_puts) <= set(reg.lattices)
+    for root, lat in reg.lattices.items():
+        assert lat.rep == root
+        if root not in reg._class_puts:
+            put = reg._put_for[root]
+            assert (lat.greatest, lat.minimals) == (
+                saturate(put, reg.preorder), [prune(put, reg.preorder)]
+            )
+    # the index's live rows are the lattices that are not entries of the
+    # unmerged dict, in the dict's order, each keyed by its own
+    # representative, which is a class root
     index = reg._index
     live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
-    lattices = list(reg.lattices.values())
     unmerged = {id(lat) for lat in reg._unmerged.values()}
-    points = [lat for lat in lattices if lat.minimals == [lat.greatest]]
-    assert live_rows == [
-        lat for lat in lattices if lat.minimals != [lat.greatest] and id(lat) not in unmerged
-    ]
+    assert live_rows == [lat for lat in lattices if id(lat) not in unmerged]
     for lat in live_rows:
         assert reg.lattices[lat.rep] is lat and reg.find(lat.rep) == lat.rep
     # each dict entry is the live, never merged lattice of one put, keyed by
@@ -598,7 +625,6 @@ def _run_ops(reg, rng, positions, steps):
     for key, lat in reg._unmerged.items():
         assert lat.minimals == [key] and key != lat.greatest and lat.bit == 0
         assert reg.lattices[lat.rep] is lat and lat.rep not in reg._class_puts
-    assert all(lat.bit == 0 for lat in points)
 
 
 _positions = st.tuples(
@@ -657,7 +683,7 @@ class TestCoverIndex:
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([2]), 0)  # prune == saturate: a point
-        assert reg._index.rows == [] and reg._unmerged == {}
+        assert reg._index.rows == [] and reg._unmerged == {} and reg.lattices == {}
         reg.put(to_mask([0]), 1)  # saturates to {0, 1}: keyed by {0}
         assert reg._index.rows == []
         assert reg._unmerged == {to_mask([0]): reg.lattices[1]}

@@ -1,21 +1,18 @@
 """NFA canonization with on-the-fly minimization and equivalence registries."""
 
-from .automata import Dfa, Nfa, Word, enumerate_language, isomorphic, language_equivalent
+from .automata import Dfa, Nfa, isomorphic
 from .engine import CanonConfig, RunStats, canonize
 from .generator import GenParams, generate
 
 __all__ = [
     "Nfa",
     "Dfa",
-    "Word",
     "CanonConfig",
     "RunStats",
     "canonize",
     "GenParams",
     "generate",
-    "enumerate_language",
     "isomorphic",
-    "language_equivalent",
 ]
 
 __version__ = "0.1.0"

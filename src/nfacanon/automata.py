@@ -1,15 +1,16 @@
-"""Core automaton representations and exact language oracles.
+"""Core automaton representations and the transformations on them.
 
 NFA states are integers ``0..num_states-1`` and symbols are integers
 ``0..alphabet_size-1``.  An ``Nfa`` keeps its transitions in two views: edge
 arrays, every transition once in (symbol, source, target) order, which
 trimming, reversal and the quotients read and produce whole; and
 per-state, per-symbol successor bitmasks, which subset construction reads.
-Metastates (sets of NFA states) are integer bitmasks throughout the hot
-paths; :func:`to_mask` / :func:`members` convert between masks and explicit
-state collections.  Subset construction asks an ``Nfa`` for every
-per-symbol successor of a metastate (``Nfa.successors``); every
-determinization, both Brzozowski passes included, runs on an ``Nfa``.
+Metastates (sets of NFA states) are integer bitmasks throughout;
+:func:`to_mask` packs a collection of states into one.  Subset
+construction asks an ``Nfa`` for every per-symbol successor of a metastate
+(``Nfa.successors``); every determinization, both Brzozowski passes
+included, runs on an ``Nfa``.  Language checks (membership, equivalence,
+inclusion, enumeration) are test oracles and live with the tests.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-Word = tuple[int, ...]
-
 UNDEFINED = -1
 
 
@@ -31,16 +30,6 @@ def to_mask(states: Iterable[int]) -> int:
     for s in states:
         m |= 1 << s
     return m
-
-
-def members(mask: int) -> tuple[int, ...]:
-    """Unpack a bitmask into the sorted tuple of its state identifiers."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 class Nfa:
@@ -130,9 +119,6 @@ class Nfa:
     @property
     def final_mask(self) -> int:
         return to_mask(self.final)
-
-    def succ_mask(self, state: int, symbol: int) -> int:
-        return self._masks()[state][symbol]
 
     def successors(self, mask: int) -> list[int]:
         """Every per-symbol successor metastate of ``mask``, a new list.
@@ -276,53 +262,8 @@ class Dfa:
     def is_total(self) -> bool:
         return all(UNDEFINED not in row for row in self.trans)
 
-    def accepts(self, word: Word) -> bool:
-        s = self.initial
-        for a in word:
-            s = self.trans[s][a]
-            if s == UNDEFINED:
-                return False
-        return s in self.final
-
-    def to_nfa(self) -> Nfa:
-        edges = [
-            (s, a, t)
-            for s, row in enumerate(self.trans)
-            for a, t in enumerate(row)
-            if t != UNDEFINED
-        ]
-        return Nfa(self.num_states, self.alphabet_size, edges, [self.initial], self.final)
-
     def __repr__(self) -> str:
         return f"Dfa(states={self.num_states}, symbols={self.alphabet_size})"
-
-
-def successors(nfa: Nfa, metastate: Iterable[int] | int, symbol: int) -> frozenset[int]:
-    """Union of per-state successor sets: the metastate transition function."""
-    if not 0 <= symbol < nfa.alphabet_size:
-        raise ValueError(f"symbol {symbol} out of range")
-    mask = metastate if isinstance(metastate, int) else to_mask(metastate)
-    return frozenset(members(successor_mask(nfa, mask, symbol)))
-
-
-def successor_mask(nfa: Nfa, mask: int, symbol: int) -> int:
-    # apart from Nfa.successors, so the oracles built on it check that loop
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= nfa.succ_mask(low.bit_length() - 1, symbol)
-        mask ^= low
-    return out
-
-
-def accepts(nfa: Nfa, word: Word) -> bool:
-    """Membership test by running the metastate semantics over the word."""
-    mask = nfa.initial_mask
-    for a in word:
-        if not 0 <= a < nfa.alphabet_size:
-            raise ValueError(f"symbol {a} out of range")
-        mask = successor_mask(nfa, mask, a)
-    return bool(mask & nfa.final_mask)
 
 
 def reverse(nfa: Nfa) -> Nfa:
@@ -423,58 +364,6 @@ def complete(dfa: Dfa) -> Dfa:
         for row in dfa.trans + [[UNDEFINED] * dfa.alphabet_size]
     ]
     return Dfa(sink + 1, dfa.alphabet_size, dfa.initial, dfa.final, rows)
-
-
-def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """Exact equivalence check via synchronized BFS over the product."""
-    return _product_check(d1, d2, symmetric=True)
-
-
-def language_included(d1: Dfa, d2: Dfa) -> bool:
-    """Exact check of L(d1) being a subset of L(d2)."""
-    return _product_check(d1, d2, symmetric=False)
-
-
-def _product_check(d1: Dfa, d2: Dfa, symmetric: bool) -> bool:
-    if d1.alphabet_size != d2.alphabet_size:
-        raise ValueError("alphabet size mismatch")
-    c1, c2 = complete(d1), complete(d2)
-    start = (c1.initial, c2.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s1, s2 = queue.popleft()
-        in1, in2 = s1 in c1.final, s2 in c2.final
-        if (in1 != in2) if symmetric else (in1 and not in2):
-            return False
-        for a in range(c1.alphabet_size):
-            nxt = (c1.trans[s1][a], c2.trans[s2][a])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
-
-
-def enumerate_language(nfa: Nfa, max_len: int) -> set[Word]:
-    """Brute-force oracle: all accepted words of length <= max_len."""
-    out: set[Word] = set()
-    final = nfa.final_mask
-    frontier: list[tuple[Word, int]] = [((), nfa.initial_mask)]
-    if nfa.initial_mask & final:
-        out.add(())
-    for _ in range(max_len):
-        nxt = []
-        for word, mask in frontier:
-            if not mask:
-                continue
-            for a in range(nfa.alphabet_size):
-                m2 = successor_mask(nfa, mask, a)
-                w2 = word + (a,)
-                if m2 & final:
-                    out.add(w2)
-                nxt.append((w2, m2))
-        frontier = nxt
-    return out
 
 
 def isomorphic(d1: Dfa, d2: Dfa) -> bool:

@@ -58,14 +58,11 @@ class Threshold:
     Fires after every ``t`` explored states.  After each minimization ``t``
     is rescaled by the ratio of the new minimized size to the previous one
     (``s_old``), never dropping below ``t_min`` and never growing by more
-    than ``max_increase``.  ``t``, ``s_old`` and ``t_min`` start at ``init``;
-    ``max_increase`` defaults to ``init``, and ``max_increase=0`` gives a
-    fixed interval (``init=1``: minimize after every explored state).
+    than ``t_min`` at once.  ``t``, ``s_old`` and ``t_min`` start at ``init``.
     """
 
-    def __init__(self, init: int = 5000, max_increase: int | None = None):
+    def __init__(self, init: int = 5000):
         self.t = self.s_old = self.t_min = init
-        self.max_increase = init if max_increase is None else max_increase
         self.calls_since_last = 0
 
     def should_minimize(self) -> bool:
@@ -78,7 +75,7 @@ class Threshold:
     def after_minimize(self, new_size: int) -> None:
         s_new = max(1, new_size)
         scaled = round(self.t * s_new / self.s_old)
-        self.t = max(self.t_min, min(scaled, self.t + self.max_increase))
+        self.t = max(self.t_min, min(scaled, self.t + self.t_min))
         self.s_old = s_new
 
 
@@ -122,14 +119,18 @@ def otf_determinize(
     which reads its class root off the metastate it was put for.
     Without a ``controller`` no intermediate minimization happens; with
     one, the registry must be able to ``unify``, so it is a CCL or CCLS
-    registry.  ``metastates`` lists the metastate each live id was put for,
-    which Brzozowski's second pass reads.
+    registry.  The loop calls only the controller's ``should_minimize()``,
+    once per explored state, and ``after_minimize(size)``; the pipelines
+    pass a ``Threshold``.  ``metastates`` lists the metastate each live id
+    was put for, which Brzozowski's second pass reads.
 
     Each successor is looked up in the registry's exact map first, whose
     hits are final; only a metastate it misses goes to ``registry.get``,
-    and one that ``get`` misses too is put as a new state.  So an exact hit
-    costs one dict lookup and no call, and the counts of the three outcomes
-    follow from the number of ``get`` calls alone.
+    and one that ``get`` misses too is put as a new state right away.  So
+    ``get`` is never asked about a key of the exact map, every put but the
+    initial one follows the miss of its metastate, an exact hit costs one
+    dict lookup and no call, and the counts of the three outcomes follow
+    from the number of ``get`` calls alone.
     """
     kern = successor_kernel(nfa)
     exact = registry._exact.get

@@ -3,16 +3,17 @@
 A registry is the one owner of which DFA state ids stand for the same
 language.  Metastates are integer bitmasks over NFA states.  The contract:
 
-* ``get(mask)`` returns the current representative of a state whose
-  language equals the metastate's, or ``None``;
-* ``put(mask, state)`` links a metastate to a freshly created state (a
-  metastate is put at most once, and the CCL registries also refuse a state
-  that was put or absorbed before; a conflicting put raises
-  ``RegistryContractError``);
 * ``_exact``, a dict from metastates to states, is the registry's exact
-  map: ``get`` answers from it first, and a hit there is the final answer.
-  So the determinization loop reads it itself and calls ``get`` only for
-  the metastates it misses.  A registry may keep it empty.
+  map, and a hit there is the final answer.  The determinization loop
+  reads it itself, and a registry may keep it empty;
+* ``get(mask)`` is asked only about a metastate the exact map missed, and
+  returns the current representative of a state whose language equals
+  the metastate's, or ``None``;
+* ``put(mask, state)`` links a metastate to a freshly created state.  Every
+  put but the first follows the ``get`` that missed its metastate.  A
+  metastate is put at most once, and the CCL registries also refuse a
+  state that was put or absorbed before; a conflicting put raises
+  ``RegistryContractError``.
 
 The CCL registries also merge: ``unify(q1, q2)`` records that two states
 were found language-equivalent (by intermediate minimization) and merges
@@ -51,23 +52,22 @@ the tie-break, so x == z.)  Hence:
   in the exact map and the metastate it was put for are all there is,
   until ``unify`` builds the point to join it.  Every CCL put is a point;
 * an *unmerged* CCLS lattice that is not a point is keyed by its pruned
-  minimal in a dict, provided no live lattice covered that minimal when it
-  was put (after the engine's miss, always);
-* every other lattice -- a merged one, or one whose minimal was already
-  covered when it was put -- goes to the cover index.  It has one bit per
+  minimal in a dict.  Its put followed a miss, so no live lattice covered
+  that minimal, and no other entry has the same key;
+* a *merged* lattice goes to the cover index.  It has one bit per
   lattice: per NFA state, one Python int holds the bits of the lattices
   whose greatest element contains it.  A query ANDs the ints of its
   members, so a miss usually stops after a few of them, then tests the
-  minimals of the lattices left in bit order.  Bit order is insertion
-  order (at a put, or when ``unify`` joins two lattices).
+  minimals of the lattices left in bit order.  Bit order is the order in
+  which ``unify`` joined them.
 
 So ``lattices`` holds the lattices of the unified classes and of the CCLS
 puts that are not points, keyed by class root; a registry that never
 merged, CCL or CCLS on an identity preorder, builds none and costs what its
-exact map costs.  A lookup that misses the exact map tries the dict, then
-the index.  Both answer with the earliest-inserted covering lattice: a dict
-entry covers its key and no lattice inserted before it does, and an index
-hit is the first in bit order, while no dict entry covers the query.
+exact map costs.  A lookup tries the dict, then the index.  Both answer
+with the earliest-inserted covering lattice: a dict entry covers its key
+and no lattice inserted before it does, and an index hit is the first in
+bit order, while no dict entry covers the query.
 """
 
 from __future__ import annotations
@@ -118,12 +118,10 @@ class Lattice:
 
 
 class _CoverIndex:
-    """Greatest-element slices over the indexed lattices of a CCL registry.
+    """Greatest-element slices over the merged lattices of a CCL registry.
 
-    It holds the merged lattices, and the rare unmerged one whose minimal a
-    live lattice already covered when it was put.  Points and the other
-    unmerged lattices need no index: by the lemma of the module docstring
-    they cover only the pruned queries equal to their minimal.
+    Points and unmerged lattices need no index: by the lemma of the module
+    docstring they cover only the pruned queries equal to their minimal.
     ``rows[b]`` is the lattice that took bit ``b``, ``in_greatest[s]`` holds
     the bits of the lattices whose greatest element contains NFA state
     ``s``, and ``live`` the bits in use.  A lattice keeps its bit from
@@ -151,10 +149,9 @@ class _CoverIndex:
         lat.bit = bit
 
     def discard(self, lat: Lattice) -> None:
-        if lat.bit:
-            self.live &= ~lat.bit
-            if 2 * self.live.bit_count() < len(self.rows):
-                self._rebuild()
+        self.live &= ~lat.bit
+        if 2 * self.live.bit_count() < len(self.rows):
+            self._rebuild()
 
     def find(self, query: int) -> Optional[int]:
         """Representative of the earliest-inserted lattice covering ``query``."""
@@ -191,7 +188,7 @@ class _CoverIndex:
 
 
 class Registry(Protocol):
-    _exact: dict[int, int]  # hits are final; see the module docstring
+    _exact: dict[int, int]  # hits are final, and ``get`` is asked past them
 
     def get(self, mask: int) -> Optional[int]: ...
     def put(self, mask: int, state: int) -> None: ...
@@ -204,7 +201,7 @@ class OneToOneRegistry:
         self._exact: dict[int, int] = {}
 
     def get(self, mask: int) -> Optional[int]:
-        return self._exact.get(mask)
+        return None  # nothing beyond the exact map
 
     def put(self, mask: int, state: int) -> None:
         old = self._exact.setdefault(mask, state)
@@ -241,7 +238,7 @@ class ResidualRegistry(OneToOneRegistry):
         super().__init__()
         self.columns = columns
         self._by_signature: dict[int, int] = {}
-        # (metastate, signature) of the last lookup that missed the exact map
+        # (metastate, signature) of the last ``get``
         self._last = (-1, 0)
 
     def signature(self, mask: int) -> int:
@@ -254,13 +251,11 @@ class ResidualRegistry(OneToOneRegistry):
         return sig
 
     def get(self, mask: int) -> Optional[int]:
-        state = self._exact.get(mask)
-        if state is None:
-            sig = self.signature(mask)
-            self._last = (mask, sig)
-            state = self._by_signature.get(sig)
-            if state is not None:
-                self._exact[mask] = state
+        sig = self.signature(mask)
+        self._last = (mask, sig)
+        state = self._by_signature.get(sig)
+        if state is not None:
+            self._exact[mask] = state
         return state
 
     def put(self, mask: int, state: int) -> None:
@@ -284,16 +279,15 @@ class CCLRegistry(OneToOneRegistry):
     for); ``unify`` points the exact entries of the absorbed class at the
     new root and joins the two lattices, which are keyed by class root.
     ``find`` reads a state's root through the metastate it was put for.
-    The lattice of a put is a point, so a put builds none, and anything
-    that misses the exact map goes to the cover index, which holds the
-    merged lattices: a cover lookup returns the first covering lattice in
-    insertion order (most recently merged last), answered by a bit-sliced
-    index rather than a scan, and returns at once while the index is empty.
-    ``unify`` takes both lattices out of the index or out of the
-    ``_unmerged`` dict (which only ``CCLSRegistry`` fills), building the
-    point of a class that has no lattice yet, and indexes the joined one.
-    Setting ``cover_hits`` to a list records every non-exact hit as a
-    (queried metastate, returned state) pair.
+    The lattice of a put is a point, so a put builds none, and ``get``
+    asks the cover index, which holds the merged lattices: it returns the
+    first covering lattice in insertion order (most recently merged last),
+    answered by a bit-sliced index rather than a scan, and returns at once
+    while the index is empty.  ``unify`` takes both lattices out of the
+    index or out of the ``_unmerged`` dict (which only ``CCLSRegistry``
+    fills), building the point of a class that has no lattice yet, and
+    indexes the joined one.  Setting ``cover_hits`` to a list records every
+    hit of ``get`` as a (queried metastate, returned state) pair.
     """
 
     def __init__(self):
@@ -309,8 +303,9 @@ class CCLRegistry(OneToOneRegistry):
         self._class_puts: dict[int, list[int]] = {}
 
     def get(self, mask: int) -> Optional[int]:
-        state = self._exact.get(mask)
-        return self._cover(mask) if state is None else state
+        if not self._index.live:
+            return None
+        return self._hit(mask, self._index.find(mask))
 
     def put(self, mask: int, state: int) -> None:
         self._put(mask, state)  # a point: built only if unified
@@ -342,16 +337,17 @@ class CCLRegistry(OneToOneRegistry):
         """The lattice of class ``root``, taken out of the dict and the index.
 
         A class without one is a single put whose lattice is a point, built
-        here from the metastate put for it.
+        here from the metastate put for it.  A lattice without a bit is an
+        unmerged one, keyed by its one minimal.
         """
         lat = self.lattices.pop(root, None)
         if lat is None:
             mask = self._put_for[root]
             return Lattice(root, mask, [mask])
-        key = lat.minimals[0]
-        if self._unmerged.get(key) is lat:
-            del self._unmerged[key]
-        self._index.discard(lat)
+        if lat.bit:
+            self._index.discard(lat)
+        else:
+            del self._unmerged[lat.minimals[0]]
         return lat
 
     def _put(self, mask: int, state: int) -> None:
@@ -361,14 +357,8 @@ class CCLRegistry(OneToOneRegistry):
         super().put(mask, state)
         self._put_for[state] = mask
 
-    def _cover(self, mask: int) -> Optional[int]:
-        """State of a metastate that is not a key of the exact map."""
-        if not self._index.live:
-            return None
-        return self._hit(mask, self._index.find(mask))
-
     def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:
-        """Record the index's answer for ``mask`` if it is a cover hit."""
+        """Record the answer of ``get`` for ``mask`` if it is a hit."""
         # a live lattice's rep is its class root: unify re-keys it at every merge
         if rep is not None and self.cover_hits is not None:
             self.cover_hits.append((mask, rep))
@@ -381,52 +371,36 @@ class CCLSRegistry(CCLRegistry):
     The preorder must be reflexive and transitive.  ``put`` stores a
     lattice spanning from the pruned to the saturated form of the
     metastate, unless the two are equal (a point), in the ``_unmerged``
-    dict or the cover index as the module docstring says: by its lemma, a
-    lattice that was never merged covers exactly the pruned queries equal
-    to its minimal.  A lookup that misses the exact map prunes the query,
-    then tries the dict and the index.  A ``put`` right after the miss of
-    the same metastate reuses its pruned form and its miss, so each new
-    metastate is pruned once.
+    dict: by the lemma of the module docstring, a lattice that was never
+    merged covers exactly the pruned queries equal to its minimal.  A put
+    whose pruned form is already a key there was not a miss, and raises
+    ``RegistryContractError``.  ``get`` prunes the query, then tries the
+    dict and the index.  A ``put`` of the metastate that ``get`` last
+    missed reuses its pruned form, so each new metastate is pruned once.
     """
 
     def __init__(self, preorder: Preorder):
         super().__init__()
         self.preorder = preorder
-        # (metastate, its pruned form) of the last lookup that no lattice
-        # covered, until the next put or unify: the engine puts a metastate
-        # right after such a miss
-        self._last_miss = (-1, 0)
+        self._last_miss = (-1, 0)  # (metastate, its pruned form) of the last miss
 
-    def put(self, mask: int, state: int) -> None:
-        last, pruned = self._last_miss
-        self._last_miss = (-1, 0)
-        if last == mask:
-            covered = False
-        else:
-            pruned = prune(mask, self.preorder)
-            covered = self._lookup(pruned) is not None
-        saturated = saturate(mask, self.preorder)
-        self._put(mask, state)
-        if pruned == saturated:
-            return  # a point: only its exact hit
-        lat = self.lattices[state] = Lattice(state, saturated, [pruned])
-        if covered:
-            self._index.insert(lat)
-        else:
-            self._unmerged[pruned] = lat
-
-    def unify(self, q1: int, q2: int) -> None:
-        self._last_miss = (-1, 0)  # the joined lattice may cover it
-        super().unify(q1, q2)
-
-    def _lookup(self, pruned: int) -> Optional[int]:
-        """Representative of the earliest-inserted lattice covering ``pruned``."""
-        lat = self._unmerged.get(pruned)
-        return self._index.find(pruned) if lat is None else lat.rep
-
-    def _cover(self, mask: int) -> Optional[int]:
+    def get(self, mask: int) -> Optional[int]:
         pruned = prune(mask, self.preorder)
-        rep = self._lookup(pruned)
+        lat = self._unmerged.get(pruned)
+        rep = self._index.find(pruned) if lat is None else lat.rep
         if rep is None:
             self._last_miss = (mask, pruned)
         return self._hit(mask, rep)
+
+    def put(self, mask: int, state: int) -> None:
+        last, pruned = self._last_miss
+        if last != mask:
+            pruned = prune(mask, self.preorder)
+        lat = self._unmerged.get(pruned)
+        if lat is not None:
+            raise RegistryContractError(f"metastate {mask} is covered by state {lat.rep}")
+        saturated = saturate(mask, self.preorder)
+        self._put(mask, state)
+        if pruned != saturated:  # a point stores only its exact entry
+            lat = self.lattices[state] = Lattice(state, saturated, [pruned])
+            self._unmerged[pruned] = lat

@@ -18,27 +18,162 @@ successor mask that the edge arrays of ``Nfa`` and the array ``trim`` must
 match.
 ``LinearScanCCLSRegistry`` is a CCLS registry that answers every lookup by
 scanning all of its lattices in insertion order; its exact map stays empty,
-so the engine sends every lookup to its ``get``.
+so the engine sends every lookup to its ``get``.  ``lookup`` asks a
+registry the way the determinization loop does, and ``FixedInterval`` is
+a minimization controller that never rescales its interval.
+
+The language oracles are here too, apart from the code they check:
+``members`` unpacks a bitmask, ``successor_mask`` ORs per-state successor
+masks one member at a time (``Nfa.successors`` gathers them), ``accepts``
+and ``enumerate_language`` run the metastate semantics word by word,
+``language_equivalent`` and ``language_included`` walk the product of two
+DFAs, each completed by ``completed`` rather than ``automata.complete``,
+and ``dfa_accepts`` and ``dfa_to_nfa`` read a ``Dfa``'s rows.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
 
-from nfacanon.automata import (
-    EMPTY_LANGUAGE_STATES,
-    UNDEFINED,
-    Dfa,
-    Nfa,
-    complete,
-    members,
-    successor_mask,
-    to_mask,
-    trim,
-)
+from nfacanon.automata import EMPTY_LANGUAGE_STATES, UNDEFINED, Dfa, Nfa, to_mask, trim
 from nfacanon.simulation import Preorder
+
+Word = tuple[int, ...]
+
+
+def members(mask: int) -> tuple[int, ...]:
+    """Unpack a bitmask into the sorted tuple of its state identifiers."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def succ_mask(nfa: Nfa, state: int, symbol: int) -> int:
+    """Bitmask of the targets of ``state`` on ``symbol``."""
+    return nfa._masks()[state][symbol]
+
+
+def successor_mask(nfa: Nfa, mask: int, symbol: int) -> int:
+    """The successor of metastate ``mask`` on ``symbol``, member by member."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= succ_mask(nfa, low.bit_length() - 1, symbol)
+        mask ^= low
+    return out
+
+
+def successors(nfa: Nfa, metastate, symbol: int) -> frozenset[int]:
+    """Union of per-state successor sets: the metastate transition function.
+
+    ``metastate`` is a bitmask or a collection of states.
+    """
+    if not 0 <= symbol < nfa.alphabet_size:
+        raise ValueError(f"symbol {symbol} out of range")
+    mask = metastate if isinstance(metastate, int) else to_mask(metastate)
+    return frozenset(members(successor_mask(nfa, mask, symbol)))
+
+
+def accepts(nfa: Nfa, word: Word) -> bool:
+    """Membership test by running the metastate semantics over the word."""
+    mask = nfa.initial_mask
+    for a in word:
+        if not 0 <= a < nfa.alphabet_size:
+            raise ValueError(f"symbol {a} out of range")
+        mask = successor_mask(nfa, mask, a)
+    return bool(mask & nfa.final_mask)
+
+
+def enumerate_language(nfa: Nfa, max_len: int) -> set[Word]:
+    """Brute-force oracle: all accepted words of length <= max_len."""
+    out: set[Word] = set()
+    final = nfa.final_mask
+    frontier: list[tuple[Word, int]] = [((), nfa.initial_mask)]
+    if nfa.initial_mask & final:
+        out.add(())
+    for _ in range(max_len):
+        nxt = []
+        for word, mask in frontier:
+            if not mask:
+                continue
+            for a in range(nfa.alphabet_size):
+                m2 = successor_mask(nfa, mask, a)
+                w2 = word + (a,)
+                if m2 & final:
+                    out.add(w2)
+                nxt.append((w2, m2))
+        frontier = nxt
+    return out
+
+
+def dfa_accepts(dfa: Dfa, word: Word) -> bool:
+    """Membership test by following ``dfa``'s rows; an undefined move rejects."""
+    s = dfa.initial
+    for a in word:
+        s = dfa.trans[s][a]
+        if s == UNDEFINED:
+            return False
+    return s in dfa.final
+
+
+def dfa_to_nfa(dfa: Dfa) -> Nfa:
+    """``dfa`` as an ``Nfa`` with the same states and defined transitions."""
+    edges = [
+        (s, a, t)
+        for s, row in enumerate(dfa.trans)
+        for a, t in enumerate(row)
+        if t != UNDEFINED
+    ]
+    return Nfa(dfa.num_states, dfa.alphabet_size, edges, [dfa.initial], dfa.final)
+
+
+def completed(dfa: Dfa) -> Dfa:
+    """Total form of ``dfa``: a fresh non-final sink takes every undefined move.
+
+    A total ``dfa`` is returned as it is.
+    """
+    if all(UNDEFINED not in row for row in dfa.trans):
+        return dfa
+    sink = dfa.num_states
+    rows = [[sink if t == UNDEFINED else t for t in row] for row in dfa.trans]
+    rows.append([sink] * dfa.alphabet_size)
+    return Dfa(sink + 1, dfa.alphabet_size, dfa.initial, dfa.final, rows)
+
+
+def language_equivalent(d1: Dfa, d2: Dfa) -> bool:
+    """Exact equivalence check via synchronized BFS over the product."""
+    return _product_check(d1, d2, symmetric=True)
+
+
+def language_included(d1: Dfa, d2: Dfa) -> bool:
+    """Exact check of L(d1) being a subset of L(d2)."""
+    return _product_check(d1, d2, symmetric=False)
+
+
+def _product_check(d1: Dfa, d2: Dfa, symmetric: bool) -> bool:
+    if d1.alphabet_size != d2.alphabet_size:
+        raise ValueError("alphabet size mismatch")
+    c1, c2 = completed(d1), completed(d2)
+    start = (c1.initial, c2.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        s1, s2 = queue.popleft()
+        in1, in2 = s1 in c1.final, s2 in c2.final
+        if (in1 != in2) if symmetric else (in1 and not in2):
+            return False
+        for a in range(c1.alphabet_size):
+            nxt = (c1.trans[s1][a], c2.trans[s2][a])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
 
 
 def textbook_subset_construction(
@@ -75,7 +210,7 @@ def textbook_subset_construction(
 
 def table_filling_minimize(dfa: Dfa) -> Dfa:
     """Brute-force minimization by pairwise distinguishability marking."""
-    d = complete(dfa)
+    d = completed(dfa)
     n = d.num_states
     distinct = [[False] * n for _ in range(n)]
     for x, y in combinations(range(n), 2):
@@ -175,8 +310,8 @@ def similarity_reference(nfa: Nfa) -> list[int]:
                 if not keep >> y & 1:
                     continue
                 for a in range(nfa.alphabet_size):
-                    ys = nfa.succ_mask(y, a)
-                    if any(not ys & above[xs] for xs in members(nfa.succ_mask(x, a))):
+                    ys = succ_mask(nfa, y, a)
+                    if any(not ys & above[xs] for xs in members(succ_mask(nfa, x, a))):
                         keep &= ~(1 << y)
                         break
             if keep != above[x]:
@@ -333,6 +468,37 @@ class LinearScanCCLSRegistry:
         self.lattices.append([root, g1 | g2, antichain_reference(m1 + m2)])
 
 
+def lookup(reg, mask: int) -> int | None:
+    """``reg``'s answer for ``mask`` as the determinization loop asks for it.
+
+    The exact map first, whose hits are final; ``get`` only on a miss.
+    """
+    state = reg._exact.get(mask)
+    return reg.get(mask) if state is None else state
+
+
+class FixedInterval:
+    """Minimization controller firing after every ``t`` explored states.
+
+    Unlike ``Threshold`` it never rescales ``t``.  The determinization loop
+    calls only ``should_minimize`` and ``after_minimize``.
+    """
+
+    def __init__(self, t: int):
+        self.t = t
+        self.calls_since_last = 0
+
+    def should_minimize(self) -> bool:
+        self.calls_since_last += 1
+        if self.calls_since_last >= self.t:
+            self.calls_since_last = 0
+            return True
+        return False
+
+    def after_minimize(self, new_size: int) -> None:
+        pass
+
+
 def minimize_reference(dfa: Dfa, sig: list[int]) -> tuple[Dfa, list[tuple[int, int]]]:
     """Seeded Moore refinement over whole signature rows.
 
@@ -407,7 +573,7 @@ def bisimulation_reference(nfa: Nfa) -> Nfa:
             key = (
                 block[s],
                 tuple(
-                    frozenset(block[t] for t in members(nfa.succ_mask(s, a)))
+                    frozenset(block[t] for t in members(succ_mask(nfa, s, a)))
                     for a in range(nfa.alphabet_size)
                 ),
             )
@@ -435,7 +601,7 @@ def edges_reference(nfa: Nfa) -> list[tuple[int, int, int]]:
     out = []
     for a in range(nfa.alphabet_size):
         for s in range(nfa.num_states):
-            out.extend((s, a, t) for t in members(nfa.succ_mask(s, a)))
+            out.extend((s, a, t) for t in members(succ_mask(nfa, s, a)))
     return out
 
 

@@ -10,17 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from nfacanon.automata import (
-    Nfa,
-    accepts,
-    complete,
-    enumerate_language,
-    isomorphic,
-    language_equivalent,
-    language_included,
-    members,
-    to_mask,
-)
+from nfacanon.automata import Nfa, complete, isomorphic, to_mask
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
@@ -35,6 +25,8 @@ from nfacanon.registry import CCLRegistry, CCLSRegistry
 from nfacanon.simulation import compute_similarity
 
 from oracle import (
+    FixedInterval,
+    accepts,
     auto_members,
     auto_nfa,
     auto_tracks,
@@ -42,7 +34,10 @@ from oracle import (
     canonical_dfa,
     dfa_from_metastate,
     identity_preorder,
+    language_equivalent,
+    language_included,
     leq,
+    members,
     random_nfa,
     rooted_at,
 )
@@ -123,9 +118,7 @@ def test_registry_soundness():
             else:
                 reg = CCLRegistry()
             reg.cover_hits = []
-            res = otf_determinize(
-                nfa, reg, Threshold(rng.choice([1, 2]), max_increase=0)
-            )
+            res = otf_determinize(nfa, reg, FixedInterval(rng.choice([1, 2])))
             full = complete(res.dfa)
             for mask, state in reg.cover_hits:
                 hits_seen += 1
@@ -144,15 +137,13 @@ def test_ccls_equals_ccl_under_identity_preorder(explored_masks):
             nfa = random_nfa(rng, rng.randint(3, 9), 2)
             interval = rng.choice([1, 2, 3])
             explored.clear()
-            a = otf_determinize(
-                nfa, CCLRegistry(), Threshold(interval, max_increase=0)
-            )
+            a = otf_determinize(nfa, CCLRegistry(), FixedInterval(interval))
             trace_a = list(explored)
             explored.clear()
             b = otf_determinize(
                 nfa,
                 CCLSRegistry(identity_preorder(nfa.num_states)),
-                Threshold(interval, max_increase=0),
+                FixedInterval(interval),
             )
             assert trace_a == explored
             assert isomorphic(complete(a.dfa), complete(b.dfa))

@@ -3,24 +3,23 @@ import random
 import numpy as np
 import pytest
 
-from nfacanon.automata import (
-    Dfa,
-    Nfa,
-    accepts,
-    complete,
-    enumerate_language,
-    isomorphic,
-    language_equivalent,
-    members,
-    reverse,
-    successor_mask,
-    successors,
-    to_mask,
-    trim,
-)
+from nfacanon.automata import Dfa, Nfa, complete, isomorphic, reverse, to_mask, trim
 from nfacanon.partition import bisimulation_quotient
 from nfacanon.simulation import compute_similarity, simulation_quotient
-from oracle import edges_reference, random_nfa, trim_reference
+from oracle import (
+    accepts,
+    dfa_accepts,
+    dfa_to_nfa,
+    edges_reference,
+    enumerate_language,
+    language_equivalent,
+    members,
+    random_nfa,
+    succ_mask,
+    successor_mask,
+    successors,
+    trim_reference,
+)
 
 
 def word(s: str):
@@ -60,14 +59,14 @@ class TestNfaSuccessors:
 
     def test_result_belongs_to_the_caller(self):
         nfa = Nfa(3, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2)], [0], [2])
-        before = [nfa.succ_mask(s, a) for s in range(3) for a in range(2)]
+        before = [succ_mask(nfa, s, a) for s in range(3) for a in range(2)]
         for mask in (to_mask([0]), to_mask([0, 1]), 0):
             expect = nfa.successors(mask)
             out = nfa.successors(mask)
             out[0] = out[1] = 0b111
             out.append(5)
             assert nfa.successors(mask) == expect
-        assert [nfa.succ_mask(s, a) for s in range(3) for a in range(2)] == before
+        assert [succ_mask(nfa, s, a) for s in range(3) for a in range(2)] == before
 
 
 class TestEdges:
@@ -176,7 +175,7 @@ class TestEdgeArrays:
             expect = [[0] * nfa.alphabet_size for _ in range(nfa.num_states)]
             for s, a, t in nfa.edges():
                 expect[s][a] |= 1 << t
-            assert [[nfa.succ_mask(s, a) for a in range(nfa.alphabet_size)]
+            assert [[succ_mask(nfa, s, a) for a in range(nfa.alphabet_size)]
                     for s in range(nfa.num_states)] == expect
 
     def test_reverse_is_an_involution(self):
@@ -282,8 +281,9 @@ class TestAccepts:
         "w,expected",
         [("", False), ("aba", True), ("ab", False), ("a", True), ("ba", True)],
     )
-    def test_ends_in_a(self, ends_in_a, w, expected):
+    def test_ends_in_a(self, ends_in_a, ends_in_a_dfa_min, w, expected):
         assert accepts(ends_in_a, word(w)) is expected
+        assert dfa_accepts(ends_in_a_dfa_min, word(w)) is expected
 
 
 class TestReverse:
@@ -440,6 +440,7 @@ def test_language_equivalent_matches_enumeration():
         d2 = _random_total_dfa(rng, rng.randint(1, 3))
         depth = d1.num_states * d2.num_states
         agree = (
-            enumerate_language(d1.to_nfa(), depth) == enumerate_language(d2.to_nfa(), depth)
+            enumerate_language(dfa_to_nfa(d1), depth)
+            == enumerate_language(dfa_to_nfa(d2), depth)
         )
         assert language_equivalent(d1, d2) is agree

@@ -6,8 +6,9 @@ import pytest
 
 from nfacanon.automata import isomorphic
 from nfacanon.bench import CSV_COLUMNS
-from nfacanon.cli import EXIT_OK, EXIT_PARSE, EXIT_TIMEOUT, main
+from nfacanon.cli import EXIT_CONTRACT, EXIT_OK, EXIT_PARSE, EXIT_TIMEOUT, main
 from nfacanon.io import parse_dfa, parse_nfa, serialize_nfa
+from nfacanon.registry import OneToOneRegistry, RegistryContractError
 
 from oracle import canonical_dfa
 
@@ -103,6 +104,19 @@ class TestCanonize:
         rc = main(["canonize", str(path), "--timeout-ms", "0.001"])
         assert rc == EXIT_TIMEOUT
         assert json.loads(capsys.readouterr().out)["timed_out"] is True
+
+    @pytest.mark.parametrize("pipeline", ["sc", "otf-s"])
+    def test_contract_violation_exit_code(self, instance_file, capsys, monkeypatch, pipeline):
+        # every registry's put ends in the exact map's; refusing it there
+        # raises inside canonize, on the initial put
+        def refuse(self, mask, state):
+            raise RegistryContractError(f"refusing state {state}")
+
+        monkeypatch.setattr(OneToOneRegistry, "put", refuse)
+        assert main(["canonize", instance_file, "--pipeline", pipeline]) == EXIT_CONTRACT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: registry contract violation: refusing state 0\n"
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_timeout_not_positive_rejected(self, instance_file, capsys, value):

@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import (
-    complete,
-    enumerate_language,
-    isomorphic,
-    language_equivalent,
-    reverse,
-)
+from nfacanon.automata import complete, isomorphic, reverse
 import nfacanon.engine as engine
 import nfacanon.registry as registry_module
 from nfacanon.engine import (
@@ -31,12 +25,15 @@ from nfacanon.registry import (
     OneToOneRegistry,
     ResidualRegistry,
 )
-from nfacanon.simulation import compute_similarity
+from nfacanon.simulation import compute_similarity, prune
 
 from oracle import (
+    FixedInterval,
     LinearScanCCLSRegistry,
     blowup_nfa,
     canonical_dfa,
+    dfa_to_nfa,
+    language_equivalent,
     random_nfa,
     textbook_subset_construction,
     tv_nfa,
@@ -91,13 +88,6 @@ class TestUpdateThreshold:
             c.after_minimize(rng.randint(0, 100000))
             assert c.t >= 5000
 
-    def test_zero_growth_cap_keeps_interval_fixed(self):
-        rng = random.Random(78)
-        c = Threshold(3, max_increase=0)
-        for _ in range(100):
-            c.after_minimize(rng.randint(0, 100000))
-            assert c.t == 3
-
 
 class _LoggedMap(dict):
     """An exact map that appends each ``get`` on it to ``log``."""
@@ -117,9 +107,10 @@ def _counting(registry_cls, explored: list[int] | None = None):
 
     ``log`` lists, in call order, each ``get`` on the exact map as
     ("exact", mask, answer), each ``get`` call as ("get", mask, answer) and
-    each ``put`` as ("put", mask, state); the exact lookups that ``get`` and
-    ``put`` make themselves are left out.  Each logged unify also notes how
-    many metastates of ``explored`` had been explored when it was called.
+    each ``put`` as ("put", mask, state).  A registry's own ``get`` and
+    ``put`` read no exact entry this way, or the loop's pattern would break.
+    Each logged unify also notes how many metastates of ``explored`` had
+    been explored when it was called.
     """
 
     class Counting(registry_cls):
@@ -131,17 +122,13 @@ def _counting(registry_cls, explored: list[int] | None = None):
             self.metastate_of: dict[int, int] = {}
 
         def get(self, mask):
-            mark = len(self.log)
             state = super().get(mask)
-            del self.log[mark:]
             self.log.append(("get", mask, state))
             return state
 
         def put(self, mask, state):
             self.metastate_of.setdefault(state, mask)
-            mark = len(self.log)
             super().put(mask, state)
-            del self.log[mark:]
             self.log.append(("put", mask, state))
 
         def unify(self, q1, q2):
@@ -151,18 +138,40 @@ def _counting(registry_cls, explored: list[int] | None = None):
     return Counting
 
 
-class _BehindEmptyExactMap:
-    """``registry`` behind an exact map that stays empty.
+def _contract_checked(registry_cls):
+    """Subclass of a registry class that checks how the loop calls it.
 
-    The engine then sends every lookup to the registry's own ``get``.
+    ``get`` must not be asked about a key of the exact map, and ``put``
+    must not be given a metastate that is a key or that one of the
+    registry's lattices covers (after pruning, for CCLS).  It counts the
+    ``get`` calls in ``gets``.
     """
 
-    def __init__(self, registry):
-        self._exact: dict[int, int] = {}
-        self._registry = registry
+    class Checked(registry_cls):
+        gets = 0
 
-    def __getattr__(self, name):
-        return getattr(self._registry, name)
+        def get(self, mask):
+            assert mask not in self._exact
+            self.gets += 1
+            return super().get(mask)
+
+        def put(self, mask, state):
+            assert mask not in self._exact
+            query = prune(mask, self.preorder) if isinstance(self, CCLSRegistry) else mask
+            for lat in getattr(self, "lattices", {}).values():
+                assert not lat.covers(query), (mask, lat.rep)
+            super().put(mask, state)
+
+    return Checked
+
+
+def _family(name, rng):
+    """Small inputs of one family: ``tv``, ``random`` or ``blowup``."""
+    if name == "tv":
+        return [tv_nfa(rng, n, 1.25, 0.5) for n in (10, 16, 24)]
+    if name == "random":
+        return [random_nfa(rng, rng.randint(3, 9), 2) for _ in range(6)]
+    return [blowup_nfa(4), blowup_nfa(7)]
 
 
 def _lookup_registries(nfa):
@@ -200,7 +209,7 @@ class TestOtfDeterminize:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_blowup_family_with_always_firing_ccl(self, n):
         nfa = blowup_nfa(n)
-        res = otf_determinize(nfa, CCLRegistry(), Threshold(1, max_increase=0))
+        res = otf_determinize(nfa, CCLRegistry(), FixedInterval(1))
         assert res.peak_states <= 2**n
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
@@ -226,7 +235,7 @@ class TestOtfDeterminize:
         for nfa in inputs:
             for cls, args, interval in _lookup_registries(nfa):
                 reg = _counting(cls)(*args)
-                controller = interval and Threshold(interval, max_increase=0)
+                controller = interval and FixedInterval(interval)
                 res = otf_determinize(nfa, reg, controller)
                 log = iter(reg.log)
                 assert next(log) == ("put", nfa.initial_mask, 0)
@@ -252,36 +261,19 @@ class TestOtfDeterminize:
         assert cover_hits > 0
 
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
-    def test_empty_exact_map_changes_no_answer(self, family):
-        # the engine's exact lookup is a shortcut only: behind an exact map
-        # that stays empty, every lookup goes through the registry's ``get``
-        # and the DFA, the ids, every count and every cover hit are the same
-        rng = random.Random(41)
-        if family == "tv":
-            inputs = [tv_nfa(rng, n, 1.25, 0.5) for n in (10, 16, 24)]
-        elif family == "random":
-            inputs = [random_nfa(rng, rng.randint(3, 9), 2) for _ in range(6)]
-        else:
-            inputs = [blowup_nfa(4), blowup_nfa(7)]
-        for nfa in inputs:
+    def test_loop_keeps_the_registry_contract(self, family):
+        # ``get`` is asked only past the exact map, and a put follows its
+        # own miss, so no lattice covers what is put; each of the four
+        # registries, with and without intermediate minimization
+        hits = 0
+        for nfa in _family(family, random.Random(41)):
             for cls, args, interval in _lookup_registries(nfa):
-                runs = []
-                for wrap in (lambda reg: reg, _BehindEmptyExactMap):
-                    reg = cls(*args)
-                    reg.cover_hits = [] if issubclass(cls, CCLRegistry) else None
-                    controller = interval and Threshold(interval, max_increase=0)
-                    res = otf_determinize(nfa, wrap(reg), controller)
-                    d = res.dfa
-                    runs.append((
-                        (d.num_states, sorted(d.final), [list(r) for r in d.trans]),
-                        (res.ids, res.metastates, res.explored_count, res.peak_states),
-                        (res.minimizations, res.sizes_after_min, res.misses),
-                        res.exact_hits + res.cover_hits,
-                        reg.cover_hits,
-                    ))
-                    if wrap is _BehindEmptyExactMap:
-                        assert res.exact_hits == 0
-                assert runs[0] == runs[1], (cls.__name__, interval)
+                reg = _contract_checked(cls)(*args)
+                controller = interval and FixedInterval(interval)
+                res = otf_determinize(nfa, reg, controller)
+                assert reg.gets == res.cover_hits + res.misses
+                hits += res.cover_hits
+        assert hits > 0 or family == "blowup"  # its states are pairwise inequivalent
 
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
     def test_ccls_matches_linear_scan_registry(self, family):
@@ -303,7 +295,7 @@ class TestOtfDeterminize:
                     runs = []
                     for reg in (CCLSRegistry(p), LinearScanCCLSRegistry(p)):
                         reg.cover_hits = []
-                        controller = interval and Threshold(interval, max_increase=0)
+                        controller = interval and FixedInterval(interval)
                         res = otf_determinize(work, reg, controller)
                         d = res.dfa
                         runs.append((
@@ -326,7 +318,7 @@ class TestOtfDeterminize:
         for cls, args in ((CCLRegistry, ()), (CCLSRegistry, (compute_similarity(nfa),))):
             explored.clear()
             reg = _counting(cls, explored)(*args)
-            res = otf_determinize(nfa, reg, Threshold(1, max_increase=0))
+            res = otf_determinize(nfa, reg, FixedInterval(1))
             assert res.minimizations == res.explored_count
             assert reg.unified
             for surv, absorbed, seen in reg.unified:
@@ -340,9 +332,7 @@ class TestOtfDeterminize:
         rng = random.Random(100 + seed)
         nfa = random_nfa(rng, rng.randint(3, 8), 2)
         interval = rng.choice([1, 2, 3])
-        res = otf_determinize(
-            nfa, CCLRegistry(), Threshold(interval, max_increase=0)
-        )
+        res = otf_determinize(nfa, CCLRegistry(), FixedInterval(interval))
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
 
@@ -390,7 +380,7 @@ def test_counts_match_pinned_values(case):
     nfa = _pinned_input(name)
     reg = CCLRegistry() if kind == "ccl" else CCLSRegistry(compute_similarity(nfa))
     reg.cover_hits = []
-    res = otf_determinize(nfa, reg, Threshold(interval, max_increase=0))
+    res = otf_determinize(nfa, reg, FixedInterval(interval))
     sizes = res.sizes_after_min
     got = (
         res.explored_count,
@@ -419,7 +409,7 @@ def test_peak_states_match_pinned_values(name):
     peaks = []
     for make in (CCLRegistry, lambda: CCLSRegistry(preorder)):
         for interval in (1, 3):
-            res = otf_determinize(nfa, make(), Threshold(interval, max_increase=0))
+            res = otf_determinize(nfa, make(), FixedInterval(interval))
             peaks.append(res.peak_states)
     assert tuple(peaks) == _PINNED_PEAKS[name]
 
@@ -652,7 +642,7 @@ class TestBrzozowskiPhase2:
             first, second = runs
             # one metastate per state of the phase-1 DFA, merged ids left out
             assert len(first.metastates) == first.dfa.num_states
-            expect = determinize(reverse(first.dfa.to_nfa()), OneToOneRegistry())
+            expect = determinize(reverse(dfa_to_nfa(first.dfa)), OneToOneRegistry())
             assert second.dfa.trans == expect.dfa.trans
             assert second.dfa.final == expect.dfa.final
             assert second.explored_count == expect.explored_count
@@ -714,3 +704,13 @@ class TestThresholdControllers:
         c.after_minimize(4)
         # interval rescaled by the size ratio: 2 * 4/2 = 4, within the +2 cap
         assert c.t == 4
+
+    def test_fixed_interval_never_rescales(self):
+        # the tests' fixed-interval controller: fires every t-th call, and
+        # no minimized size moves t
+        rng = random.Random(78)
+        c = FixedInterval(3)
+        for _ in range(100):
+            assert [c.should_minimize() for _ in range(3)] == [False, False, True]
+            c.after_minimize(rng.randint(0, 100000))
+            assert c.t == 3

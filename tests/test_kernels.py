@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from nfacanon.automata import Nfa, successor_mask, to_mask
+from nfacanon.automata import Nfa, to_mask
 from nfacanon.kernels import default_backend, successor_kernel
 
-from oracle import random_nfa
+from oracle import random_nfa, successor_mask
 
 
 def test_python_backend_always_available(ends_in_a):

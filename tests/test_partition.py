@@ -6,19 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import (
-    UNDEFINED,
-    Dfa,
-    Nfa,
-    complete,
-    enumerate_language,
-    isomorphic,
-    language_equivalent,
-)
+from nfacanon.automata import UNDEFINED, Dfa, Nfa, complete
 from nfacanon.partition import bisimulation_quotient, minimize
 
 from oracle import (
     bisimulation_reference,
+    dfa_to_nfa,
+    enumerate_language,
+    language_equivalent,
     minimize_reference,
     random_nfa,
     table_filling_minimize,
@@ -93,7 +88,7 @@ class TestMinimize:
 
 class TestBisimulationQuotient:
     def test_dfa_input_matches_minimization_size(self, ends_in_a_dfa_redundant):
-        q = bisimulation_quotient(ends_in_a_dfa_redundant.to_nfa())
+        q = bisimulation_quotient(dfa_to_nfa(ends_in_a_dfa_redundant))
         out, _ = minimize(ends_in_a_dfa_redundant, [])
         assert q.num_states == out.num_states
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import Nfa, isomorphic, members, reverse, to_mask
-from nfacanon.engine import Threshold, otf_determinize
+from nfacanon.automata import Nfa, isomorphic, reverse, to_mask
+from nfacanon.engine import otf_determinize
 from nfacanon.registry import (
     CCLRegistry,
     CCLSRegistry,
@@ -19,11 +19,15 @@ from nfacanon.registry import (
 )
 from nfacanon.simulation import Preorder, compute_similarity, prune, saturate
 from oracle import (
+    FixedInterval,
     antichain_reference,
     canonical_dfa,
     dfa_from_metastate,
+    dfa_to_nfa,
     identity_preorder,
     leq,
+    lookup,
+    members,
     random_nfa,
     textbook_subset_construction,
     tv_nfa,
@@ -98,7 +102,7 @@ class TestFind:
                 for q in merged:
                     classes[q] = merged
             for state, mask in put_for.items():
-                assert reg.get(mask) == reg.find(state) == min(classes[state])
+                assert lookup(reg, mask) == reg.find(state) == min(classes[state])
         absorbed = [q for q in put_for if min(classes[q]) != q]
         assert absorbed
         for q in absorbed:
@@ -114,13 +118,13 @@ class TestOneToOne:
         reg = OneToOneRegistry()
         reg.put(to_mask([0]), 0)
         reg.put(to_mask([1]), 1)
-        assert reg.get(to_mask([0])) == 0
+        assert lookup(reg, to_mask([0])) == 0
         # an exact registry covers nothing beyond its keys
-        assert reg.get(to_mask([0, 1])) is None
+        assert lookup(reg, to_mask([0, 1])) is None
 
     def test_unseen_undefined(self):
         reg = OneToOneRegistry()
-        assert reg.get(to_mask([1, 2])) is None
+        assert lookup(reg, to_mask([1, 2])) is None
 
     def test_conflicting_put_rejected(self):
         reg = OneToOneRegistry()
@@ -159,13 +163,13 @@ class TestCCL:
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
         assert reg.lattices == {}
-        assert reg.get(to_mask([1, 2])) == 0 and reg.get(to_mask([3, 4])) == 1
-        assert reg.get(to_mask([1, 2, 3, 4])) is None
+        assert lookup(reg, to_mask([1, 2])) == 0 and lookup(reg, to_mask([3, 4])) == 1
+        assert lookup(reg, to_mask([1, 2, 3, 4])) is None
 
     def test_empty_metastate_is_valid_key(self):
         reg = CCLRegistry()
         reg.put(0, 5)
-        assert reg.get(0) == 5
+        assert lookup(reg, 0) == 5
 
     def test_unify_joins_lattices(self):
         reg = CCLRegistry()
@@ -202,21 +206,21 @@ class TestCCL:
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
         reg.unify(0, 1)
-        assert reg.get(to_mask([1, 2, 3])) == 0
+        assert lookup(reg, to_mask([1, 2, 3])) == 0
 
     def test_get_above_cover_fails(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
         reg.unify(0, 1)
-        assert reg.get(to_mask([1, 5])) is None
+        assert lookup(reg, to_mask([1, 5])) is None
 
     def test_get_below_cover_fails(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
         reg.unify(0, 1)
-        assert reg.get(to_mask([2, 4])) is None
+        assert lookup(reg, to_mask([2, 4])) is None
 
     def test_convexity_closure_has_exactly_seven_elements(self):
         # merging regions {1,2} and {3,4}: of the 31 nonempty subsets of
@@ -230,7 +234,7 @@ class TestCCL:
         universe = [1, 2, 3, 4, 5]
         for bits in range(1, 32):
             subset = [universe[i] for i in range(5) if bits >> i & 1]
-            if reg.get(to_mask(subset)) is not None:
+            if lookup(reg, to_mask(subset)) is not None:
                 covered.append(tuple(subset))
         expected = {
             (1, 2),
@@ -249,9 +253,9 @@ class TestCCL:
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
         reg.unify(0, 1)
-        assert reg.get(to_mask([1, 2])) == 0
+        assert lookup(reg, to_mask([1, 2])) == 0
         assert reg.cover_hits == []
-        assert reg.get(to_mask([1, 2, 3])) == 0
+        assert lookup(reg, to_mask([1, 2, 3])) == 0
         assert reg.cover_hits == [(to_mask([1, 2, 3]), 0)]
 
     def test_antichain_invariant_random_ops(self):
@@ -288,9 +292,9 @@ class TestCCL:
             reg.put(q, 1)  # absorbed by the unify
         with pytest.raises(RegistryContractError):
             reg.put(q, 0)  # the root of the merged class
-        assert q not in reg._exact and reg.get(q) is None
+        assert q not in reg._exact and lookup(reg, q) is None
         reg.put(q, 2)  # a fresh state is accepted
-        assert reg.get(q) == 2
+        assert lookup(reg, q) == 2
 
     def test_put_then_get_identity(self):
         rng = random.Random(3)
@@ -302,7 +306,7 @@ class TestCCL:
                 reg.put(mask, step)
                 mapping[mask] = step
         for mask, state in mapping.items():
-            assert reg.get(mask) == state
+            assert lookup(reg, mask) == state
 
 
 def _strict_preorder():
@@ -330,7 +334,7 @@ class TestCCLS:
                 ccl.unify(*pair)
                 ccls.unify(*pair)
             probe = to_mask([s for s in range(10) if rng.random() < 0.4])
-            assert ccl.get(probe) == ccls.get(probe)
+            assert lookup(ccl, probe) == lookup(ccls, probe)
 
     def test_put_widens_lattice(self):
         p = _strict_preorder()
@@ -344,48 +348,33 @@ class TestCCLS:
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([0]), 4)
-        assert reg.get(to_mask([0, 1])) == 4
+        assert lookup(reg, to_mask([0, 1])) == 4
 
     def test_get_prunes_query(self):
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([0, 2]), 4)
         # query {0,1,2} prunes to {0,2}, matching the stored minimal
-        assert reg.get(to_mask([0, 1, 2])) == 4
+        assert lookup(reg, to_mask([0, 1, 2])) == 4
 
     def test_unseen_uncovered_undefined(self):
         reg = CCLSRegistry(_strict_preorder())
-        assert reg.get(to_mask([2])) is None
+        assert lookup(reg, to_mask([2])) is None
 
-    def test_covered_minimal_goes_to_the_index(self):
+    def test_put_of_an_unmerged_key_rejected(self):
+        # a put follows the miss of its metastate, so its pruned form is no
+        # key of the unmerged dict; one that is was covered, and is refused
         reg = CCLSRegistry(_strict_preorder())
-        reg.put(to_mask([0]), 1)  # [{0}, {0, 1}]: uncovered, keyed by {0}
-        reg.put(to_mask([0, 1]), 2)  # prunes to {0}, which lattice 1 covers
-        lat1, lat2 = reg.lattices[1], reg.lattices[2]
-        assert lat2.minimals == [to_mask([0])]
-        assert reg._unmerged == {to_mask([0]): lat1}
-        assert reg._index.rows == [lat2] and reg._index.live == 1
-        reg.put(to_mask([2]), 3)  # a point
-        reg.unify(2, 3)  # takes lattice 2 out of the index, not lattice 1's key
-        assert reg._unmerged == {to_mask([0]): lat1}
-        assert reg.lattices[2] is lat2  # joined with the point, re-inserted
-        assert reg._index.rows == [lat2] and reg._index.live == 1
-        assert reg.get(to_mask([0, 1])) == 2
-
-    def test_miss_is_not_reused_after_unify(self):
-        reg = CCLSRegistry(_strict_preorder())
-        reg.cover_hits = []
-        reg.put(to_mask([0]), 0)
-        reg.put(to_mask([2]), 1)
-        q = to_mask([0, 2])
-        assert reg.get(q) is None
-        reg.unify(0, 1)  # the joined lattice {0} | {2} .. {0, 1, 2} covers q
-        reg.put(q, 2)
-        # q's lattice went to the index, so a query pruning to q still
-        # finds the earlier, merged lattice
-        assert reg._unmerged == {}
-        assert reg.get(to_mask([0, 1, 2])) == 0
-        assert reg.cover_hits == [(to_mask([0, 1, 2]), 0)]
+        reg.put(to_mask([0]), 1)  # [{0}, {0, 1}]: keyed by {0}
+        lat = reg.lattices[1]
+        q = to_mask([0, 1])  # prunes to {0}
+        assert lookup(reg, q) == 1
+        with pytest.raises(RegistryContractError):
+            reg.put(q, 2)
+        assert q not in reg._exact and 2 not in reg._put_for
+        assert reg._unmerged == {to_mask([0]): lat} and reg.lattices == {1: lat}
+        reg.put(to_mask([2]), 2)  # the refused state is still fresh
+        assert lookup(reg, q) == 1 and lookup(reg, to_mask([2])) == 2
 
 
 def _random_relation_preorder(n, pairs, mutual):
@@ -450,11 +439,11 @@ class TestResidual:
         else:
             nfa = tv_nfa(rng, rng.randint(4, 12), 1.25, 0.5)
         _, reached = textbook_subset_construction(nfa)
-        canon = [canonical_dfa(dfa_from_metastate(nfa, m).to_nfa()) for m in reached]
+        canon = [canonical_dfa(dfa_to_nfa(dfa_from_metastate(nfa, m))) for m in reached]
         # phase 1 without merges, and merging after every explored state
         for registry, controller in (
             (OneToOneRegistry(), None),
-            (CCLRegistry(), Threshold(1, max_increase=0)),
+            (CCLRegistry(), FixedInterval(1)),
         ):
             phase1 = otf_determinize(reverse(nfa), registry, controller)
             reg = ResidualRegistry(_columns(phase1.metastates, nfa.num_states))
@@ -468,11 +457,11 @@ class TestResidual:
         # states 0 and 2 lie in the same phase-1 metastates
         reg = ResidualRegistry([0b01, 0b10, 0b01])
         reg.put(to_mask([0]), 0)
-        assert reg.get(to_mask([1])) is None
-        assert reg.get(to_mask([2])) == 0
+        assert lookup(reg, to_mask([1])) is None
+        assert lookup(reg, to_mask([2])) == 0
         assert reg._exact[to_mask([2])] == 0
-        assert reg.get(to_mask([0, 2])) == 0
-        assert reg.get(to_mask([0, 1])) is None
+        assert lookup(reg, to_mask([0, 2])) == 0
+        assert lookup(reg, to_mask([0, 1])) is None
 
     def test_each_metastate_signed_once(self):
         signed = []
@@ -499,7 +488,7 @@ class TestResidual:
         with pytest.raises(RegistryContractError):
             reg.put(to_mask([2]), 1)
         reg.put(to_mask([1]), 1)
-        assert reg.get(to_mask([1])) == 1
+        assert lookup(reg, to_mask([1])) == 1
 
 
 class TestLattice:
@@ -560,8 +549,9 @@ def _reference_get(reg, mask):
 def _checked_get(reg, mask):
     expected, hit = _reference_get(reg, mask)
     before = len(reg.cover_hits)
-    assert reg.get(mask) == expected
+    assert lookup(reg, mask) == expected
     assert reg.cover_hits[before:] == ([hit] if hit else [])
+    return expected
 
 
 def _random_preorder(rng, positions):
@@ -576,7 +566,7 @@ def _random_preorder(rng, positions):
 
 
 def _run_ops(reg, rng, positions, steps):
-    """Random put/unify/get sequence over subsets of ``positions``."""
+    """Random put/unify/lookup sequence over subsets of ``positions``."""
     reg.cover_hits = []
     states = []
 
@@ -587,8 +577,8 @@ def _run_ops(reg, rng, positions, steps):
         op = rng.random()
         if op < 0.4:
             mask = draw_mask()
-            if mask in reg._exact:
-                continue
+            if _checked_get(reg, mask) is not None:
+                continue  # the loop puts only the metastates its lookup missed
             state = len(reg._exact)  # fresh, also when ``reg`` is reused
             reg.put(mask, state)
             states.append(state)
@@ -698,9 +688,9 @@ class TestCoverIndex:
         reg.unify(0, 1)
         assert reg.lattices[0].minimals == [0]
         for query in _masks([1], [2]):
-            assert reg.get(query) == 0
+            assert lookup(reg, query) == 0
         for query in _masks([3], [1, 3]):
-            assert reg.get(query) is None
+            assert lookup(reg, query) is None
 
     def test_member_outside_every_greatest_misses(self):
         reg = CCLRegistry()
@@ -708,10 +698,10 @@ class TestCoverIndex:
             reg.put(mask, state)
         reg.unify(0, 1)
         reg.unify(2, 3)  # {6} .. {5,6} widens the slices to state 6
-        assert reg.get(to_mask([1, 2, 3])) == 0
+        assert lookup(reg, to_mask([1, 2, 3])) == 0
         # 4 is inside the slices' width but in no greatest element
-        assert reg.get(to_mask([1, 2, 4])) is None
-        assert reg.get(to_mask([1, 2, 99])) is None
+        assert lookup(reg, to_mask([1, 2, 4])) is None
+        assert lookup(reg, to_mask([1, 2, 99])) is None
 
     def test_earliest_inserted_lattice_wins(self):
         reg = CCLRegistry()
@@ -734,11 +724,11 @@ class TestCoverIndex:
         # one bit per non-point lattice, in insertion order
         assert [lat.rep for lat in index.rows] == [4, 2, 6, 0, 0]
         assert index.live == 0b10110  # the old bits of B and C are dead
-        assert reg.get(query) == 2
+        assert lookup(reg, query) == 2
         index._rebuild()
         assert index.rows == list(reg.lattices.values()) and index.live == 0b111
         assert [lat.rep for lat in index.rows] == [2, 6, 0]
-        assert reg.get(query) == 2
+        assert lookup(reg, query) == 2
 
     def test_cover_hits_records_every_hit(self):
         reg = CCLRegistry()
@@ -750,7 +740,7 @@ class TestCoverIndex:
         reg.put(to_mask([4, 5]), 3)
         reg.unify(2, 3)
         queries = _masks([1, 2], [4], [1, 3], [2], [1, 4], [4, 5], [1, 2])
-        got = [reg.get(q) for q in queries]
+        got = [lookup(reg, q) for q in queries]
         assert got == [0, 2, 0, None, None, 2, 0]
         # exact hits ({4}, {4, 5}) and misses record nothing; a repeated
         # cover hit is recorded each time

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfacanon import simulation
-from nfacanon.automata import Nfa, enumerate_language, members, reverse, to_mask, trim
+from nfacanon.automata import Nfa, reverse, to_mask, trim
 from nfacanon.generator import GenParams, generate
 from nfacanon.simulation import (
     Preorder,
@@ -19,8 +19,10 @@ from nfacanon.simulation import (
 )
 
 from oracle import (
+    enumerate_language,
     identity_preorder,
     leq,
+    members,
     preorder_rows_reference,
     prune_reference,
     random_nfa,

@@ -6,8 +6,9 @@ arrays, every transition once in (symbol, source, target) order, which
 trimming, reversal and the quotients read and produce whole; and
 per-state, per-symbol successor bitmasks, which subset construction reads.
 Metastates (sets of NFA states) are integer bitmasks throughout;
-:func:`to_mask` packs a collection of states into one.  Subset
-construction asks an ``Nfa`` for every per-symbol successor of a metastate
+:func:`to_mask` packs a collection of states into one, and
+:func:`bit_rows` each row of a boolean matrix.  Subset construction asks
+an ``Nfa`` for every per-symbol successor of a metastate
 (``Nfa.successors``); every determinization, both Brzozowski passes
 included, runs on an ``Nfa``.  Language checks (membership, equivalence,
 inclusion, enumeration) are test oracles and live with the tests.
@@ -30,6 +31,14 @@ def to_mask(states: Iterable[int]) -> int:
     for s in states:
         m |= 1 << s
     return m
+
+
+def bit_rows(matrix: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as the bitmask of its true columns."""
+    width = (matrix.shape[1] + 7) // 8
+    # a transposed view packs several times slower than a C-ordered copy
+    packed = np.packbits(np.ascontiguousarray(matrix), axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
 
 
 class Nfa:

@@ -4,8 +4,8 @@ Determinization is classic subset construction with two twists: the
 metastate-to-state mapping goes through an equivalence registry, and a
 threshold predicate may interrupt exploration to minimize the partial DFA,
 feeding the discovered state equivalences back into the registry.  The
-registry alone resolves merged state ids; the loop keeps only a row table
-indexed by state id, the final flags and its worklist.
+registry alone resolves merged state ids and keeps the metastate put for
+each; the loop keeps only a row table indexed by state id and its worklist.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa, complete, reverse, trim
+from .automata import UNDEFINED, Dfa, Nfa, bit_rows, complete, reverse, trim
 from .kernels import successor_kernel
 from .partition import bisimulation_quotient, minimize
 from .registry import (
@@ -105,24 +105,28 @@ def otf_determinize(
 
     Exploration uses a LIFO worklist (depth-first) of (metastate, state id)
     pairs; the unexplored states are exactly the ids on it.  The table is
-    ``rows``, indexed by state id, with ``final`` flags alongside; the row
-    of a state merged away is ``None``.  The loop keeps the sorted live ids
-    itself: each new id is appended, and each minimization drops the ids it
-    absorbs.  The registry resolves every id: lookups return
-    representatives, and intermediate minimizations report their merges to
-    it with ``unify`` and rewrite the rows that named an absorbed id, so
-    every row names live ids only.  Only explored states are ever merged,
-    because minimization keeps each unexplored state in a block of its own.
-    The returned DFA is the final, *not* finally-minimized automaton; all of
-    its states are explored and total.  ``ids`` lists the live ids its
-    states stand for; an absorbed id resolves through ``registry.find``,
-    which reads its class root off the metastate it was put for.
+    ``rows``, indexed by state id; the row of a state merged away is
+    ``None``.  Each state is put under the next id, and its final flag is
+    read off ``registry.metastates``, the registry's table of puts.  The
+    loop keeps the sorted live ids itself: each new id is appended, and
+    each minimization drops the ids it absorbs.  The registry resolves
+    every id: lookups return representatives, and intermediate
+    minimizations report their merges to it with ``unify`` and rewrite the
+    rows that named an absorbed id, so every row names live ids only.  Only
+    explored states are ever merged, because minimization keeps each
+    unexplored state in a block of its own.  The returned DFA is the final,
+    *not* finally-minimized automaton; all of its states are explored and
+    total.  ``ids`` lists the live ids its states stand for; the root of an
+    absorbed id ``s`` is the exact map's entry for
+    ``registry.metastates[s]``.
     Without a ``controller`` no intermediate minimization happens; with
     one, the registry must be able to ``unify``, so it is a CCL or CCLS
-    registry.  The loop calls only the controller's ``should_minimize()``,
-    once per explored state, and ``after_minimize(size)``; the pipelines
-    pass a ``Threshold``.  ``metastates`` lists the metastate each live id
-    was put for, which Brzozowski's second pass reads.
+    registry.  Each merge goes to it as ``unify(survivor, absorbed)``: two
+    live ids, the survivor the smallest id of its block.  The loop calls
+    only the controller's ``should_minimize()``, once per explored state,
+    and ``after_minimize(size)``; the pipelines pass a ``Threshold``.
+    ``metastates`` lists the metastate each live id was put for, which
+    Brzozowski's second pass reads.
 
     Each successor is looked up in the registry's exact map first, whose
     hits are final; only a metastate it misses goes to ``registry.get``,
@@ -139,8 +143,6 @@ def otf_determinize(
     init_mask = nfa.initial_mask
 
     rows: list[list[int] | None] = [[UNDEFINED] * k]
-    final = [bool(init_mask & final_mask)]
-    metastates = [init_mask]  # by id
     registry.put(init_mask, 0)
     stack = [(init_mask, 0)]
 
@@ -168,8 +170,6 @@ def otf_determinize(
                 if n is None:
                     n = len(rows)
                     rows.append([UNDEFINED] * k)
-                    final.append(bool(nxt & final_mask))
-                    metastates.append(nxt)
                     registry.put(nxt, n)
                     stack.append((nxt, n))
                     live.append(n)
@@ -178,18 +178,19 @@ def otf_determinize(
         if len(live) > peak:
             peak = len(live)
         if controller is not None and controller.should_minimize():
-            live = _intermediate_minimize(rows, final, live, stack, registry, k)
+            live = _intermediate_minimize(rows, final_mask, live, stack, registry, k)
             minimizations += 1
             sizes_after_min.append(len(live))
             controller.after_minimize(len(live))
 
+    metastates = registry.metastates
     if len(live) < len(rows):  # some id was absorbed
-        table = _dense(rows, live)
-        finals = np.flatnonzero(np.take(final, live)).tolist()
-        dfa = Dfa(len(live), k, 0, finals, table.tolist())
+        trans = _dense(rows, live).tolist()
         metastates = [metastates[s] for s in live]
     else:
-        dfa = Dfa(len(rows), k, 0, [s for s in live if final[s]], rows)
+        trans = rows
+    finals = [i for i, m in enumerate(metastates) if m & final_mask]
+    dfa = Dfa(len(live), k, 0, finals, trans)
     exact_hits, cover_hits, misses = _lookups(k, explored_count, gets, len(rows))
     return DeterminizeResult(
         dfa=dfa,
@@ -228,7 +229,7 @@ def _dense(rows, ids: list[int]) -> np.ndarray:
     return pos[np.array([rows[s] for s in ids])]
 
 
-def _intermediate_minimize(rows, final, ids, stack, registry, k) -> list[int]:
+def _intermediate_minimize(rows, final_mask, ids, stack, registry, k) -> list[int]:
     """Minimize the partial DFA of the sorted live ``ids`` in place.
 
     Merges go to the registry, and rows that named an absorbed id are
@@ -236,7 +237,7 @@ def _intermediate_minimize(rows, final, ids, stack, registry, k) -> list[int]:
     """
     table = _dense(rows, ids)
     n = len(ids)
-    finals = np.flatnonzero(np.take(final, ids)).tolist()
+    finals = [i for i, s in enumerate(ids) if registry.metastates[s] & final_mask]
     # the table is an array here: minimize reads it without copying
     snap = Dfa(n, k, 0, finals, table)
     _, merges = minimize(snap, np.searchsorted(ids, [s for _, s in stack]))
@@ -265,14 +266,8 @@ def _columns(metastates: list[int], n: int) -> list[int]:
     """
     nb = (n + 7) // 8
     raw = b"".join(m.to_bytes(nb, "little") for m in metastates)
-    bits = np.unpackbits(
-        np.frombuffer(raw, np.uint8).reshape(len(metastates), nb),
-        axis=1,
-        count=n,
-        bitorder="little",
-    )
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    rows = np.frombuffer(raw, np.uint8).reshape(len(metastates), nb)
+    return bit_rows(np.unpackbits(rows, axis=1, count=n, bitorder="little").T)
 
 
 @dataclass

@@ -9,19 +9,21 @@ language.  Metastates are integer bitmasks over NFA states.  The contract:
 * ``get(mask)`` is asked only about a metastate the exact map missed, and
   returns the current representative of a state whose language equals
   the metastate's, or ``None``;
-* ``put(mask, state)`` links a metastate to a freshly created state.  Every
-  put but the first follows the ``get`` that missed its metastate.  A
-  metastate is put at most once, and the CCL registries also refuse a
-  state that was put or absorbed before; a conflicting put raises
-  ``RegistryContractError``.
+* ``metastates``, a list by state id, holds the metastate put for each
+  state; it is the one table of puts, and the loop reads it too;
+* ``put(mask, state)`` links a metastate to the next state id,
+  ``len(metastates)``.  Every put but the first follows the ``get`` that
+  missed its metastate.  A metastate is put at most once; a put of another
+  id or of a metastate put before raises ``RegistryContractError``.
 
-The CCL registries also merge: ``unify(q1, q2)`` records that two states
-were found language-equivalent (by intermediate minimization) and merges
-their classes, and ``find(state)`` returns the current representative of
-any state id ever put, the smallest id of its class (an id never put is
-its own).  Their exact map names class roots, and ``unify`` rewrites the
-entries of the class it absorbs, so an exact hit needs no further lookup.
-A minimization controller needs a registry that can ``unify``, so it runs
+The CCL registries also merge: ``unify(root, gone)`` records that two
+states were found language-equivalent (by intermediate minimization) and
+merges their classes.  Both must be live class roots, ``root < gone``: the
+survivor of a minimization block is its smallest id, so these are the
+only pairs the loop passes.  The root of a class is its smallest id.
+Their exact map names class roots, and ``unify`` rewrites the entries of
+the class it absorbs, so an exact hit needs no further lookup.  A
+minimization controller needs a registry that can ``unify``, so it runs
 with CCL or CCLS only.
 
 Four implementations are provided:
@@ -49,8 +51,8 @@ the tie-break, so x == z.)  Hence:
   only the metastate m put for it: a query q covered by it has
   prune(q) == m, and q lies below saturate(prune(q)) == m.  The exact map
   answers m first, so a point is not built at its put: the state's entry
-  in the exact map and the metastate it was put for are all there is,
-  until ``unify`` builds the point to join it.  Every CCL put is a point;
+  in the exact map and in ``metastates`` are all there is, until
+  ``unify`` builds the point to join it.  Every CCL put is a point;
 * an *unmerged* CCLS lattice that is not a point is keyed by its pruned
   minimal in a dict.  Its put followed a miss, so no live lattice covered
   that minimal, and no other entry has the same key;
@@ -59,7 +61,9 @@ the tie-break, so x == z.)  Hence:
   whose greatest element contains it.  A query ANDs the ints of its
   members, so a miss usually stops after a few of them, then tests the
   minimals of the lattices left in bit order.  Bit order is the order in
-  which ``unify`` joined them.
+  which ``unify`` joined them.  ``unify`` adds one bit and clears those
+  of the lattices it joins, so the index holds one bit per ``unify``
+  call, live or dead.
 
 So ``lattices`` holds the lattices of the unified classes and of the CCLS
 puts that are not points, keyed by class root; a registry that never
@@ -97,11 +101,6 @@ class Lattice:
         self.minimals = minimals
         self.bit = 0
 
-    def covers(self, mask: int) -> bool:
-        if mask | self.greatest != self.greatest:
-            return False
-        return any(m & mask == m for m in self.minimals)
-
     def absorb(self, greatest: int, minimals: list[int]) -> None:
         """Join another region into this one, merging the two antichains.
 
@@ -125,8 +124,10 @@ class _CoverIndex:
     ``rows[b]`` is the lattice that took bit ``b``, ``in_greatest[s]`` holds
     the bits of the lattices whose greatest element contains NFA state
     ``s``, and ``live`` the bits in use.  A lattice keeps its bit from
-    ``insert`` to ``discard``, so bit order is insertion order.  Once dead
-    bits outnumber live ones, the live rows are re-inserted in bit order.
+    ``insert`` to ``discard``, so bit order is insertion order.  A
+    discarded bit only leaves ``live``: the index gains one row per
+    ``unify``, and there are fewer of those than states made, so its slices
+    hold at most (NFA states) x (states made) bits, as ``metastates`` does.
     """
 
     def __init__(self):
@@ -150,10 +151,8 @@ class _CoverIndex:
 
     def discard(self, lat: Lattice) -> None:
         self.live &= ~lat.bit
-        if 2 * self.live.bit_count() < len(self.rows):
-            self._rebuild()
 
-    def find(self, query: int) -> Optional[int]:
+    def first_cover(self, query: int) -> Optional[int]:
         """Representative of the earliest-inserted lattice covering ``query``."""
         hits = self.live
         in_greatest = self.in_greatest
@@ -177,18 +176,10 @@ class _CoverIndex:
             hits ^= low
         return None
 
-    def _rebuild(self) -> None:
-        """Rewrite the live lattices from scratch, keeping their relative order."""
-        rows, live = self.rows, self.live
-        self.__init__()
-        # by row, not by ``lat.bit``: a merged lattice also sits at its old row
-        for b, lat in enumerate(rows):
-            if live >> b & 1:
-                self.insert(lat)
-
 
 class Registry(Protocol):
     _exact: dict[int, int]  # hits are final, and ``get`` is asked past them
+    metastates: list[int]  # by state id: the metastate put for it
 
     def get(self, mask: int) -> Optional[int]: ...
     def put(self, mask: int, state: int) -> None: ...
@@ -199,16 +190,16 @@ class OneToOneRegistry:
 
     def __init__(self):
         self._exact: dict[int, int] = {}
+        self.metastates: list[int] = []  # by state id: the metastate put for it
 
     def get(self, mask: int) -> Optional[int]:
         return None  # nothing beyond the exact map
 
     def put(self, mask: int, state: int) -> None:
-        old = self._exact.setdefault(mask, state)
-        if old != state:
-            raise RegistryContractError(
-                f"metastate already mapped to {old}, refusing remap to {state}"
-            )
+        new = len(self.metastates)
+        if state != new or self._exact.setdefault(mask, state) != state:
+            raise RegistryContractError(f"put({mask}, {state}) needs a new metastate and id {new}")
+        self.metastates.append(mask)
 
 
 class ResidualRegistry(OneToOneRegistry):
@@ -262,28 +253,26 @@ class ResidualRegistry(OneToOneRegistry):
         last, sig = self._last
         if last != mask:
             sig = self.signature(mask)
-        old = self._by_signature.setdefault(sig, state)
-        if old != state:
-            raise RegistryContractError(
-                f"signature already mapped to {old}, refusing remap to {state}"
-            )
+        if sig in self._by_signature:
+            raise RegistryContractError(f"signature of {mask} already mapped to a state")
         super().put(mask, state)
+        self._by_signature[sig] = state
 
 
 class CCLRegistry(OneToOneRegistry):
     """Convexity-closure-lattice registry, the one that merges states.
 
-    The exact map names class roots, so an exact hit is one dict lookup.
+    The exact map names class roots, so an exact hit is one dict lookup,
+    and the root of any state ``s`` ever put is ``_exact[metastates[s]]``.
     A class that has been unified keeps the list of the metastates put for
-    its states (a class of one state has only the one its state was put
-    for); ``unify`` points the exact entries of the absorbed class at the
-    new root and joins the two lattices, which are keyed by class root.
-    ``find`` reads a state's root through the metastate it was put for.
-    The lattice of a put is a point, so a put builds none, and ``get``
-    asks the cover index, which holds the merged lattices: it returns the
-    first covering lattice in insertion order (most recently merged last),
-    answered by a bit-sliced index rather than a scan, and returns at once
-    while the index is empty.  ``unify`` takes both lattices out of the
+    its states (a class of one state has only ``metastates[s]``); ``unify``
+    points the exact entries of the absorbed class at the root and joins
+    the two lattices, which are keyed by class root.  The lattice of a put
+    is a point, so a put builds none, and ``get`` asks the cover index,
+    which holds the merged lattices: it returns the first covering lattice
+    in insertion order (most recently merged last), answered by a
+    bit-sliced index rather than a scan, and returns at once while the
+    index is empty.  ``unify`` takes both lattices out of the
     index or out of the ``_unmerged`` dict (which only ``CCLSRegistry``
     fills), building the point of a class that has no lattice yet, and
     indexes the joined one.  Setting ``cover_hits`` to a list records every
@@ -298,38 +287,28 @@ class CCLRegistry(OneToOneRegistry):
         self._index = _CoverIndex()
         # pruned minimal -> unmerged non-point lattice; stays empty for CCL
         self._unmerged: dict[int, Lattice] = {}
-        self._put_for: dict[int, int] = {}  # state -> the metastate put for it
         # root of a unified class -> its put metastates
         self._class_puts: dict[int, list[int]] = {}
 
     def get(self, mask: int) -> Optional[int]:
         if not self._index.live:
             return None
-        return self._hit(mask, self._index.find(mask))
+        return self._hit(mask, self._index.first_cover(mask))
 
-    def put(self, mask: int, state: int) -> None:
-        self._put(mask, state)  # a point: built only if unified
-
-    def find(self, state: int) -> int:
-        mask = self._put_for.get(state)
-        return state if mask is None else self._exact[mask]
-
-    def unify(self, q1: int, q2: int) -> None:
-        r1, r2 = self.find(q1), self.find(q2)
-        if r1 == r2:
-            return
-        root, gone = (r1, r2) if r1 < r2 else (r2, r1)
-        puts, put_for = self._class_puts, self._put_for
-        moved = puts.pop(gone, None) or [put_for[gone]]
-        exact = self._exact
+    def unify(self, root: int, gone: int) -> None:
+        """Merge the class of ``gone`` into that of ``root``, two live roots."""
+        exact, metastates = self._exact, self.metastates
+        ordered = 0 <= root < gone < len(metastates)
+        if not (ordered and exact[metastates[root]] == root and exact[metastates[gone]] == gone):
+            raise RegistryContractError(f"unify({root}, {gone}) needs two live roots in order")
+        puts = self._class_puts
+        moved = puts.pop(gone, None) or [metastates[gone]]
         for mask in moved:
             exact[mask] = root
-        puts.setdefault(root, [put_for[root]]).extend(moved)
-        # the joined lattice is re-keyed under the class's root
-        merged = self._take(r1)
-        other = self._take(r2)
+        puts.setdefault(root, [metastates[root]]).extend(moved)
+        merged = self._take(root)
+        other = self._take(gone)
         merged.absorb(other.greatest, other.minimals)
-        merged.rep = root
         self.lattices[root] = merged
         self._index.insert(merged)
 
@@ -342,7 +321,7 @@ class CCLRegistry(OneToOneRegistry):
         """
         lat = self.lattices.pop(root, None)
         if lat is None:
-            mask = self._put_for[root]
+            mask = self.metastates[root]
             return Lattice(root, mask, [mask])
         if lat.bit:
             self._index.discard(lat)
@@ -350,16 +329,9 @@ class CCLRegistry(OneToOneRegistry):
             del self._unmerged[lat.minimals[0]]
         return lat
 
-    def _put(self, mask: int, state: int) -> None:
-        """Map ``mask`` to ``state``, which must be fresh."""
-        if state in self._put_for:
-            raise RegistryContractError(f"state {state} is not fresh, refusing metastate {mask}")
-        super().put(mask, state)
-        self._put_for[state] = mask
-
     def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:
         """Record the answer of ``get`` for ``mask`` if it is a hit."""
-        # a live lattice's rep is its class root: unify re-keys it at every merge
+        # a live lattice's rep is its class root: unify keeps the root's lattice
         if rep is not None and self.cover_hits is not None:
             self.cover_hits.append((mask, rep))
         return rep
@@ -387,7 +359,7 @@ class CCLSRegistry(CCLRegistry):
     def get(self, mask: int) -> Optional[int]:
         pruned = prune(mask, self.preorder)
         lat = self._unmerged.get(pruned)
-        rep = self._index.find(pruned) if lat is None else lat.rep
+        rep = self._index.first_cover(pruned) if lat is None else lat.rep
         if rep is None:
             self._last_miss = (mask, pruned)
         return self._hit(mask, rep)
@@ -400,7 +372,7 @@ class CCLSRegistry(CCLRegistry):
         if lat is not None:
             raise RegistryContractError(f"metastate {mask} is covered by state {lat.rep}")
         saturated = saturate(mask, self.preorder)
-        self._put(mask, state)
+        super().put(mask, state)
         if pruned != saturated:  # a point stores only its exact entry
             lat = self.lattices[state] = Lattice(state, saturated, [pruned])
             self._unmerged[pruned] = lat

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .automata import Nfa, quotient
+from .automata import Nfa, bit_rows, quotient
 
 
 class Preorder:
@@ -32,23 +32,15 @@ class Preorder:
 
     def __init__(self, rel: np.ndarray):
         self.rel = rel
-        self.below = _rows(rel.T)  # below[y] = bitmask of all x with x <= y
+        self.below = bit_rows(rel.T)  # below[y] = bitmask of all x with x <= y
         # pruned_by[y] = the x that y drops from a metastate holding both:
         # x <= y but not y <= x, or x and y mutually similar and x > y
         pruned_by = rel.T & ~(rel & np.tri(len(rel), dtype=bool))
-        self.pruned_by = _rows(pruned_by)
+        self.pruned_by = bit_rows(pruned_by)
         # column y of rel is below[y]: it has a bit besides y's own when it
         # counts more than its diagonal entry
         self.lowered = _mask(np.count_nonzero(rel, axis=0) > rel.diagonal())
         self.pruners = _mask(pruned_by.any(axis=1))
-
-
-def _rows(matrix: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as the bitmask of its true columns."""
-    width = (matrix.shape[1] + 7) // 8
-    # a transposed view packs several times slower than a C-ordered copy
-    packed = np.packbits(np.ascontiguousarray(matrix), axis=1, bitorder="little").tobytes()
-    return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
 
 
 def _mask(flags: np.ndarray) -> int:

@@ -19,8 +19,10 @@ match.
 ``LinearScanCCLSRegistry`` is a CCLS registry that answers every lookup by
 scanning all of its lattices in insertion order; its exact map stays empty,
 so the engine sends every lookup to its ``get``.  ``lookup`` asks a
-registry the way the determinization loop does, and ``FixedInterval`` is
-a minimization controller that never rescales its interval.
+registry the way the determinization loop does, ``find`` reads the class
+root of a state off a CCL registry, ``covers`` tests a lattice's
+membership rule, and ``FixedInterval`` is a minimization controller that
+never rescales its interval.
 
 The language oracles are here too, apart from the code they check:
 ``members`` unpacks a bitmask, ``successor_mask`` ORs per-state successor
@@ -430,6 +432,7 @@ class LinearScanCCLSRegistry:
     def __init__(self, preorder: Preorder):
         self.preorder = preorder
         self._exact: dict[int, int] = {}
+        self.metastates: list[int] = []  # by state id, which the engine reads
         self.put_state: dict[int, int] = {}  # metastate -> the state put for it
         self.parent: dict[int, int] = {}  # absorbed root -> the root absorbing it
         self.lattices: list[list] = []
@@ -452,8 +455,9 @@ class LinearScanCCLSRegistry:
         return None
 
     def put(self, mask: int, state: int) -> None:
-        assert mask not in self.put_state
+        assert mask not in self.put_state and state == len(self.metastates)
         p = self.preorder
+        self.metastates.append(mask)
         self.put_state[mask] = state
         self.lattices.append([state, saturate_reference(mask, p), [prune_reference(mask, p)]])
 
@@ -466,6 +470,16 @@ class LinearScanCCLSRegistry:
         (_, g1, m1), (_, g2, m2) = [lat for lat in self.lattices if lat[0] in (r1, r2)]
         self.lattices = [lat for lat in self.lattices if lat[0] not in (r1, r2)]
         self.lattices.append([root, g1 | g2, antichain_reference(m1 + m2)])
+
+
+def find(reg, state: int) -> int:
+    """The class root of ``state``, a state ever put into CCL registry ``reg``."""
+    return reg._exact[reg.metastates[state]]
+
+
+def covers(lat, mask: int) -> bool:
+    """Whether ``lat`` covers ``mask``: below its greatest, above a minimal."""
+    return mask | lat.greatest == lat.greatest and any(m & mask == m for m in lat.minimals)
 
 
 def lookup(reg, mask: int) -> int | None:

@@ -33,6 +33,7 @@ from oracle import (
     blowup_nfa,
     canonical_dfa,
     dfa_from_metastate,
+    find,
     identity_preorder,
     language_equivalent,
     language_included,
@@ -122,7 +123,7 @@ def test_registry_soundness():
             full = complete(res.dfa)
             for mask, state in reg.cover_hits:
                 hits_seen += 1
-                target = res.ids.index(reg.find(state))
+                target = res.ids.index(find(reg, state))
                 assert language_equivalent(
                     dfa_from_metastate(nfa, mask), rooted_at(full, target)
                 )

@@ -32,7 +32,9 @@ from oracle import (
     LinearScanCCLSRegistry,
     blowup_nfa,
     canonical_dfa,
+    covers,
     dfa_to_nfa,
+    find,
     language_equivalent,
     random_nfa,
     textbook_subset_construction,
@@ -119,7 +121,6 @@ def _counting(registry_cls, explored: list[int] | None = None):
             self.log: list[tuple] = []
             self._exact = _LoggedMap(self.log)
             self.unified: list[tuple[int, int, int]] = []
-            self.metastate_of: dict[int, int] = {}
 
         def get(self, mask):
             state = super().get(mask)
@@ -127,13 +128,12 @@ def _counting(registry_cls, explored: list[int] | None = None):
             return state
 
         def put(self, mask, state):
-            self.metastate_of.setdefault(state, mask)
             super().put(mask, state)
             self.log.append(("put", mask, state))
 
-        def unify(self, q1, q2):
-            self.unified.append((q1, q2, len(explored or ())))
-            super().unify(q1, q2)
+        def unify(self, root, gone):
+            self.unified.append((root, gone, len(explored or ())))
+            super().unify(root, gone)
 
     return Counting
 
@@ -159,7 +159,7 @@ def _contract_checked(registry_cls):
             assert mask not in self._exact
             query = prune(mask, self.preorder) if isinstance(self, CCLSRegistry) else mask
             for lat in getattr(self, "lattices", {}).values():
-                assert not lat.covers(query), (mask, lat.rep)
+                assert not covers(lat, query), (mask, lat.rep)
             super().put(mask, state)
 
     return Checked
@@ -307,6 +307,17 @@ class TestOtfDeterminize:
                     hits += len(reg.cover_hits)
         assert hits > 0 or family == "blowup"
 
+    @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
+    def test_result_metastates_are_the_registrys(self, family):
+        # the registry keeps the one table of puts, by state id; the result
+        # lists its entries for the live ids
+        for nfa in _family(family, random.Random(43)):
+            for cls, args, interval in _lookup_registries(nfa):
+                reg = cls(*args)
+                res = otf_determinize(nfa, reg, interval and FixedInterval(interval))
+                assert len(reg.metastates) == res.misses + 1
+                assert res.metastates == [reg.metastates[s] for s in res.ids]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_only_explored_states_are_unified(self, explored_masks, seed):
         # minimizing after every step merges only explored states, which is
@@ -323,9 +334,9 @@ class TestOtfDeterminize:
             assert reg.unified
             for surv, absorbed, seen in reg.unified:
                 done = set(explored[:seen])
-                assert reg.metastate_of[surv] in done
-                assert reg.metastate_of[absorbed] in done
-                assert reg.find(absorbed) == reg.find(surv) <= surv
+                assert reg.metastates[surv] in done
+                assert reg.metastates[absorbed] in done
+                assert find(reg, absorbed) == find(reg, surv) <= surv
 
     @pytest.mark.parametrize("seed", range(15))
     def test_language_preserved_under_minimization(self, seed):
@@ -412,6 +423,115 @@ def test_peak_states_match_pinned_values(name):
             res = otf_determinize(nfa, make(), FixedInterval(interval))
             peaks.append(res.peak_states)
     assert tuple(peaks) == _PINNED_PEAKS[name]
+
+
+# (input, pipeline, threshold_init) -> the ``_RUNSTATS_FIELDS`` of
+# ``canonize``, every RunStats count but the timings.  Recorded before the
+# registries kept the one table of puts and the cover index stopped
+# rebuilding; a change that must not move any output or count keeps these.
+_RUNSTATS_FIELDS = (
+    "final_states",
+    "peak_intermediate_states",
+    "overhead",
+    "minimizations",
+    "explored_metastates",
+    "exact_hits",
+    "cover_hits",
+    "misses",
+)
+_PINNED_RUNSTATS = {
+    ("blowup8", "sc", 3): (256, 256, 0, 1, 256, 257, 0, 255),
+    ("blowup8", "sc-s", 3): (256, 256, 0, 1, 256, 257, 0, 255),
+    ("blowup8", "otf", 3): (256, 256, 0, 13, 256, 257, 0, 255),
+    ("blowup8", "otf-s", 3): (256, 256, 0, 13, 256, 257, 0, 255),
+    ("blowup8", "brz", 3): (256, 256, 0, 0, 266, 268, 0, 264),
+    ("blowup8", "brz-s", 3): (256, 256, 0, 0, 266, 268, 0, 264),
+    ("blowup8", "brz-otf", 3): (256, 256, 0, 2, 266, 268, 0, 264),
+    ("blowup8", "brz-otf-s", 3): (256, 256, 0, 2, 266, 268, 0, 264),
+    ("blowup8", "sc", 5000): (256, 256, 0, 1, 256, 257, 0, 255),
+    ("blowup8", "sc-s", 5000): (256, 256, 0, 1, 256, 257, 0, 255),
+    ("blowup8", "otf", 5000): (256, 256, 0, 1, 256, 257, 0, 255),
+    ("blowup8", "otf-s", 5000): (256, 256, 0, 1, 256, 257, 0, 255),
+    ("blowup8", "brz", 5000): (256, 256, 0, 0, 266, 268, 0, 264),
+    ("blowup8", "brz-s", 5000): (256, 256, 0, 0, 266, 268, 0, 264),
+    ("blowup8", "brz-otf", 5000): (256, 256, 0, 0, 266, 268, 0, 264),
+    ("blowup8", "brz-otf-s", 5000): (256, 256, 0, 0, 266, 268, 0, 264),
+    ("gen-11", "sc", 3): (6, 6, 0, 1, 6, 19, 0, 5),
+    ("gen-11", "sc-s", 3): (6, 6, 0, 1, 6, 19, 0, 5),
+    ("gen-11", "otf", 3): (6, 6, 0, 2, 6, 19, 0, 5),
+    ("gen-11", "otf-s", 3): (6, 6, 0, 2, 6, 19, 0, 5),
+    ("gen-11", "brz", 3): (6, 6, 0, 0, 12, 38, 0, 10),
+    ("gen-11", "brz-s", 3): (6, 6, 0, 0, 12, 38, 0, 10),
+    ("gen-11", "brz-otf", 3): (6, 6, 0, 1, 12, 38, 0, 10),
+    ("gen-11", "brz-otf-s", 3): (6, 6, 0, 1, 12, 38, 0, 10),
+    ("gen-11", "sc", 5000): (6, 6, 0, 1, 6, 19, 0, 5),
+    ("gen-11", "sc-s", 5000): (6, 6, 0, 1, 6, 19, 0, 5),
+    ("gen-11", "otf", 5000): (6, 6, 0, 1, 6, 19, 0, 5),
+    ("gen-11", "otf-s", 5000): (6, 6, 0, 1, 6, 19, 0, 5),
+    ("gen-11", "brz", 5000): (6, 6, 0, 0, 12, 38, 0, 10),
+    ("gen-11", "brz-s", 5000): (6, 6, 0, 0, 12, 38, 0, 10),
+    ("gen-11", "brz-otf", 5000): (6, 6, 0, 0, 12, 38, 0, 10),
+    ("gen-11", "brz-otf-s", 5000): (6, 6, 0, 0, 12, 38, 0, 10),
+    ("gen-26", "sc", 3): (19, 19, 0, 1, 19, 58, 0, 18),
+    ("gen-26", "sc-s", 3): (19, 19, 0, 1, 19, 58, 0, 18),
+    ("gen-26", "otf", 3): (19, 19, 0, 4, 19, 58, 0, 18),
+    ("gen-26", "otf-s", 3): (19, 19, 0, 4, 19, 58, 0, 18),
+    ("gen-26", "brz", 3): (19, 19, 0, 0, 37, 113, 0, 35),
+    ("gen-26", "brz-s", 3): (19, 19, 0, 0, 37, 113, 0, 35),
+    ("gen-26", "brz-otf", 3): (19, 19, 0, 3, 37, 113, 0, 35),
+    ("gen-26", "brz-otf-s", 3): (19, 19, 0, 3, 37, 113, 0, 35),
+    ("gen-26", "sc", 5000): (19, 19, 0, 1, 19, 58, 0, 18),
+    ("gen-26", "sc-s", 5000): (19, 19, 0, 1, 19, 58, 0, 18),
+    ("gen-26", "otf", 5000): (19, 19, 0, 1, 19, 58, 0, 18),
+    ("gen-26", "otf-s", 5000): (19, 19, 0, 1, 19, 58, 0, 18),
+    ("gen-26", "brz", 5000): (19, 19, 0, 0, 37, 113, 0, 35),
+    ("gen-26", "brz-s", 5000): (19, 19, 0, 0, 37, 113, 0, 35),
+    ("gen-26", "brz-otf", 5000): (19, 19, 0, 0, 37, 113, 0, 35),
+    ("gen-26", "brz-otf-s", 5000): (19, 19, 0, 0, 37, 113, 0, 35),
+    ("tv-16", "sc", 3): (5, 55, 50, 1, 55, 56, 0, 54),
+    ("tv-16", "sc-s", 3): (5, 44, 39, 1, 44, 30, 15, 43),
+    ("tv-16", "otf", 3): (5, 22, 8, 7, 44, 32, 13, 43),
+    ("tv-16", "otf-s", 3): (5, 19, 7, 6, 40, 24, 17, 39),
+    ("tv-16", "brz", 3): (5, 20, 15, 0, 25, 21, 6, 23),
+    ("tv-16", "brz-s", 3): (5, 12, 7, 0, 17, 4, 15, 15),
+    ("tv-16", "brz-otf", 3): (5, 17, 6, 3, 25, 21, 6, 23),
+    ("tv-16", "brz-otf-s", 3): (5, 11, 2, 2, 17, 4, 15, 15),
+    ("tv-16", "sc", 5000): (5, 55, 50, 1, 55, 56, 0, 54),
+    ("tv-16", "sc-s", 5000): (5, 44, 39, 1, 44, 30, 15, 43),
+    ("tv-16", "otf", 5000): (5, 55, 50, 1, 55, 56, 0, 54),
+    ("tv-16", "otf-s", 5000): (5, 44, 39, 1, 44, 30, 15, 43),
+    ("tv-16", "brz", 5000): (5, 20, 15, 0, 25, 21, 6, 23),
+    ("tv-16", "brz-s", 5000): (5, 12, 7, 0, 17, 4, 15, 15),
+    ("tv-16", "brz-otf", 5000): (5, 20, 15, 0, 25, 21, 6, 23),
+    ("tv-16", "brz-otf-s", 5000): (5, 12, 7, 0, 17, 4, 15, 15),
+    ("tv-28", "sc", 3): (25, 60, 35, 1, 60, 61, 0, 59),
+    ("tv-28", "sc-s", 3): (25, 58, 33, 1, 58, 55, 4, 57),
+    ("tv-28", "otf", 3): (25, 32, 1, 7, 53, 49, 5, 52),
+    ("tv-28", "otf-s", 3): (25, 32, 1, 7, 52, 46, 7, 51),
+    ("tv-28", "brz", 3): (25, 46, 21, 0, 71, 63, 10, 69),
+    ("tv-28", "brz-s", 3): (25, 46, 21, 0, 71, 63, 10, 69),
+    ("tv-28", "brz-otf", 3): (25, 41, 8, 5, 71, 63, 10, 69),
+    ("tv-28", "brz-otf-s", 3): (25, 41, 8, 5, 71, 63, 10, 69),
+    ("tv-28", "sc", 5000): (25, 60, 35, 1, 60, 61, 0, 59),
+    ("tv-28", "sc-s", 5000): (25, 58, 33, 1, 58, 55, 4, 57),
+    ("tv-28", "otf", 5000): (25, 60, 35, 1, 60, 61, 0, 59),
+    ("tv-28", "otf-s", 5000): (25, 58, 33, 1, 58, 55, 4, 57),
+    ("tv-28", "brz", 5000): (25, 46, 21, 0, 71, 63, 10, 69),
+    ("tv-28", "brz-s", 5000): (25, 46, 21, 0, 71, 63, 10, 69),
+    ("tv-28", "brz-otf", 5000): (25, 46, 21, 0, 71, 63, 10, 69),
+    ("tv-28", "brz-otf-s", 5000): (25, 46, 21, 0, 71, 63, 10, 69),
+}
+
+
+@pytest.mark.parametrize("threshold_init", [3, 5000])
+@pytest.mark.parametrize("name", sorted(_PINNED_PEAKS))
+def test_run_stats_match_pinned_values(name, threshold_init):
+    nfa = _pinned_input(name)
+    for pipeline in PIPELINES:
+        _, stats = canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=threshold_init))
+        assert not stats.timed_out
+        got = tuple(getattr(stats, f) for f in _RUNSTATS_FIELDS)
+        assert got == _PINNED_RUNSTATS[name, pipeline, threshold_init], pipeline
 
 
 class TestCanonize:

@@ -22,8 +22,10 @@ from oracle import (
     FixedInterval,
     antichain_reference,
     canonical_dfa,
+    covers,
     dfa_from_metastate,
     dfa_to_nfa,
+    find,
     identity_preorder,
     leq,
     lookup,
@@ -34,49 +36,51 @@ from oracle import (
 )
 
 
-def _registry_with(states):
-    """A CCL registry with a distinct singleton metastate put for each state."""
+def _registry_with(members):
+    """A CCL registry with the singleton metastate ``{members[q]}`` put for each state q."""
     reg = CCLRegistry()
-    for q in states:
-        reg.put(1 << q, q)
+    for q, x in enumerate(members):
+        reg.put(1 << x, q)
     return reg
 
 
+def _unify_classes(reg, q1, q2):
+    """Unify the classes of two states ever put, by their roots, smaller first.
+
+    Returns whether they were two classes.
+    """
+    r1, r2 = sorted((find(reg, q1), find(reg, q2)))
+    if r1 != r2:
+        reg.unify(r1, r2)
+    return r1 != r2
+
+
 class TestFind:
-    """Class roots through ``CCLRegistry.find``: the smallest id of a class."""
+    """Class roots through the oracle ``find``: the smallest id of a class."""
 
     def test_smallest_id_is_root(self):
         reg = _registry_with([2, 5, 9])
-        reg.unify(5, 2)
-        reg.unify(2, 9)
-        assert reg.find(5) == reg.find(9) == 2
+        reg.unify(0, 1)
+        reg.unify(0, 2)
+        assert find(reg, 1) == find(reg, 2) == 0
 
     def test_unrelated_ids_stay_apart(self):
         reg = _registry_with([0, 1, 2])
         reg.unify(0, 1)
-        assert reg.find(2) == 2
-        assert reg.find(1) == 0
-
-    def test_find_of_never_put_id_writes_nothing(self):
-        reg = _registry_with([0, 1])
-        assert reg.find(7) == 7
-        reg.unify(0, 1)
-        assert reg.find(7) == 7
-        assert reg._exact == {1: 0, 2: 0}
-        assert reg._put_for == {0: 1, 1: 2}
-        assert reg._class_puts == {0: [1, 2]}
+        assert find(reg, 2) == 2
+        assert find(reg, 1) == 0
 
     def test_chain_of_merges_keeps_smallest_root(self):
         reg = _registry_with([0, 1, 4, 7, 9])
-        # merge the chain 9 -> 7 -> 4 -> 1 one link at a time: every exact
+        # merge the chain 4 -> 3 -> 2 -> 1 one link at a time: every exact
         # entry names the root directly, with no chain to follow
-        reg.unify(7, 9)
-        reg.unify(4, 7)
-        reg.unify(1, 4)
+        reg.unify(3, 4)
+        reg.unify(2, 3)
+        reg.unify(1, 2)
         assert reg._exact == {1: 0, 2: 1, 16: 1, 128: 1, 512: 1}
-        assert reg.find(9) == 1
-        reg.unify(9, 0)
-        assert [reg.find(x) for x in (0, 1, 4, 7, 9)] == [0] * 5
+        assert find(reg, 4) == 1
+        reg.unify(0, 1)
+        assert [find(reg, x) for x in range(5)] == [0] * 5
         assert set(reg._exact.values()) == {0}
         assert list(reg._class_puts) == list(reg.lattices) == [0]
 
@@ -85,32 +89,76 @@ class TestFind:
         rng = random.Random(seed)
         reg = CCLRegistry()
         classes: dict[int, set[int]] = {}  # state -> the ids of its class
-        put_for = {}
-        for step in range(200):
-            if rng.random() < 0.5 or len(put_for) < 2:
+        for _ in range(200):
+            if rng.random() < 0.5 or len(classes) < 2:
                 mask = to_mask([s for s in range(14) if rng.random() < 0.4])
                 if mask in reg._exact:
                     continue
-                state = rng.choice([step, 1000 - step])  # ids out of put order
+                state = len(reg.metastates)
                 reg.put(mask, state)
-                put_for[state] = mask
                 classes[state] = {state}
             else:
-                q1, q2 = rng.sample(sorted(put_for), 2)
-                reg.unify(q1, q2)
-                merged = classes[q1] | classes[q2]
-                for q in merged:
-                    classes[q] = merged
-            for state, mask in put_for.items():
-                assert lookup(reg, mask) == reg.find(state) == min(classes[state])
-        absorbed = [q for q in put_for if min(classes[q]) != q]
+                q1, q2 = rng.sample(sorted(classes), 2)
+                if _unify_classes(reg, q1, q2):
+                    merged = classes[q1] | classes[q2]
+                    for q in merged:
+                        classes[q] = merged
+            for state, mask in enumerate(reg.metastates):
+                assert lookup(reg, mask) == find(reg, state) == min(classes[state])
+        absorbed = [q for q in classes if min(classes[q]) != q]
         assert absorbed
         for q in absorbed:
             with pytest.raises(RegistryContractError):
                 reg.put(to_mask([20]), q)
-        for q in (-1, 500, 2000):
-            if q not in put_for:
-                assert reg.find(q) == q
+            with pytest.raises(RegistryContractError):
+                reg.unify(min(classes[q]), q)
+
+
+class TestContract:
+    """``put`` takes the next id only, and ``unify`` two live roots in order."""
+
+    @pytest.mark.parametrize("kind", ["one-to-one", "residual", "ccl", "ccls"])
+    def test_put_of_a_non_next_id_rejected(self, kind):
+        reg = {
+            "one-to-one": OneToOneRegistry,
+            "residual": lambda: ResidualRegistry([0b001, 0b010, 0b100, 0b011]),
+            "ccl": CCLRegistry,
+            "ccls": lambda: CCLSRegistry(_strict_preorder()),
+        }[kind]()
+        for bad in (1, -1):  # ahead of the next id, and an id before it
+            with pytest.raises(RegistryContractError):
+                reg.put(to_mask([0]), bad)
+        assert reg._exact == {} and reg.metastates == []
+        reg.put(to_mask([0]), 0)
+        for bad in (0, 2):
+            with pytest.raises(RegistryContractError):
+                reg.put(to_mask([1]), bad)
+        reg.put(to_mask([1]), 1)
+        assert reg.metastates == _masks([0], [1])
+        assert reg._exact == {to_mask([0]): 0, to_mask([1]): 1}
+
+    @pytest.mark.parametrize(
+        "make", [CCLRegistry, lambda: CCLSRegistry(identity_preorder(5))], ids=["ccl", "ccls"]
+    )
+    def test_unify_needs_two_live_roots_in_order(self, make):
+        reg = make()
+        for q in range(4):
+            reg.put(to_mask([q]), q)
+        bad_pairs = [(1, 0), (2, 2), (0, 4), (-1, 0)]  # out of order, self, never put
+        for pair in bad_pairs:
+            with pytest.raises(RegistryContractError):
+                reg.unify(*pair)
+        assert reg.lattices == {} and reg._index.rows == []
+        reg.unify(0, 2)
+        # 2 is absorbed: neither side of a pair may name it
+        for pair in [(0, 2), (2, 3), (1, 2), (2, 1)] + bad_pairs:
+            with pytest.raises(RegistryContractError):
+                reg.unify(*pair)
+        assert list(reg.lattices) == [0] and len(reg._index.rows) == 1
+        reg.unify(1, 3)
+        reg.unify(0, 1)
+        assert [find(reg, q) for q in range(4)] == [0] * 4
+        assert len(reg._index.rows) == 3
 
 
 class TestOneToOne:
@@ -128,9 +176,10 @@ class TestOneToOne:
 
     def test_conflicting_put_rejected(self):
         reg = OneToOneRegistry()
-        reg.put(to_mask([0]), 1)
+        reg.put(to_mask([0]), 0)
         with pytest.raises(RegistryContractError):
-            reg.put(to_mask([0]), 2)
+            reg.put(to_mask([0]), 1)  # the next id, for a metastate put before
+        assert reg._exact == {to_mask([0]): 0} and reg.metastates == [to_mask([0])]
 
 
 def _masks(*sets):
@@ -144,19 +193,19 @@ class TestCCL:
         # when its class is first unified
         reg = CCLRegistry()
         q = to_mask([1, 2])
-        reg.put(q, 7)
+        reg.put(q, 0)
         assert reg.lattices == {} and reg._index.live == 0
-        assert reg._exact == {q: 7} and reg._put_for == {7: q}
-        lat = reg._take(reg.find(7))
+        assert reg._exact == {q: 0} and reg.metastates == [q]
+        lat = reg._take(find(reg, 0))
         assert lat.greatest == q
         assert lat.minimals == [q]
-        assert lat.rep == 7
-        reg.put(to_mask([1, 2, 3]), 8)
-        reg.unify(7, 8)
-        lat = reg.lattices[7]
+        assert lat.rep == 0
+        reg.put(to_mask([1, 2, 3]), 1)
+        reg.unify(0, 1)
+        lat = reg.lattices[0]
         assert lat.greatest == to_mask([1, 2, 3])
         assert lat.minimals == [q]
-        assert lat.rep == 7
+        assert lat.rep == 0
 
     def test_disjoint_puts_independent(self):
         reg = CCLRegistry()
@@ -168,8 +217,8 @@ class TestCCL:
 
     def test_empty_metastate_is_valid_key(self):
         reg = CCLRegistry()
-        reg.put(0, 5)
-        assert lookup(reg, 0) == 5
+        reg.put(0, 0)
+        assert lookup(reg, 0) == 0
 
     def test_unify_joins_lattices(self):
         reg = CCLRegistry()
@@ -189,15 +238,18 @@ class TestCCL:
         reg.unify(0, 1)
         assert reg.lattices[0].minimals == [to_mask([1])]
 
-    def test_unify_self_is_noop(self):
+    def test_unify_of_one_class_rejected(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
-        reg.unify(0, 0)  # builds no lattice for the point
+        with pytest.raises(RegistryContractError):
+            reg.unify(0, 0)  # and builds no lattice for the point
         assert reg.lattices == {} and reg._class_puts == {}
         reg.put(to_mask([3]), 1)
         reg.unify(0, 1)
         before = (reg.lattices[0].greatest, list(reg.lattices[0].minimals))
-        reg.unify(1, 0)
+        for pair in [(1, 0), (0, 1), (0, 0)]:
+            with pytest.raises(RegistryContractError):
+                reg.unify(*pair)
         assert (reg.lattices[0].greatest, reg.lattices[0].minimals) == before
         assert before == (to_mask([1, 2, 3]), _masks([1, 2], [3]))
 
@@ -262,13 +314,13 @@ class TestCCL:
         rng = random.Random(11)
         reg = CCLRegistry()
         states = []
-        for step in range(300):
+        for _ in range(300):
             mask = to_mask([s for s in range(10) if rng.random() < 0.4])
             if mask not in reg._exact:
-                reg.put(mask, step)
-                states.append(step)
+                states.append(len(reg.metastates))
+                reg.put(mask, states[-1])
             if len(states) >= 2 and rng.random() < 0.3:
-                reg.unify(*rng.sample(states, 2))
+                _unify_classes(reg, *rng.sample(states, 2))
             for lat in reg.lattices.values():
                 for m in lat.minimals:
                     assert m | lat.greatest == lat.greatest
@@ -300,11 +352,11 @@ class TestCCL:
         rng = random.Random(3)
         reg = CCLRegistry()
         mapping = {}
-        for step in range(100):
+        for _ in range(100):
             mask = to_mask([s for s in range(12) if rng.random() < 0.5])
             if mask not in mapping:
-                reg.put(mask, step)
-                mapping[mask] = step
+                mapping[mask] = len(reg.metastates)
+                reg.put(mask, mapping[mask])
         for mask, state in mapping.items():
             assert lookup(reg, mask) == state
 
@@ -323,39 +375,38 @@ class TestCCLS:
         ccl = CCLRegistry()
         ccls = CCLSRegistry(identity_preorder(10))
         states = []
-        for step in range(200):
+        for _ in range(200):
             mask = to_mask([s for s in range(10) if rng.random() < 0.4])
             if mask not in ccl._exact:
-                ccl.put(mask, step)
-                ccls.put(mask, step)
-                states.append(step)
+                states.append(len(ccl.metastates))
+                ccl.put(mask, states[-1])
+                ccls.put(mask, states[-1])
             if len(states) >= 2 and rng.random() < 0.3:
                 pair = rng.sample(states, 2)
-                ccl.unify(*pair)
-                ccls.unify(*pair)
+                assert _unify_classes(ccl, *pair) == _unify_classes(ccls, *pair)
             probe = to_mask([s for s in range(10) if rng.random() < 0.4])
             assert lookup(ccl, probe) == lookup(ccls, probe)
 
     def test_put_widens_lattice(self):
         p = _strict_preorder()
         reg = CCLSRegistry(p)
-        reg.put(to_mask([0]), 4)
-        lat = reg.lattices[reg.find(4)]
+        reg.put(to_mask([0]), 0)
+        lat = reg.lattices[find(reg, 0)]
         assert lat.greatest & to_mask([0, 1]) == to_mask([0, 1])
         assert lat.minimals == [to_mask([0])]
 
     def test_get_hits_saturated_form_without_unify(self):
         p = _strict_preorder()
         reg = CCLSRegistry(p)
-        reg.put(to_mask([0]), 4)
-        assert lookup(reg, to_mask([0, 1])) == 4
+        reg.put(to_mask([0]), 0)
+        assert lookup(reg, to_mask([0, 1])) == 0
 
     def test_get_prunes_query(self):
         p = _strict_preorder()
         reg = CCLSRegistry(p)
-        reg.put(to_mask([0, 2]), 4)
+        reg.put(to_mask([0, 2]), 0)
         # query {0,1,2} prunes to {0,2}, matching the stored minimal
-        assert lookup(reg, to_mask([0, 1, 2])) == 4
+        assert lookup(reg, to_mask([0, 1, 2])) == 0
 
     def test_unseen_uncovered_undefined(self):
         reg = CCLSRegistry(_strict_preorder())
@@ -365,16 +416,16 @@ class TestCCLS:
         # a put follows the miss of its metastate, so its pruned form is no
         # key of the unmerged dict; one that is was covered, and is refused
         reg = CCLSRegistry(_strict_preorder())
-        reg.put(to_mask([0]), 1)  # [{0}, {0, 1}]: keyed by {0}
-        lat = reg.lattices[1]
+        reg.put(to_mask([0]), 0)  # [{0}, {0, 1}]: keyed by {0}
+        lat = reg.lattices[0]
         q = to_mask([0, 1])  # prunes to {0}
-        assert lookup(reg, q) == 1
+        assert lookup(reg, q) == 0
         with pytest.raises(RegistryContractError):
-            reg.put(q, 2)
-        assert q not in reg._exact and 2 not in reg._put_for
-        assert reg._unmerged == {to_mask([0]): lat} and reg.lattices == {1: lat}
-        reg.put(to_mask([2]), 2)  # the refused state is still fresh
-        assert lookup(reg, q) == 1 and lookup(reg, to_mask([2])) == 2
+            reg.put(q, 1)
+        assert q not in reg._exact and reg.metastates == [to_mask([0])]
+        assert reg._unmerged == {to_mask([0]): lat} and reg.lattices == {0: lat}
+        reg.put(to_mask([2]), 1)  # the refused state is still the next id
+        assert lookup(reg, q) == 0 and lookup(reg, to_mask([2])) == 1
 
 
 def _random_relation_preorder(n, pairs, mutual):
@@ -413,7 +464,7 @@ class TestUnmergedLattice:
         # the similarity of the reversed quotient, which is not antisymmetric
         p, m, q = case
         lat = Lattice(0, saturate(m, p), [prune(m, p)])
-        assert lat.covers(prune(q, p)) == (prune(q, p) == prune(m, p))
+        assert covers(lat, prune(q, p)) == (prune(q, p) == prune(m, p))
 
 
 _antichains = st.lists(st.one_of(st.just(0), st.integers(1, 63)), max_size=8).map(
@@ -494,10 +545,10 @@ class TestResidual:
 class TestLattice:
     def test_covers_membership_rule(self):
         lat = Lattice(0, to_mask([0, 1, 2]), _masks([0], [1, 2]))
-        assert lat.covers(to_mask([0, 2]))
-        assert lat.covers(to_mask([1, 2]))
-        assert not lat.covers(to_mask([2]))
-        assert not lat.covers(to_mask([0, 3]))
+        assert covers(lat, to_mask([0, 2]))
+        assert covers(lat, to_mask([1, 2]))
+        assert not covers(lat, to_mask([2]))
+        assert not covers(lat, to_mask([0, 3]))
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(old=_antichains, fresh=_antichains, shared=st.lists(st.integers(0, 7)))
@@ -537,11 +588,11 @@ def _reference_get(reg, mask):
     """
     state = reg._exact.get(mask)
     if state is not None:
-        return reg.find(state), None
+        return find(reg, state), None
     query = prune(mask, reg.preorder) if isinstance(reg, CCLSRegistry) else mask
     for lat in reg.lattices.values():
-        if lat.covers(query):
-            state = reg.find(lat.rep)
+        if covers(lat, query):
+            state = find(reg, lat.rep)
             return state, (mask, state)
     return None, None
 
@@ -569,6 +620,7 @@ def _run_ops(reg, rng, positions, steps):
     """Random put/unify/lookup sequence over subsets of ``positions``."""
     reg.cover_hits = []
     states = []
+    unifies = 0
 
     def draw_mask():
         return to_mask([x for x in positions if rng.random() < 0.4])
@@ -579,11 +631,11 @@ def _run_ops(reg, rng, positions, steps):
             mask = draw_mask()
             if _checked_get(reg, mask) is not None:
                 continue  # the loop puts only the metastates its lookup missed
-            state = len(reg._exact)  # fresh, also when ``reg`` is reused
+            state = len(reg.metastates)  # the next id
             reg.put(mask, state)
             states.append(state)
         elif op < 0.65 and len(states) >= 2:
-            reg.unify(*rng.sample(states, 2))
+            unifies += _unify_classes(reg, *rng.sample(states, 2))
         else:
             _checked_get(reg, draw_mask())
     for mask in list(reg._exact):
@@ -597,19 +649,20 @@ def _run_ops(reg, rng, positions, steps):
     for root, lat in reg.lattices.items():
         assert lat.rep == root
         if root not in reg._class_puts:
-            put = reg._put_for[root]
+            put = reg.metastates[root]
             assert (lat.greatest, lat.minimals) == (
                 saturate(put, reg.preorder), [prune(put, reg.preorder)]
             )
     # the index's live rows are the lattices that are not entries of the
     # unmerged dict, in the dict's order, each keyed by its own
-    # representative, which is a class root
+    # representative, which is a class root; every unify added one row
     index = reg._index
+    assert len(index.rows) == unifies and index.live >> unifies == 0
     live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
     unmerged = {id(lat) for lat in reg._unmerged.values()}
     assert live_rows == [lat for lat in lattices if id(lat) not in unmerged]
     for lat in live_rows:
-        assert reg.lattices[lat.rep] is lat and reg.find(lat.rep) == lat.rep
+        assert reg.lattices[lat.rep] is lat and find(reg, lat.rep) == lat.rep
     # each dict entry is the live, never merged lattice of one put, keyed by
     # its one minimal
     for key, lat in reg._unmerged.items():
@@ -639,24 +692,24 @@ class TestCoverIndex:
         reg = CCLSRegistry(_random_preorder(rng, positions))
         _run_ops(reg, rng, positions, 60)
 
-    def test_dead_rows_are_rebuilt_away(self, monkeypatch):
-        index_cls = type(CCLRegistry()._index)
-        rebuilds = []
-        original = index_cls._rebuild
-
-        def counting(self):
-            rebuilds.append(self.live.bit_count())
-            original(self)
-
-        monkeypatch.setattr(index_cls, "_rebuild", counting)
+    def test_one_row_per_unify(self):
+        # a discarded lattice's bit only leaves ``live``: nothing is rebuilt
         rng = random.Random(4)
         reg = CCLRegistry()
-        for positions in ([3, 40, 50], [3, 40, 70, 100], [3, 40, 70, 100, 150, 250]):
-            _run_ops(reg, rng, positions, 80)
-        assert rebuilds
+        states, unifies = [], 0
+        for _ in range(300):
+            mask = to_mask([x for x in (3, 40, 70, 100, 150, 250) if rng.random() < 0.4])
+            if lookup(reg, mask) is None:
+                states.append(len(reg.metastates))
+                reg.put(mask, states[-1])
+            if len(states) >= 2 and rng.random() < 0.5:
+                rows = len(reg._index.rows)
+                merged = _unify_classes(reg, *rng.sample(states, 2))
+                assert len(reg._index.rows) == rows + merged
+                unifies += merged
         index = reg._index
-        assert index.live >> len(index.rows) == 0  # every live bit has a row
-        assert 2 * index.live.bit_count() >= len(index.rows)  # at most half dead
+        assert len(index.rows) == unifies > 2 * index.live.bit_count()
+        assert index.live.bit_count() == len(reg.lattices)
 
     def test_point_lattices_get_no_rows(self):
         reg = CCLRegistry()
@@ -705,29 +758,28 @@ class TestCoverIndex:
 
     def test_earliest_inserted_lattice_wins(self):
         reg = CCLRegistry()
-        reg.put(to_mask([5]), 4)
-        reg.put(to_mask([5, 6]), 5)
-        reg.unify(4, 5)  # C: {5} .. {5,6}
+        reg.put(to_mask([5]), 0)
+        reg.put(to_mask([5, 6]), 1)
+        reg.unify(0, 1)  # C: {5} .. {5,6}
         reg.put(to_mask([1, 2]), 2)
         reg.put(to_mask([3]), 3)
         reg.unify(2, 3)  # A: {1,2} | {3} .. {1,2,3}
-        reg.put(to_mask([7]), 6)
-        reg.put(to_mask([7, 8]), 7)
-        reg.unify(6, 7)  # D: {7} .. {7,8}
-        reg.put(to_mask([1]), 0)
-        reg.put(to_mask([1, 2, 3, 4]), 1)
-        reg.unify(0, 1)  # B, inserted later but keyed lower: {1} .. {1,2,3,4}
-        reg.unify(0, 4)  # B joins C: re-inserted last, both old bits are dead
+        reg.put(to_mask([7]), 4)
+        reg.put(to_mask([7, 8]), 5)
+        reg.unify(4, 5)  # D: {7} .. {7,8}
+        reg.put(to_mask([1]), 6)
+        reg.put(to_mask([1, 2, 3, 4]), 7)
+        reg.unify(6, 7)  # B: {1} .. {1,2,3,4}
+        reg.unify(0, 6)  # B joins C, keyed lower than A but re-inserted last
         query = to_mask([1, 3])
-        assert reg.lattices[2].covers(query) and reg.lattices[0].covers(query)
+        assert covers(reg.lattices[2], query) and covers(reg.lattices[0], query)
         index = reg._index
-        # one bit per non-point lattice, in insertion order
-        assert [lat.rep for lat in index.rows] == [4, 2, 6, 0, 0]
-        assert index.live == 0b10110  # the old bits of B and C are dead
-        assert lookup(reg, query) == 2
-        index._rebuild()
-        assert index.rows == list(reg.lattices.values()) and index.live == 0b111
-        assert [lat.rep for lat in index.rows] == [2, 6, 0]
+        # one bit per unify, in insertion order; the old bits of B and C are dead
+        assert [lat.rep for lat in index.rows] == [0, 2, 4, 6, 0]
+        assert index.live == 0b10110
+        live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
+        assert live_rows == list(reg.lattices.values())
+        assert [lat.rep for lat in live_rows] == [2, 4, 0]
         assert lookup(reg, query) == 2
 
     def test_cover_hits_records_every_hit(self):

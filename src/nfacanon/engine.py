@@ -10,8 +10,9 @@ each; the loop keeps only a row table indexed by state id and its worklist.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,23 +34,9 @@ PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s
 class CanonTimeout(Exception):
     """Raised internally when a run exceeds its deadline.
 
-    Raised inside the determinization loop, it carries that loop's explored
-    count, peak state count, intermediate minimization count and lookup
-    counts so far, so a timed-out run keeps them.
+    It carries nothing: a loop it interrupts has already added its counts
+    to the run's ``RunStats``, as every loop does on every exit.
     """
-
-    def __init__(
-        self,
-        explored_count: int = 0,
-        peak_states: int = 0,
-        minimizations: int = 0,
-        lookups: tuple[int, int, int] = (0, 0, 0),
-    ):
-        super().__init__()
-        self.explored_count = explored_count
-        self.peak_states = peak_states
-        self.minimizations = minimizations
-        self.exact_hits, self.cover_hits, self.misses = lookups
 
 
 class Threshold:
@@ -81,23 +68,18 @@ class Threshold:
 
 @dataclass
 class DeterminizeResult:
+    """The DFA a determinization loop built; its counts went into ``stats``."""
+
     dfa: Dfa
     ids: list[int]  # live state ids, sorted: state i of `dfa` stands for ids[i]
     metastates: list[int]  # metastates[i]: the metastate ids[i] was put for
-    explored_count: int
-    peak_states: int
-    minimizations: int
-    sizes_after_min: list[int] = field(default_factory=list)
-    # successor lookups answered by the exact map, by the registry past it,
-    # and by nobody (each miss puts a new state)
-    exact_hits: int = 0
-    cover_hits: int = 0
-    misses: int = 0
+    sizes_after_min: list[int]
 
 
 def otf_determinize(
     nfa: Nfa,
     registry: Registry,
+    stats: RunStats,
     controller: Threshold | None = None,
     deadline: float | None = None,
 ) -> DeterminizeResult:
@@ -135,6 +117,14 @@ def otf_determinize(
     initial one follows the miss of its metastate, an exact hit costs one
     dict lookup and no call, and the counts of the three outcomes follow
     from the number of ``get`` calls alone.
+
+    The loop adds its counts into ``stats`` on every exit: a normal
+    return, a ``CanonTimeout`` from ``deadline``, or any other exception.
+    They are the explored metastates, the intermediate minimizations, the
+    peak number of live states (kept as a max over the calls on one
+    ``stats``) and the three lookup outcomes.  So the two calls of a
+    Brzozowski pipeline sum into one ``RunStats``, and an interrupted call
+    leaves its partial counts there.
     """
     kern = successor_kernel(nfa)
     exact = registry._exact.get
@@ -150,38 +140,48 @@ def otf_determinize(
     gets = 0  # registry.get calls: lookups the exact map missed
     live = [0]  # sorted live ids
     peak = 1
-    minimizations = 0
     sizes_after_min: list[int] = []
 
-    while stack:
-        if deadline is not None and time.perf_counter() > deadline:
-            lookups = _lookups(k, explored_count, gets, len(rows))
-            raise CanonTimeout(explored_count, peak, minimizations, lookups)
-        # c is unexplored, so no minimization has merged it: it is still live
-        current, c = stack.pop()
-        row = rows[c]
-        succs = kern.successors(current)
-        for a in range(k):
-            nxt = succs[a]
-            n = exact(nxt)
-            if n is None:
-                gets += 1
-                n = registry.get(nxt)
+    try:
+        while stack:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise CanonTimeout
+            # c is unexplored, so no minimization has merged it: it is still live
+            current, c = stack.pop()
+            row = rows[c]
+            succs = kern.successors(current)
+            for a in range(k):
+                nxt = succs[a]
+                n = exact(nxt)
                 if n is None:
-                    n = len(rows)
-                    rows.append([UNDEFINED] * k)
-                    registry.put(nxt, n)
-                    stack.append((nxt, n))
-                    live.append(n)
-            row[a] = n
-        explored_count += 1
-        if len(live) > peak:
-            peak = len(live)
-        if controller is not None and controller.should_minimize():
-            live = _intermediate_minimize(rows, final_mask, live, stack, registry, k)
-            minimizations += 1
-            sizes_after_min.append(len(live))
-            controller.after_minimize(len(live))
+                    gets += 1
+                    n = registry.get(nxt)
+                    if n is None:
+                        n = len(rows)
+                        rows.append([UNDEFINED] * k)
+                        registry.put(nxt, n)
+                        stack.append((nxt, n))
+                        live.append(n)
+                row[a] = n
+            explored_count += 1
+            if len(live) > peak:
+                peak = len(live)
+            if controller is not None and controller.should_minimize():
+                live = _intermediate_minimize(rows, final_mask, live, stack, registry, k)
+                sizes_after_min.append(len(live))
+                controller.after_minimize(len(live))
+    finally:
+        # each explored row looked up k successors; ``gets`` of them missed
+        # the exact map, and each miss of ``get`` put one of the states but
+        # the initial one.  A row cut short by an exception other than the
+        # deadline adds its gets and misses but not its lookups.
+        misses = len(rows) - 1
+        stats.explored_metastates += explored_count
+        stats.minimizations += len(sizes_after_min)
+        stats.peak_intermediate_states = max(stats.peak_intermediate_states, peak)
+        stats.exact_hits += k * explored_count - gets
+        stats.cover_hits += gets - misses
+        stats.misses += misses
 
     metastates = registry.metastates
     if len(live) < len(rows):  # some id was absorbed
@@ -191,30 +191,7 @@ def otf_determinize(
         trans = rows
     finals = [i for i, m in enumerate(metastates) if m & final_mask]
     dfa = Dfa(len(live), k, 0, finals, trans)
-    exact_hits, cover_hits, misses = _lookups(k, explored_count, gets, len(rows))
-    return DeterminizeResult(
-        dfa=dfa,
-        ids=live,
-        metastates=metastates,
-        explored_count=explored_count,
-        peak_states=peak,
-        minimizations=minimizations,
-        sizes_after_min=sizes_after_min,
-        exact_hits=exact_hits,
-        cover_hits=cover_hits,
-        misses=misses,
-    )
-
-
-def _lookups(k: int, explored: int, gets: int, states: int) -> tuple[int, int, int]:
-    """(exact hits, cover hits, misses) of the lookups of ``explored`` rows.
-
-    Each explored row looks up ``k`` successors; ``gets`` of them missed
-    the exact map, and each miss of ``get`` made one of the ``states``
-    other than the initial one.
-    """
-    misses = states - 1
-    return k * explored - gets, gets - misses, misses
+    return DeterminizeResult(dfa, live, metastates, sizes_after_min)
 
 
 def _dense(rows, ids: list[int]) -> np.ndarray:
@@ -307,6 +284,9 @@ def canonize(nfa: Nfa, config: CanonConfig) -> tuple[Dfa | None, RunStats]:
         raise ValueError(f"unknown pipeline {config.pipeline!r}")
     if config.threshold_init < 1:
         raise ValueError(f"threshold_init must be at least 1: {config.threshold_init}")
+    if config.timeout_ms is not None and math.isnan(config.timeout_ms):
+        # no time exceeds a NaN deadline: it would never fire
+        raise ValueError("timeout_ms must not be NaN")
     stats = RunStats()
     start = time.perf_counter()
     deadline = (
@@ -314,24 +294,11 @@ def canonize(nfa: Nfa, config: CanonConfig) -> tuple[Dfa | None, RunStats]:
     )
     try:
         dfa = _run_pipeline(nfa, config, stats, start, deadline)
-    except CanonTimeout as e:
+    except CanonTimeout:
         stats.timed_out = True
-        _fold(stats, e)
         dfa = None
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return dfa, stats
-
-
-def _fold(stats: RunStats, run: DeterminizeResult | CanonTimeout) -> None:
-    """Add one determinization loop's counts to the run's totals."""
-    stats.explored_metastates += run.explored_count
-    stats.minimizations += run.minimizations
-    stats.peak_intermediate_states = max(
-        stats.peak_intermediate_states, run.peak_states
-    )
-    stats.exact_hits += run.exact_hits
-    stats.cover_hits += run.cover_hits
-    stats.misses += run.misses
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -379,15 +346,13 @@ def _run_pipeline(nfa, config, stats, start, deadline):
         registry = OneToOneRegistry()
     controller = Threshold(config.threshold_init) if uses_otf else None
     stats.preprocess_ms = (time.perf_counter() - start) * 1000.0
-    res = otf_determinize(work, registry, controller, deadline)
-    _fold(stats, res)
+    res = otf_determinize(work, registry, stats, controller, deadline)
     reference = max([res.dfa.num_states] + res.sizes_after_min)
     _check_deadline(deadline)
 
     if brz:
         registry = ResidualRegistry(_columns(res.metastates, fwd.num_states))
-        res = otf_determinize(fwd, registry, None, deadline)
-        _fold(stats, res)
+        res = otf_determinize(fwd, registry, stats, None, deadline)
         dfa = res.dfa
     else:
         # the determinized DFA is total and fully explored

@@ -14,6 +14,7 @@ from nfacanon.automata import Nfa, complete, isomorphic, to_mask
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
+    RunStats,
     Threshold,
     canonize,
     otf_determinize,
@@ -119,7 +120,7 @@ def test_registry_soundness():
             else:
                 reg = CCLRegistry()
             reg.cover_hits = []
-            res = otf_determinize(nfa, reg, FixedInterval(rng.choice([1, 2])))
+            res = otf_determinize(nfa, reg, RunStats(), FixedInterval(rng.choice([1, 2])))
             full = complete(res.dfa)
             for mask, state in reg.cover_hits:
                 hits_seen += 1
@@ -138,12 +139,13 @@ def test_ccls_equals_ccl_under_identity_preorder(explored_masks):
             nfa = random_nfa(rng, rng.randint(3, 9), 2)
             interval = rng.choice([1, 2, 3])
             explored.clear()
-            a = otf_determinize(nfa, CCLRegistry(), FixedInterval(interval))
+            a = otf_determinize(nfa, CCLRegistry(), RunStats(), FixedInterval(interval))
             trace_a = list(explored)
             explored.clear()
             b = otf_determinize(
                 nfa,
                 CCLSRegistry(identity_preorder(nfa.num_states)),
+                RunStats(),
                 FixedInterval(interval),
             )
             assert trace_a == explored

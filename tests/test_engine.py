@@ -7,22 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import complete, isomorphic, reverse
+from nfacanon.automata import complete, isomorphic, reverse, trim
 import nfacanon.engine as engine
 import nfacanon.registry as registry_module
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
+    RunStats,
     Threshold,
     canonize,
     otf_determinize,
 )
 from nfacanon.generator import GenParams, generate
-from nfacanon.partition import minimize
+from nfacanon.partition import bisimulation_quotient, minimize
 from nfacanon.registry import (
     CCLRegistry,
     CCLSRegistry,
     OneToOneRegistry,
+    RegistryContractError,
     ResidualRegistry,
 )
 from nfacanon.simulation import compute_similarity, prune
@@ -181,7 +183,7 @@ def _lookup_registries(nfa):
     reverse, as Brzozowski's second pass does.
     """
     p = compute_similarity(nfa)
-    phase1 = otf_determinize(reverse(nfa), OneToOneRegistry())
+    phase1 = otf_determinize(reverse(nfa), OneToOneRegistry(), RunStats())
     columns = engine._columns(phase1.metastates, nfa.num_states)
     return [
         (OneToOneRegistry, (), None),
@@ -195,22 +197,24 @@ def _lookup_registries(nfa):
 
 class TestOtfDeterminize:
     def test_matches_classic_subset_construction(self, ends_in_a):
-        res = otf_determinize(ends_in_a, OneToOneRegistry())
+        stats = RunStats()
+        res = otf_determinize(ends_in_a, OneToOneRegistry(), stats)
         oracle, _ = textbook_subset_construction(ends_in_a)
         assert isomorphic(complete(res.dfa), complete(oracle))
         assert res.dfa.num_states == 2
-        assert res.minimizations == 0
+        assert stats.minimizations == 0
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_blowup_family_exponential_without_minimization(self, n):
-        res = otf_determinize(blowup_nfa(n), OneToOneRegistry())
+        res = otf_determinize(blowup_nfa(n), OneToOneRegistry(), RunStats())
         assert res.dfa.num_states == 2**n
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_blowup_family_with_always_firing_ccl(self, n):
         nfa = blowup_nfa(n)
-        res = otf_determinize(nfa, CCLRegistry(), FixedInterval(1))
-        assert res.peak_states <= 2**n
+        stats = RunStats()
+        res = otf_determinize(nfa, CCLRegistry(), stats, FixedInterval(1))
+        assert stats.peak_intermediate_states <= 2**n
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -219,7 +223,7 @@ class TestOtfDeterminize:
         # subset construction with a LIFO worklist
         rng = random.Random(seed)
         nfa = random_nfa(rng, rng.randint(2, 7), 2)
-        otf_determinize(nfa, OneToOneRegistry())
+        otf_determinize(nfa, OneToOneRegistry(), RunStats())
         _, order = textbook_subset_construction(nfa, lifo=True)
         assert explored_masks == order
 
@@ -236,7 +240,8 @@ class TestOtfDeterminize:
             for cls, args, interval in _lookup_registries(nfa):
                 reg = _counting(cls)(*args)
                 controller = interval and FixedInterval(interval)
-                res = otf_determinize(nfa, reg, controller)
+                stats = RunStats()
+                otf_determinize(nfa, reg, stats, controller)
                 log = iter(reg.log)
                 assert next(log) == ("put", nfa.initial_mask, 0)
                 counts = {"exact": 0, "cover": 0, "miss": 0}
@@ -253,8 +258,8 @@ class TestOtfDeterminize:
                             counts["cover"] += 1
                     else:
                         counts["exact"] += 1
-                assert sum(counts.values()) == nfa.alphabet_size * res.explored_count
-                assert (res.exact_hits, res.cover_hits, res.misses) == (
+                assert sum(counts.values()) == nfa.alphabet_size * stats.explored_metastates
+                assert (stats.exact_hits, stats.cover_hits, stats.misses) == (
                     counts["exact"], counts["cover"], counts["miss"]
                 )
                 cover_hits += counts["cover"]
@@ -270,9 +275,10 @@ class TestOtfDeterminize:
             for cls, args, interval in _lookup_registries(nfa):
                 reg = _contract_checked(cls)(*args)
                 controller = interval and FixedInterval(interval)
-                res = otf_determinize(nfa, reg, controller)
-                assert reg.gets == res.cover_hits + res.misses
-                hits += res.cover_hits
+                stats = RunStats()
+                otf_determinize(nfa, reg, stats, controller)
+                assert reg.gets == stats.cover_hits + stats.misses
+                hits += stats.cover_hits
         assert hits > 0 or family == "blowup"  # its states are pairwise inequivalent
 
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
@@ -296,12 +302,14 @@ class TestOtfDeterminize:
                     for reg in (CCLSRegistry(p), LinearScanCCLSRegistry(p)):
                         reg.cover_hits = []
                         controller = interval and FixedInterval(interval)
-                        res = otf_determinize(work, reg, controller)
+                        stats = RunStats()
+                        res = otf_determinize(work, reg, stats, controller)
                         d = res.dfa
+                        explored = stats.explored_metastates
                         runs.append((
                             (d.num_states, sorted(d.final), [list(r) for r in d.trans]),
-                            (res.ids, res.metastates, res.explored_count, res.peak_states),
-                            (res.minimizations, res.sizes_after_min, reg.cover_hits),
+                            (res.ids, res.metastates, explored, stats.peak_intermediate_states),
+                            (stats.minimizations, res.sizes_after_min, reg.cover_hits),
                         ))
                     assert runs[0] == runs[1]
                     hits += len(reg.cover_hits)
@@ -314,8 +322,9 @@ class TestOtfDeterminize:
         for nfa in _family(family, random.Random(43)):
             for cls, args, interval in _lookup_registries(nfa):
                 reg = cls(*args)
-                res = otf_determinize(nfa, reg, interval and FixedInterval(interval))
-                assert len(reg.metastates) == res.misses + 1
+                stats = RunStats()
+                res = otf_determinize(nfa, reg, stats, interval and FixedInterval(interval))
+                assert len(reg.metastates) == stats.misses + 1
                 assert res.metastates == [reg.metastates[s] for s in res.ids]
 
     @pytest.mark.parametrize("seed", range(5))
@@ -329,8 +338,9 @@ class TestOtfDeterminize:
         for cls, args in ((CCLRegistry, ()), (CCLSRegistry, (compute_similarity(nfa),))):
             explored.clear()
             reg = _counting(cls, explored)(*args)
-            res = otf_determinize(nfa, reg, FixedInterval(1))
-            assert res.minimizations == res.explored_count
+            stats = RunStats()
+            otf_determinize(nfa, reg, stats, FixedInterval(1))
+            assert stats.minimizations == stats.explored_metastates
             assert reg.unified
             for surv, absorbed, seen in reg.unified:
                 done = set(explored[:seen])
@@ -343,11 +353,42 @@ class TestOtfDeterminize:
         rng = random.Random(100 + seed)
         nfa = random_nfa(rng, rng.randint(3, 8), 2)
         interval = rng.choice([1, 2, 3])
-        res = otf_determinize(nfa, CCLRegistry(), FixedInterval(interval))
+        res = otf_determinize(nfa, CCLRegistry(), RunStats(), FixedInterval(interval))
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
+    @pytest.mark.parametrize("cls, interval", [(OneToOneRegistry, None), (CCLRegistry, 2)])
+    def test_counts_survive_a_registry_error(self, explored_masks, cls, interval):
+        # the loop adds its counts into ``stats`` on every exit, so an
+        # exception raised inside it leaves the partial counts behind
+        class Failing(cls):
+            gets = puts = 0
 
-# (input, registry, threshold) -> (explored_count, minimizations, cover hits,
+            def get(self, mask):
+                self.gets += 1
+                return super().get(mask)
+
+            def put(self, mask, state):
+                self.puts += 1
+                if self.puts > 20:
+                    raise RegistryContractError("no room")
+                super().put(mask, state)
+
+        nfa = blowup_nfa(8)
+        reg = Failing()
+        stats = RunStats()
+        with pytest.raises(RegistryContractError):
+            otf_determinize(nfa, reg, stats, interval and FixedInterval(interval))
+        # the row being built when the put failed asked for its successors
+        explored = len(explored_masks) - 1
+        assert stats.explored_metastates == explored > 0
+        # every put but the initial one follows a miss, the failed one too
+        assert stats.misses == reg.puts - 1 == 20
+        assert stats.cover_hits + stats.misses == reg.gets
+        assert stats.minimizations == (explored // interval if interval else 0)
+        assert 0 < stats.peak_intermediate_states <= 20
+
+
+# (input, registry, threshold) -> (explored metastates, minimizations, cover hits,
 # CRC-32 of repr(sizes_after_min)), recorded with the row-signature
 # refinement that oracle.minimize_reference keeps.  A change to which merges
 # an intermediate minimization finds, or to the registry's answers, moves
@@ -391,18 +432,19 @@ def test_counts_match_pinned_values(case):
     nfa = _pinned_input(name)
     reg = CCLRegistry() if kind == "ccl" else CCLSRegistry(compute_similarity(nfa))
     reg.cover_hits = []
-    res = otf_determinize(nfa, reg, FixedInterval(interval))
+    stats = RunStats()
+    res = otf_determinize(nfa, reg, stats, FixedInterval(interval))
     sizes = res.sizes_after_min
     got = (
-        res.explored_count,
-        res.minimizations,
+        stats.explored_metastates,
+        stats.minimizations,
         len(reg.cover_hits),
         zlib.crc32(repr(sizes).encode()),
     )
     assert got == _PINNED_COUNTS[case], sizes
 
 
-# peak_states of the same runs, recorded before the loop kept its own list of
+# peak_intermediate_states of the same runs, recorded before the loop kept its own list of
 # live ids (it used to count every id ever created, minus the absorbed ones)
 _PINNED_PEAKS = {
     "blowup8": (256, 256, 256, 256),
@@ -420,8 +462,9 @@ def test_peak_states_match_pinned_values(name):
     peaks = []
     for make in (CCLRegistry, lambda: CCLSRegistry(preorder)):
         for interval in (1, 3):
-            res = otf_determinize(nfa, make(), FixedInterval(interval))
-            peaks.append(res.peak_states)
+            stats = RunStats()
+            otf_determinize(nfa, make(), stats, FixedInterval(interval))
+            peaks.append(stats.peak_intermediate_states)
     assert tuple(peaks) == _PINNED_PEAKS[name]
 
 
@@ -678,6 +721,16 @@ class TestCanonize:
         with pytest.raises(ValueError, match="threshold_init"):
             canonize(nfa, config)
 
+    def test_nan_timeout_rejected(self):
+        # no time exceeds a NaN deadline, so it would never fire
+        nfa = generate(GenParams(n=100, density=4.0, seed=1))
+        with pytest.raises(ValueError, match="timeout_ms"):
+            canonize(nfa, CanonConfig(timeout_ms=float("nan")))
+        # zero and below still mean the deadline has passed
+        for timeout_ms in (0.0, -1.0):
+            dfa, stats = canonize(nfa, CanonConfig(timeout_ms=timeout_ms))
+            assert dfa is None and stats.timed_out
+
     def test_similarity_computed_once_per_direction(self, monkeypatch):
         # -s subset pipelines reuse the preorder the quotient step induces;
         # Brzozowski adds one computation on the reversed quotient
@@ -741,6 +794,34 @@ class TestBrzozowskiPhase2:
         yield from (random_nfa(rng, rng.randint(3, 9), 2) for _ in range(5))
         yield generate(GenParams(n=30, density=3.0, seed=2))
 
+    @pytest.mark.parametrize("pipeline", ["brz", "brz-otf"])
+    def test_two_passes_sum_into_one_run_stats(self, pipeline):
+        # both passes add their counts into the RunStats they are given, so
+        # running them by hand on one RunStats gives canonize's counts
+        otf = "otf" in pipeline
+        for nfa in self._inputs():
+            fwd = bisimulation_quotient(trim(nfa))
+            stats = RunStats()
+            first = otf_determinize(
+                reverse(fwd),
+                CCLRegistry() if otf else OneToOneRegistry(),
+                stats,
+                Threshold(3) if otf else None,
+            )
+            residual = ResidualRegistry(engine._columns(first.metastates, fwd.num_states))
+            otf_determinize(fwd, residual, stats)
+            _, expect = canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
+            counts = (
+                "peak_intermediate_states",
+                "minimizations",
+                "explored_metastates",
+                "exact_hits",
+                "cover_hits",
+                "misses",
+            )
+            for name in counts:
+                assert getattr(stats, name) == getattr(expect, name), name
+
     @pytest.mark.parametrize("pipeline", [p for p in PIPELINES if p.startswith("brz")])
     def test_forward_pass_matches_reversed_dfa_pass(self, monkeypatch, pipeline):
         # the second pass runs forward on the quotient, keyed by residual
@@ -750,24 +831,31 @@ class TestBrzozowskiPhase2:
         runs = []
         determinize = engine.otf_determinize
 
-        def recording(*args):
-            runs.append(determinize(*args))
-            return runs[-1]
+        def recording(nfa, registry, stats, *args):
+            own = RunStats()  # each pass counts into a RunStats of its own
+            runs.append((determinize(nfa, registry, own, *args), own))
+            return runs[-1][0]
 
         monkeypatch.setattr(engine, "otf_determinize", recording)
         minimized = 0
         for nfa in self._inputs():
             runs.clear()
             canonize(nfa, config)
-            first, second = runs
+            (first, first_stats), (second, second_stats) = runs
             # one metastate per state of the phase-1 DFA, merged ids left out
             assert len(first.metastates) == first.dfa.num_states
-            expect = determinize(reverse(dfa_to_nfa(first.dfa)), OneToOneRegistry())
+            expect_stats = RunStats()
+            expect = determinize(
+                reverse(dfa_to_nfa(first.dfa)), OneToOneRegistry(), expect_stats
+            )
             assert second.dfa.trans == expect.dfa.trans
             assert second.dfa.final == expect.dfa.final
-            assert second.explored_count == expect.explored_count
-            assert second.peak_states == expect.peak_states
-            minimized += first.minimizations
+            assert second_stats.explored_metastates == expect_stats.explored_metastates
+            assert (
+                second_stats.peak_intermediate_states
+                == expect_stats.peak_intermediate_states
+            )
+            minimized += first_stats.minimizations
         if "otf" in pipeline:
             # threshold 3 makes phase 1 minimize a partly explored DFA
             assert minimized > 0
@@ -813,8 +901,9 @@ class TestDifferential:
 class TestThresholdControllers:
     def test_never_threshold(self):
         # without a controller the loop never minimizes, however long it runs
-        res = otf_determinize(blowup_nfa(8), CCLRegistry(), None)
-        assert res.minimizations == 0
+        stats = RunStats()
+        res = otf_determinize(blowup_nfa(8), CCLRegistry(), stats, None)
+        assert stats.minimizations == 0
         assert res.dfa.num_states == 2**8
 
     def test_adaptive_controller_wraps_state(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfacanon.automata import Nfa, isomorphic, reverse, to_mask
-from nfacanon.engine import otf_determinize
+from nfacanon.engine import RunStats, otf_determinize
 from nfacanon.registry import (
     CCLRegistry,
     CCLSRegistry,
@@ -496,7 +496,7 @@ class TestResidual:
             (OneToOneRegistry(), None),
             (CCLRegistry(), FixedInterval(1)),
         ):
-            phase1 = otf_determinize(reverse(nfa), registry, controller)
+            phase1 = otf_determinize(reverse(nfa), registry, RunStats(), controller)
             reg = ResidualRegistry(_columns(phase1.metastates, nfa.num_states))
             sigs = [reg.signature(m) for m in reached]
             for i in range(len(reached)):
@@ -523,9 +523,9 @@ class TestResidual:
                 return super().signature(mask)
 
         nfa = tv_nfa(random.Random(4), 14, 1.25, 0.5)
-        phase1 = otf_determinize(reverse(nfa), OneToOneRegistry())
+        phase1 = otf_determinize(reverse(nfa), OneToOneRegistry(), RunStats())
         reg = Counting(_columns(phase1.metastates, nfa.num_states))
-        res = otf_determinize(nfa, reg)
+        res = otf_determinize(nfa, reg, RunStats())
         # a put after a miss reuses its signature, and a hit is cached
         assert sorted(signed) == sorted(reg._exact)
         assert len(reg._exact) > res.dfa.num_states

@@ -137,6 +137,7 @@ def otf_determinize(
     stack = [(init_mask, 0)]
 
     explored_count = 0
+    a = -1  # the successor being looked up, or -1 between rows
     gets = 0  # registry.get calls: lookups the exact map missed
     live = [0]  # sorted live ids
     peak = 1
@@ -164,6 +165,7 @@ def otf_determinize(
                         live.append(n)
                 row[a] = n
             explored_count += 1
+            a = -1
             if len(live) > peak:
                 peak = len(live)
             if controller is not None and controller.should_minimize():
@@ -171,15 +173,15 @@ def otf_determinize(
                 sizes_after_min.append(len(live))
                 controller.after_minimize(len(live))
     finally:
-        # each explored row looked up k successors; ``gets`` of them missed
-        # the exact map, and each miss of ``get`` put one of the states but
-        # the initial one.  A row cut short by an exception other than the
-        # deadline adds its gets and misses but not its lookups.
+        # each explored row looked up k successors, and a row cut short by
+        # an exception a + 1; ``gets`` of them missed the exact map, and
+        # each miss of ``get`` put one of the states but the initial one
+        lookups = k * explored_count + a + 1
         misses = len(rows) - 1
         stats.explored_metastates += explored_count
         stats.minimizations += len(sizes_after_min)
         stats.peak_intermediate_states = max(stats.peak_intermediate_states, peak)
-        stats.exact_hits += k * explored_count - gets
+        stats.exact_hits += lookups - gets
         stats.cover_hits += gets - misses
         stats.misses += misses
 

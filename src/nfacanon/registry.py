@@ -39,39 +39,41 @@ Four implementations are provided:
 * ``CCLSRegistry`` -- CCL with a similarity preorder used to prune/saturate
   metastates, widening lattices without any ``unify`` calls.
 
-Each lattice is kept in one of three ways.  Let the preorder be reflexive
-and transitive (for CCL it is the identity) and ``prune`` keep, with its
+A class is kept in one of two ways.  Let the preorder be reflexive and
+transitive (for CCL it is the identity) and ``prune`` keep, with its
 tie-break, a dominating member for every member it drops.  Lemma: the
 lattice ``[prune(m), saturate(m)]`` of a single put m, never merged, covers
 a pruned query p iff p == prune(m).  (Each x in p lies below some y in m,
 y below some z in prune(m), which is a subset of p; p is an antichain under
 the tie-break, so x == z.)  Hence:
 
-* a *point* lattice (one minimal, equal to the greatest element) covers
-  only the metastate m put for it: a query q covered by it has
+* an *unmerged* class, the single put m of a state, builds no lattice: its
+  entries in the exact map and in ``metastates`` are all there is, and
+  CCLS adds ``prune(m) -> state`` to one dict, which by the lemma answers
+  every query the lattice would cover.  The put followed a miss, so no
+  live lattice covered prune(m), and no other entry has the same key.  If
+  the lattice is a point (``prune(m) == saturate(m)``, always so for
+  CCL), it covers only m itself: a query q covered by it has
   prune(q) == m, and q lies below saturate(prune(q)) == m.  The exact map
-  answers m first, so a point is not built at its put: the state's entry
-  in the exact map and in ``metastates`` are all there is, until
-  ``unify`` builds the point to join it.  Every CCL put is a point;
-* an *unmerged* CCLS lattice that is not a point is keyed by its pruned
-  minimal in a dict.  Its put followed a miss, so no live lattice covered
-  that minimal, and no other entry has the same key;
-* a *merged* lattice goes to the cover index.  It has one bit per
-  lattice: per NFA state, one Python int holds the bits of the lattices
-  whose greatest element contains it.  A query ANDs the ints of its
-  members, so a miss usually stops after a few of them, then tests the
-  minimals of the lattices left in bit order.  Bit order is the order in
-  which ``unify`` joined them.  ``unify`` adds one bit and clears those
-  of the lattices it joins, so the index holds one bit per ``unify``
-  call, live or dead.
+  answers m first, so CCL keeps no dict;
+* a *merged* class has a ``Lattice``, built when ``unify`` first joins
+  the class, and the lattice goes to the cover index.  The index has one
+  bit per lattice: per NFA state, one Python int holds the bits of the
+  lattices whose greatest element contains it.  A query ANDs the ints of
+  its members, so a miss usually stops after a few of them, then tests
+  the minimals of the lattices left in bit order.  Bit order is the order
+  in which ``unify`` joined them.  ``unify`` adds one bit and clears
+  those of the lattices it joins, so the index holds one bit per
+  ``unify`` call, live or dead.
 
-So ``lattices`` holds the lattices of the unified classes and of the CCLS
-puts that are not points, keyed by class root; a registry that never
-merged, CCL or CCLS on an identity preorder, builds none and costs what its
-exact map costs.  A lookup tries the dict, then the index.  Both answer
-with the earliest-inserted covering lattice: a dict entry covers its key
-and no lattice inserted before it does, and an index hit is the first in
-bit order, while no dict entry covers the query.
+So ``lattices`` holds exactly the lattices of the unified classes, keyed
+by class root; a registry that never merged builds none and costs what its
+exact map (and, for CCLS, its dict) costs.  A lookup tries the dict, then
+the index.  Both answer with the earliest-inserted covering lattice, a
+class never unified counting as inserted at its put and a merged one at
+its last ``unify``: a dict entry covers its key and no lattice inserted
+before it does, and an index hit is the first in bit order, while no dict
+entry covers the query.
 """
 
 from __future__ import annotations
@@ -90,15 +92,17 @@ class Lattice:
 
     A metastate Q is covered iff Q is a subset of ``greatest`` and some
     element of ``minimals`` is a subset of Q.  ``minimals`` is an antichain.
-    ``bit`` is the lattice's bit in the cover index, or 0 while it has none.
+    ``puts`` lists the metastates put for the states of the class.  ``bit``
+    is the lattice's bit in the cover index, or 0 while it has none.
     """
 
-    __slots__ = ("rep", "greatest", "minimals", "bit")
+    __slots__ = ("rep", "greatest", "minimals", "puts", "bit")
 
-    def __init__(self, rep: int, greatest: int, minimals: list[int]):
+    def __init__(self, rep: int, greatest: int, minimals: list[int], puts: list[int]):
         self.rep = rep
         self.greatest = greatest
         self.minimals = minimals
+        self.puts = puts
         self.bit = 0
 
     def absorb(self, greatest: int, minimals: list[int]) -> None:
@@ -119,8 +123,8 @@ class Lattice:
 class _CoverIndex:
     """Greatest-element slices over the merged lattices of a CCL registry.
 
-    Points and unmerged lattices need no index: by the lemma of the module
-    docstring they cover only the pruned queries equal to their minimal.
+    A class never unified has no lattice to index: by the lemma of the
+    module docstring, its exact entry or its pruned form answers for it.
     ``rows[b]`` is the lattice that took bit ``b``, ``in_greatest[s]`` holds
     the bits of the lattices whose greatest element contains NFA state
     ``s``, and ``live`` the bits in use.  A lattice keeps its bit from
@@ -264,31 +268,23 @@ class CCLRegistry(OneToOneRegistry):
 
     The exact map names class roots, so an exact hit is one dict lookup,
     and the root of any state ``s`` ever put is ``_exact[metastates[s]]``.
-    A class that has been unified keeps the list of the metastates put for
-    its states (a class of one state has only ``metastates[s]``); ``unify``
-    points the exact entries of the absorbed class at the root and joins
-    the two lattices, which are keyed by class root.  The lattice of a put
-    is a point, so a put builds none, and ``get`` asks the cover index,
-    which holds the merged lattices: it returns the first covering lattice
-    in insertion order (most recently merged last), answered by a
-    bit-sliced index rather than a scan, and returns at once while the
-    index is empty.  ``unify`` takes both lattices out of the
-    index or out of the ``_unmerged`` dict (which only ``CCLSRegistry``
-    fills), building the point of a class that has no lattice yet, and
-    indexes the joined one.  Setting ``cover_hits`` to a list records every
-    hit of ``get`` as a (queried metastate, returned state) pair.
+    The lattice of a put is a point, so a put builds none.  ``unify`` takes
+    the lattices of both classes out of the index, building the lattice of
+    a class it joins for the first time, points the exact entries of the
+    absorbed class's puts at the root, and indexes the join under the
+    root.  ``get`` asks the cover index, which holds the lattices of the
+    unified classes: it returns the first covering lattice in insertion
+    order (most recently merged last), answered by a bit-sliced index
+    rather than a scan, and returns at once while the index is empty.
+    Setting ``cover_hits`` to a list records every hit of ``get`` as a
+    (queried metastate, returned state) pair.
     """
 
     def __init__(self):
         super().__init__()
-        # class root -> lattice, for unified classes and non-point CCLS puts
-        self.lattices: dict[int, Lattice] = {}
+        self.lattices: dict[int, Lattice] = {}  # class root -> lattice, once unified
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
-        # pruned minimal -> unmerged non-point lattice; stays empty for CCL
-        self._unmerged: dict[int, Lattice] = {}
-        # root of a unified class -> its put metastates
-        self._class_puts: dict[int, list[int]] = {}
 
     def get(self, mask: int) -> Optional[int]:
         if not self._index.live:
@@ -301,33 +297,30 @@ class CCLRegistry(OneToOneRegistry):
         ordered = 0 <= root < gone < len(metastates)
         if not (ordered and exact[metastates[root]] == root and exact[metastates[gone]] == gone):
             raise RegistryContractError(f"unify({root}, {gone}) needs two live roots in order")
-        puts = self._class_puts
-        moved = puts.pop(gone, None) or [metastates[gone]]
-        for mask in moved:
-            exact[mask] = root
-        puts.setdefault(root, [metastates[root]]).extend(moved)
         merged = self._take(root)
         other = self._take(gone)
+        for mask in other.puts:
+            exact[mask] = root
         merged.absorb(other.greatest, other.minimals)
+        merged.puts += other.puts
         self.lattices[root] = merged
         self._index.insert(merged)
 
     def _take(self, root: int) -> Lattice:
-        """The lattice of class ``root``, taken out of the dict and the index.
+        """The lattice of class ``root``, taken out of ``lattices`` and the index.
 
-        A class without one is a single put whose lattice is a point, built
-        here from the metastate put for it.  A lattice without a bit is an
-        unmerged one, keyed by its one minimal.
+        A class never unified has none yet: ``_lattice_of_put`` builds it.
         """
         lat = self.lattices.pop(root, None)
         if lat is None:
-            mask = self.metastates[root]
-            return Lattice(root, mask, [mask])
-        if lat.bit:
-            self._index.discard(lat)
-        else:
-            del self._unmerged[lat.minimals[0]]
+            return self._lattice_of_put(root)
+        self._index.discard(lat)
         return lat
+
+    def _lattice_of_put(self, state: int) -> Lattice:
+        """The lattice of the one put of a class never unified: its point."""
+        mask = self.metastates[state]
+        return Lattice(state, mask, [mask], [mask])
 
     def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:
         """Record the answer of ``get`` for ``mask`` if it is a hit."""
@@ -340,39 +333,47 @@ class CCLRegistry(OneToOneRegistry):
 class CCLSRegistry(CCLRegistry):
     """CCL refined by a similarity preorder on the input NFA.
 
-    The preorder must be reflexive and transitive.  ``put`` stores a
-    lattice spanning from the pruned to the saturated form of the
-    metastate, unless the two are equal (a point), in the ``_unmerged``
-    dict: by the lemma of the module docstring, a lattice that was never
-    merged covers exactly the pruned queries equal to its minimal.  A put
-    whose pruned form is already a key there was not a miss, and raises
-    ``RegistryContractError``.  ``get`` prunes the query, then tries the
-    dict and the index.  A ``put`` of the metastate that ``get`` last
-    missed reuses its pruned form, so each new metastate is pruned once.
+    The preorder must be reflexive and transitive.  ``put`` stores the
+    pruned form of the metastate in the ``_by_pruned`` dict, mapped to the
+    state, and builds no lattice: by the lemma of the module docstring,
+    the lattice ``[prune(m), saturate(m)]`` of a put m never merged covers
+    exactly the pruned queries equal to prune(m).  ``unify`` builds that
+    lattice when it first joins the class, and drops the dict entry.  A
+    put whose pruned form is already a key there was not a miss, and
+    raises ``RegistryContractError``.  ``get`` prunes the query, then tries
+    the dict and the index.  A ``put`` of the metastate that ``get`` last
+    missed reuses its pruned form, so each new metastate is pruned once,
+    and once more if ``unify`` joins its class.
     """
 
     def __init__(self, preorder: Preorder):
         super().__init__()
         self.preorder = preorder
+        self._by_pruned: dict[int, int] = {}  # pruned put -> its state, never unified
         self._last_miss = (-1, 0)  # (metastate, its pruned form) of the last miss
 
     def get(self, mask: int) -> Optional[int]:
         pruned = prune(mask, self.preorder)
-        lat = self._unmerged.get(pruned)
-        rep = self._index.first_cover(pruned) if lat is None else lat.rep
+        rep = self._by_pruned.get(pruned)
         if rep is None:
-            self._last_miss = (mask, pruned)
+            rep = self._index.first_cover(pruned)
+            if rep is None:
+                self._last_miss = (mask, pruned)
         return self._hit(mask, rep)
 
     def put(self, mask: int, state: int) -> None:
         last, pruned = self._last_miss
         if last != mask:
             pruned = prune(mask, self.preorder)
-        lat = self._unmerged.get(pruned)
-        if lat is not None:
-            raise RegistryContractError(f"metastate {mask} is covered by state {lat.rep}")
-        saturated = saturate(mask, self.preorder)
+        covering = self._by_pruned.get(pruned)
+        if covering is not None:
+            raise RegistryContractError(f"metastate {mask} is covered by state {covering}")
         super().put(mask, state)
-        if pruned != saturated:  # a point stores only its exact entry
-            lat = self.lattices[state] = Lattice(state, saturated, [pruned])
-            self._unmerged[pruned] = lat
+        self._by_pruned[pruned] = state
+
+    def _lattice_of_put(self, state: int) -> Lattice:
+        """``[prune(m), saturate(m)]`` for the one put m of ``state``, out of the dict."""
+        mask = self.metastates[state]
+        pruned = prune(mask, self.preorder)
+        del self._by_pruned[pruned]
+        return Lattice(state, saturate(mask, self.preorder), [pruned], [mask])

@@ -21,7 +21,9 @@ scanning all of its lattices in insertion order; its exact map stays empty,
 so the engine sends every lookup to its ``get``.  ``lookup`` asks a
 registry the way the determinization loop does, ``find`` reads the class
 root of a state off a CCL registry, ``covers`` tests a lattice's
-membership rule, and ``FixedInterval`` is a minimization controller that
+membership rule, ``lattice_of_puts`` builds the lattice of a class from the
+metastates put for it, ``class_lattices`` builds it for every class of a
+CCL registry, and ``FixedInterval`` is a minimization controller that
 never rescales its interval.
 
 The language oracles are here too, apart from the code they check:
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -480,6 +483,32 @@ def find(reg, state: int) -> int:
 def covers(lat, mask: int) -> bool:
     """Whether ``lat`` covers ``mask``: below its greatest, above a minimal."""
     return mask | lat.greatest == lat.greatest and any(m & mask == m for m in lat.minimals)
+
+
+def lattice_of_puts(rep: int, puts: list[int], p: Preorder | None = None) -> SimpleNamespace:
+    """The lattice of a class of a CCL (``p`` None) or CCLS registry, from its puts.
+
+    Its greatest element is the union of the saturated puts and its
+    minimals the antichain of the pruned ones; under CCL each form is the
+    put itself.  The lattice of one put m is ``[prune(m), saturate(m)]``.
+    """
+    pruned = puts if p is None else [prune_reference(m, p) for m in puts]
+    saturated = puts if p is None else [saturate_reference(m, p) for m in puts]
+    greatest = 0
+    for m in saturated:
+        greatest |= m
+    return SimpleNamespace(
+        rep=rep, greatest=greatest, minimals=antichain_reference(pruned), puts=list(puts)
+    )
+
+
+def class_lattices(reg) -> dict[int, SimpleNamespace]:
+    """``lattice_of_puts`` of every live class of CCL registry ``reg``, by root."""
+    classes: dict[int, list[int]] = {}
+    for state, mask in enumerate(reg.metastates):
+        classes.setdefault(find(reg, state), []).append(mask)
+    p = getattr(reg, "preorder", None)
+    return {root: lattice_of_puts(root, puts, p) for root, puts in classes.items()}
 
 
 def lookup(reg, mask: int) -> int | None:

@@ -34,6 +34,7 @@ from oracle import (
     LinearScanCCLSRegistry,
     blowup_nfa,
     canonical_dfa,
+    class_lattices,
     covers,
     dfa_to_nfa,
     find,
@@ -144,9 +145,9 @@ def _contract_checked(registry_cls):
     """Subclass of a registry class that checks how the loop calls it.
 
     ``get`` must not be asked about a key of the exact map, and ``put``
-    must not be given a metastate that is a key or that one of the
-    registry's lattices covers (after pruning, for CCLS).  It counts the
-    ``get`` calls in ``gets``.
+    must not be given a metastate that is a key or that the lattice of one
+    of the registry's classes covers (after pruning, for CCLS), built or
+    not.  It counts the ``get`` calls in ``gets``.
     """
 
     class Checked(registry_cls):
@@ -159,9 +160,10 @@ def _contract_checked(registry_cls):
 
         def put(self, mask, state):
             assert mask not in self._exact
-            query = prune(mask, self.preorder) if isinstance(self, CCLSRegistry) else mask
-            for lat in getattr(self, "lattices", {}).values():
-                assert not covers(lat, query), (mask, lat.rep)
+            if isinstance(self, CCLRegistry):
+                query = prune(mask, self.preorder) if isinstance(self, CCLSRegistry) else mask
+                for lat in class_lattices(self).values():
+                    assert not covers(lat, query), (mask, lat.rep)
             super().put(mask, state)
 
     return Checked
@@ -359,9 +361,24 @@ class TestOtfDeterminize:
     @pytest.mark.parametrize("cls, interval", [(OneToOneRegistry, None), (CCLRegistry, 2)])
     def test_counts_survive_a_registry_error(self, explored_masks, cls, interval):
         # the loop adds its counts into ``stats`` on every exit, so an
-        # exception raised inside it leaves the partial counts behind
+        # exception raised inside it leaves the partial counts behind, the
+        # lookups of the row it cut short included
+        class Lookups(dict):
+            """An exact map that counts the loop's lookups in it."""
+
+            made = 0
+
+            def get(self, key, default=None):
+                self.made += 1
+                return super().get(key, default)
+
         class Failing(cls):
             gets = puts = 0
+
+            def __init__(self, fail_at):
+                super().__init__()
+                self._exact = Lookups()
+                self.fail_at = fail_at
 
             def get(self, mask):
                 self.gets += 1
@@ -369,15 +386,26 @@ class TestOtfDeterminize:
 
             def put(self, mask, state):
                 self.puts += 1
-                if self.puts > 20:
+                if self.puts == self.fail_at:
                     raise RegistryContractError("no room")
                 super().put(mask, state)
 
-        nfa = blowup_nfa(8)
-        reg = Failing()
-        stats = RunStats()
-        with pytest.raises(RegistryContractError):
-            otf_determinize(nfa, reg, stats, interval and FixedInterval(interval))
+        def run(fail_at):
+            explored_masks.clear()
+            reg = Failing(fail_at)
+            stats = RunStats()
+            with pytest.raises(RegistryContractError):
+                otf_determinize(blowup_nfa(8), reg, stats, interval and FixedInterval(interval))
+            counts = (stats.explored_metastates, stats.exact_hits, stats.cover_hits, stats.misses)
+            assert min(counts) >= 0
+            assert stats.exact_hits + stats.cover_hits + stats.misses == reg._exact.made
+            return reg, stats, counts
+
+        # the second put fails at the first successor of the initial state:
+        # one lookup, missed by the exact map and by ``get``, and no row done
+        reg, stats, counts = run(2)
+        assert counts == (0, 0, 0, 1) and reg._exact.made == reg.gets == 1
+        reg, stats, counts = run(21)
         # the row being built when the put failed asked for its successors
         explored = len(explored_masks) - 1
         assert stats.explored_metastates == explored > 0
@@ -751,7 +779,9 @@ class TestCanonize:
     def test_ccls_prunes_each_metastate_once(self, monkeypatch):
         # a lookup that misses the exact map prunes its query, and the put
         # that follows a miss reuses that form: one prune per put, plus one
-        # per cover hit (a hit is not put)
+        # per cover hit (a hit is not put).  ``unify`` prunes again the one
+        # put of each class it joins for the first time, to build its
+        # lattice: at most two per call
         prunes = []
         real_prune = registry_module.prune
 
@@ -767,23 +797,35 @@ class TestCanonize:
                 super().__init__(preorder)
                 self.cover_hits = []
                 self.puts = 0
+                self.unified = set()  # the roots some unify call has named
+                self.unify_prunes = 0
                 made.append(self)
 
             def put(self, mask, state):
                 self.puts += 1
                 super().put(mask, state)
 
+            def unify(self, root, gone):
+                before = len(prunes)
+                super().unify(root, gone)
+                fresh = len({root, gone} - self.unified)
+                assert len(prunes) - before == fresh <= 2
+                self.unified |= {root, gone}
+                self.unify_prunes += fresh
+
         monkeypatch.setattr(engine, "CCLSRegistry", Counting)
-        cover_hits = 0
+        cover_hits = unify_prunes = 0
         for seed in range(4):
             nfa = tv_nfa(random.Random(seed), 16, 1.25, 0.5)
             for pipeline in ("sc-s", "otf-s"):
                 prunes.clear()
                 canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
                 reg = made[-1]
-                assert len(prunes) == reg.puts + len(reg.cover_hits), (seed, pipeline)
+                outside = len(prunes) - reg.unify_prunes
+                assert outside == reg.puts + len(reg.cover_hits), (seed, pipeline)
                 cover_hits += len(reg.cover_hits)
-        assert cover_hits > 0
+                unify_prunes += reg.unify_prunes
+        assert cover_hits > 0 and unify_prunes > 0
 
 
 class TestBrzozowskiPhase2:

@@ -27,9 +27,11 @@ from oracle import (
     dfa_to_nfa,
     find,
     identity_preorder,
+    lattice_of_puts,
     leq,
     lookup,
     members,
+    prune_reference,
     random_nfa,
     textbook_subset_construction,
     tv_nfa,
@@ -82,7 +84,7 @@ class TestFind:
         reg.unify(0, 1)
         assert [find(reg, x) for x in range(5)] == [0] * 5
         assert set(reg._exact.values()) == {0}
-        assert list(reg._class_puts) == list(reg.lattices) == [0]
+        assert list(reg.lattices) == [0] and reg.lattices[0].puts == reg.metastates
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_merges_match_a_class_model(self, seed):
@@ -243,9 +245,10 @@ class TestCCL:
         reg.put(to_mask([1, 2]), 0)
         with pytest.raises(RegistryContractError):
             reg.unify(0, 0)  # and builds no lattice for the point
-        assert reg.lattices == {} and reg._class_puts == {}
+        assert reg.lattices == {} and reg._index.rows == []
         reg.put(to_mask([3]), 1)
         reg.unify(0, 1)
+        assert reg.lattices[0].puts == _masks([1, 2], [3])
         before = (reg.lattices[0].greatest, list(reg.lattices[0].minimals))
         for pair in [(1, 0), (0, 1), (0, 0)]:
             with pytest.raises(RegistryContractError):
@@ -388,12 +391,18 @@ class TestCCLS:
             assert lookup(ccl, probe) == lookup(ccls, probe)
 
     def test_put_widens_lattice(self):
+        # a put keeps only its pruned form; the lattice it stands for,
+        # [{0}, {0, 1}], is built when its class is first unified
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([0]), 0)
+        assert reg.lattices == {} and reg._by_pruned == {to_mask([0]): 0}
+        reg.put(to_mask([2]), 1)  # a point
+        reg.unify(0, 1)
         lat = reg.lattices[find(reg, 0)]
         assert lat.greatest & to_mask([0, 1]) == to_mask([0, 1])
-        assert lat.minimals == [to_mask([0])]
+        assert lat.minimals == _masks([0], [2])
+        assert lat.puts == _masks([0], [2]) and reg._by_pruned == {}
 
     def test_get_hits_saturated_form_without_unify(self):
         p = _strict_preorder()
@@ -414,16 +423,16 @@ class TestCCLS:
 
     def test_put_of_an_unmerged_key_rejected(self):
         # a put follows the miss of its metastate, so its pruned form is no
-        # key of the unmerged dict; one that is was covered, and is refused
+        # key of the dict of pruned puts; one that is was covered, and is
+        # refused
         reg = CCLSRegistry(_strict_preorder())
         reg.put(to_mask([0]), 0)  # [{0}, {0, 1}]: keyed by {0}
-        lat = reg.lattices[0]
         q = to_mask([0, 1])  # prunes to {0}
         assert lookup(reg, q) == 0
         with pytest.raises(RegistryContractError):
             reg.put(q, 1)
         assert q not in reg._exact and reg.metastates == [to_mask([0])]
-        assert reg._unmerged == {to_mask([0]): lat} and reg.lattices == {0: lat}
+        assert reg._by_pruned == {to_mask([0]): 0} and reg.lattices == {}
         reg.put(to_mask([2]), 1)  # the refused state is still the next id
         assert lookup(reg, q) == 0 and lookup(reg, to_mask([2])) == 1
 
@@ -455,7 +464,7 @@ def _preorder_and_masks(draw):
 
 
 class TestUnmergedLattice:
-    """The lemma behind the ``_unmerged`` dict of ``CCLSRegistry``."""
+    """The lemma behind the ``_by_pruned`` dict of ``CCLSRegistry``."""
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(case=_preorder_and_masks())
@@ -463,7 +472,7 @@ class TestUnmergedLattice:
         # preorders with mutually similar states included: brz-s prunes by
         # the similarity of the reversed quotient, which is not antisymmetric
         p, m, q = case
-        lat = Lattice(0, saturate(m, p), [prune(m, p)])
+        lat = Lattice(0, saturate(m, p), [prune(m, p)], [m])
         assert covers(lat, prune(q, p)) == (prune(q, p) == prune(m, p))
 
 
@@ -544,7 +553,7 @@ class TestResidual:
 
 class TestLattice:
     def test_covers_membership_rule(self):
-        lat = Lattice(0, to_mask([0, 1, 2]), _masks([0], [1, 2]))
+        lat = Lattice(0, to_mask([0, 1, 2]), _masks([0], [1, 2]), _masks([0], [1, 2]))
         assert covers(lat, to_mask([0, 2]))
         assert covers(lat, to_mask([1, 2]))
         assert not covers(lat, to_mask([2]))
@@ -555,7 +564,7 @@ class TestLattice:
     def test_absorb_matches_pairwise_filter(self, old, fresh, shared):
         # some of the old minimals also arrive with the new antichain
         new = antichain_reference([old[i] for i in shared if i < len(old)] + fresh)
-        lat = Lattice(0, 0, list(old))
+        lat = Lattice(0, 0, list(old), list(old))
         lat.absorb(0, new)
         assert lat.minimals == antichain_reference(old + new)
 
@@ -571,7 +580,7 @@ class TestLattice:
             ([a], [], [a]),
         ]
         for old, new, expected in cases:
-            lat = Lattice(0, 0, list(old))
+            lat = Lattice(0, 0, list(old), list(old))
             lat.absorb(0, new)
             assert lat.minimals == expected == antichain_reference(old + new)
 
@@ -581,24 +590,27 @@ class TestLattice:
 _UNIVERSE = 1000  # metastates span up to 16 uint64 words
 
 
-def _reference_get(reg, mask):
-    """Lookup by the insertion-ordered lattice scan the index replaces.
+def _reference_get(reg, classes, mask):
+    """Lookup by a scan of every class's lattice, which the registry replaces.
 
-    Returns the state and the ``cover_hits`` entry the lookup should append.
+    ``classes`` maps each class root to the metastates put for the class,
+    in the order the lattices were inserted: a class never unified at its
+    put, a merged one at its last ``unify``.  Returns the state and the
+    ``cover_hits`` entry the lookup should append.
     """
-    state = reg._exact.get(mask)
-    if state is not None:
-        return find(reg, state), None
-    query = prune(mask, reg.preorder) if isinstance(reg, CCLSRegistry) else mask
-    for lat in reg.lattices.values():
-        if covers(lat, query):
-            state = find(reg, lat.rep)
-            return state, (mask, state)
+    for root, puts in classes.items():
+        if mask in puts:
+            return root, None
+    p = getattr(reg, "preorder", None)
+    query = mask if p is None else prune_reference(mask, p)
+    for root, puts in classes.items():
+        if covers(lattice_of_puts(root, puts, p), query):
+            return root, (mask, root)
     return None, None
 
 
-def _checked_get(reg, mask):
-    expected, hit = _reference_get(reg, mask)
+def _checked_get(reg, classes, mask):
+    expected, hit = _reference_get(reg, classes, mask)
     before = len(reg.cover_hits)
     assert lookup(reg, mask) == expected
     assert reg.cover_hits[before:] == ([hit] if hit else [])
@@ -617,9 +629,14 @@ def _random_preorder(rng, positions):
 
 
 def _run_ops(reg, rng, positions, steps):
-    """Random put/unify/lookup sequence over subsets of ``positions``."""
+    """Random put/unify/lookup sequence over subsets of ``positions``.
+
+    A model keeps the puts of each class by class root, in the order of
+    ``_reference_get``, and the root of each state.
+    """
     reg.cover_hits = []
-    states = []
+    classes: dict[int, list[int]] = {}
+    root_of: list[int] = []  # by state id
     unifies = 0
 
     def draw_mask():
@@ -629,45 +646,50 @@ def _run_ops(reg, rng, positions, steps):
         op = rng.random()
         if op < 0.4:
             mask = draw_mask()
-            if _checked_get(reg, mask) is not None:
+            if _checked_get(reg, classes, mask) is not None:
                 continue  # the loop puts only the metastates its lookup missed
             state = len(reg.metastates)  # the next id
             reg.put(mask, state)
-            states.append(state)
-        elif op < 0.65 and len(states) >= 2:
-            unifies += _unify_classes(reg, *rng.sample(states, 2))
+            classes[state] = [mask]
+            root_of.append(state)
+        elif op < 0.65 and len(root_of) >= 2:
+            r1, r2 = sorted(root_of[q] for q in rng.sample(range(len(root_of)), 2))
+            if r1 != r2:
+                reg.unify(r1, r2)
+                classes[r1] = classes.pop(r1) + classes.pop(r2)
+                root_of = [r1 if r == r2 else r for r in root_of]
+                unifies += 1
         else:
-            _checked_get(reg, draw_mask())
+            _checked_get(reg, classes, draw_mask())
     for mask in list(reg._exact):
-        _checked_get(reg, mask)
-    # ``lattices`` holds the unified classes and the puts that are not
-    # points, each keyed by its class root; no point is built before its
-    # class is unified
-    lattices = list(reg.lattices.values())
-    assert not [lat for lat in lattices if lat.minimals == [lat.greatest]]
-    assert set(reg._class_puts) <= set(reg.lattices)
+        _checked_get(reg, classes, mask)
+    _check_invariants(reg, classes, unifies)
+
+
+def _check_invariants(reg, classes, unifies):
+    """The layout of CCL or CCLS registry ``reg`` against the model's classes."""
+    # the exact map names the class root of every put
+    assert reg._exact == {m: root for root, puts in classes.items() for m in puts}
+    # ``lattices`` holds exactly the classes of more than one put, each
+    # keyed by its root, with the class's puts and its lattice; no lattice
+    # is built before its class is unified
+    assert set(reg.lattices) == {root for root, puts in classes.items() if len(puts) > 1}
+    p = getattr(reg, "preorder", None)
     for root, lat in reg.lattices.items():
-        assert lat.rep == root
-        if root not in reg._class_puts:
-            put = reg.metastates[root]
-            assert (lat.greatest, lat.minimals) == (
-                saturate(put, reg.preorder), [prune(put, reg.preorder)]
-            )
-    # the index's live rows are the lattices that are not entries of the
-    # unmerged dict, in the dict's order, each keyed by its own
-    # representative, which is a class root; every unify added one row
+        ref = lattice_of_puts(root, classes[root], p)
+        assert lat.rep == root and lat.puts == classes[root]
+        assert lat.greatest == ref.greatest and sorted(lat.minimals) == sorted(ref.minimals)
+    # a CCLS class never unified is its pruned form in the dict, and
+    # nothing else is there
+    if p is not None:
+        unmerged = [(root, puts[0]) for root, puts in classes.items() if len(puts) == 1]
+        assert reg._by_pruned == {prune_reference(m, p): root for root, m in unmerged}
+    # the index's live rows are the lattices, in the dict's order; every
+    # unify added one row
     index = reg._index
     assert len(index.rows) == unifies and index.live >> unifies == 0
     live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
-    unmerged = {id(lat) for lat in reg._unmerged.values()}
-    assert live_rows == [lat for lat in lattices if id(lat) not in unmerged]
-    for lat in live_rows:
-        assert reg.lattices[lat.rep] is lat and find(reg, lat.rep) == lat.rep
-    # each dict entry is the live, never merged lattice of one put, keyed by
-    # its one minimal
-    for key, lat in reg._unmerged.items():
-        assert lat.minimals == [key] and key != lat.greatest and lat.bit == 0
-        assert reg.lattices[lat.rep] is lat and lat.rep not in reg._class_puts
+    assert live_rows == list(reg.lattices.values())
 
 
 _positions = st.tuples(
@@ -725,13 +747,14 @@ class TestCoverIndex:
     def test_ccls_point_lattices_get_no_rows(self):
         p = _strict_preorder()
         reg = CCLSRegistry(p)
-        reg.put(to_mask([2]), 0)  # prune == saturate: a point
-        assert reg._index.rows == [] and reg._unmerged == {} and reg.lattices == {}
+        reg.put(to_mask([2]), 0)  # prune == saturate: a point, keyed as any put
+        assert reg._index.rows == [] and reg.lattices == {}
+        assert reg._by_pruned == {to_mask([2]): 0}
         reg.put(to_mask([0]), 1)  # saturates to {0, 1}: keyed by {0}
-        assert reg._index.rows == []
-        assert reg._unmerged == {to_mask([0]): reg.lattices[1]}
+        assert reg._index.rows == [] and reg.lattices == {}
+        assert reg._by_pruned == {to_mask([2]): 0, to_mask([0]): 1}
         reg.unify(0, 1)  # the merged lattice is indexed
-        assert reg._unmerged == {}
+        assert reg._by_pruned == {}
         assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
 
     def test_empty_minimal_covers_everything_below_greatest(self):

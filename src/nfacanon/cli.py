@@ -57,8 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--timeout-ms", type=_positive_float, default=None)
     p.add_argument("--threshold-init", type=_positive_int, default=5000)
-    p.add_argument("--complete", dest="complete", action="store_true", default=True)
-    p.add_argument("--no-complete", dest="complete", action="store_false")
+    p.add_argument("--complete", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--emit-dfa", metavar="PATH", help="write the canonical DFA here")
     p.set_defaults(func=_cmd_canonize)
 

@@ -26,7 +26,7 @@ from .registry import (
     Registry,
     ResidualRegistry,
 )
-from .simulation import compute_similarity, simulation_quotient
+from .simulation import Preorder, compute_similarity, simulation_quotient
 
 PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s")
 
@@ -122,7 +122,8 @@ def otf_determinize(
     return, a ``CanonTimeout`` from ``deadline``, or any other exception.
     They are the explored metastates, the intermediate minimizations, the
     peak number of live states (kept as a max over the calls on one
-    ``stats``) and the three lookup outcomes.  So the two calls of a
+    ``stats``) and the three lookup outcomes; a lookup whose ``get``
+    raised has none, and is not counted.  So the two calls of a
     Brzozowski pipeline sum into one ``RunStats``, and an interrupted call
     leaves its partial counts there.
     """
@@ -138,6 +139,7 @@ def otf_determinize(
 
     explored_count = 0
     a = -1  # the successor being looked up, or -1 between rows
+    n = 0  # its answer; None from the exact map's miss until ``get`` returns
     gets = 0  # registry.get calls: lookups the exact map missed
     live = [0]  # sorted live ids
     peak = 1
@@ -174,9 +176,12 @@ def otf_determinize(
                 controller.after_minimize(len(live))
     finally:
         # each explored row looked up k successors, and a row cut short by
-        # an exception a + 1; ``gets`` of them missed the exact map, and
-        # each miss of ``get`` put one of the states but the initial one
-        lookups = k * explored_count + a + 1
+        # an exception a + 1, or a if ``get`` raised: that lookup has no
+        # outcome.  ``gets`` of them missed the exact map, and each miss of
+        # ``get`` put one of the states but the initial one
+        unanswered = n is None
+        lookups = k * explored_count + a + 1 - unanswered
+        gets -= unanswered
         misses = len(rows) - 1
         stats.explored_metastates += explored_count
         stats.minimizations += len(sizes_after_min)
@@ -311,12 +316,18 @@ def _check_deadline(deadline: float | None) -> None:
 def _run_pipeline(nfa, config, stats, start, deadline):
     """Preprocess, determinize, then minimize or run Brzozowski's second pass.
 
-    The Brzozowski pipelines determinize rev(A), where A is the trimmed
-    quotient (bisimulation, or simulation for ``-s``), into D1.  Write S_i
-    for the metastate of D1's dense state i.  The second pass is
-    det(rev(D1)), the minimal DFA, and the metastate it reaches by a word w
-    is ``{i : S_i ∩ P_w ≠ ∅}``, where P_w is the forward subset of A after
-    w (Brzozowski 1962; Bonchi et al., ACM TOCL 2014).  So it runs as a
+    Every pipeline quotients the trimmed input by bisimulation; an ``-s``
+    pipeline then quotients that by simulation equivalence.  Bisimilar
+    states are mutually similar, so similarity runs on the smaller
+    automaton and finds the same quotient, state numbering included.  An
+    ``-s`` pipeline packs one ``Preorder``, of the similarity of the
+    automaton it determinizes, for its CCLS registry.
+
+    The Brzozowski pipelines determinize rev(A), where A is that quotient,
+    into D1.  Write S_i for the metastate of D1's dense state i.  The second
+    pass is det(rev(D1)), the minimal DFA, and the metastate it reaches by a
+    word w is ``{i : S_i ∩ P_w ≠ ∅}``, where P_w is the forward subset of A
+    after w (Brzozowski 1962; Bonchi et al., ACM TOCL 2014).  So it runs as a
     forward subset construction of A whose ``ResidualRegistry`` keys each
     subset by that set, its signature: it finds the same states in the same
     order as a subset construction of rev(D1), with the same counts.  The
@@ -326,22 +337,21 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     brz = config.pipeline.startswith("brz")
     uses_otf = "otf" in config.pipeline
 
-    work = trim(nfa)
+    work = bisimulation_quotient(trim(nfa))
     _check_deadline(deadline)
     if simulated:
-        work, preorder = simulation_quotient(work, compute_similarity(work))
-    else:
-        work = bisimulation_quotient(work)
+        work, rel = simulation_quotient(work, compute_similarity(work))
     fwd = work
     if brz:
         work = reverse(work)
         if simulated:
-            preorder = compute_similarity(work)
+            rel = compute_similarity(work)
     _check_deadline(deadline)
 
-    # ``work`` is the automaton the registry lookups refer to
+    # ``work`` is the automaton the registry lookups refer to, and ``rel``
+    # its similarity
     if simulated:
-        registry: Registry = CCLSRegistry(preorder)
+        registry: Registry = CCLSRegistry(Preorder(rel))
     elif uses_otf:
         registry = CCLRegistry()
     else:

@@ -1,9 +1,11 @@
 """Similarity preorders on NFA states and metastate normalization.
 
-``rel[x, y]`` of a ``Preorder`` means y simulates x, hence L(x) is a
-subset of L(y).  The preorder powers metastate pruning/saturation and
-simulation-equivalence quotienting used by the simulation-enabled
-pipelines.
+``compute_similarity`` returns the coarsest simulation preorder as a
+boolean matrix ``rel``: ``rel[x, y]`` means y simulates x, hence L(x) is a
+subset of L(y).  ``simulation_quotient`` merges mutually similar states and
+returns the relation induced on the classes.  ``Preorder`` packs such a
+relation into the bitmask rows that ``prune`` and ``saturate`` read; the
+simulation-enabled pipelines pack one, for their CCLS registry.
 """
 
 from __future__ import annotations
@@ -14,24 +16,24 @@ from .automata import Nfa, bit_rows, quotient
 
 
 class Preorder:
-    """Preorder over NFA states, with per-state bitmask rows.
+    """Preorder over NFA states, as per-state bitmask rows.
 
-    ``rel[x, y]`` is the relation as a boolean matrix; the rows are packed
-    from it for the bit loops of ``prune`` and ``saturate``, which read
-    only the members whose row is not trivial: ``lowered`` holds the states
-    whose ``below`` row has a bit besides their own, ``pruners`` those whose
-    ``pruned_by`` row is not empty.  ``rel`` must be reflexive and
-    transitive.  ``saturate`` counts on every other state's ``below`` row
-    being the state alone, and ``prune`` keeps a member that dominates each
-    member it drops only when ``rel`` is transitive, which the CCLS
-    registry's lattices rely on.  ``compute_similarity`` and
-    ``simulation_quotient`` return such relations.
+    It is packed from a boolean matrix ``rel`` (``rel[x, y]``: x <= y),
+    which it does not keep: only the rows that ``prune`` and ``saturate``
+    read, and two masks of the members whose row is not trivial.
+    ``lowered`` holds the states whose ``below`` row has a bit besides
+    their own, ``pruners`` those whose ``pruned_by`` row is not empty.
+    ``rel`` must be reflexive and transitive.  ``saturate`` counts on every
+    other state's ``below`` row being the state alone, and ``prune`` keeps a
+    member that dominates each member it drops only when ``rel`` is
+    transitive, which the CCLS registry's lattices rely on.
+    ``compute_similarity`` and ``simulation_quotient`` return such
+    relations.
     """
 
-    __slots__ = ("rel", "below", "pruned_by", "lowered", "pruners")
+    __slots__ = ("below", "pruned_by", "lowered", "pruners")
 
     def __init__(self, rel: np.ndarray):
-        self.rel = rel
         self.below = bit_rows(rel.T)  # below[y] = bitmask of all x with x <= y
         # pruned_by[y] = the x that y drops from a metastate holding both:
         # x <= y but not y <= x, or x and y mutually similar and x > y
@@ -39,19 +41,15 @@ class Preorder:
         self.pruned_by = bit_rows(pruned_by)
         # column y of rel is below[y]: it has a bit besides y's own when it
         # counts more than its diagonal entry
-        self.lowered = _mask(np.count_nonzero(rel, axis=0) > rel.diagonal())
-        self.pruners = _mask(pruned_by.any(axis=1))
+        lowered = np.count_nonzero(rel, axis=0) > rel.diagonal()
+        self.lowered, self.pruners = bit_rows(np.stack([lowered, pruned_by.any(axis=1)]))
 
 
-def _mask(flags: np.ndarray) -> int:
-    """The bitmask of the true entries of a boolean vector."""
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
-
-
-def compute_similarity(nfa: Nfa) -> Preorder:
+def compute_similarity(nfa: Nfa) -> np.ndarray:
     """Coarsest simulation preorder, by greatest-fixpoint refinement.
 
-    ``R[x, y]`` (y simulates x) starts as the relation respecting acceptance
+    Returns the boolean matrix ``R``, reflexive and transitive: ``R[x, y]``
+    means y simulates x.  ``R`` starts as the relation respecting acceptance
     (x final implies y final) and, for every symbol, enabledness (x has a
     successor implies y has one).  Each round then drops every pair of
     sources (x, y) where, on some symbol, a successor of x is simulated by
@@ -95,9 +93,7 @@ def compute_similarity(nfa: Nfa) -> Preorder:
     while pairs != before:
         _refine(sim, dst, first, steps)
         pairs, before = np.count_nonzero(sim), pairs
-    rel = np.ascontiguousarray(sim[:, :n].T)
-    del sim
-    return Preorder(rel)
+    return np.ascontiguousarray(sim[:, :n].T)
 
 
 def _refine(sim: np.ndarray, dst: np.ndarray, first: np.ndarray, steps: list) -> None:
@@ -159,14 +155,15 @@ def saturate(metastate: int, p: Preorder) -> int:
     return out
 
 
-def simulation_quotient(nfa: Nfa, p: Preorder) -> tuple[Nfa, Preorder]:
-    """Merge mutually similar states; language is preserved.
+def simulation_quotient(nfa: Nfa, rel: np.ndarray) -> tuple[Nfa, np.ndarray]:
+    """Merge mutually similar states of ``nfa``; language is preserved.
 
-    Also returns the quotient's similarity preorder, which is the one ``p``
-    induces on the classes: ``[x] <= [y]`` iff ``x <= y``.
+    ``rel`` is the similarity of ``nfa`` as ``compute_similarity`` returns
+    it.  Also returns the quotient's similarity, which is the relation
+    ``rel`` induces on the classes: ``[x] <= [y]`` iff ``x <= y``.
     """
     # each state's class is named by its smallest mutually similar state,
     # the first true column of its row (x itself, by reflexivity, at worst)
-    reps, block = np.unique(np.argmax(p.rel & p.rel.T, axis=1), return_inverse=True)
+    reps, block = np.unique(np.argmax(rel & rel.T, axis=1), return_inverse=True)
     # two 1-D takes: np.ix_ indexes a boolean matrix several times slower
-    return quotient(nfa, block, len(reps)), Preorder(p.rel[reps][:, reps])
+    return quotient(nfa, block, len(reps)), rel[reps][:, reps]

@@ -12,7 +12,8 @@ merge order and state numbering included.  ``antichain_reference`` is the
 earlier pairwise antichain filter that ``Lattice.absorb`` must match.
 ``prune_reference`` and ``saturate_reference`` are the earlier loops over
 every member that the masked ``prune`` and ``saturate`` must match.
-``leq`` and ``identity_preorder`` read and build ``Preorder`` relations.
+``leq`` reads a ``Preorder``'s relation off its rows, and
+``identity_preorder`` builds one.
 ``edges_reference`` and ``trim_reference`` are the earlier walks over every
 successor mask that the edge arrays of ``Nfa`` and the array ``trim`` must
 match.
@@ -388,8 +389,8 @@ def preorder_rows_reference(above: list[int]) -> tuple[list[int], list[int]]:
 
 
 def leq(p: Preorder, x: int, y: int) -> bool:
-    """Whether y simulates x under ``p``."""
-    return bool(p.rel[x, y])
+    """Whether y simulates x under ``p``: x is in its ``below`` row."""
+    return bool(p.below[y] >> x & 1)
 
 
 def identity_preorder(num_states: int) -> Preorder:

@@ -23,7 +23,7 @@ from nfacanon.generator import GenParams, derive_seed, generate, sweep_instances
 from nfacanon.io import serialize_nfa
 from nfacanon.partition import minimize
 from nfacanon.registry import CCLRegistry, CCLSRegistry
-from nfacanon.simulation import compute_similarity
+from nfacanon.simulation import Preorder, compute_similarity
 
 from oracle import (
     FixedInterval,
@@ -116,7 +116,7 @@ def test_registry_soundness():
         for case in range(120):
             nfa = random_nfa(rng, rng.randint(4, 12), 2)
             if case % 2:
-                reg = CCLSRegistry(compute_similarity(nfa))
+                reg = CCLSRegistry(Preorder(compute_similarity(nfa)))
             else:
                 reg = CCLRegistry()
             reg.cover_hits = []
@@ -157,7 +157,7 @@ def test_simulation_soundness():
         rng = random.Random(512)
         for _ in range(200):
             nfa = random_nfa(rng, rng.randint(2, 8), 2)
-            p = compute_similarity(nfa)
+            p = Preorder(compute_similarity(nfa))
             rooted = [
                 canonical_dfa(
                     Nfa(

@@ -75,6 +75,21 @@ class TestCanonize:
         assert isomorphic(dfa, canonical_dfa(nfa))
         assert meta["pipeline"] == "sc"
 
+    def test_no_complete_drops_the_sink(self, tmp_path, capsys):
+        # the minimal total DFA of the NFA accepting only "a" has a sink,
+        # which --no-complete leaves out; --complete is the default
+        nfa = tmp_path / "a.nfa"
+        nfa.write_text("nfa 2 1\ninitial 0\nfinal 1\nt 0 0 1\n")
+        out = tmp_path / "out.dfa"
+        dfas = {}
+        for flags in ([], ["--complete"], ["--no-complete"]):
+            assert main(["canonize", str(nfa), *flags, "--emit-dfa", str(out)]) == EXIT_OK
+            dfa, _ = parse_dfa(out.read_text())
+            assert json.loads(capsys.readouterr().out)["final_states"] == dfa.num_states
+            dfas[tuple(flags)] = dfa
+        assert [d.num_states for d in dfas.values()] == [3, 3, 2]
+        assert dfas[()].is_total() and not dfas[("--no-complete",)].is_total()
+
     def test_stdin_input(self, ends_in_a, capsys, monkeypatch):
         import io as _io
 

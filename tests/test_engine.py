@@ -27,7 +27,7 @@ from nfacanon.registry import (
     RegistryContractError,
     ResidualRegistry,
 )
-from nfacanon.simulation import compute_similarity, prune
+from nfacanon.simulation import Preorder, compute_similarity, prune
 
 from oracle import (
     FixedInterval,
@@ -107,6 +107,16 @@ class _LoggedMap(dict):
         return state
 
 
+class _CountedMap(dict):
+    """An exact map that counts the ``get`` calls on it in ``made``."""
+
+    made = 0
+
+    def get(self, mask, default=None):
+        self.made += 1
+        return super().get(mask, default)
+
+
 def _counting(registry_cls, explored: list[int] | None = None):
     """Subclass of a registry class that logs its lookups, puts and unifies.
 
@@ -184,7 +194,7 @@ def _lookup_registries(nfa):
     The residual registry keys ``nfa``'s subsets by a first pass over its
     reverse, as Brzozowski's second pass does.
     """
-    p = compute_similarity(nfa)
+    p = Preorder(compute_similarity(nfa))
     phase1 = otf_determinize(reverse(nfa), OneToOneRegistry(), RunStats())
     columns = engine._columns(phase1.metastates, nfa.num_states)
     return [
@@ -298,7 +308,7 @@ class TestOtfDeterminize:
         hits = 0
         for nfa in inputs:
             for work in (nfa, reverse(nfa)):
-                p = compute_similarity(work)
+                p = Preorder(compute_similarity(work))
                 for interval in (None, 2):
                     runs = []
                     for reg in (CCLSRegistry(p), LinearScanCCLSRegistry(p)):
@@ -337,7 +347,8 @@ class TestOtfDeterminize:
         # inequivalent, so nothing is ever merged there.)
         nfa = tv_nfa(random.Random(seed), 12, 1.25, 0.5)
         explored = explored_masks
-        for cls, args in ((CCLRegistry, ()), (CCLSRegistry, (compute_similarity(nfa),))):
+        p = Preorder(compute_similarity(nfa))
+        for cls, args in ((CCLRegistry, ()), (CCLSRegistry, (p,))):
             explored.clear()
             reg = _counting(cls, explored)(*args)
             stats = RunStats()
@@ -358,46 +369,49 @@ class TestOtfDeterminize:
         res = otf_determinize(nfa, CCLRegistry(), RunStats(), FixedInterval(interval))
         assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
 
+    @staticmethod
+    def _run_to_failure(explored_masks, cls, interval, fail_get=0, fail_put=0):
+        """Run ``blowup_nfa(8)`` through ``cls`` until its ``fail_get``-th
+        ``get`` or its ``fail_put``-th ``put`` raises; (registry, stats,
+        counts).  The registry's exact map counts the lookups in it."""
+
+        class Failing(cls):
+            gets = puts = 0
+
+            def __init__(self):
+                super().__init__()
+                self._exact = _CountedMap()
+
+            def get(self, mask):
+                self.gets += 1
+                if self.gets == fail_get:
+                    raise RegistryContractError("lost")
+                return super().get(mask)
+
+            def put(self, mask, state):
+                self.puts += 1
+                if self.puts == fail_put:
+                    raise RegistryContractError("no room")
+                super().put(mask, state)
+
+        explored_masks.clear()
+        reg = Failing()
+        stats = RunStats()
+        with pytest.raises(RegistryContractError):
+            otf_determinize(blowup_nfa(8), reg, stats, interval and FixedInterval(interval))
+        counts = (stats.explored_metastates, stats.exact_hits, stats.cover_hits, stats.misses)
+        assert min(counts) >= 0
+        return reg, stats, counts
+
     @pytest.mark.parametrize("cls, interval", [(OneToOneRegistry, None), (CCLRegistry, 2)])
     def test_counts_survive_a_registry_error(self, explored_masks, cls, interval):
         # the loop adds its counts into ``stats`` on every exit, so an
         # exception raised inside it leaves the partial counts behind, the
         # lookups of the row it cut short included
-        class Lookups(dict):
-            """An exact map that counts the loop's lookups in it."""
-
-            made = 0
-
-            def get(self, key, default=None):
-                self.made += 1
-                return super().get(key, default)
-
-        class Failing(cls):
-            gets = puts = 0
-
-            def __init__(self, fail_at):
-                super().__init__()
-                self._exact = Lookups()
-                self.fail_at = fail_at
-
-            def get(self, mask):
-                self.gets += 1
-                return super().get(mask)
-
-            def put(self, mask, state):
-                self.puts += 1
-                if self.puts == self.fail_at:
-                    raise RegistryContractError("no room")
-                super().put(mask, state)
-
         def run(fail_at):
-            explored_masks.clear()
-            reg = Failing(fail_at)
-            stats = RunStats()
-            with pytest.raises(RegistryContractError):
-                otf_determinize(blowup_nfa(8), reg, stats, interval and FixedInterval(interval))
-            counts = (stats.explored_metastates, stats.exact_hits, stats.cover_hits, stats.misses)
-            assert min(counts) >= 0
+            reg, stats, counts = self._run_to_failure(
+                explored_masks, cls, interval, fail_put=fail_at
+            )
             assert stats.exact_hits + stats.cover_hits + stats.misses == reg._exact.made
             return reg, stats, counts
 
@@ -414,6 +428,25 @@ class TestOtfDeterminize:
         assert stats.cover_hits + stats.misses == reg.gets
         assert stats.minimizations == (explored // interval if interval else 0)
         assert 0 < stats.peak_intermediate_states <= 20
+
+    @pytest.mark.parametrize("cls, interval", [(OneToOneRegistry, None), (CCLRegistry, 2)])
+    def test_a_raising_get_has_no_outcome(self, explored_masks, cls, interval):
+        # a lookup whose ``get`` raised is neither a hit nor a miss, so the
+        # counts leave it out; every lookup before it is counted
+        def run(fail_at):
+            reg, stats, counts = self._run_to_failure(
+                explored_masks, cls, interval, fail_get=fail_at
+            )
+            assert stats.exact_hits + stats.cover_hits + stats.misses == reg._exact.made - 1
+            assert stats.cover_hits + stats.misses == reg.gets - 1
+            return stats, counts
+
+        # the first get fails, at the first successor of the initial state
+        _, counts = run(1)
+        assert counts == (0, 0, 0, 0)
+        stats, _ = run(21)
+        assert stats.explored_metastates == len(explored_masks) - 1 > 0
+        assert stats.misses == 20  # each get before the failed one missed
 
 
 # (input, registry, threshold) -> (explored metastates, minimizations, cover hits,
@@ -458,7 +491,7 @@ def _pinned_input(name):
 def test_counts_match_pinned_values(case):
     name, kind, interval = case
     nfa = _pinned_input(name)
-    reg = CCLRegistry() if kind == "ccl" else CCLSRegistry(compute_similarity(nfa))
+    reg = CCLRegistry() if kind == "ccl" else CCLSRegistry(Preorder(compute_similarity(nfa)))
     reg.cover_hits = []
     stats = RunStats()
     res = otf_determinize(nfa, reg, stats, FixedInterval(interval))
@@ -486,7 +519,7 @@ _PINNED_PEAKS = {
 @pytest.mark.parametrize("name", sorted(_PINNED_PEAKS))
 def test_peak_states_match_pinned_values(name):
     nfa = _pinned_input(name)
-    preorder = compute_similarity(nfa)
+    preorder = Preorder(compute_similarity(nfa))
     peaks = []
     for make in (CCLRegistry, lambda: CCLSRegistry(preorder)):
         for interval in (1, 3):
@@ -758,6 +791,30 @@ class TestCanonize:
         for timeout_ms in (0.0, -1.0):
             dfa, stats = canonize(nfa, CanonConfig(timeout_ms=timeout_ms))
             assert dfa is None and stats.timed_out
+
+    def test_one_preprocessing_chain(self, monkeypatch):
+        # every pipeline quotients the trimmed input by bisimulation once;
+        # an -s run packs one Preorder, for its CCLS registry, a plain run none
+        quotients, preorders = [], []
+        real_quotient, real_init = engine.bisimulation_quotient, Preorder.__init__
+
+        def counting_quotient(nfa):
+            quotients.append(nfa.num_states)
+            return real_quotient(nfa)
+
+        def counting_init(self, rel):
+            preorders.append(len(rel))
+            real_init(self, rel)
+
+        monkeypatch.setattr(engine, "bisimulation_quotient", counting_quotient)
+        monkeypatch.setattr(Preorder, "__init__", counting_init)
+        nfa = generate(GenParams(n=20, density=2.0, seed=4))
+        for pipeline in PIPELINES:
+            quotients.clear()
+            preorders.clear()
+            canonize(nfa, CanonConfig(pipeline=pipeline))
+            assert quotients == [trim(nfa).num_states], pipeline
+            assert len(preorders) == pipeline.endswith("-s"), pipeline
 
     def test_similarity_computed_once_per_direction(self, monkeypatch):
         # -s subset pipelines reuse the preorder the quotient step induces;

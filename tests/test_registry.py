@@ -367,7 +367,7 @@ class TestCCL:
 def _strict_preorder():
     """Preorder over 3 states where 1 is strictly below 0."""
     nfa = Nfa(3, 1, [(0, 0, 2), (1, 0, 2), (0, 0, 0)], initial=[0], final=[2])
-    p = compute_similarity(nfa)
+    p = Preorder(compute_similarity(nfa))
     assert leq(p, 1, 0) and not leq(p, 0, 1)
     return p
 

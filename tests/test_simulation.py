@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nfacanon import simulation
 from nfacanon.automata import Nfa, reverse, to_mask, trim
 from nfacanon.generator import GenParams, generate
+from nfacanon.partition import bisimulation_quotient
 from nfacanon.simulation import (
     Preorder,
     compute_similarity,
@@ -19,6 +20,9 @@ from nfacanon.simulation import (
 )
 
 from oracle import (
+    auto_nfa,
+    auto_tracks,
+    blowup_nfa,
     enumerate_language,
     identity_preorder,
     leq,
@@ -33,9 +37,9 @@ from oracle import (
 )
 
 
-def _above(p):
-    """Rows of ``p.rel`` as bitmasks: bit y of row x iff x <= y."""
-    return [to_mask(np.flatnonzero(row).tolist()) for row in p.rel]
+def _above(rel):
+    """Rows of the relation ``rel`` as bitmasks: bit y of row x iff x <= y."""
+    return [to_mask(np.flatnonzero(row).tolist()) for row in rel]
 
 
 def _lang_from(nfa, mask, depth):
@@ -139,8 +143,9 @@ class TestComputeSimilarity:
             simulation, "_refine", lambda *args: rounds.append(1) or refine(*args)
         )
         nfa = _chain_nfa(6)
-        p = compute_similarity(nfa)
-        assert _above(p) == similarity_reference(nfa)
+        rel = compute_similarity(nfa)
+        assert _above(rel) == similarity_reference(nfa)
+        p = Preorder(rel)
         assert not any(leq(p, i, 7 + i) for i in range(7))
         assert len(rounds) >= 3  # six rounds drop pairs, the seventh none
 
@@ -155,7 +160,7 @@ class TestComputeSimilarity:
         nfa = generate(params)
         q, _ = simulation_quotient(nfa, compute_similarity(nfa))
         for work in (nfa, reverse(q)):
-            rel = compute_similarity(work).rel
+            rel = compute_similarity(work)
             assert np.array_equal(rel, similarity_fixpoint_reference(work))
 
     @pytest.mark.parametrize(
@@ -175,25 +180,25 @@ class TestComputeSimilarity:
         assert _above(compute_similarity(nfa)) == similarity_reference(nfa)
 
     def test_reflexive(self, ends_in_a):
-        p = compute_similarity(ends_in_a)
+        p = Preorder(compute_similarity(ends_in_a))
         for x in range(ends_in_a.num_states):
             assert leq(p, x, x)
 
     def test_extra_edge_dominates(self):
-        p = compute_similarity(_strict_pair_nfa())
+        p = Preorder(compute_similarity(_strict_pair_nfa()))
         assert leq(p, 0, 1)
         assert not leq(p, 1, 0)
 
     def test_final_not_below_nonfinal(self):
         nfa = Nfa(2, 1, [(0, 0, 0), (1, 0, 1)], initial=[0], final=[0])
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         assert not leq(p, 0, 1)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_implies_language_inclusion(self, seed):
         rng = random.Random(seed)
         nfa = random_nfa(rng, rng.randint(2, 8), 2)
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         depth = 2 * nfa.num_states
         langs = [_lang_from(nfa, 1 << x, depth) for x in range(nfa.num_states)]
         for x in range(nfa.num_states):
@@ -207,17 +212,17 @@ class TestComputeSimilarity:
         # CCLS's registry relies on it: prune must keep a dominator of every
         # member it drops.  The reversed quotient is what brz-s prunes by.
         for work in (nfa, reverse(nfa)):
-            p = compute_similarity(work)
-            _assert_preorder(p.rel)
-            q, induced = simulation_quotient(work, p)
-            _assert_preorder(induced.rel)
-            _assert_preorder(compute_similarity(reverse(q)).rel)
+            rel = compute_similarity(work)
+            _assert_preorder(rel)
+            q, induced = simulation_quotient(work, rel)
+            _assert_preorder(induced)
+            _assert_preorder(compute_similarity(reverse(q)))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_transitive(self, seed):
         rng = random.Random(50 + seed)
         nfa = random_nfa(rng, 6, 2)
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         n = nfa.num_states
         for x in range(n):
             for y in range(n):
@@ -274,7 +279,7 @@ class TestPreorder:
             rel = rng.random((n, n)) < density
             rel |= rel.T & (rng.random((n, n)) < 0.5)
             p = Preorder(rel)
-            assert (p.below, p.pruned_by) == preorder_rows_reference(_above(p))
+            assert (p.below, p.pruned_by) == preorder_rows_reference(_above(rel))
             assert all(leq(p, x, y) == rel[x, y] for x in range(n) for y in range(n))
             _check_masks(p)
         p = identity_preorder(n)
@@ -286,24 +291,24 @@ class TestPreorder:
 class TestPruneSaturate:
     def test_prune_strictly_dominated(self):
         nfa = _strict_pair_nfa()
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         assert prune(to_mask([0, 1]), p) == to_mask([1])
 
     def test_prune_incomparable_unchanged(self):
         nfa = _strict_pair_nfa()
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         # 2 and 3 accept different languages and are incomparable
         assert not leq(p, 2, 3) and not leq(p, 3, 2)
         assert prune(to_mask([2, 3]), p) == to_mask([2, 3])
 
     def test_prune_mixed(self):
         nfa = _strict_pair_nfa()
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         assert prune(to_mask([0, 1, 2]), p) == to_mask([1, 2])
 
     def test_saturate_adds_dominated(self):
         nfa = _strict_pair_nfa()
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         assert saturate(to_mask([1]), p) & to_mask([0, 1]) == to_mask([0, 1])
 
     def test_saturate_identity_preorder_unchanged(self):
@@ -356,16 +361,16 @@ class TestPruneSaturate:
         rng = random.Random(params.seed)
         for nfa in (generate(params), trim(generate(params))):
             q, induced = simulation_quotient(nfa, compute_similarity(nfa))
-            for p in (compute_similarity(nfa), induced, compute_similarity(reverse(q))):
-                _check_against_references(p, rng, draws=15)
+            for rel in (compute_similarity(nfa), induced, compute_similarity(reverse(q))):
+                _check_against_references(Preorder(rel), rng, draws=15)
 
     def test_masked_loops_match_references_on_tv(self):
         rng = random.Random(17)
         for _ in range(10):
             nfa = tv_nfa(rng, 32, 1.25, 0.5)
             q, induced = simulation_quotient(nfa, compute_similarity(nfa))
-            for p in (induced, compute_similarity(reverse(q))):
-                _check_against_references(p, rng, draws=10)
+            for rel in (induced, compute_similarity(reverse(q))):
+                _check_against_references(Preorder(rel), rng, draws=10)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_normalization_properties(self, seed):
@@ -374,7 +379,7 @@ class TestPruneSaturate:
         # quotient by simulation equivalence first so no two distinct states
         # are mutually similar; prune(saturate(q)) = prune(q) needs that
         nfa, _ = simulation_quotient(nfa, compute_similarity(nfa))
-        p = compute_similarity(nfa)
+        p = Preorder(compute_similarity(nfa))
         mask = to_mask(
             [s for s in range(nfa.num_states) if rng.random() < 0.5]
         ) or to_mask([0])
@@ -392,8 +397,8 @@ class TestPruneSaturate:
 
 class TestSimulationQuotient:
     def test_no_mutual_similarity_unchanged(self, ends_in_a):
-        p = compute_similarity(ends_in_a)
-        q, _ = simulation_quotient(ends_in_a, p)
+        rel = compute_similarity(ends_in_a)
+        q, _ = simulation_quotient(ends_in_a, rel)
         assert q.num_states == ends_in_a.num_states
 
     def test_bisimilar_states_merged(self):
@@ -411,8 +416,8 @@ class TestSimulationQuotient:
     def test_modular_generator_yields_identity(self, seed):
         # modular-structure instances show no similarity once dead states are trimmed
         nfa = trim(generate(GenParams(n=30, density=8.0, seed=seed)))
-        p = compute_similarity(nfa)
-        q, _ = simulation_quotient(nfa, p)
+        rel = compute_similarity(nfa)
+        q, _ = simulation_quotient(nfa, rel)
         assert q.num_states == nfa.num_states
 
     @pytest.mark.parametrize("seed", range(15))
@@ -431,6 +436,45 @@ class TestSimulationQuotient:
         for _ in range(200):
             nfa = random_nfa(rng, rng.randint(2, 12), rng.randint(1, 3))
             q, induced = simulation_quotient(nfa, compute_similarity(nfa))
-            assert np.array_equal(induced.rel, compute_similarity(q).rel)
+            assert np.array_equal(induced, compute_similarity(q))
             merged += q.num_states < nfa.num_states
         assert merged >= 20  # the check covers real merges
+
+
+class TestSimilarityAfterBisimulation:
+    """The ``-s`` pipelines take the simulation quotient of the bisimulation
+    quotient of the trimmed input.  Bisimilar states are mutually similar,
+    so it is the simulation quotient of the trimmed input itself: the same
+    ``Nfa``, state numbering included, and the same induced relation."""
+
+    @staticmethod
+    def _check(nfa) -> bool:
+        """Assert the property for ``nfa``; whether bisimulation merged any state."""
+        work = trim(nfa)
+        direct, direct_rel = simulation_quotient(work, compute_similarity(work))
+        bisim = bisimulation_quotient(work)
+        chained, chained_rel = simulation_quotient(bisim, compute_similarity(bisim))
+        assert chained == direct
+        assert np.array_equal(chained_rel, direct_rel)
+        return bisim.num_states < work.num_states
+
+    def test_random(self):
+        rng = random.Random(88)
+        merged = sum(
+            self._check(random_nfa(rng, rng.randint(2, 14), rng.randint(1, 3), 0.15))
+            for _ in range(200)
+        )
+        assert merged >= 10  # the check covers real bisimulation merges
+
+    def test_tv(self):
+        rng = random.Random(89)
+        nfas = [tv_nfa(rng, n, r, 0.5) for n in (8, 16, 32, 64) for r in (1.0, 1.25, 2.0)]
+        assert sum(map(self._check, nfas)) > 0
+
+    def test_auto(self):
+        nfas = [auto_nfa(auto_tracks(random.Random(s), m)) for m in (4, 5, 6, 8) for s in range(6)]
+        assert sum(map(self._check, nfas)) >= 5
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_blowup(self, n):
+        self._check(blowup_nfa(n))

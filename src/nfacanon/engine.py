@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa, bit_rows, complete, reverse, trim
+from .automata import UNDEFINED, Dfa, Nfa, complete, reverse, trim
 from .kernels import successor_kernel
 from .partition import bisimulation_quotient, minimize
 from .registry import (
@@ -243,17 +243,6 @@ def _intermediate_minimize(rows, final_mask, ids, stack, registry, k) -> list[in
     return target[:n][kept].tolist()
 
 
-def _columns(metastates: list[int], n: int) -> list[int]:
-    """The bit transpose of ``metastates``, masks over ``n`` states.
-
-    Bit j of ``columns[q]`` is set when ``metastates[j]`` contains q.
-    """
-    nb = (n + 7) // 8
-    raw = b"".join(m.to_bytes(nb, "little") for m in metastates)
-    rows = np.frombuffer(raw, np.uint8).reshape(len(metastates), nb)
-    return bit_rows(np.unpackbits(rows, axis=1, count=n, bitorder="little").T)
-
-
 @dataclass
 class CanonConfig:
     pipeline: str = "sc"
@@ -316,18 +305,21 @@ def _check_deadline(deadline: float | None) -> None:
 def _run_pipeline(nfa, config, stats, start, deadline):
     """Preprocess, determinize, then minimize or run Brzozowski's second pass.
 
-    Every pipeline quotients the trimmed input by bisimulation; an ``-s``
-    pipeline then quotients that by simulation equivalence.  Bisimilar
-    states are mutually similar, so similarity runs on the smaller
-    automaton and finds the same quotient, state numbering included.  An
-    ``-s`` pipeline packs one ``Preorder``, of the similarity of the
-    automaton it determinizes, for its CCLS registry.
+    Every pipeline quotients the trimmed input by bisimulation, and a
+    Brzozowski pipeline reverses that quotient.  Call the result B, the
+    automaton to determinize.  An ``-s`` pipeline replaces B by its
+    quotient under simulation equivalence, which keeps its language (Ilie,
+    Navarro & Yu, "On NFA Reductions", 2004), and packs one ``Preorder`` of
+    that quotient's similarity for its CCLS registry: one similarity per
+    run.  For the subset pipelines, bisimilar states are mutually similar,
+    so similarity runs on the smaller automaton and finds the simulation
+    quotient of the trimmed input, state numbering included.
 
-    The Brzozowski pipelines determinize rev(A), where A is that quotient,
-    into D1.  Write S_i for the metastate of D1's dense state i.  The second
-    pass is det(rev(D1)), the minimal DFA, and the metastate it reaches by a
-    word w is ``{i : S_i ∩ P_w ≠ ∅}``, where P_w is the forward subset of A
-    after w (Brzozowski 1962; Bonchi et al., ACM TOCL 2014).  So it runs as a
+    The Brzozowski pipelines determinize B into D1 and write A = rev(B).
+    Write S_i for the metastate of D1's dense state i.  The second pass is
+    det(rev(D1)), the minimal DFA, and the metastate it reaches by a word w
+    is ``{i : S_i ∩ P_w ≠ ∅}``, where P_w is the forward subset of A after w
+    (Brzozowski 1962; Bonchi et al., ACM TOCL 2014).  So it runs as a
     forward subset construction of A whose ``ResidualRegistry`` keys each
     subset by that set, its signature: it finds the same states in the same
     order as a subset construction of rev(D1), with the same counts.  The
@@ -338,15 +330,12 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     uses_otf = "otf" in config.pipeline
 
     work = bisimulation_quotient(trim(nfa))
+    if brz:
+        work = reverse(work)
     _check_deadline(deadline)
     if simulated:
         work, rel = simulation_quotient(work, compute_similarity(work))
-    fwd = work
-    if brz:
-        work = reverse(work)
-        if simulated:
-            rel = compute_similarity(work)
-    _check_deadline(deadline)
+        _check_deadline(deadline)
 
     # ``work`` is the automaton the registry lookups refer to, and ``rel``
     # its similarity
@@ -363,8 +352,8 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     _check_deadline(deadline)
 
     if brz:
-        registry = ResidualRegistry(_columns(res.metastates, fwd.num_states))
-        res = otf_determinize(fwd, registry, stats, None, deadline)
+        registry = ResidualRegistry(res.metastates, work.num_states)
+        res = otf_determinize(reverse(work), registry, stats, None, deadline)
         dfa = res.dfa
     else:
         # the determinized DFA is total and fully explored

@@ -3,10 +3,11 @@
 Subset construction asks the automaton it determinizes for the successors
 of each metastate, so every input is its own kernel.  Each determinization
 runs on an ``Nfa``, which ORs the successor masks of the metastate's
-members, gathered once, symbol by symbol (``Nfa.successors``): the
-reversed quotient in Brzozowski's first pass, and the forward quotient in
-his second, whose registry turns forward subsets into the states of the
-reversed first-pass DFA (``registry.ResidualRegistry``).
+members, gathered once, symbol by symbol (``Nfa.successors``): in
+Brzozowski's first pass the reversed quotient, or its own simulation
+quotient for ``-s``, and in his second the reverse of that automaton, whose
+registry turns forward subsets into the states of the reversed first-pass
+DFA (``registry.ResidualRegistry``).
 """
 
 from __future__ import annotations

@@ -80,6 +80,9 @@ from __future__ import annotations
 
 from typing import Optional, Protocol
 
+import numpy as np
+
+from .automata import bit_rows
 from .simulation import Preorder, prune, saturate
 
 
@@ -210,9 +213,11 @@ class ResidualRegistry(OneToOneRegistry):
     """Brzozowski's second pass, run forward: metastates keyed by signature.
 
     Phase 1 determinizes rev(A), the reverse of the forward automaton A,
-    into D1; ``columns[q]`` has bit j set when the metastate S_j of dense
-    D1 state j contains A's state q.  The signature of a metastate P of A
-    is the OR of ``columns[q]`` over q in P, the set ``{j : S_j ∩ P ≠ ∅}``.
+    into D1.  The registry is built from the metastate S_j of each dense D1
+    state j, the constructor's ``metastates[j]``, and from A's
+    ``num_states``.  ``columns[q]``, their bit transpose, has bit j set when
+    S_j contains A's state q.  The signature of a metastate P of A is the
+    OR of ``columns[q]`` over q in P, the set ``{j : S_j ∩ P ≠ ∅}``.
     Lemma (Brzozowski 1962; Bonchi et al., ACM TOCL 2014): if P is the
     forward subset reached from A's initial states by a word w, its
     signature is the metastate that the subset construction of rev(D1)
@@ -229,9 +234,13 @@ class ResidualRegistry(OneToOneRegistry):
     miss, so each distinct metastate is signed once.
     """
 
-    def __init__(self, columns: list[int]):
+    def __init__(self, metastates: list[int], num_states: int):
         super().__init__()
-        self.columns = columns
+        nb = (num_states + 7) // 8
+        raw = b"".join(m.to_bytes(nb, "little") for m in metastates)
+        rows = np.frombuffer(raw, np.uint8).reshape(len(metastates), nb)
+        bits = np.unpackbits(rows, axis=1, count=num_states, bitorder="little")
+        self.columns = bit_rows(bits.T)
         self._by_signature: dict[int, int] = {}
         # (metastate, signature) of the last ``get``
         self._last = (-1, 0)

@@ -30,7 +30,6 @@ from oracle import (
     lattice_of_puts,
     leq,
     lookup,
-    members,
     prune_reference,
     random_nfa,
     textbook_subset_construction,
@@ -123,7 +122,7 @@ class TestContract:
     def test_put_of_a_non_next_id_rejected(self, kind):
         reg = {
             "one-to-one": OneToOneRegistry,
-            "residual": lambda: ResidualRegistry([0b001, 0b010, 0b100, 0b011]),
+            "residual": lambda: ResidualRegistry([0b1001, 0b1010, 0b0100], 4),
             "ccl": CCLRegistry,
             "ccls": lambda: CCLSRegistry(_strict_preorder()),
         }[kind]()
@@ -481,15 +480,6 @@ _antichains = st.lists(st.one_of(st.just(0), st.integers(1, 63)), max_size=8).ma
 )
 
 
-def _columns(metastates, n):
-    """``columns[q]``: bit j set when ``metastates[j]`` contains q."""
-    columns = [0] * n
-    for j, m in enumerate(metastates):
-        for q in members(m):
-            columns[q] |= 1 << j
-    return columns
-
-
 class TestResidual:
     @pytest.mark.parametrize("seed", range(12))
     def test_equal_signatures_iff_equal_languages(self, seed):
@@ -506,7 +496,7 @@ class TestResidual:
             (CCLRegistry(), FixedInterval(1)),
         ):
             phase1 = otf_determinize(reverse(nfa), registry, RunStats(), controller)
-            reg = ResidualRegistry(_columns(phase1.metastates, nfa.num_states))
+            reg = ResidualRegistry(phase1.metastates, nfa.num_states)
             sigs = [reg.signature(m) for m in reached]
             for i in range(len(reached)):
                 for j in range(i):
@@ -515,7 +505,7 @@ class TestResidual:
 
     def test_hit_caches_metastate(self):
         # states 0 and 2 lie in the same phase-1 metastates
-        reg = ResidualRegistry([0b01, 0b10, 0b01])
+        reg = ResidualRegistry([0b101, 0b010], 3)
         reg.put(to_mask([0]), 0)
         assert lookup(reg, to_mask([1])) is None
         assert lookup(reg, to_mask([2])) == 0
@@ -533,14 +523,14 @@ class TestResidual:
 
         nfa = tv_nfa(random.Random(4), 14, 1.25, 0.5)
         phase1 = otf_determinize(reverse(nfa), OneToOneRegistry(), RunStats())
-        reg = Counting(_columns(phase1.metastates, nfa.num_states))
+        reg = Counting(phase1.metastates, nfa.num_states)
         res = otf_determinize(nfa, reg, RunStats())
         # a put after a miss reuses its signature, and a hit is cached
         assert sorted(signed) == sorted(reg._exact)
         assert len(reg._exact) > res.dfa.num_states
 
     def test_conflicting_put_rejected(self):
-        reg = ResidualRegistry([0b01, 0b10, 0b01])
+        reg = ResidualRegistry([0b101, 0b010], 3)
         reg.put(to_mask([0]), 0)
         with pytest.raises(RegistryContractError):
             reg.put(to_mask([0]), 1)

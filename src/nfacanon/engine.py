@@ -23,6 +23,7 @@ from .registry import (
     CCLRegistry,
     CCLSRegistry,
     OneToOneRegistry,
+    PrunedView,
     Registry,
     ResidualRegistry,
 )
@@ -71,13 +72,12 @@ class DeterminizeResult:
     """The DFA a determinization loop built; its counts went into ``stats``."""
 
     dfa: Dfa
-    ids: list[int]  # live state ids, sorted: state i of `dfa` stands for ids[i]
-    metastates: list[int]  # metastates[i]: the metastate ids[i] was put for
+    metastates: list[int]  # metastates[i]: the metastate put for state i of `dfa`
     sizes_after_min: list[int]
 
 
 def otf_determinize(
-    nfa: Nfa,
+    nfa: Nfa | PrunedView,
     registry: Registry,
     stats: RunStats,
     controller: Threshold | None = None,
@@ -85,6 +85,8 @@ def otf_determinize(
 ) -> DeterminizeResult:
     """Subset construction with registry lookups and on-the-fly minimization.
 
+    ``nfa`` is an ``Nfa``, or for a CCLS registry the ``PrunedView`` of
+    one; the loop reads only its successors, masks and alphabet size.
     Exploration uses a LIFO worklist (depth-first) of (metastate, state id)
     pairs; the unexplored states are exactly the ids on it.  The table is
     ``rows``, indexed by state id; the row of a state merged away is
@@ -98,8 +100,8 @@ def otf_determinize(
     explored states are ever merged, because minimization keeps each
     unexplored state in a block of its own.  The returned DFA is the final,
     *not* finally-minimized automaton; all of its states are explored and
-    total.  ``ids`` lists the live ids its states stand for; the root of an
-    absorbed id ``s`` is the exact map's entry for
+    total; its state i stands for the i-th smallest live id, and the root
+    of an absorbed id ``s`` is the exact map's entry for
     ``registry.metastates[s]``.
     Without a ``controller`` no intermediate minimization happens; with
     one, the registry must be able to ``unify``, so it is a CCL or CCLS
@@ -107,8 +109,8 @@ def otf_determinize(
     live ids, the survivor the smallest id of its block.  The loop calls
     only the controller's ``should_minimize()``, once per explored state,
     and ``after_minimize(size)``; the pipelines pass a ``Threshold``.
-    ``metastates`` lists the metastate each live id was put for, which
-    Brzozowski's second pass reads.
+    ``metastates`` lists the metastate each live id was put for, in id
+    order, which Brzozowski's second pass reads.
 
     Each successor is looked up in the registry's exact map first, whose
     hits are final; only a metastate it misses goes to ``registry.get``,
@@ -198,7 +200,7 @@ def otf_determinize(
         trans = rows
     finals = [i for i, m in enumerate(metastates) if m & final_mask]
     dfa = Dfa(len(live), k, 0, finals, trans)
-    return DeterminizeResult(dfa, live, metastates, sizes_after_min)
+    return DeterminizeResult(dfa, metastates, sizes_after_min)
 
 
 def _dense(rows, ids: list[int]) -> np.ndarray:
@@ -310,9 +312,11 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     automaton to determinize.  An ``-s`` pipeline replaces B by its
     quotient under simulation equivalence, which keeps its language (Ilie,
     Navarro & Yu, "On NFA Reductions", 2004), and packs one ``Preorder`` of
-    that quotient's similarity for its CCLS registry: one similarity per
-    run.  For the subset pipelines, bisimilar states are mutually similar,
-    so similarity runs on the smaller automaton and finds the simulation
+    that quotient's similarity: one similarity per run.  It determinizes
+    the ``PrunedView`` of B by that preorder, so every metastate it
+    explores is pruned, and its CCLS registry reads the same preorder.
+    For the subset pipelines, bisimilar states are mutually similar, so
+    similarity runs on the smaller automaton and finds the simulation
     quotient of the trimmed input, state numbering included.
 
     The Brzozowski pipelines determinize B into D1 and write A = rev(B).
@@ -324,6 +328,10 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     subset by that set, its signature: it finds the same states in the same
     order as a subset construction of rev(D1), with the same counts.  The
     key is exact for the reachable subsets, the only ones it is asked about.
+    Pruning S_i keeps it so: a member x that S_i drops is simulated in B by
+    a member y it keeps, so y is reached by every word of A that reaches x,
+    and y lies in each P_w that holds x.  Phase 2 runs on A itself,
+    unpruned.
     """
     simulated = config.pipeline.endswith("-s")
     brz = config.pipeline.startswith("brz")
@@ -333,21 +341,20 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     if brz:
         work = reverse(work)
     _check_deadline(deadline)
+
+    # ``explored`` is the automaton the registry lookups refer to
     if simulated:
         work, rel = simulation_quotient(work, compute_similarity(work))
         _check_deadline(deadline)
-
-    # ``work`` is the automaton the registry lookups refer to, and ``rel``
-    # its similarity
-    if simulated:
-        registry: Registry = CCLSRegistry(Preorder(rel))
-    elif uses_otf:
-        registry = CCLRegistry()
+        preorder = Preorder(rel)
+        explored: Nfa | PrunedView = PrunedView(work, preorder)
+        registry: Registry = CCLSRegistry(preorder)
     else:
-        registry = OneToOneRegistry()
+        explored = work
+        registry = CCLRegistry() if uses_otf else OneToOneRegistry()
     controller = Threshold(config.threshold_init) if uses_otf else None
     stats.preprocess_ms = (time.perf_counter() - start) * 1000.0
-    res = otf_determinize(work, registry, stats, controller, deadline)
+    res = otf_determinize(explored, registry, stats, controller, deadline)
     reference = max([res.dfa.num_states] + res.sizes_after_min)
     _check_deadline(deadline)
 

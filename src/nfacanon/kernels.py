@@ -1,11 +1,13 @@
 """Successor kernels: every per-symbol successor metastate of a metastate.
 
 Subset construction asks the automaton it determinizes for the successors
-of each metastate, so every input is its own kernel.  Each determinization
+of each metastate, so every input is its own kernel.  A determinization
 runs on an ``Nfa``, which ORs the successor masks of the metastate's
-members, gathered once, symbol by symbol (``Nfa.successors``): in
-Brzozowski's first pass the reversed quotient, or its own simulation
-quotient for ``-s``, and in his second the reverse of that automaton, whose
+members, gathered once, symbol by symbol (``Nfa.successors``), or on the
+``registry.PrunedView`` of one, which prunes those successors by a
+similarity preorder (the ``-s`` pipelines).  In Brzozowski's first pass
+that automaton is the reversed quotient, or the view of its own simulation
+quotient for ``-s``, and in his second the reverse of that quotient, whose
 registry turns forward subsets into the states of the reversed first-pass
 DFA (``registry.ResidualRegistry``).
 """
@@ -22,7 +24,8 @@ def default_backend() -> str:
 
 def successor_kernel(nfa: Nfa, backend: str | None = None) -> Nfa:
     # kept as the engine's call site, which perfbench/tracer.py and the
-    # tests patch; the backend argument stays because the tracer passes one
+    # tests patch; the backend argument stays because the tracer passes one.
+    # A ``registry.PrunedView`` is returned as it is, like an ``Nfa``
     if backend not in (None, "python"):
         raise ValueError(f"unknown kernel backend {backend!r}")
     return nfa

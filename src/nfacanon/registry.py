@@ -36,26 +36,25 @@ Four implementations are provided:
 * ``CCLRegistry`` -- convexity-closure lattices: each known equivalence class
   is summarized by a greatest element plus an antichain of minimal elements,
   covering every metastate sandwiched in between.
-* ``CCLSRegistry`` -- CCL with a similarity preorder used to prune/saturate
-  metastates, widening lattices without any ``unify`` calls.
+* ``CCLSRegistry`` -- CCL with a similarity preorder, which saturates the
+  greatest elements of its lattices; ``PrunedView`` prunes the metastates
+  it is asked about.
+
+A CCLS registry is asked only about pruned metastates: its determinization
+runs on a ``PrunedView`` of the automaton, whose initial metastate and
+successors are pruned, so its queries and puts are all pruned forms.
 
 A class is kept in one of two ways.  Let the preorder be reflexive and
 transitive (for CCL it is the identity) and ``prune`` keep, with its
 tie-break, a dominating member for every member it drops.  Lemma: the
-lattice ``[prune(m), saturate(m)]`` of a single put m, never merged, covers
-a pruned query p iff p == prune(m).  (Each x in p lies below some y in m,
-y below some z in prune(m), which is a subset of p; p is an antichain under
-the tie-break, so x == z.)  Hence:
+lattice ``[m, saturate(m)]`` of a single pruned put m, never merged,
+covers a pruned query p iff p == m.  (Each x in p lies below some y in m,
+a subset of p, and no member of a pruned metastate lies below another, so
+x == y.)  Hence:
 
 * an *unmerged* class, the single put m of a state, builds no lattice: its
-  entries in the exact map and in ``metastates`` are all there is, and
-  CCLS adds ``prune(m) -> state`` to one dict, which by the lemma answers
-  every query the lattice would cover.  The put followed a miss, so no
-  live lattice covered prune(m), and no other entry has the same key.  If
-  the lattice is a point (``prune(m) == saturate(m)``, always so for
-  CCL), it covers only m itself: a query q covered by it has
-  prune(q) == m, and q lies below saturate(prune(q)) == m.  The exact map
-  answers m first, so CCL keeps no dict;
+  entries in the exact map and in ``metastates`` are all there is, because
+  by the lemma the exact map answers every query the lattice would cover;
 * a *merged* class has a ``Lattice``, built when ``unify`` first joins
   the class, and the lattice goes to the cover index.  The index has one
   bit per lattice: per NFA state, one Python int holds the bits of the
@@ -68,12 +67,12 @@ the tie-break, so x == z.)  Hence:
 
 So ``lattices`` holds exactly the lattices of the unified classes, keyed
 by class root; a registry that never merged builds none and costs what its
-exact map (and, for CCLS, its dict) costs.  A lookup tries the dict, then
-the index.  Both answer with the earliest-inserted covering lattice, a
-class never unified counting as inserted at its put and a merged one at
-its last ``unify``: a dict entry covers its key and no lattice inserted
-before it does, and an index hit is the first in bit order, while no dict
-entry covers the query.
+exact map costs.  Past the exact map, ``get`` answers with the
+earliest-inserted covering lattice, the first hit in bit order.  The
+lattice of a class never unified covers its exact key alone, so it needs
+no place in that order.  CCL and CCLS refuse a ``put`` of a metastate that
+a merged lattice covers, unless it is the one their last ``get`` missed and
+no ``unify`` came between.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .automata import bit_rows
+from .automata import Nfa, bit_rows, to_mask
 from .simulation import Preorder, prune, saturate
 
 
@@ -127,10 +126,10 @@ class _CoverIndex:
     """Greatest-element slices over the merged lattices of a CCL registry.
 
     A class never unified has no lattice to index: by the lemma of the
-    module docstring, its exact entry or its pruned form answers for it.
-    ``rows[b]`` is the lattice that took bit ``b``, ``in_greatest[s]`` holds
-    the bits of the lattices whose greatest element contains NFA state
-    ``s``, and ``live`` the bits in use.  A lattice keeps its bit from
+    module docstring, its exact entry answers for it.  ``rows[b]`` is the
+    lattice that took bit ``b``, ``in_greatest[s]`` holds the bits of the
+    lattices whose greatest element contains NFA state ``s``, and ``live``
+    the bits in use.  A lattice keeps its bit from
     ``insert`` to ``discard``, so bit order is insertion order.  A
     discarded bit only leaves ``live``: the index gains one row per
     ``unify``, and there are fewer of those than states made, so its slices
@@ -285,8 +284,11 @@ class CCLRegistry(OneToOneRegistry):
     unified classes: it returns the first covering lattice in insertion
     order (most recently merged last), answered by a bit-sliced index
     rather than a scan, and returns at once while the index is empty.
-    Setting ``cover_hits`` to a list records every hit of ``get`` as a
-    (queried metastate, returned state) pair.
+    ``get`` records the metastate it last missed, and ``unify`` clears the
+    record: a ``put`` of that metastate is checked by no lookup, and any
+    other ``put`` raises ``RegistryContractError`` if a lattice covers its
+    metastate.  Setting ``cover_hits`` to a list records every hit of
+    ``get`` as a (queried metastate, returned state) pair.
     """
 
     def __init__(self):
@@ -294,11 +296,21 @@ class CCLRegistry(OneToOneRegistry):
         self.lattices: dict[int, Lattice] = {}  # class root -> lattice, once unified
         self.cover_hits: list[tuple[int, int]] | None = None
         self._index = _CoverIndex()
+        self._missed = -1  # the metastate ``get`` last missed, or -1
 
     def get(self, mask: int) -> Optional[int]:
-        if not self._index.live:
-            return None
-        return self._hit(mask, self._index.first_cover(mask))
+        # a live lattice's rep is its class root: unify keeps the root's lattice
+        rep = self._index.first_cover(mask) if self._index.live else None
+        if rep is None:
+            self._missed = mask
+        elif self.cover_hits is not None:
+            self.cover_hits.append((mask, rep))
+        return rep
+
+    def put(self, mask: int, state: int) -> None:
+        if mask != self._missed and (covering := self._index.first_cover(mask)) is not None:
+            raise RegistryContractError(f"metastate {mask} is covered by state {covering}")
+        super().put(mask, state)
 
     def unify(self, root: int, gone: int) -> None:
         """Merge the class of ``gone`` into that of ``root``, two live roots."""
@@ -306,6 +318,7 @@ class CCLRegistry(OneToOneRegistry):
         ordered = 0 <= root < gone < len(metastates)
         if not (ordered and exact[metastates[root]] == root and exact[metastates[gone]] == gone):
             raise RegistryContractError(f"unify({root}, {gone}) needs two live roots in order")
+        self._missed = -1  # the join may cover it
         merged = self._take(root)
         other = self._take(gone)
         for mask in other.puts:
@@ -331,58 +344,56 @@ class CCLRegistry(OneToOneRegistry):
         mask = self.metastates[state]
         return Lattice(state, mask, [mask], [mask])
 
-    def _hit(self, mask: int, rep: Optional[int]) -> Optional[int]:
-        """Record the answer of ``get`` for ``mask`` if it is a hit."""
-        # a live lattice's rep is its class root: unify keeps the root's lattice
-        if rep is not None and self.cover_hits is not None:
-            self.cover_hits.append((mask, rep))
-        return rep
-
 
 class CCLSRegistry(CCLRegistry):
-    """CCL refined by a similarity preorder on the input NFA.
+    """CCL refined by a similarity preorder on the automaton it determinizes.
 
-    The preorder must be reflexive and transitive.  ``put`` stores the
-    pruned form of the metastate in the ``_by_pruned`` dict, mapped to the
-    state, and builds no lattice: by the lemma of the module docstring,
-    the lattice ``[prune(m), saturate(m)]`` of a put m never merged covers
-    exactly the pruned queries equal to prune(m).  ``unify`` builds that
-    lattice when it first joins the class, and drops the dict entry.  A
-    put whose pruned form is already a key there was not a miss, and
-    raises ``RegistryContractError``.  ``get`` prunes the query, then tries
-    the dict and the index.  A ``put`` of the metastate that ``get`` last
-    missed reuses its pruned form, so each new metastate is pruned once,
-    and once more if ``unify`` joins its class.
+    The preorder must be reflexive and transitive, and every metastate the
+    registry is asked about or given must be pruned by it: the
+    determinization runs on a ``PrunedView`` built with the same preorder.
+    The lattice of a put m is ``[m, saturate(m)]``, which ``unify`` builds
+    when it first joins the class; by the lemma of the module docstring
+    the exact map answers for it until then.  Lookups, puts and merges are
+    CCL's.
     """
 
     def __init__(self, preorder: Preorder):
         super().__init__()
         self.preorder = preorder
-        self._by_pruned: dict[int, int] = {}  # pruned put -> its state, never unified
-        self._last_miss = (-1, 0)  # (metastate, its pruned form) of the last miss
-
-    def get(self, mask: int) -> Optional[int]:
-        pruned = prune(mask, self.preorder)
-        rep = self._by_pruned.get(pruned)
-        if rep is None:
-            rep = self._index.first_cover(pruned)
-            if rep is None:
-                self._last_miss = (mask, pruned)
-        return self._hit(mask, rep)
-
-    def put(self, mask: int, state: int) -> None:
-        last, pruned = self._last_miss
-        if last != mask:
-            pruned = prune(mask, self.preorder)
-        covering = self._by_pruned.get(pruned)
-        if covering is not None:
-            raise RegistryContractError(f"metastate {mask} is covered by state {covering}")
-        super().put(mask, state)
-        self._by_pruned[pruned] = state
 
     def _lattice_of_put(self, state: int) -> Lattice:
-        """``[prune(m), saturate(m)]`` for the one put m of ``state``, out of the dict."""
+        """``[m, saturate(m)]`` for the one put m of ``state``."""
         mask = self.metastates[state]
-        pruned = prune(mask, self.preorder)
-        del self._by_pruned[pruned]
-        return Lattice(state, saturate(mask, self.preorder), [pruned], [mask])
+        return Lattice(state, saturate(mask, self.preorder), [mask], [mask])
+
+
+class PrunedView:
+    """An ``Nfa`` seen through ``prune``: what a CCLS determinization runs on.
+
+    It has what the determinization loop reads: the automaton's
+    ``alphabet_size`` and ``final_mask``, its ``initial_mask`` pruned, and
+    ``successors``, each successor pruned.  A pruned metastate has the
+    language of the metastate and the same final flag: each member it
+    drops is simulated by one it keeps, a final one by a final one
+    (Abdulla, Chen, Holík, Mayr & Vojnar, "When Simulation Meets
+    Antichains", TACAS 2010).  Only a successor with a member in
+    ``preorder.pruners`` can lose one, so no other is pruned, and only a
+    metastate with a member in ``feeds``, the states with an edge into
+    ``pruners``, has such a successor.
+    """
+
+    def __init__(self, nfa: Nfa, preorder: Preorder):
+        self.alphabet_size = nfa.alphabet_size
+        self.final_mask = nfa.final_mask
+        self.initial_mask = prune(nfa.initial_mask, preorder)
+        self.preorder = preorder
+        self._successors = nfa.successors
+        pruners = preorder.pruners
+        self.feeds = to_mask(s for s, _, t in nfa.edges() if pruners >> t & 1)
+
+    def successors(self, mask: int) -> list[int]:
+        out = self._successors(mask)
+        if mask & self.feeds:
+            p = self.preorder
+            out = [prune(m, p) if m & p.pruners else m for m in out]
+        return out

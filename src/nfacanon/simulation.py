@@ -5,7 +5,8 @@ boolean matrix ``rel``: ``rel[x, y]`` means y simulates x, hence L(x) is a
 subset of L(y).  ``simulation_quotient`` merges mutually similar states and
 returns the relation induced on the classes.  ``Preorder`` packs such a
 relation into the bitmask rows that ``prune`` and ``saturate`` read; the
-simulation-enabled pipelines pack one, for their CCLS registry.
+simulation-enabled pipelines pack one, which both the pruning view they
+determinize and their CCLS registry read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ class Preorder:
     ``rel`` must be reflexive and transitive.  ``saturate`` counts on every
     other state's ``below`` row being the state alone, and ``prune`` keeps a
     member that dominates each member it drops only when ``rel`` is
-    transitive, which the CCLS registry's lattices rely on.
+    transitive.  An ``-s`` determinization runs on a ``PrunedView`` of its
+    automaton by one ``Preorder``, which relies on that to keep each pruned
+    metastate's language, and its CCLS registry saturates lattices by the
+    same one.
     ``compute_similarity`` and ``simulation_quotient`` return such
     relations.
     """

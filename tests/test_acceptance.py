@@ -22,7 +22,7 @@ from nfacanon.engine import (
 from nfacanon.generator import GenParams, derive_seed, generate, sweep_instances
 from nfacanon.io import serialize_nfa
 from nfacanon.partition import minimize
-from nfacanon.registry import CCLRegistry, CCLSRegistry
+from nfacanon.registry import CCLRegistry, CCLSRegistry, PrunedView
 from nfacanon.simulation import Preorder, compute_similarity
 
 from oracle import (
@@ -115,16 +115,21 @@ def test_registry_soundness():
         hits_seen = 0
         for case in range(120):
             nfa = random_nfa(rng, rng.randint(4, 12), 2)
+            explored = nfa
             if case % 2:
-                reg = CCLSRegistry(Preorder(compute_similarity(nfa)))
+                p = Preorder(compute_similarity(nfa))
+                reg = CCLSRegistry(p)
+                explored = PrunedView(nfa, p)
             else:
                 reg = CCLRegistry()
             reg.cover_hits = []
-            res = otf_determinize(nfa, reg, RunStats(), FixedInterval(rng.choice([1, 2])))
+            res = otf_determinize(explored, reg, RunStats(), FixedInterval(rng.choice([1, 2])))
             full = complete(res.dfa)
+            # state i of the DFA stands for the live id its metastate is put for
+            ids = [reg._exact[m] for m in res.metastates]
             for mask, state in reg.cover_hits:
                 hits_seen += 1
-                target = res.ids.index(find(reg, state))
+                target = ids.index(find(reg, state))
                 assert language_equivalent(
                     dfa_from_metastate(nfa, mask), rooted_at(full, target)
                 )
@@ -142,11 +147,9 @@ def test_ccls_equals_ccl_under_identity_preorder(explored_masks):
             a = otf_determinize(nfa, CCLRegistry(), RunStats(), FixedInterval(interval))
             trace_a = list(explored)
             explored.clear()
+            p = identity_preorder(nfa.num_states)
             b = otf_determinize(
-                nfa,
-                CCLSRegistry(identity_preorder(nfa.num_states)),
-                RunStats(),
-                FixedInterval(interval),
+                PrunedView(nfa, p), CCLSRegistry(p), RunStats(), FixedInterval(interval)
             )
             assert trace_a == explored
             assert isomorphic(complete(a.dfa), complete(b.dfa))

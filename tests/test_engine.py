@@ -24,6 +24,7 @@ from nfacanon.registry import (
     CCLRegistry,
     CCLSRegistry,
     OneToOneRegistry,
+    PrunedView,
     RegistryContractError,
     ResidualRegistry,
 )
@@ -158,24 +159,27 @@ def _contract_checked(registry_cls):
 
     ``get`` must not be asked about a key of the exact map, and ``put``
     must not be given a metastate that is a key or that the lattice of one
-    of the registry's classes covers (after pruning, for CCLS), built or
-    not.  It counts the ``get`` calls in ``gets``.
+    of the registry's classes covers, built or not.  A CCLS registry must
+    be asked about and given pruned metastates only.  It counts the
+    ``get`` calls in ``gets``.
     """
 
     class Checked(registry_cls):
         gets = 0
 
+        def _pruned(self, mask):
+            return not isinstance(self, CCLSRegistry) or prune(mask, self.preorder) == mask
+
         def get(self, mask):
-            assert mask not in self._exact
+            assert mask not in self._exact and self._pruned(mask)
             self.gets += 1
             return super().get(mask)
 
         def put(self, mask, state):
-            assert mask not in self._exact
+            assert mask not in self._exact and self._pruned(mask)
             if isinstance(self, CCLRegistry):
-                query = prune(mask, self.preorder) if isinstance(self, CCLSRegistry) else mask
                 for lat in class_lattices(self).values():
-                    assert not covers(lat, query), (mask, lat.rep)
+                    assert not covers(lat, mask), (mask, lat.rep)
             super().put(mask, state)
 
     return Checked
@@ -191,20 +195,23 @@ def _family(name, rng):
 
 
 def _lookup_registries(nfa):
-    """(registry class, its arguments, threshold interval) cases for ``nfa``.
+    """(registry class, its arguments, threshold interval, automaton) cases.
 
-    The residual registry keys ``nfa``'s subsets by a first pass over its
-    reverse, as Brzozowski's second pass does.
+    The automaton is the one to determinize: ``nfa``, or for CCLS its
+    ``PrunedView`` by the registry's preorder, as the ``-s`` pipelines run
+    it.  The residual registry keys ``nfa``'s subsets by a first pass over
+    its reverse, as Brzozowski's second pass does.
     """
     p = Preorder(compute_similarity(nfa))
+    view = PrunedView(nfa, p)
     phase1 = otf_determinize(reverse(nfa), OneToOneRegistry(), RunStats())
     return [
-        (OneToOneRegistry, (), None),
-        (CCLRegistry, (), None),
-        (CCLRegistry, (), 2),
-        (CCLSRegistry, (p,), None),
-        (CCLSRegistry, (p,), 2),
-        (ResidualRegistry, (phase1.metastates, nfa.num_states), None),
+        (OneToOneRegistry, (), None, nfa),
+        (CCLRegistry, (), None, nfa),
+        (CCLRegistry, (), 2, nfa),
+        (CCLSRegistry, (p,), None, view),
+        (CCLSRegistry, (p,), 2, view),
+        (ResidualRegistry, (phase1.metastates, nfa.num_states), None, nfa),
     ]
 
 
@@ -250,13 +257,13 @@ class TestOtfDeterminize:
         inputs += [tv_nfa(rng, 10, 1.25, 0.5), blowup_nfa(6)]
         cover_hits = 0
         for nfa in inputs:
-            for cls, args, interval in _lookup_registries(nfa):
+            for cls, args, interval, explored in _lookup_registries(nfa):
                 reg = _counting(cls)(*args)
                 controller = interval and FixedInterval(interval)
                 stats = RunStats()
-                otf_determinize(nfa, reg, stats, controller)
+                otf_determinize(explored, reg, stats, controller)
                 log = iter(reg.log)
-                assert next(log) == ("put", nfa.initial_mask, 0)
+                assert next(log) == ("put", explored.initial_mask, 0)
                 counts = {"exact": 0, "cover": 0, "miss": 0}
                 for kind, mask, state in log:
                     assert kind == "exact"
@@ -285,20 +292,20 @@ class TestOtfDeterminize:
         # registries, with and without intermediate minimization
         hits = 0
         for nfa in _family(family, random.Random(41)):
-            for cls, args, interval in _lookup_registries(nfa):
+            for cls, args, interval, explored in _lookup_registries(nfa):
                 reg = _contract_checked(cls)(*args)
                 controller = interval and FixedInterval(interval)
                 stats = RunStats()
-                otf_determinize(nfa, reg, stats, controller)
+                otf_determinize(explored, reg, stats, controller)
                 assert reg.gets == stats.cover_hits + stats.misses
                 hits += stats.cover_hits
         assert hits > 0 or family == "blowup"  # its states are pairwise inequivalent
 
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
     def test_ccls_matches_linear_scan_registry(self, family):
-        # the exact map, the dict of unmerged lattices and the cover index
-        # answer every lookup as a scan of all lattices in insertion order
-        # does; the reversed inputs prune by a preorder with ties, as brz-s
+        # on pruned metastates, the exact map and the cover index answer
+        # every lookup as a scan of all lattices in insertion order does;
+        # the reversed inputs prune by a preorder with ties, as brz-s
         rng = random.Random(77)
         if family == "tv":
             inputs = [tv_nfa(rng, n, 1.25, 0.5) for n in (10, 16, 16, 24)]
@@ -316,12 +323,15 @@ class TestOtfDeterminize:
                         reg.cover_hits = []
                         controller = interval and FixedInterval(interval)
                         stats = RunStats()
-                        res = otf_determinize(work, reg, stats, controller)
+                        res = otf_determinize(PrunedView(work, p), reg, stats, controller)
                         d = res.dfa
                         explored = stats.explored_metastates
+                        # the linear scan keeps its exact map in ``put_state``
+                        exact = getattr(reg, "put_state", reg._exact)
+                        ids = [exact[m] for m in res.metastates]
                         runs.append((
                             (d.num_states, sorted(d.final), [list(r) for r in d.trans]),
-                            (res.ids, res.metastates, explored, stats.peak_intermediate_states),
+                            (ids, res.metastates, explored, stats.peak_intermediate_states),
                             (stats.minimizations, res.sizes_after_min, reg.cover_hits),
                         ))
                     assert runs[0] == runs[1]
@@ -331,14 +341,17 @@ class TestOtfDeterminize:
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
     def test_result_metastates_are_the_registrys(self, family):
         # the registry keeps the one table of puts, by state id; the result
-        # lists its entries for the live ids
+        # lists its entries for the live ids, in id order
         for nfa in _family(family, random.Random(43)):
-            for cls, args, interval in _lookup_registries(nfa):
+            for cls, args, interval, explored in _lookup_registries(nfa):
                 reg = cls(*args)
                 stats = RunStats()
-                res = otf_determinize(nfa, reg, stats, interval and FixedInterval(interval))
+                res = otf_determinize(explored, reg, stats, interval and FixedInterval(interval))
                 assert len(reg.metastates) == stats.misses + 1
-                assert res.metastates == [reg.metastates[s] for s in res.ids]
+                # the live ids the DFA's states stand for, off the exact map
+                ids = [reg._exact[m] for m in res.metastates]
+                assert ids == sorted(set(ids)) and len(ids) == res.dfa.num_states
+                assert res.metastates == [reg.metastates[s] for s in ids]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_only_explored_states_are_unified(self, explored_masks, seed):
@@ -349,11 +362,11 @@ class TestOtfDeterminize:
         nfa = tv_nfa(random.Random(seed), 12, 1.25, 0.5)
         explored = explored_masks
         p = Preorder(compute_similarity(nfa))
-        for cls, args in ((CCLRegistry, ()), (CCLSRegistry, (p,))):
+        for cls, args, work in ((CCLRegistry, (), nfa), (CCLSRegistry, (p,), PrunedView(nfa, p))):
             explored.clear()
             reg = _counting(cls, explored)(*args)
             stats = RunStats()
-            otf_determinize(nfa, reg, stats, FixedInterval(1))
+            otf_determinize(work, reg, stats, FixedInterval(1))
             assert stats.minimizations == stats.explored_metastates
             assert reg.unified
             for surv, absorbed, seen in reg.unified:
@@ -454,7 +467,9 @@ class TestOtfDeterminize:
 # CRC-32 of repr(sizes_after_min)), recorded with the row-signature
 # refinement that oracle.minimize_reference keeps.  A change to which merges
 # an intermediate minimization finds, or to the registry's answers, moves
-# these counts even where every DFA stays correct.
+# these counts even where every DFA stays correct.  The ccls cover hits were
+# re-pinned when CCLS began to determinize a pruned view: a hit on a pruned
+# form became an exact hit, and every other count stayed.
 _PINNED_COUNTS = {
     ("blowup8", "ccl", 1): (256, 256, 0, 3986797982),
     ("blowup8", "ccl", 3): (256, 85, 0, 1382524850),
@@ -462,20 +477,20 @@ _PINNED_COUNTS = {
     ("blowup8", "ccls", 3): (256, 85, 0, 1382524850),
     ("gen-11", "ccl", 1): (51, 51, 4, 3133591500),
     ("gen-11", "ccl", 3): (52, 17, 2, 324806570),
-    ("gen-11", "ccls", 1): (47, 47, 10, 1294436416),
-    ("gen-11", "ccls", 3): (47, 15, 10, 87524276),
+    ("gen-11", "ccls", 1): (47, 47, 3, 1294436416),
+    ("gen-11", "ccls", 3): (47, 15, 3, 87524276),
     ("gen-26", "ccl", 1): (33, 33, 3, 3422275683),
     ("gen-26", "ccl", 3): (34, 11, 1, 2923428515),
-    ("gen-26", "ccls", 1): (25, 25, 10, 2615893212),
-    ("gen-26", "ccls", 3): (25, 8, 10, 207059422),
+    ("gen-26", "ccls", 1): (25, 25, 3, 2615893212),
+    ("gen-26", "ccls", 3): (25, 8, 3, 207059422),
     ("tv-16", "ccl", 1): (39, 39, 14, 2603261490),
     ("tv-16", "ccl", 3): (40, 13, 14, 2886686006),
-    ("tv-16", "ccls", 1): (34, 34, 19, 3058309205),
-    ("tv-16", "ccls", 3): (36, 12, 20, 4264544606),
+    ("tv-16", "ccls", 1): (34, 34, 9, 3058309205),
+    ("tv-16", "ccls", 3): (36, 12, 8, 4264544606),
     ("tv-28", "ccl", 1): (51, 51, 8, 2586691289),
     ("tv-28", "ccl", 3): (53, 17, 5, 2997803591),
-    ("tv-28", "ccls", 1): (50, 50, 11, 3389643223),
-    ("tv-28", "ccls", 3): (50, 16, 11, 3760622362),
+    ("tv-28", "ccls", 1): (50, 50, 8, 3389643223),
+    ("tv-28", "ccls", 3): (50, 16, 8, 3760622362),
 }
 
 
@@ -492,7 +507,11 @@ def _pinned_input(name):
 def test_counts_match_pinned_values(case):
     name, kind, interval = case
     nfa = _pinned_input(name)
-    reg = CCLRegistry() if kind == "ccl" else CCLSRegistry(Preorder(compute_similarity(nfa)))
+    if kind == "ccl":
+        reg = CCLRegistry()
+    else:
+        p = Preorder(compute_similarity(nfa))
+        reg, nfa = CCLSRegistry(p), PrunedView(nfa, p)
     reg.cover_hits = []
     stats = RunStats()
     res = otf_determinize(nfa, reg, stats, FixedInterval(interval))
@@ -522,10 +541,11 @@ def test_peak_states_match_pinned_values(name):
     nfa = _pinned_input(name)
     preorder = Preorder(compute_similarity(nfa))
     peaks = []
-    for make in (CCLRegistry, lambda: CCLSRegistry(preorder)):
+    runs = ((nfa, CCLRegistry), (PrunedView(nfa, preorder), lambda: CCLSRegistry(preorder)))
+    for work, make in runs:
         for interval in (1, 3):
             stats = RunStats()
-            otf_determinize(nfa, make(), stats, FixedInterval(interval))
+            otf_determinize(work, make(), stats, FixedInterval(interval))
             peaks.append(stats.peak_intermediate_states)
     assert tuple(peaks) == _PINNED_PEAKS[name]
 
@@ -535,7 +555,9 @@ def test_peak_states_match_pinned_values(name):
 # registries kept the one table of puts and the cover index stopped
 # rebuilding; a change that must not move any output or count keeps these.
 # The gen-26 brz-s and brz-otf-s tuples were re-pinned when those pipelines
-# began to quotient the reversed automaton by its own similarity.
+# began to quotient the reversed automaton by its own similarity, and the
+# exact and cover hits of the tv -s tuples when the -s pipelines began to
+# prune every explored metastate (their sum did not move).
 _RUNSTATS_FIELDS = (
     "final_states",
     "peak_intermediate_states",
@@ -596,33 +618,33 @@ _PINNED_RUNSTATS = {
     ("gen-26", "brz-otf", 5000): (19, 19, 0, 0, 37, 113, 0, 35),
     ("gen-26", "brz-otf-s", 5000): (19, 19, 0, 0, 36, 110, 0, 34),
     ("tv-16", "sc", 3): (5, 55, 50, 1, 55, 56, 0, 54),
-    ("tv-16", "sc-s", 3): (5, 44, 39, 1, 44, 30, 15, 43),
+    ("tv-16", "sc-s", 3): (5, 44, 39, 1, 44, 45, 0, 43),
     ("tv-16", "otf", 3): (5, 22, 8, 7, 44, 32, 13, 43),
-    ("tv-16", "otf-s", 3): (5, 19, 7, 6, 40, 24, 17, 39),
+    ("tv-16", "otf-s", 3): (5, 19, 7, 6, 40, 37, 4, 39),
     ("tv-16", "brz", 3): (5, 20, 15, 0, 25, 21, 6, 23),
-    ("tv-16", "brz-s", 3): (5, 12, 7, 0, 17, 4, 15, 15),
+    ("tv-16", "brz-s", 3): (5, 12, 7, 0, 17, 13, 6, 15),
     ("tv-16", "brz-otf", 3): (5, 17, 6, 3, 25, 21, 6, 23),
-    ("tv-16", "brz-otf-s", 3): (5, 11, 2, 2, 17, 4, 15, 15),
+    ("tv-16", "brz-otf-s", 3): (5, 11, 2, 2, 17, 13, 6, 15),
     ("tv-16", "sc", 5000): (5, 55, 50, 1, 55, 56, 0, 54),
-    ("tv-16", "sc-s", 5000): (5, 44, 39, 1, 44, 30, 15, 43),
+    ("tv-16", "sc-s", 5000): (5, 44, 39, 1, 44, 45, 0, 43),
     ("tv-16", "otf", 5000): (5, 55, 50, 1, 55, 56, 0, 54),
-    ("tv-16", "otf-s", 5000): (5, 44, 39, 1, 44, 30, 15, 43),
+    ("tv-16", "otf-s", 5000): (5, 44, 39, 1, 44, 45, 0, 43),
     ("tv-16", "brz", 5000): (5, 20, 15, 0, 25, 21, 6, 23),
-    ("tv-16", "brz-s", 5000): (5, 12, 7, 0, 17, 4, 15, 15),
+    ("tv-16", "brz-s", 5000): (5, 12, 7, 0, 17, 13, 6, 15),
     ("tv-16", "brz-otf", 5000): (5, 20, 15, 0, 25, 21, 6, 23),
-    ("tv-16", "brz-otf-s", 5000): (5, 12, 7, 0, 17, 4, 15, 15),
+    ("tv-16", "brz-otf-s", 5000): (5, 12, 7, 0, 17, 13, 6, 15),
     ("tv-28", "sc", 3): (25, 60, 35, 1, 60, 61, 0, 59),
-    ("tv-28", "sc-s", 3): (25, 58, 33, 1, 58, 55, 4, 57),
+    ("tv-28", "sc-s", 3): (25, 58, 33, 1, 58, 59, 0, 57),
     ("tv-28", "otf", 3): (25, 32, 1, 7, 53, 49, 5, 52),
-    ("tv-28", "otf-s", 3): (25, 32, 1, 7, 52, 46, 7, 51),
+    ("tv-28", "otf-s", 3): (25, 32, 1, 7, 52, 49, 4, 51),
     ("tv-28", "brz", 3): (25, 46, 21, 0, 71, 63, 10, 69),
     ("tv-28", "brz-s", 3): (25, 46, 21, 0, 71, 63, 10, 69),
     ("tv-28", "brz-otf", 3): (25, 41, 8, 5, 71, 63, 10, 69),
     ("tv-28", "brz-otf-s", 3): (25, 41, 8, 5, 71, 63, 10, 69),
     ("tv-28", "sc", 5000): (25, 60, 35, 1, 60, 61, 0, 59),
-    ("tv-28", "sc-s", 5000): (25, 58, 33, 1, 58, 55, 4, 57),
+    ("tv-28", "sc-s", 5000): (25, 58, 33, 1, 58, 59, 0, 57),
     ("tv-28", "otf", 5000): (25, 60, 35, 1, 60, 61, 0, 59),
-    ("tv-28", "otf-s", 5000): (25, 58, 33, 1, 58, 55, 4, 57),
+    ("tv-28", "otf-s", 5000): (25, 58, 33, 1, 58, 59, 0, 57),
     ("tv-28", "brz", 5000): (25, 46, 21, 0, 71, 63, 10, 69),
     ("tv-28", "brz-s", 5000): (25, 46, 21, 0, 71, 63, 10, 69),
     ("tv-28", "brz-otf", 5000): (25, 46, 21, 0, 71, 63, 10, 69),
@@ -845,12 +867,11 @@ class TestCanonize:
             expect = reverse(quotient) if pipeline.startswith("brz") else quotient
             assert [parts(a) for a in calls] == [parts(expect)], pipeline
 
-    def test_ccls_prunes_each_metastate_once(self, monkeypatch):
-        # a lookup that misses the exact map prunes its query, and the put
-        # that follows a miss reuses that form: one prune per put, plus one
-        # per cover hit (a hit is not put).  ``unify`` prunes again the one
-        # put of each class it joins for the first time, to build its
-        # lattice: at most two per call
+    def test_s_pipelines_prune_while_exploring(self, monkeypatch):
+        # an -s run determinizes a pruned view: the initial metastate and
+        # each successor are pruned once, the registry's puts are all pruned
+        # forms, and ``unify`` prunes nothing.  So a run makes at most k
+        # prunes per explored first-pass metastate, plus one for the initial
         prunes = []
         real_prune = registry_module.prune
 
@@ -861,40 +882,38 @@ class TestCanonize:
         monkeypatch.setattr(registry_module, "prune", counting_prune)
         made = []
 
-        class Counting(CCLSRegistry):
+        class Checked(CCLSRegistry):
             def __init__(self, preorder):
                 super().__init__(preorder)
-                self.cover_hits = []
-                self.puts = 0
-                self.unified = set()  # the roots some unify call has named
-                self.unify_prunes = 0
+                self.unifies = 0
                 made.append(self)
 
             def put(self, mask, state):
-                self.puts += 1
+                assert prune(mask, self.preorder) == mask
                 super().put(mask, state)
 
             def unify(self, root, gone):
                 before = len(prunes)
                 super().unify(root, gone)
-                fresh = len({root, gone} - self.unified)
-                assert len(prunes) - before == fresh <= 2
-                self.unified |= {root, gone}
-                self.unify_prunes += fresh
+                assert len(prunes) == before
+                self.unifies += 1
 
-        monkeypatch.setattr(engine, "CCLSRegistry", Counting)
-        cover_hits = unify_prunes = 0
-        for seed in range(4):
-            nfa = tv_nfa(random.Random(seed), 16, 1.25, 0.5)
-            for pipeline in ("sc-s", "otf-s"):
+        monkeypatch.setattr(engine, "CCLSRegistry", Checked)
+        rng = random.Random(5)
+        inputs = [tv_nfa(random.Random(seed), 16, 1.25, 0.5) for seed in range(4)]
+        inputs += [auto_nfa(auto_tracks(rng, m)) for m in (3, 4, 5)]
+        unifies = pruned = 0
+        for nfa in inputs:
+            for pipeline in ("sc-s", "otf-s", "brz-s", "brz-otf-s"):
                 prunes.clear()
                 canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
                 reg = made[-1]
-                outside = len(prunes) - reg.unify_prunes
-                assert outside == reg.puts + len(reg.cover_hits), (seed, pipeline)
-                cover_hits += len(reg.cover_hits)
-                unify_prunes += reg.unify_prunes
-        assert cover_hits > 0 and unify_prunes > 0
+                # every state the first pass put was explored
+                explored = len(reg.metastates)
+                assert len(prunes) <= nfa.alphabet_size * explored + 1, pipeline
+                unifies += reg.unifies
+                pruned += len(prunes)
+        assert unifies > 0 and pruned > 0
 
 
 class TestBrzozowskiPhase2:
@@ -911,8 +930,8 @@ class TestBrzozowskiPhase2:
     def test_two_passes_sum_into_one_run_stats(self, pipeline):
         # both passes add their counts into the RunStats they are given, so
         # running them by hand on one RunStats gives canonize's counts.  An
-        # -s pipeline determinizes the reversed quotient's own simulation
-        # quotient with CCLS, and runs phase 2 on its reverse
+        # -s pipeline determinizes the pruned view of the reversed quotient's
+        # own simulation quotient with CCLS, and runs phase 2 on its reverse
         otf = "otf" in pipeline
         simulated = pipeline.endswith("-s")
         merged = 0
@@ -922,11 +941,13 @@ class TestBrzozowskiPhase2:
                 n = rev.num_states
                 rev, rel = simulation_quotient(rev, compute_similarity(rev))
                 merged += rev.num_states < n
-                registry = CCLSRegistry(Preorder(rel))
+                p = Preorder(rel)
+                registry, explored = CCLSRegistry(p), PrunedView(rev, p)
             else:
                 registry = CCLRegistry() if otf else OneToOneRegistry()
+                explored = rev
             stats = RunStats()
-            first = otf_determinize(rev, registry, stats, Threshold(3) if otf else None)
+            first = otf_determinize(explored, registry, stats, Threshold(3) if otf else None)
             residual = ResidualRegistry(first.metastates, rev.num_states)
             otf_determinize(reverse(rev), residual, stats)
             _, expect = canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))

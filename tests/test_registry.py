@@ -14,6 +14,7 @@ from nfacanon.registry import (
     CCLSRegistry,
     Lattice,
     OneToOneRegistry,
+    PrunedView,
     RegistryContractError,
     ResidualRegistry,
 )
@@ -93,8 +94,8 @@ class TestFind:
         for _ in range(200):
             if rng.random() < 0.5 or len(classes) < 2:
                 mask = to_mask([s for s in range(14) if rng.random() < 0.4])
-                if mask in reg._exact:
-                    continue
+                if lookup(reg, mask) is not None:
+                    continue  # the loop puts only the metastates its lookup missed
                 state = len(reg.metastates)
                 reg.put(mask, state)
                 classes[state] = {state}
@@ -137,6 +138,32 @@ class TestContract:
         reg.put(to_mask([1]), 1)
         assert reg.metastates == _masks([0], [1])
         assert reg._exact == {to_mask([0]): 0, to_mask([1]): 1}
+
+    @pytest.mark.parametrize(
+        "make", [CCLRegistry, lambda: CCLSRegistry(identity_preorder(5))], ids=["ccl", "ccls"]
+    )
+    def test_put_of_a_covered_metastate_rejected(self, make):
+        # every put but the first follows the miss of its metastate, so a
+        # metastate that a merged lattice covers is refused; the exact map
+        # would otherwise answer it apart from the lattice's class
+        reg = make()
+        reg.put(0b001, 0)
+        reg.put(0b100, 1)
+        reg.unify(0, 1)  # [{0} | {2}, {0, 2}]
+        with pytest.raises(RegistryContractError):
+            reg.put(0b101, 2)
+        assert reg.metastates == [0b001, 0b100] and 0b101 not in reg._exact
+        assert lookup(reg, 0b101) == 0
+        # a miss recorded before a unify is checked again: the join covers it
+        reg.put(0b1000, 2)
+        assert lookup(reg, 0b1001) is None
+        reg.unify(0, 2)
+        with pytest.raises(RegistryContractError):
+            reg.put(0b1001, 3)
+        # the metastate the last lookup missed is put unchecked
+        assert lookup(reg, 0b10000) is None
+        reg.put(0b10000, 3)
+        assert lookup(reg, 0b10000) == 3 and lookup(reg, 0b1001) == 0
 
     @pytest.mark.parametrize(
         "make", [CCLRegistry, lambda: CCLSRegistry(identity_preorder(5))], ids=["ccl", "ccls"]
@@ -318,7 +345,7 @@ class TestCCL:
         states = []
         for _ in range(300):
             mask = to_mask([s for s in range(10) if rng.random() < 0.4])
-            if mask not in reg._exact:
+            if lookup(reg, mask) is None:
                 states.append(len(reg.metastates))
                 reg.put(mask, states[-1])
             if len(states) >= 2 and rng.random() < 0.3:
@@ -379,7 +406,8 @@ class TestCCLS:
         states = []
         for _ in range(200):
             mask = to_mask([s for s in range(10) if rng.random() < 0.4])
-            if mask not in ccl._exact:
+            if lookup(ccl, mask) is None:
+                assert lookup(ccls, mask) is None
                 states.append(len(ccl.metastates))
                 ccl.put(mask, states[-1])
                 ccls.put(mask, states[-1])
@@ -390,48 +418,46 @@ class TestCCLS:
             assert lookup(ccl, probe) == lookup(ccls, probe)
 
     def test_put_widens_lattice(self):
-        # a put keeps only its pruned form; the lattice it stands for,
-        # [{0}, {0, 1}], is built when its class is first unified
+        # a put is a pruned form, and its lattice, [{0}, {0, 1}], is built
+        # when its class is first unified
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([0]), 0)
-        assert reg.lattices == {} and reg._by_pruned == {to_mask([0]): 0}
+        assert reg.lattices == {} and reg._exact == {to_mask([0]): 0}
         reg.put(to_mask([2]), 1)  # a point
         reg.unify(0, 1)
         lat = reg.lattices[find(reg, 0)]
         assert lat.greatest & to_mask([0, 1]) == to_mask([0, 1])
         assert lat.minimals == _masks([0], [2])
-        assert lat.puts == _masks([0], [2]) and reg._by_pruned == {}
+        assert lat.puts == _masks([0], [2])
+        # a pruned query between the minimals and the greatest element
+        assert prune(to_mask([0, 2]), p) == to_mask([0, 2])
+        assert lookup(reg, to_mask([0, 2])) == 0
 
     def test_get_hits_saturated_form_without_unify(self):
+        # {0, 1} lies in the lattice [{0}, {0, 1}] of the put {0}; the
+        # registry is asked for its pruned form, the key of the exact map
         p = _strict_preorder()
         reg = CCLSRegistry(p)
         reg.put(to_mask([0]), 0)
-        assert lookup(reg, to_mask([0, 1])) == 0
-
-    def test_get_prunes_query(self):
-        p = _strict_preorder()
-        reg = CCLSRegistry(p)
-        reg.put(to_mask([0, 2]), 0)
-        # query {0,1,2} prunes to {0,2}, matching the stored minimal
-        assert lookup(reg, to_mask([0, 1, 2])) == 0
+        assert lookup(reg, prune(to_mask([0, 1]), p)) == 0
 
     def test_unseen_uncovered_undefined(self):
         reg = CCLSRegistry(_strict_preorder())
         assert lookup(reg, to_mask([2])) is None
 
     def test_put_of_an_unmerged_key_rejected(self):
-        # a put follows the miss of its metastate, so its pruned form is no
-        # key of the dict of pruned puts; one that is was covered, and is
-        # refused
-        reg = CCLSRegistry(_strict_preorder())
+        # {0, 1} prunes to {0}, the key of a put: the exact map answers it,
+        # and a put of it again is refused
+        p = _strict_preorder()
+        reg = CCLSRegistry(p)
         reg.put(to_mask([0]), 0)  # [{0}, {0, 1}]: keyed by {0}
-        q = to_mask([0, 1])  # prunes to {0}
-        assert lookup(reg, q) == 0
+        q = prune(to_mask([0, 1]), p)
+        assert q == to_mask([0]) and lookup(reg, q) == 0
         with pytest.raises(RegistryContractError):
             reg.put(q, 1)
-        assert q not in reg._exact and reg.metastates == [to_mask([0])]
-        assert reg._by_pruned == {to_mask([0]): 0} and reg.lattices == {}
+        assert reg.metastates == [to_mask([0])] and reg._exact == {q: 0}
+        assert reg.lattices == {}
         reg.put(to_mask([2]), 1)  # the refused state is still the next id
         assert lookup(reg, q) == 0 and lookup(reg, to_mask([2])) == 1
 
@@ -463,21 +489,45 @@ def _preorder_and_masks(draw):
 
 
 class TestUnmergedLattice:
-    """The lemma behind the ``_by_pruned`` dict of ``CCLSRegistry``."""
+    """The lemma by which the exact map answers for a CCLS class never unified."""
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(case=_preorder_and_masks())
     def test_covers_a_pruned_query_iff_same_pruned_form(self, case):
         # preorders with mutually similar states included: brz-s prunes by
-        # the similarity of the reversed quotient, which is not antisymmetric
+        # the similarity of the reversed quotient, which is not antisymmetric.
+        # The lattice of the pruned put prune(m) is the lattice of m
         p, m, q = case
-        lat = Lattice(0, saturate(m, p), [prune(m, p)], [m])
-        assert covers(lat, prune(q, p)) == (prune(q, p) == prune(m, p))
+        put = prune(m, p)
+        assert saturate(put, p) == saturate(m, p)
+        lat = Lattice(0, saturate(put, p), [put], [put])
+        assert covers(lat, prune(q, p)) == (prune(q, p) == put)
 
 
 _antichains = st.lists(st.one_of(st.just(0), st.integers(1, 63)), max_size=8).map(
     antichain_reference
 )
+
+
+class TestPrunedView:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_prunes_the_initial_metastate_and_every_successor(self, seed):
+        # against pruning every successor; ``feeds`` holds exactly the
+        # states with an edge into ``pruners``.  The reversed inputs prune
+        # by a preorder with ties, as brz-s
+        rng = random.Random(seed)
+        nfa = tv_nfa(rng, rng.randint(4, 14), 1.25, 0.5)
+        for work in (nfa, reverse(nfa)):
+            p = Preorder(compute_similarity(work))
+            view = PrunedView(work, p)
+            assert view.initial_mask == prune_reference(work.initial_mask, p)
+            assert (view.alphabet_size, view.final_mask) == (work.alphabet_size, work.final_mask)
+            feeds = [s for s, _, t in work.edges() if p.pruners >> t & 1]
+            assert view.feeds == to_mask(feeds)
+            for _ in range(50):
+                mask = rng.getrandbits(work.num_states)
+                expect = [prune_reference(m, p) for m in work.successors(mask)]
+                assert view.successors(mask) == expect
 
 
 class TestResidual:
@@ -629,8 +679,12 @@ def _run_ops(reg, rng, positions, steps):
     root_of: list[int] = []  # by state id
     unifies = 0
 
+    p = getattr(reg, "preorder", None)
+
     def draw_mask():
-        return to_mask([x for x in positions if rng.random() < 0.4])
+        # a CCLS registry is asked about pruned metastates only
+        mask = to_mask([x for x in positions if rng.random() < 0.4])
+        return mask if p is None else prune_reference(mask, p)
 
     for _ in range(steps):
         op = rng.random()
@@ -669,11 +723,9 @@ def _check_invariants(reg, classes, unifies):
         ref = lattice_of_puts(root, classes[root], p)
         assert lat.rep == root and lat.puts == classes[root]
         assert lat.greatest == ref.greatest and sorted(lat.minimals) == sorted(ref.minimals)
-    # a CCLS class never unified is its pruned form in the dict, and
-    # nothing else is there
+    # a CCLS registry is given pruned metastates only
     if p is not None:
-        unmerged = [(root, puts[0]) for root, puts in classes.items() if len(puts) == 1]
-        assert reg._by_pruned == {prune_reference(m, p): root for root, m in unmerged}
+        assert all(prune_reference(m, p) == m for m in reg.metastates)
     # the index's live rows are the lattices, in the dict's order; every
     # unify added one row
     index = reg._index
@@ -737,14 +789,12 @@ class TestCoverIndex:
     def test_ccls_point_lattices_get_no_rows(self):
         p = _strict_preorder()
         reg = CCLSRegistry(p)
-        reg.put(to_mask([2]), 0)  # prune == saturate: a point, keyed as any put
+        reg.put(to_mask([2]), 0)  # prune == saturate: a point
         assert reg._index.rows == [] and reg.lattices == {}
-        assert reg._by_pruned == {to_mask([2]): 0}
-        reg.put(to_mask([0]), 1)  # saturates to {0, 1}: keyed by {0}
+        reg.put(to_mask([0]), 1)  # saturates to {0, 1}: no lattice before a unify
         assert reg._index.rows == [] and reg.lattices == {}
-        assert reg._by_pruned == {to_mask([2]): 0, to_mask([0]): 1}
+        assert reg._exact == {to_mask([2]): 0, to_mask([0]): 1}
         reg.unify(0, 1)  # the merged lattice is indexed
-        assert reg._by_pruned == {}
         assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
 
     def test_empty_minimal_covers_everything_below_greatest(self):

@@ -9,8 +9,9 @@ Metastates (sets of NFA states) are integer bitmasks throughout;
 :func:`to_mask` packs a collection of states into one, and
 :func:`bit_rows` each row of a boolean matrix.  Subset construction asks
 an ``Nfa`` for every per-symbol successor of a metastate
-(``Nfa.successors``); every determinization, both Brzozowski passes
-included, runs on an ``Nfa``.  Language checks (membership, equivalence,
+(``Nfa.successors``); every determinization runs on an ``Nfa``, except
+the first pass of an ``-s`` pipeline, which runs on the
+``registry.PrunedView`` of one.  Language checks (membership, equivalence,
 inclusion, enumeration) are test oracles and live with the tests.
 """
 

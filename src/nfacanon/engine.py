@@ -27,7 +27,7 @@ from .registry import (
     Registry,
     ResidualRegistry,
 )
-from .simulation import Preorder, compute_similarity, simulation_quotient
+from .simulation import compute_similarity, simulation_quotient
 
 PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s")
 
@@ -311,10 +311,11 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     Brzozowski pipeline reverses that quotient.  Call the result B, the
     automaton to determinize.  An ``-s`` pipeline replaces B by its
     quotient under simulation equivalence, which keeps its language (Ilie,
-    Navarro & Yu, "On NFA Reductions", 2004), and packs one ``Preorder`` of
-    that quotient's similarity: one similarity per run.  It determinizes
-    the ``PrunedView`` of B by that preorder, so every metastate it
-    explores is pruned, and its CCLS registry reads the same preorder.
+    Navarro & Yu, "On NFA Reductions", 2004), and ``simulation_quotient``
+    returns with it one ``Preorder``, the partial order that B's similarity
+    induces on the classes: one similarity per run.  It determinizes the
+    ``PrunedView`` of B by that order, so every metastate it explores is
+    pruned, and its CCLS registry reads the same order.
     For the subset pipelines, bisimilar states are mutually similar, so
     similarity runs on the smaller automaton and finds the simulation
     quotient of the trimmed input, state numbering included.
@@ -344,9 +345,8 @@ def _run_pipeline(nfa, config, stats, start, deadline):
 
     # ``explored`` is the automaton the registry lookups refer to
     if simulated:
-        work, rel = simulation_quotient(work, compute_similarity(work))
+        work, preorder = simulation_quotient(work, compute_similarity(work))
         _check_deadline(deadline)
-        preorder = Preorder(rel)
         explored: Nfa | PrunedView = PrunedView(work, preorder)
         registry: Registry = CCLSRegistry(preorder)
     else:

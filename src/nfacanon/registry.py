@@ -44,13 +44,12 @@ A CCLS registry is asked only about pruned metastates: its determinization
 runs on a ``PrunedView`` of the automaton, whose initial metastate and
 successors are pruned, so its queries and puts are all pruned forms.
 
-A class is kept in one of two ways.  Let the preorder be reflexive and
-transitive (for CCL it is the identity) and ``prune`` keep, with its
-tie-break, a dominating member for every member it drops.  Lemma: the
-lattice ``[m, saturate(m)]`` of a single pruned put m, never merged,
-covers a pruned query p iff p == m.  (Each x in p lies below some y in m,
-a subset of p, and no member of a pruned metastate lies below another, so
-x == y.)  Hence:
+A class is kept in one of two ways.  Let the preorder be a partial order
+(for CCL it is the identity), so ``prune`` keeps a member above every
+member it drops.  Lemma: the lattice ``[m, saturate(m)]`` of a single
+pruned put m, never merged, covers a pruned query p iff p == m.  (Each x
+in p is in m, a subset of p, or strictly below some y in m, and no member
+of a pruned metastate is strictly below another, so x is in m.)  Hence:
 
 * an *unmerged* class, the single put m of a state, builds no lattice: its
   entries in the exact map and in ``metastates`` are all there is, because
@@ -348,7 +347,7 @@ class CCLRegistry(OneToOneRegistry):
 class CCLSRegistry(CCLRegistry):
     """CCL refined by a similarity preorder on the automaton it determinizes.
 
-    The preorder must be reflexive and transitive, and every metastate the
+    The preorder must be a partial order, and every metastate the
     registry is asked about or given must be pruned by it: the
     determinization runs on a ``PrunedView`` built with the same preorder.
     The lattice of a put m is ``[m, saturate(m)]``, which ``unify`` builds

@@ -3,50 +3,38 @@
 ``compute_similarity`` returns the coarsest simulation preorder as a
 boolean matrix ``rel``: ``rel[x, y]`` means y simulates x, hence L(x) is a
 subset of L(y).  ``simulation_quotient`` merges mutually similar states and
-returns the relation induced on the classes.  ``Preorder`` packs such a
-relation into the bitmask rows that ``prune`` and ``saturate`` read; the
-simulation-enabled pipelines pack one, which both the pruning view they
-determinize and their CCLS registry read.
+packs the relation induced on the classes, a partial order, into the
+``Preorder`` whose rows ``prune`` and ``saturate`` read.  It is the one
+producer of a ``Preorder``: an ``-s`` pipeline takes one quotient, and both
+the pruning view it determinizes and its CCLS registry read its order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .automata import Nfa, bit_rows, quotient
+from .automata import Nfa, bit_rows, quotient, to_mask
 
 
 class Preorder:
-    """Preorder over NFA states, as per-state bitmask rows.
+    """Partial order over NFA states, as per-state bitmask rows.
 
     It is packed from a boolean matrix ``rel`` (``rel[x, y]``: x <= y),
-    which it does not keep: only the rows that ``prune`` and ``saturate``
-    read, and two masks of the members whose row is not trivial.
-    ``lowered`` holds the states whose ``below`` row has a bit besides
-    their own, ``pruners`` those whose ``pruned_by`` row is not empty.
-    ``rel`` must be reflexive and transitive.  ``saturate`` counts on every
-    other state's ``below`` row being the state alone, and ``prune`` keeps a
-    member that dominates each member it drops only when ``rel`` is
-    transitive.  An ``-s`` determinization runs on a ``PrunedView`` of its
-    automaton by one ``Preorder``, which relies on that to keep each pruned
-    metastate's language, and its CCLS registry saturates lattices by the
-    same one.
-    ``compute_similarity`` and ``simulation_quotient`` return such
-    relations.
+    which must be a partial order: reflexive, antisymmetric and transitive,
+    as the relation that similarity induces on its own quotient is.  It
+    does not keep ``rel``, only the strict rows: ``below[y]`` holds the x
+    with x < y.  ``pruners`` holds the states whose row is not empty, the
+    only ones that ``prune`` and ``saturate`` read.  An ``-s``
+    determinization runs on a ``PrunedView`` of its automaton by one
+    ``Preorder``, and its CCLS registry saturates lattices by the same one.
     """
 
-    __slots__ = ("below", "pruned_by", "lowered", "pruners")
+    __slots__ = ("below", "pruners")
 
     def __init__(self, rel: np.ndarray):
-        self.below = bit_rows(rel.T)  # below[y] = bitmask of all x with x <= y
-        # pruned_by[y] = the x that y drops from a metastate holding both:
-        # x <= y but not y <= x, or x and y mutually similar and x > y
-        pruned_by = rel.T & ~(rel & np.tri(len(rel), dtype=bool))
-        self.pruned_by = bit_rows(pruned_by)
-        # column y of rel is below[y]: it has a bit besides y's own when it
-        # counts more than its diagonal entry
-        lowered = np.count_nonzero(rel, axis=0) > rel.diagonal()
-        self.lowered, self.pruners = bit_rows(np.stack([lowered, pruned_by.any(axis=1)]))
+        # column y of rel holds the x <= y; y itself is dropped from it
+        self.below = [row & ~(1 << y) for y, row in enumerate(bit_rows(rel.T))]
+        self.pruners = to_mask(y for y, row in enumerate(self.below) if row)
 
 
 def compute_similarity(nfa: Nfa) -> np.ndarray:
@@ -130,28 +118,13 @@ def _refine(sim: np.ndarray, dst: np.ndarray, first: np.ndarray, steps: list) ->
         sim[sources] = rows
 
 
-def prune(metastate: int, p: Preorder) -> int:
-    """Drop members strictly dominated by another member.
+def _dominated(metastate: int, p: Preorder) -> int:
+    """The states strictly below some member of ``metastate``.
 
-    Among mutually similar members the smallest identifier survives.  Only
-    members in ``p.pruners`` can drop any.
+    Only members in ``p.pruners`` have any.
     """
-    dropped = 0
+    out = 0
     m = metastate & p.pruners
-    while m:
-        low = m & -m
-        m ^= low
-        dropped |= p.pruned_by[low.bit_length() - 1]
-    return metastate & ~dropped
-
-
-def saturate(metastate: int, p: Preorder) -> int:
-    """Add every state dominated by some member.
-
-    Only members in ``p.lowered`` dominate a state besides themselves.
-    """
-    out = metastate
-    m = metastate & p.lowered
     while m:
         low = m & -m
         m ^= low
@@ -159,15 +132,30 @@ def saturate(metastate: int, p: Preorder) -> int:
     return out
 
 
-def simulation_quotient(nfa: Nfa, rel: np.ndarray) -> tuple[Nfa, np.ndarray]:
+def prune(metastate: int, p: Preorder) -> int:
+    """Drop the members strictly below another member.
+
+    In a partial order every dropped member lies below a kept one: a
+    maximal member above it.
+    """
+    return metastate & ~_dominated(metastate, p)
+
+
+def saturate(metastate: int, p: Preorder) -> int:
+    """Add every state strictly below some member."""
+    return metastate | _dominated(metastate, p)
+
+
+def simulation_quotient(nfa: Nfa, rel: np.ndarray) -> tuple[Nfa, Preorder]:
     """Merge mutually similar states of ``nfa``; language is preserved.
 
     ``rel`` is the similarity of ``nfa`` as ``compute_similarity`` returns
-    it.  Also returns the quotient's similarity, which is the relation
-    ``rel`` induces on the classes: ``[x] <= [y]`` iff ``x <= y``.
+    it.  Also returns the quotient's similarity as a ``Preorder``: the
+    relation ``rel`` induces on the classes, ``[x] <= [y]`` iff ``x <= y``,
+    which is a partial order because mutually similar states share a class.
     """
     # each state's class is named by its smallest mutually similar state,
     # the first true column of its row (x itself, by reflexivity, at worst)
     reps, block = np.unique(np.argmax(rel & rel.T, axis=1), return_inverse=True)
     # two 1-D takes: np.ix_ indexes a boolean matrix several times slower
-    return quotient(nfa, block, len(reps)), rel[reps][:, reps]
+    return quotient(nfa, block, len(reps)), Preorder(rel[reps][:, reps])

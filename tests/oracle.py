@@ -12,7 +12,7 @@ merge order and state numbering included.  ``antichain_reference`` is the
 earlier pairwise antichain filter that ``Lattice.absorb`` must match.
 ``prune_reference`` and ``saturate_reference`` are the earlier loops over
 every member that the masked ``prune`` and ``saturate`` must match.
-``leq`` reads a ``Preorder``'s relation off its rows, and
+``leq`` reads a ``Preorder``'s partial order off its strict rows, and
 ``identity_preorder`` builds one.
 ``edges_reference`` and ``trim_reference`` are the earlier walks over every
 successor mask that the edge arrays of ``Nfa`` and the array ``trim`` must
@@ -371,26 +371,23 @@ def similarity_fixpoint_reference(nfa: Nfa) -> np.ndarray:
     return rel
 
 
-def preorder_rows_reference(above: list[int]) -> tuple[list[int], list[int]]:
-    """``below`` and ``pruned_by`` rows of a relation given by ``above`` rows.
+def preorder_rows_reference(above: list[int]) -> list[int]:
+    """The strict ``below`` rows of a partial order given by ``above`` rows.
 
-    ``below[y]`` holds every x whose row ``above[x]`` has bit y.
-    ``pruned_by[y]`` holds the x of ``below[y]`` that y drops from a
-    metastate holding both: all of them except the x with y <= x as well
-    and x <= y as ids.  Derived bit by bit.
+    ``below[y]`` holds every x other than y whose row ``above[x]`` has bit
+    y.  Derived bit by bit.
     """
-    n = len(above)
-    below = [0] * n
+    below = [0] * len(above)
     for x, row in enumerate(above):
         for y in members(row):
-            below[y] |= 1 << x
-    pruned_by = [below[y] & ~(above[y] & ((2 << y) - 1)) for y in range(n)]
-    return below, pruned_by
+            if y != x:
+                below[y] |= 1 << x
+    return below
 
 
 def leq(p: Preorder, x: int, y: int) -> bool:
-    """Whether y simulates x under ``p``: x is in its ``below`` row."""
-    return bool(p.below[y] >> x & 1)
+    """Whether y simulates x under ``p``: x is y or in its strict row."""
+    return x == y or bool(p.below[y] >> x & 1)
 
 
 def identity_preorder(num_states: int) -> Preorder:
@@ -398,19 +395,19 @@ def identity_preorder(num_states: int) -> Preorder:
 
 
 def prune_reference(metastate: int, p: Preorder) -> int:
-    """``prune`` ORing the ``pruned_by`` row of every member."""
+    """``prune`` dropping the strict row of every member."""
     dropped = 0
     m = metastate
     while m:
         low = m & -m
         m ^= low
-        dropped |= p.pruned_by[low.bit_length() - 1]
+        dropped |= p.below[low.bit_length() - 1]
     return metastate & ~dropped
 
 
 def saturate_reference(metastate: int, p: Preorder) -> int:
-    """``saturate`` ORing the ``below`` row of every member."""
-    out = 0
+    """``saturate`` adding the strict row of every member."""
+    out = metastate
     m = metastate
     while m:
         low = m & -m

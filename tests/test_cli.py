@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from nfacanon.automata import isomorphic
 from nfacanon.bench import CSV_COLUMNS
 from nfacanon.cli import EXIT_CONTRACT, EXIT_OK, EXIT_PARSE, EXIT_TIMEOUT, main
 from nfacanon.io import parse_dfa, parse_nfa, serialize_nfa
-from nfacanon.registry import OneToOneRegistry, RegistryContractError
+from nfacanon.registry import CCLRegistry, OneToOneRegistry, RegistryContractError
 
 from oracle import canonical_dfa
 
@@ -159,6 +160,27 @@ class TestCanonize:
         row = json.loads(capsys.readouterr().out)
         nfa, _ = parse_nfa(open(instance_file).read())
         assert row["final_states"] == canonical_dfa(nfa).num_states
+
+    @pytest.mark.parametrize(
+        "pipeline, threshold", [("otf", 1), ("otf-s", 1), ("brz-otf", 1), ("brz-otf-s", 3)]
+    )
+    def test_tv12_runs_unify(self, capsys, monkeypatch, pipeline, threshold):
+        # the CI steps on the committed tv-12 NFA run these commands to cover
+        # ``unify`` in CCL and CCLS, forward and in Brzozowski's first pass
+        # (CCLS inherits CCL's ``unify``)
+        calls = []
+        unify = CCLRegistry.unify
+
+        def counting(self, root, gone):
+            calls.append((root, gone))
+            unify(self, root, gone)
+
+        monkeypatch.setattr(CCLRegistry, "unify", counting)
+        path = str(Path(__file__).parent / "data" / "tv-12.nfa")
+        args = ["canonize", path, "--pipeline", pipeline, "--threshold-init", str(threshold)]
+        assert main(args) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["minimizations"] > 0
+        assert calls
 
 
 class TestSweepAndSummarize:

@@ -53,6 +53,14 @@ def _lang_from(nfa, mask, depth):
     return enumerate_language(rooted, depth)
 
 
+def _order(nfa):
+    """The ``Preorder`` of ``nfa``'s simulation quotient, which merges none
+    of its states here, so they keep their ids."""
+    q, p = simulation_quotient(nfa, compute_similarity(nfa))
+    assert q.num_states == nfa.num_states
+    return p
+
+
 def _strict_pair_nfa():
     """4-state NFA where state 1 simulates state 0 strictly.
 
@@ -145,8 +153,7 @@ class TestComputeSimilarity:
         nfa = _chain_nfa(6)
         rel = compute_similarity(nfa)
         assert _above(rel) == similarity_reference(nfa)
-        p = Preorder(rel)
-        assert not any(leq(p, i, 7 + i) for i in range(7))
+        assert not any(rel[i, 7 + i] for i in range(7))
         assert len(rounds) >= 3  # six rounds drop pairs, the seventh none
 
     @pytest.mark.parametrize(
@@ -155,11 +162,11 @@ class TestComputeSimilarity:
         ids=["n150-d2", "n600-d2", "n1000-d8"],
     )
     def test_matches_fixpoint_reference_on_generated(self, params):
-        # sizes far beyond the pairwise reference; the reversed simulation
-        # quotient is the input similarity gets in the brz-s pipelines
-        nfa = generate(params)
-        q, _ = simulation_quotient(nfa, compute_similarity(nfa))
-        for work in (nfa, reverse(q)):
+        # sizes far beyond the pairwise reference, on the inputs similarity
+        # gets in the -s pipelines: the bisimulation quotient of the trimmed
+        # input, and its reverse for brz-s and brz-otf-s
+        quotient = bisimulation_quotient(trim(generate(params)))
+        for work in (quotient, reverse(quotient)):
             rel = compute_similarity(work)
             assert np.array_equal(rel, similarity_fixpoint_reference(work))
 
@@ -180,25 +187,25 @@ class TestComputeSimilarity:
         assert _above(compute_similarity(nfa)) == similarity_reference(nfa)
 
     def test_reflexive(self, ends_in_a):
-        p = Preorder(compute_similarity(ends_in_a))
+        p = _order(ends_in_a)
         for x in range(ends_in_a.num_states):
             assert leq(p, x, x)
 
     def test_extra_edge_dominates(self):
-        p = Preorder(compute_similarity(_strict_pair_nfa()))
+        p = _order(_strict_pair_nfa())
         assert leq(p, 0, 1)
         assert not leq(p, 1, 0)
 
     def test_final_not_below_nonfinal(self):
         nfa = Nfa(2, 1, [(0, 0, 0), (1, 0, 1)], initial=[0], final=[0])
-        p = Preorder(compute_similarity(nfa))
+        p = _order(nfa)
         assert not leq(p, 0, 1)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_implies_language_inclusion(self, seed):
         rng = random.Random(seed)
         nfa = random_nfa(rng, rng.randint(2, 8), 2)
-        p = Preorder(compute_similarity(nfa))
+        nfa, p = simulation_quotient(nfa, compute_similarity(nfa))
         depth = 2 * nfa.num_states
         langs = [_lang_from(nfa, 1 << x, depth) for x in range(nfa.num_states)]
         for x in range(nfa.num_states):
@@ -209,21 +216,18 @@ class TestComputeSimilarity:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(nfa=_nfas())
     def test_similarity_and_quotient_preorders_are_preorders(self, nfa):
-        # CCLS's registry relies on it: prune must keep a dominator of every
-        # member it drops.  The reversed quotient is what brz-s prunes by.
+        # the similarity is a preorder, whose ties the quotient merges: the
+        # -s pipelines prune by the partial order left on the classes (see
+        # test_quotient_orders_are_strict_partial_orders)
         for work in (nfa, reverse(nfa)):
-            rel = compute_similarity(work)
-            _assert_preorder(rel)
-            q, induced = simulation_quotient(work, rel)
-            _assert_preorder(induced)
-            _assert_preorder(compute_similarity(reverse(q)))
+            _assert_preorder(compute_similarity(work))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_transitive(self, seed):
         rng = random.Random(50 + seed)
         nfa = random_nfa(rng, 6, 2)
-        p = Preorder(compute_similarity(nfa))
-        n = nfa.num_states
+        q, p = simulation_quotient(nfa, compute_similarity(nfa))
+        n = q.num_states
         for x in range(n):
             for y in range(n):
                 for z in range(n):
@@ -238,26 +242,38 @@ def _assert_preorder(rel):
     assert not (m @ m > 0)[~rel].any()
 
 
-def _check_masks(p):
-    """``lowered`` and ``pruners`` hold exactly the states with non-trivial rows."""
+def _assert_strict_order(p):
+    """``p``'s rows are irreflexive, antisymmetric and transitive, and
+    ``pruners`` holds exactly the states whose row is not empty."""
     n = len(p.below)
-    assert p.lowered == to_mask(y for y in range(n) if p.below[y] & ~(1 << y))
-    assert p.pruners == to_mask(y for y in range(n) if p.pruned_by[y])
+    for y, row in enumerate(p.below):
+        assert not row >> y & 1
+        for x in members(row):
+            assert not p.below[x] >> y & 1
+            assert p.below[x] | row == row  # z < x < y implies z < y
+    assert p.pruners == to_mask(y for y in range(n) if p.below[y])
 
 
-def _random_preorder(rng, n):
-    """Reflexive-transitive closure of about n random pairs."""
+def _random_order(rng, n):
+    """Reflexive-transitive closure of about n random edges x < y, where x
+    ranks below y, as a boolean matrix.
+
+    The ranks are a random permutation, so the order does not follow the
+    state ids.
+    """
+    rank = rng.sample(range(n), n)
     rel = np.eye(n, dtype=bool)
     for _ in range(n):
-        rel[rng.randrange(n), rng.randrange(n)] = True
+        x, y = rng.randrange(n), rng.randrange(n)
+        rel[x, y] |= rank[x] < rank[y]
     for k in range(n):
         rel |= rel[:, [k]] & rel[k]
-    return Preorder(rel)
+    return rel
 
 
 def _check_against_references(p, rng, draws=40):
     """Masked ``prune``/``saturate`` equal the loops over every member."""
-    _check_masks(p)
+    _assert_strict_order(p)
     n = len(p.below)
     masks = [0, (1 << n) - 1] + [1 << s for s in range(min(n, 64))]
     for density in (0.02, 0.2, 0.6):
@@ -271,44 +287,46 @@ def _check_against_references(p, rng, draws=40):
 
 class TestPreorder:
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64, 65])
-    def test_rows_match_reference_with_ties(self, n):
-        # any relation, not only preorders; mutual pairs exercise the id
-        # tie-break of pruned_by
-        rng = np.random.default_rng(n)
-        for density in (0.1, 0.5, 0.9):
-            rel = rng.random((n, n)) < density
-            rel |= rel.T & (rng.random((n, n)) < 0.5)
+    def test_rows_match_reference(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            rel = _random_order(rng, n)
             p = Preorder(rel)
-            assert (p.below, p.pruned_by) == preorder_rows_reference(_above(rel))
+            assert p.below == preorder_rows_reference(_above(rel))
             assert all(leq(p, x, y) == rel[x, y] for x in range(n) for y in range(n))
-            _check_masks(p)
+            _assert_strict_order(p)
         p = identity_preorder(n)
-        assert p.below == [1 << x for x in range(n)]
-        assert p.pruned_by == [0] * n
-        assert p.lowered == p.pruners == 0
+        assert p.below == [0] * n
+        assert p.pruners == 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(nfa=_nfas())
+    def test_quotient_orders_are_strict_partial_orders(self, nfa):
+        # every automaton an -s pipeline quotients: a bisimulation quotient
+        # or its reverse; the raw input and its reverse too
+        quotient = bisimulation_quotient(nfa)
+        for work in (nfa, reverse(nfa), quotient, reverse(quotient)):
+            _, p = simulation_quotient(work, compute_similarity(work))
+            _assert_strict_order(p)
 
 
 class TestPruneSaturate:
     def test_prune_strictly_dominated(self):
-        nfa = _strict_pair_nfa()
-        p = Preorder(compute_similarity(nfa))
+        p = _order(_strict_pair_nfa())
         assert prune(to_mask([0, 1]), p) == to_mask([1])
 
     def test_prune_incomparable_unchanged(self):
-        nfa = _strict_pair_nfa()
-        p = Preorder(compute_similarity(nfa))
+        p = _order(_strict_pair_nfa())
         # 2 and 3 accept different languages and are incomparable
         assert not leq(p, 2, 3) and not leq(p, 3, 2)
         assert prune(to_mask([2, 3]), p) == to_mask([2, 3])
 
     def test_prune_mixed(self):
-        nfa = _strict_pair_nfa()
-        p = Preorder(compute_similarity(nfa))
+        p = _order(_strict_pair_nfa())
         assert prune(to_mask([0, 1, 2]), p) == to_mask([1, 2])
 
     def test_saturate_adds_dominated(self):
-        nfa = _strict_pair_nfa()
-        p = Preorder(compute_similarity(nfa))
+        p = _order(_strict_pair_nfa())
         assert saturate(to_mask([1]), p) & to_mask([0, 1]) == to_mask([0, 1])
 
     def test_saturate_identity_preorder_unchanged(self):
@@ -317,33 +335,23 @@ class TestPruneSaturate:
         assert saturate(mask, p) == mask
         assert prune(mask, p) == mask
 
-    def test_prune_matches_definition_with_ties(self):
-        # x survives iff no other member y has x <= y, unless y <= x too and
-        # x is the smaller id
+    def test_prune_matches_definition(self):
+        # x survives iff no other member y has x < y
         rng = random.Random(61)
-        ties = 0
         for _ in range(300):
-            p = _random_preorder(rng, rng.randint(1, 12))
+            p = Preorder(_random_order(rng, rng.randint(1, 12)))
             n = len(p.below)
-            ties += sum(leq(p, x, y) and leq(p, y, x) for x in range(n) for y in range(x))
             for _ in range(50):
                 q = [x for x in range(n) if rng.random() < 0.5]
-                expected = [
-                    x
-                    for x in q
-                    if not any(
-                        y != x and leq(p, x, y) and (not leq(p, y, x) or y < x)
-                        for y in q
-                    )
-                ]
+                expected = [x for x in q if not any(y != x and leq(p, x, y) for y in q)]
                 assert prune(to_mask(q), p) == to_mask(expected)
-        assert ties > 0
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65, 130])
-    def test_masked_loops_match_references_on_random_preorders(self, n):
-        rng = random.Random(7000 + n)
-        for _ in range(5):
-            _check_against_references(_random_preorder(rng, n), rng)
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_masked_loops_match_references_on_random_orders(self, n, seed):
+        rng = random.Random(seed)
+        _check_against_references(Preorder(_random_order(rng, n)), rng, draws=10)
 
     @pytest.mark.parametrize("n", [1, 9, 65])
     def test_masked_loops_match_references_on_identity(self, n):
@@ -355,31 +363,30 @@ class TestPruneSaturate:
         ids=["n150-d2", "n600-d2", "n100-d4"],
     )
     def test_masked_loops_match_references_on_generated(self, params):
-        # the preorders the -s pipelines use: the quotient's induced one,
-        # and the similarity of the reversed quotient (brz-s); untrimmed,
-        # dead states make nearly every row non-trivial, trimmed only a few
+        # the orders the -s pipelines use: of the simulation quotient of the
+        # input and, for brz-s, of its reverse; untrimmed, dead states make
+        # nearly every row non-trivial, trimmed only a few
         rng = random.Random(params.seed)
         for nfa in (generate(params), trim(generate(params))):
-            q, induced = simulation_quotient(nfa, compute_similarity(nfa))
-            for rel in (compute_similarity(nfa), induced, compute_similarity(reverse(q))):
-                _check_against_references(Preorder(rel), rng, draws=15)
+            for work in (nfa, reverse(nfa)):
+                _, p = simulation_quotient(work, compute_similarity(work))
+                _check_against_references(p, rng, draws=15)
 
     def test_masked_loops_match_references_on_tv(self):
         rng = random.Random(17)
         for _ in range(10):
             nfa = tv_nfa(rng, 32, 1.25, 0.5)
-            q, induced = simulation_quotient(nfa, compute_similarity(nfa))
-            for rel in (induced, compute_similarity(reverse(q))):
-                _check_against_references(Preorder(rel), rng, draws=10)
+            for work in (nfa, reverse(nfa)):
+                _, p = simulation_quotient(work, compute_similarity(work))
+                _check_against_references(p, rng, draws=10)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_normalization_properties(self, seed):
         rng = random.Random(100 + seed)
         nfa = random_nfa(rng, rng.randint(2, 7), 2)
-        # quotient by simulation equivalence first so no two distinct states
-        # are mutually similar; prune(saturate(q)) = prune(q) needs that
-        nfa, _ = simulation_quotient(nfa, compute_similarity(nfa))
-        p = Preorder(compute_similarity(nfa))
+        # the quotient's order has no two distinct states mutually similar;
+        # prune(saturate(q)) = prune(q) needs that
+        nfa, p = simulation_quotient(nfa, compute_similarity(nfa))
         mask = to_mask(
             [s for s in range(nfa.num_states) if rng.random() < 0.5]
         ) or to_mask([0])
@@ -427,16 +434,15 @@ class TestSimulationQuotient:
         q, _ = simulation_quotient(nfa, compute_similarity(nfa))
         assert enumerate_language(q, 10) == enumerate_language(nfa, 10)
 
-
     def test_returned_preorder_is_quotient_similarity(self):
-        # the induced preorder on the classes is the quotient's largest
+        # the induced order on the classes is the quotient's largest
         # simulation, so the quotient's similarity need not be recomputed
         rng = random.Random(300)
         merged = 0
         for _ in range(200):
             nfa = random_nfa(rng, rng.randint(2, 12), rng.randint(1, 3))
-            q, induced = simulation_quotient(nfa, compute_similarity(nfa))
-            assert np.array_equal(induced, compute_similarity(q))
+            q, p = simulation_quotient(nfa, compute_similarity(nfa))
+            assert p.below == preorder_rows_reference(_above(compute_similarity(q)))
             merged += q.num_states < nfa.num_states
         assert merged >= 20  # the check covers real merges
 
@@ -445,17 +451,17 @@ class TestSimilarityAfterBisimulation:
     """The ``-s`` pipelines take the simulation quotient of the bisimulation
     quotient of the trimmed input.  Bisimilar states are mutually similar,
     so it is the simulation quotient of the trimmed input itself: the same
-    ``Nfa``, state numbering included, and the same induced relation."""
+    ``Nfa``, state numbering included, and the same induced order."""
 
     @staticmethod
     def _check(nfa) -> bool:
         """Assert the property for ``nfa``; whether bisimulation merged any state."""
         work = trim(nfa)
-        direct, direct_rel = simulation_quotient(work, compute_similarity(work))
+        direct, direct_p = simulation_quotient(work, compute_similarity(work))
         bisim = bisimulation_quotient(work)
-        chained, chained_rel = simulation_quotient(bisim, compute_similarity(bisim))
+        chained, chained_p = simulation_quotient(bisim, compute_similarity(bisim))
         assert chained == direct
-        assert np.array_equal(chained_rel, direct_rel)
+        assert (chained_p.below, chained_p.pruners) == (direct_p.below, direct_p.pruners)
         return bisim.num_states < work.num_states
 
     def test_random(self):

@@ -134,7 +134,9 @@ class Nfa:
         """Every per-symbol successor metastate of ``mask``, a new list.
 
         The first member's row is copied; the other members' rows are
-        gathered once and each symbol's column is ORed over them.
+        gathered once and each symbol's column is ORed over them.  It reads
+        only ``_succ`` and ``alphabet_size``, so ``registry.PrunedView``
+        runs it over a table of its own.
         """
         if not mask:
             return [0] * self.alphabet_size

@@ -121,6 +121,9 @@ def _pipelines(spec: str) -> list[str]:
     names = [p.strip() for p in spec.split(",") if p.strip()]
     if not names or any(p not in PIPELINES for p in names):
         raise argparse.ArgumentTypeError(f"choose from {','.join(PIPELINES)}: {spec}")
+    if len(set(names)) < len(names):
+        # each would write its own rows, which summarize pools
+        raise argparse.ArgumentTypeError(f"names a pipeline twice: {spec}")
     return names
 
 

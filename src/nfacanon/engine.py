@@ -85,10 +85,11 @@ def otf_determinize(
 ) -> DeterminizeResult:
     """Subset construction with registry lookups and on-the-fly minimization.
 
-    ``nfa`` is an ``Nfa``, or for a CCLS registry the ``PrunedView`` of
-    one; the loop reads only its successors, masks and alphabet size.
-    Exploration uses a LIFO worklist (depth-first) of (metastate, state id)
-    pairs; the unexplored states are exactly the ids on it.  The table is
+    ``nfa`` is an ``Nfa``, or in the first pass of an ``-s`` pipeline the
+    ``PrunedView`` of one; the loop reads only its successors, masks and
+    alphabet size.  Exploration uses a LIFO worklist (depth-first) of
+    (metastate, state id) pairs; the unexplored states are exactly the ids
+    on it.  The table is
     ``rows``, indexed by state id; the row of a state merged away is
     ``None``.  Each state is put under the next id, and its final flag is
     read off ``registry.metastates``, the registry's table of puts.  The
@@ -315,7 +316,11 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     returns with it one ``Preorder``, the partial order that B's similarity
     induces on the classes: one similarity per run.  It determinizes the
     ``PrunedView`` of B by that order, so every metastate it explores is
-    pruned, and its CCLS registry reads the same order.
+    pruned.  With a controller its CCLS registry reads the same order;
+    without one (``sc-s``, and the first pass of ``brz-s``) nothing is
+    unified, and by the lemma of the registry module only the exact map
+    would answer a CCLS registry, so the one-to-one registry runs instead,
+    with the same counts.
     For the subset pipelines, bisimilar states are mutually similar, so
     similarity runs on the smaller automaton and finds the simulation
     quotient of the trimmed input, state numbering included.
@@ -344,14 +349,14 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     _check_deadline(deadline)
 
     # ``explored`` is the automaton the registry lookups refer to
+    explored: Nfa | PrunedView = work
     if simulated:
         work, preorder = simulation_quotient(work, compute_similarity(work))
         _check_deadline(deadline)
-        explored: Nfa | PrunedView = PrunedView(work, preorder)
-        registry: Registry = CCLSRegistry(preorder)
-    else:
-        explored = work
-        registry = CCLRegistry() if uses_otf else OneToOneRegistry()
+        explored = PrunedView(work, preorder)
+    registry: Registry = OneToOneRegistry()
+    if uses_otf:
+        registry = CCLSRegistry(preorder) if simulated else CCLRegistry()
     controller = Threshold(config.threshold_init) if uses_otf else None
     stats.preprocess_ms = (time.perf_counter() - start) * 1000.0
     res = otf_determinize(explored, registry, stats, controller, deadline)

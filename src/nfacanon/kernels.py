@@ -4,8 +4,10 @@ Subset construction asks the automaton it determinizes for the successors
 of each metastate, so every input is its own kernel.  A determinization
 runs on an ``Nfa``, which ORs the successor masks of the metastate's
 members, gathered once, symbol by symbol (``Nfa.successors``), or on the
-``registry.PrunedView`` of one, which prunes those successors by a
-similarity preorder (the ``-s`` pipelines).  In Brzozowski's first pass
+``registry.PrunedView`` of one (the ``-s`` pipelines), which runs the same
+gather over a table whose rows also carry the states a similarity
+preorder puts strictly below their targets, and prunes each successor
+with one AND.  In Brzozowski's first pass
 that automaton is the reversed quotient, or the view of its own simulation
 quotient for ``-s``, and in his second the reverse of that quotient, whose
 registry turns forward subsets into the states of the reversed first-pass

@@ -37,12 +37,14 @@ Four implementations are provided:
   is summarized by a greatest element plus an antichain of minimal elements,
   covering every metastate sandwiched in between.
 * ``CCLSRegistry`` -- CCL with a similarity preorder, which saturates the
-  greatest elements of its lattices; ``PrunedView`` prunes the metastates
-  it is asked about.
+  greatest elements of its lattices.
 
-A CCLS registry is asked only about pruned metastates: its determinization
-runs on a ``PrunedView`` of the automaton, whose initial metastate and
-successors are pruned, so its queries and puts are all pruned forms.
+An ``-s`` determinization runs on a ``PrunedView`` of the automaton, whose
+initial metastate and successors are pruned, so the queries and puts of
+its registry are all pruned forms; the view folds the preorder into its
+successor table.  With a minimization controller that registry is CCLS.
+Without one nothing unifies, and by the lemma below a CCLS registry would
+answer from its exact map alone, so the one-to-one registry runs instead.
 
 A class is kept in one of two ways.  Let the preorder be a partial order
 (for CCL it is the identity), so ``prune`` keeps a member above every
@@ -353,7 +355,8 @@ class CCLSRegistry(CCLRegistry):
     The lattice of a put m is ``[m, saturate(m)]``, which ``unify`` builds
     when it first joins the class; by the lemma of the module docstring
     the exact map answers for it until then.  Lookups, puts and merges are
-    CCL's.
+    CCL's.  So one that never unifies answers as ``OneToOneRegistry``
+    does, and the pipelines build one only with a minimization controller.
     """
 
     def __init__(self, preorder: Preorder):
@@ -367,7 +370,7 @@ class CCLSRegistry(CCLRegistry):
 
 
 class PrunedView:
-    """An ``Nfa`` seen through ``prune``: what a CCLS determinization runs on.
+    """An ``Nfa`` seen through ``prune``: what an ``-s`` determinization runs on.
 
     It has what the determinization loop reads: the automaton's
     ``alphabet_size`` and ``final_mask``, its ``initial_mask`` pruned, and
@@ -375,10 +378,19 @@ class PrunedView:
     language of the metastate and the same final flag: each member it
     drops is simulated by one it keeps, a final one by a final one
     (Abdulla, Chen, Holík, Mayr & Vojnar, "When Simulation Meets
-    Antichains", TACAS 2010).  Only a successor with a member in
-    ``preorder.pruners`` can lose one, so no other is pruned, and only a
-    metastate with a member in ``feeds``, the states with an edge into
-    ``pruners``, has such a successor.
+    Antichains", TACAS 2010).
+
+    The order is folded into the successor table.  Write D(S) for the
+    states strictly below some member of S; the pruned form of S is
+    ``S & ~D(S)``, and D of a union is the union of the D's.  So with n
+    the automaton's states, ``_succ[q][a]`` holds the successors T of q on
+    a in its low n bits and D(T) in the next n, and the successors of a
+    metastate, ORed over its members' rows by ``Nfa.successors``' own
+    loop, carry their D above them: one AND per successor prunes it.  Only
+    a target in ``preorder.pruners`` has a D, so only the rows of
+    ``feeds``, the states with an edge into ``pruners``, are copied and
+    widened; the other rows are the automaton's own, and a metastate
+    without a member in ``feeds`` has its successors unpruned.
     """
 
     def __init__(self, nfa: Nfa, preorder: Preorder):
@@ -386,13 +398,27 @@ class PrunedView:
         self.final_mask = nfa.final_mask
         self.initial_mask = prune(nfa.initial_mask, preorder)
         self.preorder = preorder
-        self._successors = nfa.successors
-        pruners = preorder.pruners
-        self.feeds = to_mask(s for s, _, t in nfa.edges() if pruners >> t & 1)
+        n = nfa.num_states
+        self._n, self._full = n, (1 << n) - 1
+        src, sym, dst = nfa.edge_arrays()
+        below = preorder.below
+        has_below = np.fromiter(map(bool, below), bool, n)
+        fed = has_below[dst]
+        src, sym, dst = src[fed].tolist(), sym[fed].tolist(), dst[fed].tolist()
+        self.feeds = to_mask(src)
+        succ = list(nfa._masks())
+        for q in set(src):
+            succ[q] = succ[q][:]
+        for q, a, t in zip(src, sym, dst):
+            succ[q][a] |= below[t] << n
+        self._succ = succ
+
+    # the gather reads ``self._succ``, here the folded table
+    _gather = Nfa.successors
 
     def successors(self, mask: int) -> list[int]:
-        out = self._successors(mask)
+        out = self._gather(mask)
         if mask & self.feeds:
-            p = self.preorder
-            out = [prune(m, p) if m & p.pruners else m for m in out]
+            n, full = self._n, self._full
+            out = [x & ~(x >> n) & full for x in out]
         return out

@@ -6,7 +6,8 @@ subset of L(y).  ``simulation_quotient`` merges mutually similar states and
 packs the relation induced on the classes, a partial order, into the
 ``Preorder`` whose rows ``prune`` and ``saturate`` read.  It is the one
 producer of a ``Preorder``: an ``-s`` pipeline takes one quotient, and both
-the pruning view it determinizes and its CCLS registry read its order.
+the pruning view it determinizes and its CCLS registry, if it minimizes on
+the fly, read its order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ class Preorder:
     with x < y.  ``pruners`` holds the states whose row is not empty, the
     only ones that ``prune`` and ``saturate`` read.  An ``-s``
     determinization runs on a ``PrunedView`` of its automaton by one
-    ``Preorder``, and its CCLS registry saturates lattices by the same one.
+    ``Preorder``, which folds ``below`` into its successor table, and a
+    CCLS registry saturates lattices by the same one.
     """
 
     __slots__ = ("below", "pruners")

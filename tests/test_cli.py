@@ -238,6 +238,7 @@ class TestSweepAndSummarize:
         [
             (["--pipelines", "bogus"], "--pipelines"),
             (["--pipelines", "sc,bogus"], "--pipelines"),
+            (["--pipelines", "sc,otf,sc"], "--pipelines"),
             (["--seeds-per-n", "-1"], "--seeds-per-n"),
             (["--seeds-per-n", "0"], "--seeds-per-n"),
             (["--timeout-ms", "-1"], "--timeout-ms"),
@@ -245,6 +246,7 @@ class TestSweepAndSummarize:
         ids=[
             "pipeline-unknown",
             "pipeline-one-unknown",
+            "pipeline-repeated",
             "seeds-negative",
             "seeds-zero",
             "timeout-negative",

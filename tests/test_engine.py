@@ -873,10 +873,11 @@ class TestCanonize:
             assert [parts(a) for a in calls] == [parts(expect)], pipeline
 
     def test_s_pipelines_prune_while_exploring(self, monkeypatch):
-        # an -s run determinizes a pruned view: the initial metastate and
-        # each successor are pruned once, the registry's puts are all pruned
-        # forms, and ``unify`` prunes nothing.  So a run makes at most k
-        # prunes per explored first-pass metastate, plus one for the initial
+        # an -s run determinizes a pruned view: its successor table carries
+        # the order, so ``prune`` runs once per -s pass, on the initial
+        # metastate, the registry's puts are all pruned forms, and
+        # ``unify`` prunes nothing.  Without a controller nothing unifies,
+        # and the first pass runs with the one-to-one registry
         prunes = []
         real_prune = registry_module.prune
 
@@ -885,40 +886,44 @@ class TestCanonize:
             return real_prune(mask, preorder)
 
         monkeypatch.setattr(registry_module, "prune", counting_prune)
-        made = []
 
         class Checked(CCLSRegistry):
-            def __init__(self, preorder):
-                super().__init__(preorder)
-                self.unifies = 0
-                made.append(self)
-
-            def put(self, mask, state):
-                assert prune(mask, self.preorder) == mask
-                super().put(mask, state)
+            unifies = 0
 
             def unify(self, root, gone):
                 before = len(prunes)
                 super().unify(root, gone)
                 assert len(prunes) == before
-                self.unifies += 1
+                Checked.unifies += 1
 
         monkeypatch.setattr(engine, "CCLSRegistry", Checked)
+        first_passes = []
+        determinize = engine.otf_determinize
+
+        def recording(nfa, registry, *args):
+            if isinstance(nfa, PrunedView):
+                first_passes.append((nfa, registry))
+            return determinize(nfa, registry, *args)
+
+        monkeypatch.setattr(engine, "otf_determinize", recording)
         rng = random.Random(5)
         inputs = [tv_nfa(random.Random(seed), 16, 1.25, 0.5) for seed in range(4)]
         inputs += [auto_nfa(auto_tracks(rng, m)) for m in (3, 4, 5)]
-        unifies = pruned = 0
+        pruned = 0
         for nfa in inputs:
             for pipeline in ("sc-s", "otf-s", "brz-s", "brz-otf-s"):
                 prunes.clear()
+                first_passes.clear()
                 canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
-                reg = made[-1]
-                # every state the first pass put was explored
-                explored = len(reg.metastates)
-                assert len(prunes) <= nfa.alphabet_size * explored + 1, pipeline
-                unifies += reg.unifies
-                pruned += len(prunes)
-        assert unifies > 0 and pruned > 0
+                [(view, reg)] = first_passes
+                p = view.preorder
+                assert [real_prune(m, p) for m in prunes] == [view.initial_mask], pipeline
+                expect = Checked if "otf" in pipeline else OneToOneRegistry
+                assert type(reg) is expect, pipeline
+                assert all(prune(m, p) == m for m in reg.metastates), pipeline
+                # puts with a member that has states below it to drop
+                pruned += any(m & p.pruners for m in reg.metastates)
+        assert Checked.unifies > 0 and pruned > 0
 
 
 class TestBrzozowskiPhase2:

@@ -42,6 +42,14 @@ def bit_rows(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
 
 
+def int_rows(rows: Iterable[Iterable[int]], num_rows: int, width: int) -> np.ndarray:
+    """The integer ``rows``, each ``width`` long, as a ``(num_rows, width)`` array.
+
+    One flat iterator over all entries converts faster than a list of rows.
+    """
+    return np.fromiter(chain.from_iterable(rows), np.int64, num_rows * width).reshape(num_rows, width)
+
+
 class Nfa:
     """A nondeterministic finite automaton without epsilon transitions.
 

@@ -108,12 +108,18 @@ def _n_values(spec: str) -> list[int]:
     if ":" not in spec:
         values = [_positive_int(x) for x in spec.split(",") if x]
     else:
-        start, stop, step = ([int(x) for x in spec.split(":")] + [1])[:3]
+        fields = [int(x) for x in spec.split(":")]
+        if len(fields) > 3:
+            raise argparse.ArgumentTypeError(f"a range has at most three fields: {spec}")
+        start, stop, step = (fields + [1])[:3]
         if start < 1 or step < 1:
             raise argparse.ArgumentTypeError(f"start and step must be at least 1: {spec}")
         values = list(range(start, stop + 1, step))
     if not values:
         raise argparse.ArgumentTypeError(f"names no value of n: {spec}")
+    if len(set(values)) < len(values):
+        # each would canonize the same instances and write their rows again
+        raise argparse.ArgumentTypeError(f"names a value of n twice: {spec}")
     return values
 
 

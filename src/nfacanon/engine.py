@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa, complete, reverse, trim
+from .automata import UNDEFINED, Dfa, Nfa, complete, int_rows, reverse, trim
 from .kernels import successor_kernel
 from .partition import bisimulation_quotient, minimize
 from .registry import (
@@ -195,7 +195,7 @@ def otf_determinize(
 
     metastates = registry.metastates
     if len(live) < len(rows):  # some id was absorbed
-        trans = _dense(rows, live).tolist()
+        trans = _dense(rows, live, k).tolist()
         metastates = [metastates[s] for s in live]
     else:
         trans = rows
@@ -204,7 +204,7 @@ def otf_determinize(
     return DeterminizeResult(dfa, metastates, sizes_after_min)
 
 
-def _dense(rows, ids: list[int]) -> np.ndarray:
+def _dense(rows, ids: list[int], k: int) -> np.ndarray:
     """The rows of the sorted live ``ids``, renumbered to dense positions.
 
     Every row names live ids or ``UNDEFINED``.  Id 0 is the smallest, so it
@@ -213,7 +213,7 @@ def _dense(rows, ids: list[int]) -> np.ndarray:
     # pos[id] = dense position; pos[-1] keeps UNDEFINED undefined
     pos = np.full(len(rows) + 1, UNDEFINED)
     pos[ids] = np.arange(len(ids))
-    return pos[np.array([rows[s] for s in ids])]
+    return pos[int_rows(map(rows.__getitem__, ids), len(ids), k)]
 
 
 def _intermediate_minimize(rows, final_mask, ids, stack, registry, k) -> list[int]:
@@ -222,7 +222,7 @@ def _intermediate_minimize(rows, final_mask, ids, stack, registry, k) -> list[in
     Merges go to the registry, and rows that named an absorbed id are
     rewritten to name its survivor.  Returns the live ids left, sorted.
     """
-    table = _dense(rows, ids)
+    table = _dense(rows, ids, k)
     n = len(ids)
     finals = [i for i, s in enumerate(ids) if registry.metastates[s] & final_mask]
     # the table is an array here: minimize reads it without copying

@@ -2,8 +2,9 @@
 
 Both are Moore-style refinements over integer block labels (Moore 1956;
 Valmari & Lehtinen, STACS 2008, for the array form).  A round keys every
-state by its block and a list of integer columns, chained into 1-D integer
-codes that ``np.unique`` renumbers densely, and rounds repeat until the
+state by its block and a list of integer columns.  The columns are packed,
+as many as fit, into 1-D ``int64`` codes by matrix-vector products, and
+each code is renumbered densely by one sort.  Rounds repeat until the
 block count stops growing.  ``minimize`` passes the successor block on each
 symbol; ``bisimulation_quotient`` passes the set of (symbol, successor
 block) pairs.
@@ -20,7 +21,7 @@ from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa, quotient, sorted_distinct
+from .automata import UNDEFINED, Dfa, Nfa, int_rows, quotient, sorted_distinct
 
 MergeList = list[tuple[int, int]]
 
@@ -31,31 +32,57 @@ Columns = Callable[[np.ndarray, int], tuple[np.ndarray, int]]
 _CODE_LIMIT = 1 << 62
 
 
+def _renumber(code: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense codes ``0..c-1`` of the values of ``code``, in their order, and c.
+
+    One sort: equal values lie next to each other in it, so a running count
+    of value changes numbers them, and one scatter puts the numbers back.
+    """
+    order = code.argsort()
+    ordered = code[order]
+    starts = np.empty(len(code), dtype=bool)
+    starts[0] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    ranks = starts.cumsum()
+    dense = np.empty(len(code), dtype=np.int64)
+    dense[order] = ranks
+    return dense, int(ranks[-1]) + 1
+
+
+def _survivors(labels: np.ndarray) -> np.ndarray:
+    """The smallest state in the block of each state, for labels below the state count."""
+    first = np.full(len(labels), len(labels))
+    np.minimum.at(first, labels, np.arange(len(labels)))
+    return first[labels]
+
+
 def _refine(labels: np.ndarray, columns: Columns) -> np.ndarray:
     """Coarsest refinement of the dense block ``labels`` stable under ``columns``.
 
-    Each round chains ``code = code * m + col`` over the columns of
-    ``columns(labels, num_blocks)``, starting from the labels themselves, and
-    renumbers ``code`` densely with ``np.unique`` whenever the next column
-    could overflow ``int64`` and at the end, so two states share a new block
-    iff they share a block and every column.  The fixpoint is reached when a
-    round adds no block.
+    A round reads the columns of ``columns(labels, num_blocks)``, each in
+    ``0..m-1``, as base-m digits appended to the state's block.  It splits
+    them into chunks of as many columns as fit in an ``int64`` code under
+    ``_CODE_LIMIT``.  Each chunk is folded into the code with one
+    matrix-vector product by the columns' place values, and the code is
+    renumbered densely with ``_renumber``, one sort per chunk.  So two states
+    share a new block iff they share a block and every column.  The fixpoint
+    is reached when a round adds no block.
     """
     num_blocks = int(labels.max()) + 1
     while True:
         cols, m = columns(labels, num_blocks)
-        code, bound = labels, num_blocks
-        for col in cols.T:
-            if bound * m > _CODE_LIMIT:
-                _, code = np.unique(code, return_inverse=True)
-                bound = int(code.max()) + 1
-            code = code * m + col
-            bound *= m
-        _, code = np.unique(code, return_inverse=True)
-        new_blocks = int(code.max()) + 1
-        if new_blocks == num_blocks:
+        # codes stay below states * m**width, as the renumbered code < states
+        width = 1
+        while width < cols.shape[1] and len(labels) * m ** (width + 1) <= _CODE_LIMIT:
+            width += 1
+        place = m ** np.arange(width - 1, -1, -1)
+        code, count = labels, num_blocks
+        for start in range(0, cols.shape[1], width):
+            chunk = cols[:, start : start + width]
+            code, count = _renumber(code * m ** chunk.shape[1] + chunk @ place[-chunk.shape[1] :])
+        if count == num_blocks:
             return labels
-        labels, num_blocks = code, new_blocks
+        labels, num_blocks = code, count
 
 
 def minimize(dfa: Dfa, unexplored: Sequence[int] | np.ndarray) -> tuple[Dfa, MergeList]:
@@ -73,7 +100,10 @@ def minimize(dfa: Dfa, unexplored: Sequence[int] | np.ndarray) -> tuple[Dfa, Mer
     n = dfa.num_states
     k = dfa.alphabet_size
 
-    trans = np.asarray(dfa.trans, dtype=np.int64)
+    if isinstance(dfa.trans, np.ndarray):
+        trans = np.asarray(dfa.trans, dtype=np.int64)
+    else:
+        trans = int_rows(dfa.trans, n, k)
     is_final = np.zeros(n, dtype=bool)
     is_final[list(dfa.final)] = True
     # initial blocks: 0 rejecting, 1 accepting, 2.. one per unexplored state
@@ -84,12 +114,9 @@ def minimize(dfa: Dfa, unexplored: Sequence[int] | np.ndarray) -> tuple[Dfa, Mer
         # implicit sink at index n, in its own initial block
         trans = np.vstack([np.where(undefined, n, trans), np.full((1, k), n)])
         tags = np.append(tags, -1)
-    _, labels = np.unique(tags, return_inverse=True)
-    labels = _refine(labels, lambda lab, m: (lab[trans], m))[:n]
-
-    # survivor = smallest member of the block
-    _, first, block = np.unique(labels, return_index=True, return_inverse=True)
-    survivor = first[block]
+    labels = _refine(_renumber(tags)[0], lambda lab, m: (lab[trans], m))
+    # the sink is alone in its block, so no state of the DFA survives in it
+    survivor = _survivors(labels)[:n]
     states = np.arange(n)
     absorbed = np.flatnonzero(survivor != states)
     # a stable sort keeps ascending absorbed ids within each survivor
@@ -97,10 +124,11 @@ def minimize(dfa: Dfa, unexplored: Sequence[int] | np.ndarray) -> tuple[Dfa, Mer
     merges = list(zip(survivor[absorbed].tolist(), absorbed.tolist()))
 
     kept = survivor == states
+    heads = np.cumsum(kept)
     # new id of every state's block; the sink (index n) maps to UNDEFINED
-    new_id = np.append((np.cumsum(kept) - 1)[survivor], UNDEFINED)
+    new_id = np.append((heads - 1)[survivor], UNDEFINED)
     out = Dfa(
-        len(first),
+        int(heads[-1]),
         k,
         int(new_id[dfa.initial]),
         np.flatnonzero(is_final[kept]).tolist(),
@@ -131,12 +159,9 @@ def bisimulation_quotient(nfa: Nfa) -> Nfa:
 
     is_final = np.zeros(n, dtype=np.int64)
     is_final[list(nfa.final)] = 1
-    _, labels = np.unique(is_final, return_inverse=True)
-    labels = _refine(labels, successor_pairs)
+    labels = _refine(_renumber(is_final)[0], successor_pairs)
 
-    # renumber blocks by smallest member for deterministic output
-    _, first = np.unique(labels, return_index=True)
-    num_blocks = len(first)
-    dense = np.empty(num_blocks, dtype=np.int64)
-    dense[np.argsort(first)] = np.arange(num_blocks)
-    return quotient(nfa, dense[labels], num_blocks)
+    # number blocks in the order of their smallest members
+    survivor = _survivors(labels)
+    heads = np.cumsum(survivor == np.arange(n))
+    return quotient(nfa, (heads - 1)[survivor], int(heads[-1]))

@@ -224,7 +224,10 @@ class TestSweepAndSummarize:
         assert "argument --density:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("spec", ["5:10:0", "5:10:-1", "0,5", "5:x", "10:5", ","])
+    # 5,5 would canonize mod-n5-i0 twice and write rows that summarize pools
+    @pytest.mark.parametrize(
+        "spec", ["5:10:0", "5:10:-1", "0,5", "5:x", "10:5", ",", "5,5", "5:6:1:9"]
+    )
     def test_bad_n_values_rejected(self, tmp_path, capsys, spec):
         out = tmp_path / "n.csv"
         with pytest.raises(SystemExit) as exc:

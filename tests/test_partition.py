@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nfacanon.automata import UNDEFINED, Dfa, Nfa, complete
-from nfacanon.partition import bisimulation_quotient, minimize
+from nfacanon import partition
+from nfacanon.partition import _renumber, bisimulation_quotient, minimize
 
 from oracle import (
     bisimulation_reference,
@@ -127,10 +129,10 @@ def test_minimized_complete_language_equivalent(seed):
 
 
 @st.composite
-def _seeded_dfas(draw):
+def _seeded_dfas(draw, max_symbols=3):
     """A random partial DFA and some of its states, listed as unexplored."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, max_symbols))
     # few distinct targets make equivalent states, and so merges, likely
     targets = draw(st.integers(1, n))
     undefined = draw(st.sampled_from([0.0, 0.2, 0.5]))
@@ -144,10 +146,10 @@ def _seeded_dfas(draw):
 
 
 @st.composite
-def _nfas(draw):
+def _nfas(draw, max_symbols=3):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        n, k = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+        n, k = draw(st.integers(1, 12)), draw(st.integers(1, max_symbols))
         return random_nfa(rng, n, k, draw(st.sampled_from([0.05, 0.15, 0.3])))
     r, f = draw(st.sampled_from([1.0, 1.25, 2.0])), draw(st.sampled_from([0.25, 0.5]))
     return tv_nfa(rng, draw(st.integers(2, 16)), r, f)
@@ -204,3 +206,77 @@ class TestMatchesReference:
         n, edges, final = _FIXED_NFAS[name]
         nfa = Nfa(n, 2, edges, [0], final)
         assert bisimulation_quotient(nfa) == bisimulation_reference(nfa)
+
+
+# far below any real code: a round takes two or three columns per chunk
+_SMALL_LIMIT = 1 << 12
+
+
+class TestChunkedRounds:
+    """Rounds whose columns do not fit one code, so they refine chunk by chunk.
+
+    The real bound lets a round of a small input take all its columns at
+    once, so these tests lower it.
+    """
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=_seeded_dfas(max_symbols=24))
+    def test_minimize(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CODE_LIMIT", _SMALL_LIMIT)
+            TestMatchesReference._check_minimize(*case)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nfa=_nfas(max_symbols=24))
+    def test_bisimulation_quotient(self, nfa):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(partition, "_CODE_LIMIT", _SMALL_LIMIT)
+            assert bisimulation_quotient(nfa) == bisimulation_reference(nfa)
+
+    def test_rounds_renumber_between_chunks(self, monkeypatch):
+        # 12 states cycling over 24 symbols: one renumber per round at the
+        # real bound, several per round at the small one
+        rows = [[(s + a) % 12 for a in range(24)] for s in range(12)]
+        dfa = Dfa(12, 24, 0, {0, 5}, rows)
+        renumbers = []
+
+        def counting(code):
+            renumbers.append(len(code))
+            return _renumber(code)
+
+        def run():
+            out, merges = minimize(dfa, [])
+            return out.trans, out.final, merges
+
+        monkeypatch.setattr(partition, "_renumber", counting)
+        expected = run()
+        at_real_bound = len(renumbers)
+        renumbers.clear()
+        monkeypatch.setattr(partition, "_CODE_LIMIT", _SMALL_LIMIT)
+        assert run() == expected
+        assert len(renumbers) > 2 * at_real_bound
+
+
+class TestRenumber:
+    @pytest.mark.parametrize(
+        "values",
+        [[7], [-3], [5, 5, 5], [3, -1, 3, 0, -1, 7], [-(2**62), 2**62, 0, -(2**62)], list(range(9, -1, -1))],
+        ids=["one", "one-negative", "all-equal", "repeats-and-negatives", "extremes", "descending"],
+    )
+    def test_dense_codes_in_value_order(self, values):
+        self._check(values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.integers(-50, 50), min_size=1, max_size=40))
+    def test_random(self, values):
+        self._check(values)
+
+    @staticmethod
+    def _check(values):
+        codes, count = _renumber(np.array(values, dtype=np.int64))
+        assert count == len(set(values))
+        assert sorted(set(codes.tolist())) == list(range(count))
+        for i, x in enumerate(values):
+            for j, y in enumerate(values):
+                assert (codes[i] < codes[j]) == (x < y)
+                assert (codes[i] == codes[j]) == (x == y)

@@ -19,15 +19,11 @@ import numpy as np
 from .automata import UNDEFINED, Dfa, Nfa, complete, int_rows, reverse, trim
 from .kernels import successor_kernel
 from .partition import bisimulation_quotient, minimize
-from .registry import (
-    CCLRegistry,
-    CCLSRegistry,
-    OneToOneRegistry,
-    PrunedView,
-    Registry,
-    ResidualRegistry,
-)
+from .registry import CCLRegistry, OneToOneRegistry, PrunedView, Registry, ResidualRegistry
 from .simulation import compute_similarity, simulation_quotient
+
+# an alias only for perfbench/tracer.py, which patches this name (ROADMAP item 4)
+CCLSRegistry = CCLRegistry
 
 PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s")
 
@@ -105,9 +101,9 @@ def otf_determinize(
     of an absorbed id ``s`` is the exact map's entry for
     ``registry.metastates[s]``.
     Without a ``controller`` no intermediate minimization happens; with
-    one, the registry must be able to ``unify``, so it is a CCL or CCLS
-    registry.  Each merge goes to it as ``unify(survivor, absorbed)``: two
-    live ids, the survivor the smallest id of its block.  The loop calls
+    one, the registry must be able to ``unify``, so it is a CCL registry.
+    Each merge goes to it as ``unify(survivor, absorbed)``: two live ids,
+    the survivor the smallest id of its block.  The loop calls
     only the controller's ``should_minimize()``, once per explored state,
     and ``after_minimize(size)``; the pipelines pass a ``Threshold``.
     ``metastates`` lists the metastate each live id was put for, in id
@@ -316,11 +312,9 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     returns with it one ``Preorder``, the partial order that B's similarity
     induces on the classes: one similarity per run.  It determinizes the
     ``PrunedView`` of B by that order, so every metastate it explores is
-    pruned.  With a controller its CCLS registry reads the same order;
-    without one (``sc-s``, and the first pass of ``brz-s``) nothing is
-    unified, and by the lemma of the registry module only the exact map
-    would answer a CCLS registry, so the one-to-one registry runs instead,
-    with the same counts.
+    pruned.  The registry is chosen by ``otf`` alone: CCL with a
+    controller, the one-to-one registry without one, and neither reads the
+    order.
     For the subset pipelines, bisimilar states are mutually similar, so
     similarity runs on the smaller automaton and finds the simulation
     quotient of the trimmed input, state numbering included.
@@ -351,12 +345,12 @@ def _run_pipeline(nfa, config, stats, start, deadline):
     # ``explored`` is the automaton the registry lookups refer to
     explored: Nfa | PrunedView = work
     if simulated:
-        work, preorder = simulation_quotient(work, compute_similarity(work))
+        work, preorder = simulation_quotient(
+            work, compute_similarity(work, check=lambda: _check_deadline(deadline))
+        )
         _check_deadline(deadline)
         explored = PrunedView(work, preorder)
-    registry: Registry = OneToOneRegistry()
-    if uses_otf:
-        registry = CCLSRegistry(preorder) if simulated else CCLRegistry()
+    registry: Registry = CCLRegistry() if uses_otf else OneToOneRegistry()
     controller = Threshold(config.threshold_init) if uses_otf else None
     stats.preprocess_ms = (time.perf_counter() - start) * 1000.0
     res = otf_determinize(explored, registry, stats, controller, deadline)

@@ -80,8 +80,7 @@ def parse_dfa(text: str) -> tuple[Dfa, dict[str, str]]:
 
 def _parse_body(text: str, kind: str):
     header = None
-    initial: list[int] | None = None
-    final: list[int] | None = None
+    ids: dict[str, list[int]] = {}  # the initial and the final line, once each
     meta: dict[str, str] = {}
     edges: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,10 +96,10 @@ def _parse_body(text: str, kind: str):
             if header[0] < 1 or header[1] < 1:
                 raise ParseError(lineno, "state and symbol counts must be >= 1")
             continue
-        if tag == "initial":
-            initial = _ints(fields[1:], lineno)
-        elif tag == "final":
-            final = _ints(fields[1:], lineno)
+        if tag in ("initial", "final"):
+            if tag in ids:
+                raise ParseError(lineno, f"repeated '{tag}' line")
+            ids[tag] = _ints(fields[1:], lineno)
         elif tag == "meta":
             if len(fields) < 3:
                 raise ParseError(lineno, "meta requires a key and a value")
@@ -119,15 +118,13 @@ def _parse_body(text: str, kind: str):
             raise ParseError(lineno, f"unknown directive {tag!r}")
     if header is None:
         raise ParseError(0, "empty file")
-    if initial is None:
-        raise ParseError(0, "missing 'initial' line")
-    if final is None:
-        raise ParseError(0, "missing 'final' line")
-    for lineno_check, ids in (("initial", initial), ("final", final)):
-        for s in ids:
+    for tag in ("initial", "final"):
+        if tag not in ids:
+            raise ParseError(0, f"missing '{tag}' line")
+        for s in ids[tag]:
             if not 0 <= s < header[0]:
-                raise ParseError(0, f"{lineno_check} state {s} out of range")
-    return header, initial, final, meta, edges
+                raise ParseError(0, f"{tag} state {s} out of range")
+    return header, ids["initial"], ids["final"], meta, edges
 
 
 def _ints(fields: list[str], lineno: int) -> list[int]:

@@ -16,17 +16,17 @@ language.  Metastates are integer bitmasks over NFA states.  The contract:
   missed its metastate.  A metastate is put at most once; a put of another
   id or of a metastate put before raises ``RegistryContractError``.
 
-The CCL registries also merge: ``unify(root, gone)`` records that two
+The CCL registry also merges: ``unify(root, gone)`` records that two
 states were found language-equivalent (by intermediate minimization) and
 merges their classes.  Both must be live class roots, ``root < gone``: the
 survivor of a minimization block is its smallest id, so these are the
 only pairs the loop passes.  The root of a class is its smallest id.
-Their exact map names class roots, and ``unify`` rewrites the entries of
+Its exact map names class roots, and ``unify`` rewrites the entries of
 the class it absorbs, so an exact hit needs no further lookup.  A
 minimization controller needs a registry that can ``unify``, so it runs
-with CCL or CCLS only.
+with CCL only.
 
-Four implementations are provided:
+Three implementations are provided:
 
 * ``OneToOneRegistry`` -- the exact hash map alone; reproduces classic
   subset construction, which never merges states.  The others extend it.
@@ -36,22 +36,15 @@ Four implementations are provided:
 * ``CCLRegistry`` -- convexity-closure lattices: each known equivalence class
   is summarized by a greatest element plus an antichain of minimal elements,
   covering every metastate sandwiched in between.
-* ``CCLSRegistry`` -- CCL with a similarity preorder, which saturates the
-  greatest elements of its lattices.
 
 An ``-s`` determinization runs on a ``PrunedView`` of the automaton, whose
-initial metastate and successors are pruned, so the queries and puts of
-its registry are all pruned forms; the view folds the preorder into its
-successor table.  With a minimization controller that registry is CCLS.
-Without one nothing unifies, and by the lemma below a CCLS registry would
-answer from its exact map alone, so the one-to-one registry runs instead.
+initial metastate and successors are pruned by a similarity order, so the
+queries and puts of its registry are all pruned forms.  The registry reads
+no order: simulation reaches it only through the view.
 
-A class is kept in one of two ways.  Let the preorder be a partial order
-(for CCL it is the identity), so ``prune`` keeps a member above every
-member it drops.  Lemma: the lattice ``[m, saturate(m)]`` of a single
-pruned put m, never merged, covers a pruned query p iff p == m.  (Each x
-in p is in m, a subset of p, or strictly below some y in m, and no member
-of a pruned metastate is strictly below another, so x is in m.)  Hence:
+A class is kept in one of two ways.  Lemma: the lattice ``[m, m]`` of a
+single put m, never merged, covers a query p iff m ⊆ p ⊆ m, that is,
+iff p == m.  Hence:
 
 * an *unmerged* class, the single put m of a state, builds no lattice: its
   entries in the exact map and in ``metastates`` are all there is, because
@@ -71,8 +64,8 @@ by class root; a registry that never merged builds none and costs what its
 exact map costs.  Past the exact map, ``get`` answers with the
 earliest-inserted covering lattice, the first hit in bit order.  The
 lattice of a class never unified covers its exact key alone, so it needs
-no place in that order.  CCL and CCLS refuse a ``put`` of a metastate that
-a merged lattice covers, unless it is the one their last ``get`` missed and
+no place in that order.  CCL refuses a ``put`` of a metastate that a
+merged lattice covers, unless it is the one its last ``get`` missed and
 no ``unify`` came between.
 """
 
@@ -83,7 +76,8 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .automata import Nfa, bit_rows, to_mask
-from .simulation import Preorder, prune, saturate
+# ``saturate`` stays only for perfbench/tracer.py, which patches it (ROADMAP item 4)
+from .simulation import Preorder, prune, saturate  # noqa: F401
 
 
 class RegistryContractError(Exception):
@@ -332,41 +326,14 @@ class CCLRegistry(OneToOneRegistry):
     def _take(self, root: int) -> Lattice:
         """The lattice of class ``root``, taken out of ``lattices`` and the index.
 
-        A class never unified has none yet: ``_lattice_of_put`` builds it.
+        A class never unified has none yet: it gets the point of its one put.
         """
         lat = self.lattices.pop(root, None)
         if lat is None:
-            return self._lattice_of_put(root)
+            mask = self.metastates[root]
+            return Lattice(root, mask, [mask], [mask])
         self._index.discard(lat)
         return lat
-
-    def _lattice_of_put(self, state: int) -> Lattice:
-        """The lattice of the one put of a class never unified: its point."""
-        mask = self.metastates[state]
-        return Lattice(state, mask, [mask], [mask])
-
-
-class CCLSRegistry(CCLRegistry):
-    """CCL refined by a similarity preorder on the automaton it determinizes.
-
-    The preorder must be a partial order, and every metastate the
-    registry is asked about or given must be pruned by it: the
-    determinization runs on a ``PrunedView`` built with the same preorder.
-    The lattice of a put m is ``[m, saturate(m)]``, which ``unify`` builds
-    when it first joins the class; by the lemma of the module docstring
-    the exact map answers for it until then.  Lookups, puts and merges are
-    CCL's.  So one that never unifies answers as ``OneToOneRegistry``
-    does, and the pipelines build one only with a minimization controller.
-    """
-
-    def __init__(self, preorder: Preorder):
-        super().__init__()
-        self.preorder = preorder
-
-    def _lattice_of_put(self, state: int) -> Lattice:
-        """``[m, saturate(m)]`` for the one put m of ``state``."""
-        mask = self.metastates[state]
-        return Lattice(state, saturate(mask, self.preorder), [mask], [mask])
 
 
 class PrunedView:
@@ -397,7 +364,6 @@ class PrunedView:
         self.alphabet_size = nfa.alphabet_size
         self.final_mask = nfa.final_mask
         self.initial_mask = prune(nfa.initial_mask, preorder)
-        self.preorder = preorder
         n = nfa.num_states
         self._n, self._full = n, (1 << n) - 1
         src, sym, dst = nfa.edge_arrays()

@@ -4,13 +4,14 @@
 boolean matrix ``rel``: ``rel[x, y]`` means y simulates x, hence L(x) is a
 subset of L(y).  ``simulation_quotient`` merges mutually similar states and
 packs the relation induced on the classes, a partial order, into the
-``Preorder`` whose rows ``prune`` and ``saturate`` read.  It is the one
-producer of a ``Preorder``: an ``-s`` pipeline takes one quotient, and both
-the pruning view it determinizes and its CCLS registry, if it minimizes on
-the fly, read its order.
+``Preorder`` whose rows ``prune`` reads.  It is the one producer of a
+``Preorder``: an ``-s`` pipeline takes one quotient, and the pruning view
+it determinizes is the one reader of its order; no registry reads it.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -27,8 +28,7 @@ class Preorder:
     with x < y.  ``pruners`` holds the states whose row is not empty, the
     only ones that ``prune`` and ``saturate`` read.  An ``-s``
     determinization runs on a ``PrunedView`` of its automaton by one
-    ``Preorder``, which folds ``below`` into its successor table, and a
-    CCLS registry saturates lattices by the same one.
+    ``Preorder``, which folds ``below`` into its successor table.
     """
 
     __slots__ = ("below", "pruners")
@@ -39,7 +39,7 @@ class Preorder:
         self.pruners = to_mask(y for y, row in enumerate(self.below) if row)
 
 
-def compute_similarity(nfa: Nfa) -> np.ndarray:
+def compute_similarity(nfa: Nfa, check: Callable[[], None] | None = None) -> np.ndarray:
     """Coarsest simulation preorder, by greatest-fixpoint refinement.
 
     Returns the boolean matrix ``R``, reflexive and transitive: ``R[x, y]``
@@ -56,6 +56,9 @@ def compute_similarity(nfa: Nfa) -> np.ndarray:
     source) group in one call, for all symbols at once: the existential
     quantifier.  Each symbol then ANDs the unpacked results of its groups
     over its edges, grouped by source: the universal one.
+
+    ``check``, if given, is called before each round; the engine passes one
+    that raises once the run's deadline has passed.
     """
     n = nfa.num_states
     final = np.zeros(n, dtype=bool)
@@ -85,6 +88,8 @@ def compute_similarity(nfa: Nfa) -> np.ndarray:
     del rel
     pairs, before = np.count_nonzero(sim), None
     while pairs != before:
+        if check is not None:
+            check()
         _refine(sim, dst, first, steps)
         pairs, before = np.count_nonzero(sim), pairs
     return np.ascontiguousarray(sim[:, :n].T)

@@ -17,7 +17,7 @@ every member that the masked ``prune`` and ``saturate`` must match.
 ``edges_reference`` and ``trim_reference`` are the earlier walks over every
 successor mask that the edge arrays of ``Nfa`` and the array ``trim`` must
 match.
-``LinearScanCCLSRegistry`` is a CCLS registry that answers every lookup by
+``LinearScanCCLRegistry`` is a CCL registry that answers every lookup by
 scanning all of its lattices in insertion order; its exact map stays empty,
 so the engine sends every lookup to its ``get``.  ``lookup`` asks a
 registry the way the determinization loop does, ``find`` reads the class
@@ -416,22 +416,21 @@ def saturate_reference(metastate: int, p: Preorder) -> int:
     return out
 
 
-class LinearScanCCLSRegistry:
-    """CCLS registry answering each lookup by a scan of every lattice.
+class LinearScanCCLRegistry:
+    """CCL registry answering each lookup by a scan of every lattice.
 
     A lattice is a ``[class root, greatest, minimals]`` list, kept in
-    insertion order.  A put appends ``[state, saturate(m), [prune(m)]]``;
+    insertion order.  A put appends the point ``[state, m, [m]]``;
     ``unify`` removes the two classes' lattices and appends their join,
     rooted at the smaller root.  A lookup of a metastate that was put
     returns its state's root; any other returns the root of the first
-    lattice covering its pruned form, or ``None``.  Setting ``cover_hits``
-    to a list records the non-exact hits, as ``CCLSRegistry`` does.
-    ``_exact``, the exact map the engine reads before ``get``, is always
-    empty: the metastates put are kept in ``put_state`` instead.
+    lattice covering it, or ``None``.  Setting ``cover_hits`` to a list
+    records the non-exact hits, as ``CCLRegistry`` does.  ``_exact``, the
+    exact map the engine reads before ``get``, is always empty: the
+    metastates put are kept in ``put_state`` instead.
     """
 
-    def __init__(self, preorder: Preorder):
-        self.preorder = preorder
+    def __init__(self):
         self._exact: dict[int, int] = {}
         self.metastates: list[int] = []  # by state id, which the engine reads
         self.put_state: dict[int, int] = {}  # metastate -> the state put for it
@@ -447,9 +446,8 @@ class LinearScanCCLSRegistry:
     def get(self, mask: int) -> int | None:
         if mask in self.put_state:
             return self.find(self.put_state[mask])
-        query = prune_reference(mask, self.preorder)
         for root, greatest, minimals in self.lattices:
-            if query | greatest == greatest and any(m & query == m for m in minimals):
+            if mask | greatest == greatest and any(m & mask == m for m in minimals):
                 if self.cover_hits is not None:
                     self.cover_hits.append((mask, root))
                 return root
@@ -457,10 +455,9 @@ class LinearScanCCLSRegistry:
 
     def put(self, mask: int, state: int) -> None:
         assert mask not in self.put_state and state == len(self.metastates)
-        p = self.preorder
         self.metastates.append(mask)
         self.put_state[mask] = state
-        self.lattices.append([state, saturate_reference(mask, p), [prune_reference(mask, p)]])
+        self.lattices.append([state, mask, [mask]])
 
     def unify(self, q1: int, q2: int) -> None:
         r1, r2 = self.find(q1), self.find(q2)
@@ -483,20 +480,17 @@ def covers(lat, mask: int) -> bool:
     return mask | lat.greatest == lat.greatest and any(m & mask == m for m in lat.minimals)
 
 
-def lattice_of_puts(rep: int, puts: list[int], p: Preorder | None = None) -> SimpleNamespace:
-    """The lattice of a class of a CCL (``p`` None) or CCLS registry, from its puts.
+def lattice_of_puts(rep: int, puts: list[int]) -> SimpleNamespace:
+    """The lattice of a class of a CCL registry, from its puts.
 
-    Its greatest element is the union of the saturated puts and its
-    minimals the antichain of the pruned ones; under CCL each form is the
-    put itself.  The lattice of one put m is ``[prune(m), saturate(m)]``.
+    Its greatest element is the union of the puts and its minimals their
+    antichain.  The lattice of one put m is the point ``[m, m]``.
     """
-    pruned = puts if p is None else [prune_reference(m, p) for m in puts]
-    saturated = puts if p is None else [saturate_reference(m, p) for m in puts]
     greatest = 0
-    for m in saturated:
+    for m in puts:
         greatest |= m
     return SimpleNamespace(
-        rep=rep, greatest=greatest, minimals=antichain_reference(pruned), puts=list(puts)
+        rep=rep, greatest=greatest, minimals=antichain_reference(puts), puts=list(puts)
     )
 
 
@@ -505,8 +499,7 @@ def class_lattices(reg) -> dict[int, SimpleNamespace]:
     classes: dict[int, list[int]] = {}
     for state, mask in enumerate(reg.metastates):
         classes.setdefault(find(reg, state), []).append(mask)
-    p = getattr(reg, "preorder", None)
-    return {root: lattice_of_puts(root, puts, p) for root, puts in classes.items()}
+    return {root: lattice_of_puts(root, puts) for root, puts in classes.items()}
 
 
 def lookup(reg, mask: int) -> int | None:

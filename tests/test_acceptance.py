@@ -22,7 +22,7 @@ from nfacanon.engine import (
 from nfacanon.generator import GenParams, derive_seed, generate, sweep_instances
 from nfacanon.io import serialize_nfa
 from nfacanon.partition import minimize
-from nfacanon.registry import CCLRegistry, CCLSRegistry, PrunedView
+from nfacanon.registry import CCLRegistry, PrunedView
 from nfacanon.simulation import compute_similarity, simulation_quotient
 
 from oracle import (
@@ -35,7 +35,6 @@ from oracle import (
     canonical_dfa,
     dfa_from_metastate,
     find,
-    identity_preorder,
     language_equivalent,
     language_included,
     members,
@@ -114,13 +113,12 @@ def test_registry_soundness():
         hits_seen = 0
         for case in range(120):
             nfa = random_nfa(rng, rng.randint(4, 12), 2)
+            explored = nfa
             if case % 2:
-                # as the -s pipelines do: CCLS on the simulation quotient
+                # as the -s pipelines do: the pruned view of the simulation quotient
                 nfa, p = simulation_quotient(nfa, compute_similarity(nfa))
-                reg = CCLSRegistry(p)
                 explored = PrunedView(nfa, p)
-            else:
-                reg, explored = CCLRegistry(), nfa
+            reg = CCLRegistry()
             reg.cover_hits = []
             res = otf_determinize(explored, reg, RunStats(), FixedInterval(rng.choice([1, 2])))
             full = complete(res.dfa)
@@ -133,25 +131,6 @@ def test_registry_soundness():
                     dfa_from_metastate(nfa, mask), rooted_at(full, target)
                 )
         assert hits_seen > 0  # the instrumentation actually exercised cover hits
-
-
-def test_ccls_equals_ccl_under_identity_preorder(explored_masks):
-    with criterion("CCLS == CCL with identity preorder: identical explored traces"):
-        explored = explored_masks
-        rng = random.Random(99)
-        for _ in range(100):
-            nfa = random_nfa(rng, rng.randint(3, 9), 2)
-            interval = rng.choice([1, 2, 3])
-            explored.clear()
-            a = otf_determinize(nfa, CCLRegistry(), RunStats(), FixedInterval(interval))
-            trace_a = list(explored)
-            explored.clear()
-            p = identity_preorder(nfa.num_states)
-            b = otf_determinize(
-                PrunedView(nfa, p), CCLSRegistry(p), RunStats(), FixedInterval(interval)
-            )
-            assert trace_a == explored
-            assert isomorphic(complete(a.dfa), complete(b.dfa))
 
 
 def test_simulation_soundness():

@@ -107,6 +107,14 @@ class TestCanonize:
         assert captured.out == ""  # no result row
         assert "line 4" in captured.err
 
+    def test_repeated_final_line_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.nfa"
+        bad.write_text("nfa 2 1\ninitial 0\nfinal 0\nfinal 1\nt 0 0 1\n")
+        assert main(["canonize", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 4: repeated 'final' line" in captured.err
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.nfa")
         assert main(["canonize", missing]) == EXIT_PARSE
@@ -166,8 +174,8 @@ class TestCanonize:
     )
     def test_tv12_runs_unify(self, capsys, monkeypatch, pipeline, threshold):
         # the CI steps on the committed tv-12 NFA run these commands to cover
-        # ``unify`` in CCL and CCLS, forward and in Brzozowski's first pass
-        # (CCLS inherits CCL's ``unify``)
+        # ``unify`` in CCL, on the input and on the pruned view of an -s
+        # run, forward and in Brzozowski's first pass
         calls = []
         unify = CCLRegistry.unify
 

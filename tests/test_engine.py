@@ -2,6 +2,7 @@
 
 import random
 import zlib
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from nfacanon.automata import complete, isomorphic, reverse, trim
 import nfacanon.engine as engine
 import nfacanon.registry as registry_module
+import nfacanon.simulation as simulation
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
@@ -22,7 +24,6 @@ from nfacanon.generator import GenParams, generate
 from nfacanon.partition import bisimulation_quotient, minimize
 from nfacanon.registry import (
     CCLRegistry,
-    CCLSRegistry,
     OneToOneRegistry,
     PrunedView,
     RegistryContractError,
@@ -32,7 +33,7 @@ from nfacanon.simulation import Preorder, compute_similarity, prune, simulation_
 
 from oracle import (
     FixedInterval,
-    LinearScanCCLSRegistry,
+    LinearScanCCLRegistry,
     auto_nfa,
     auto_tracks,
     blowup_nfa,
@@ -154,21 +155,21 @@ def _counting(registry_cls, explored: list[int] | None = None):
     return Counting
 
 
-def _contract_checked(registry_cls):
+def _contract_checked(registry_cls, preorder=None):
     """Subclass of a registry class that checks how the loop calls it.
 
     ``get`` must not be asked about a key of the exact map, and ``put``
     must not be given a metastate that is a key or that the lattice of one
-    of the registry's classes covers, built or not.  A CCLS registry must
-    be asked about and given pruned metastates only.  It counts the
-    ``get`` calls in ``gets``.
+    of the registry's classes covers, built or not.  On the pruned view by
+    ``preorder`` it must be asked about and given pruned metastates only.
+    It counts the ``get`` calls in ``gets``.
     """
 
     class Checked(registry_cls):
         gets = 0
 
         def _pruned(self, mask):
-            return not isinstance(self, CCLSRegistry) or prune(mask, self.preorder) == mask
+            return preorder is None or prune(mask, preorder) == mask
 
         def get(self, mask):
             assert mask not in self._exact and self._pruned(mask)
@@ -195,24 +196,24 @@ def _family(name, rng):
 
 
 def _lookup_registries(nfa):
-    """(registry class, its arguments, threshold interval, automaton) cases.
+    """(registry class, its arguments, threshold interval, automaton, order) cases.
 
-    The automaton is the one to determinize: ``nfa``, or for CCLS the
+    The automaton is the one to determinize: ``nfa``, or the
     ``PrunedView`` of its simulation quotient by the quotient's order, as
-    the ``-s`` pipelines run it.  The residual registry keys ``nfa``'s
-    subsets by a first pass over its reverse, as Brzozowski's second pass
-    does.
+    the ``-s`` pipelines run it; the order is that of the view, or
+    ``None``.  The residual registry keys ``nfa``'s subsets by a first
+    pass over its reverse, as Brzozowski's second pass does.
     """
     q, p = simulation_quotient(nfa, compute_similarity(nfa))
     view = PrunedView(q, p)
     phase1 = otf_determinize(reverse(nfa), OneToOneRegistry(), RunStats())
     return [
-        (OneToOneRegistry, (), None, nfa),
-        (CCLRegistry, (), None, nfa),
-        (CCLRegistry, (), 2, nfa),
-        (CCLSRegistry, (p,), None, view),
-        (CCLSRegistry, (p,), 2, view),
-        (ResidualRegistry, (phase1.metastates, nfa.num_states), None, nfa),
+        (OneToOneRegistry, (), None, nfa, None),
+        (CCLRegistry, (), None, nfa, None),
+        (CCLRegistry, (), 2, nfa, None),
+        (CCLRegistry, (), None, view, p),
+        (CCLRegistry, (), 2, view, p),
+        (ResidualRegistry, (phase1.metastates, nfa.num_states), None, nfa, None),
     ]
 
 
@@ -258,7 +259,7 @@ class TestOtfDeterminize:
         inputs += [tv_nfa(rng, 10, 1.25, 0.5), blowup_nfa(6)]
         cover_hits = 0
         for nfa in inputs:
-            for cls, args, interval, explored in _lookup_registries(nfa):
+            for cls, args, interval, explored, _ in _lookup_registries(nfa):
                 reg = _counting(cls)(*args)
                 controller = interval and FixedInterval(interval)
                 stats = RunStats()
@@ -293,8 +294,8 @@ class TestOtfDeterminize:
         # registries, with and without intermediate minimization
         hits = 0
         for nfa in _family(family, random.Random(41)):
-            for cls, args, interval, explored in _lookup_registries(nfa):
-                reg = _contract_checked(cls)(*args)
+            for cls, args, interval, explored, p in _lookup_registries(nfa):
+                reg = _contract_checked(cls, p)(*args)
                 controller = interval and FixedInterval(interval)
                 stats = RunStats()
                 otf_determinize(explored, reg, stats, controller)
@@ -303,7 +304,7 @@ class TestOtfDeterminize:
         assert hits > 0 or family == "blowup"  # its states are pairwise inequivalent
 
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
-    def test_ccls_matches_linear_scan_registry(self, family):
+    def test_ccl_on_pruned_view_matches_linear_scan_registry(self, family):
         # on pruned metastates, the exact map and the cover index answer
         # every lookup as a scan of all lattices in insertion order does;
         # each input and its reverse are quotiented by simulation first, as
@@ -321,7 +322,7 @@ class TestOtfDeterminize:
                 work, p = simulation_quotient(work, compute_similarity(work))
                 for interval in (None, 2):
                     runs = []
-                    for reg in (CCLSRegistry(p), LinearScanCCLSRegistry(p)):
+                    for reg in (CCLRegistry(), LinearScanCCLRegistry()):
                         reg.cover_hits = []
                         controller = interval and FixedInterval(interval)
                         stats = RunStats()
@@ -345,7 +346,7 @@ class TestOtfDeterminize:
         # the registry keeps the one table of puts, by state id; the result
         # lists its entries for the live ids, in id order
         for nfa in _family(family, random.Random(43)):
-            for cls, args, interval, explored in _lookup_registries(nfa):
+            for cls, args, interval, explored, _ in _lookup_registries(nfa):
                 reg = cls(*args)
                 stats = RunStats()
                 res = otf_determinize(explored, reg, stats, interval and FixedInterval(interval))
@@ -364,9 +365,9 @@ class TestOtfDeterminize:
         nfa = tv_nfa(random.Random(seed), 12, 1.25, 0.5)
         explored = explored_masks
         q, p = simulation_quotient(nfa, compute_similarity(nfa))
-        for cls, args, work in ((CCLRegistry, (), nfa), (CCLSRegistry, (p,), PrunedView(q, p))):
+        for work in (nfa, PrunedView(q, p)):
             explored.clear()
-            reg = _counting(cls, explored)(*args)
+            reg = _counting(CCLRegistry, explored)()
             stats = RunStats()
             otf_determinize(work, reg, stats, FixedInterval(1))
             assert stats.minimizations == stats.explored_metastates
@@ -465,36 +466,35 @@ class TestOtfDeterminize:
         assert stats.misses == 20  # each get before the failed one missed
 
 
-# (input, registry, threshold) -> (explored metastates, minimizations, cover hits,
-# CRC-32 of repr(sizes_after_min)), recorded with the row-signature
-# refinement that oracle.minimize_reference keeps.  A change to which merges
-# an intermediate minimization finds, or to the registry's answers, moves
-# these counts even where every DFA stays correct.  The ccls cover hits were
-# re-pinned when CCLS began to determinize a pruned view: a hit on a pruned
-# form became an exact hit, and every other count stayed.  The gen-11,
-# gen-26 and tv-28 ccls tuples were re-pinned when the ccls runs moved from
-# the input to its simulation quotient, whose order has no ties.
+# (input, automaton, threshold) -> (explored metastates, minimizations, cover
+# hits, CRC-32 of repr(sizes_after_min)) of a CCL registry, recorded with the
+# row-signature refinement that oracle.minimize_reference keeps.  "ccl" runs
+# on the input, "pruned" on the pruned view of its simulation quotient, as
+# the -s pipelines do.  A change to which merges an intermediate
+# minimization finds, or to the registry's answers, moves these counts even
+# where every DFA stays correct.  The pruned tuples held when the -s
+# pipelines' registry stopped saturating the greatest elements of lattices.
 _PINNED_COUNTS = {
     ("blowup8", "ccl", 1): (256, 256, 0, 3986797982),
     ("blowup8", "ccl", 3): (256, 85, 0, 1382524850),
-    ("blowup8", "ccls", 1): (256, 256, 0, 3986797982),
-    ("blowup8", "ccls", 3): (256, 85, 0, 1382524850),
+    ("blowup8", "pruned", 1): (256, 256, 0, 3986797982),
+    ("blowup8", "pruned", 3): (256, 85, 0, 1382524850),
     ("gen-11", "ccl", 1): (51, 51, 4, 3133591500),
     ("gen-11", "ccl", 3): (52, 17, 2, 324806570),
-    ("gen-11", "ccls", 1): (45, 45, 3, 3325745160),
-    ("gen-11", "ccls", 3): (46, 15, 1, 209424496),
+    ("gen-11", "pruned", 1): (45, 45, 3, 3325745160),
+    ("gen-11", "pruned", 3): (46, 15, 1, 209424496),
     ("gen-26", "ccl", 1): (33, 33, 3, 3422275683),
     ("gen-26", "ccl", 3): (34, 11, 1, 2923428515),
-    ("gen-26", "ccls", 1): (24, 24, 0, 3865957783),
-    ("gen-26", "ccls", 3): (24, 8, 0, 361821571),
+    ("gen-26", "pruned", 1): (24, 24, 0, 3865957783),
+    ("gen-26", "pruned", 3): (24, 8, 0, 361821571),
     ("tv-16", "ccl", 1): (39, 39, 14, 2603261490),
     ("tv-16", "ccl", 3): (40, 13, 14, 2886686006),
-    ("tv-16", "ccls", 1): (34, 34, 9, 3058309205),
-    ("tv-16", "ccls", 3): (36, 12, 8, 4264544606),
+    ("tv-16", "pruned", 1): (34, 34, 9, 3058309205),
+    ("tv-16", "pruned", 3): (36, 12, 8, 4264544606),
     ("tv-28", "ccl", 1): (51, 51, 8, 2586691289),
     ("tv-28", "ccl", 3): (53, 17, 5, 2997803591),
-    ("tv-28", "ccls", 1): (48, 48, 8, 1472493387),
-    ("tv-28", "ccls", 3): (49, 16, 8, 1650208079),
+    ("tv-28", "pruned", 1): (48, 48, 8, 1472493387),
+    ("tv-28", "pruned", 3): (49, 16, 8, 1650208079),
 }
 
 
@@ -511,11 +511,9 @@ def _pinned_input(name):
 def test_counts_match_pinned_values(case):
     name, kind, interval = case
     nfa = _pinned_input(name)
-    if kind == "ccl":
-        reg = CCLRegistry()
-    else:
-        q, p = simulation_quotient(nfa, compute_similarity(nfa))
-        reg, nfa = CCLSRegistry(p), PrunedView(q, p)
+    if kind == "pruned":
+        nfa = PrunedView(*simulation_quotient(nfa, compute_similarity(nfa)))
+    reg = CCLRegistry()
     reg.cover_hits = []
     stats = RunStats()
     res = otf_determinize(nfa, reg, stats, FixedInterval(interval))
@@ -531,7 +529,7 @@ def test_counts_match_pinned_values(case):
 
 # peak_intermediate_states of the same runs, recorded before the loop kept its own list of
 # live ids (it used to count every id ever created, minus the absorbed ones); the
-# gen-11 ccls peak at threshold 3 was re-pinned with the ccls counts above
+# gen-11 pruned peak at threshold 3 was re-pinned with the pruned counts above
 _PINNED_PEAKS = {
     "blowup8": (256, 256, 256, 256),
     "gen-11": (42, 45, 41, 45),
@@ -546,11 +544,10 @@ def test_peak_states_match_pinned_values(name):
     nfa = _pinned_input(name)
     q, preorder = simulation_quotient(nfa, compute_similarity(nfa))
     peaks = []
-    runs = ((nfa, CCLRegistry), (PrunedView(q, preorder), lambda: CCLSRegistry(preorder)))
-    for work, make in runs:
+    for work in (nfa, PrunedView(q, preorder)):
         for interval in (1, 3):
             stats = RunStats()
-            otf_determinize(work, make(), stats, FixedInterval(interval))
+            otf_determinize(work, CCLRegistry(), stats, FixedInterval(interval))
             peaks.append(stats.peak_intermediate_states)
     assert tuple(peaks) == _PINNED_PEAKS[name]
 
@@ -748,15 +745,14 @@ class TestCanonize:
     @pytest.mark.parametrize("pipeline", ["otf", "otf-s"])
     def test_cover_hits_match_the_registry(self, monkeypatch, pipeline):
         made = []
-        cls = CCLSRegistry if pipeline == "otf-s" else CCLRegistry
 
-        class Recording(cls):
-            def __init__(self, *args):
-                super().__init__(*args)
+        class Recording(CCLRegistry):
+            def __init__(self):
+                super().__init__()
                 self.cover_hits = []
                 made.append(self)
 
-        monkeypatch.setattr(engine, cls.__name__, Recording)
+        monkeypatch.setattr(engine, "CCLRegistry", Recording)
         hits = 0
         for seed in range(4):
             nfa = tv_nfa(random.Random(seed), 32, 1.25, 0.5)
@@ -764,6 +760,31 @@ class TestCanonize:
             assert stats.cover_hits == len(made[-1].cover_hits)
             hits += stats.cover_hits
         assert hits > 0
+
+    @pytest.mark.parametrize("pipeline", ["sc-s", "otf-s", "brz-s", "brz-otf-s"])
+    def test_deadline_checked_inside_similarity(self, monkeypatch, pipeline):
+        # the deadline has passed when similarity starts: the check the
+        # engine hands in runs before each round of the fixpoint, so no
+        # round runs, and the run reports a timeout
+        rounds = []
+        refine = simulation._refine
+        monkeypatch.setattr(simulation, "_refine", lambda *args: rounds.append(1) or refine(*args))
+        nfa = tv_nfa(random.Random(3), 16, 1.25, 0.5)
+        canonize(nfa, CanonConfig(pipeline=pipeline))
+        assert len(rounds) >= 2  # untimed, the fixpoint takes several rounds
+        rounds.clear()
+        now = [0.0]  # the engine's clock, in seconds
+        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        similarity = engine.compute_similarity
+
+        def late(nfa, **kwargs):
+            now[0] = 1.0  # far past the 1 ms deadline
+            return similarity(nfa, **kwargs)
+
+        monkeypatch.setattr(engine, "compute_similarity", late)
+        dfa, stats = canonize(nfa, CanonConfig(pipeline=pipeline, timeout_ms=1.0))
+        assert dfa is None and stats.timed_out
+        assert len(rounds) <= 1
 
     def test_timeout_keeps_lookup_counts(self):
         config = CanonConfig(pipeline="otf", threshold_init=50, timeout_ms=50.0)
@@ -852,9 +873,9 @@ class TestCanonize:
         # and reuses the preorder its quotient step induces
         calls = []
 
-        def counting(nfa):
+        def counting(nfa, **kwargs):
             calls.append(nfa)
-            return compute_similarity(nfa)
+            return compute_similarity(nfa, **kwargs)
 
         monkeypatch.setattr(engine, "compute_similarity", counting)
         nfa = generate(GenParams(n=20, density=2.0, seed=4))
@@ -876,8 +897,8 @@ class TestCanonize:
         # an -s run determinizes a pruned view: its successor table carries
         # the order, so ``prune`` runs once per -s pass, on the initial
         # metastate, the registry's puts are all pruned forms, and
-        # ``unify`` prunes nothing.  Without a controller nothing unifies,
-        # and the first pass runs with the one-to-one registry
+        # ``unify`` prunes nothing.  The registry is CCL with a controller
+        # and the one-to-one registry without one
         prunes = []
         real_prune = registry_module.prune
 
@@ -887,7 +908,17 @@ class TestCanonize:
 
         monkeypatch.setattr(registry_module, "prune", counting_prune)
 
-        class Checked(CCLSRegistry):
+        orders = []
+        real_quotient = engine.simulation_quotient
+
+        def recording_quotient(nfa, rel):
+            quotient, order = real_quotient(nfa, rel)
+            orders.append(order)
+            return quotient, order
+
+        monkeypatch.setattr(engine, "simulation_quotient", recording_quotient)
+
+        class Checked(CCLRegistry):
             unifies = 0
 
             def unify(self, root, gone):
@@ -896,7 +927,7 @@ class TestCanonize:
                 assert len(prunes) == before
                 Checked.unifies += 1
 
-        monkeypatch.setattr(engine, "CCLSRegistry", Checked)
+        monkeypatch.setattr(engine, "CCLRegistry", Checked)
         first_passes = []
         determinize = engine.otf_determinize
 
@@ -914,9 +945,10 @@ class TestCanonize:
             for pipeline in ("sc-s", "otf-s", "brz-s", "brz-otf-s"):
                 prunes.clear()
                 first_passes.clear()
+                orders.clear()
                 canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
                 [(view, reg)] = first_passes
-                p = view.preorder
+                [p] = orders
                 assert [real_prune(m, p) for m in prunes] == [view.initial_mask], pipeline
                 expect = Checked if "otf" in pipeline else OneToOneRegistry
                 assert type(reg) is expect, pipeline
@@ -941,20 +973,18 @@ class TestBrzozowskiPhase2:
         # both passes add their counts into the RunStats they are given, so
         # running them by hand on one RunStats gives canonize's counts.  An
         # -s pipeline determinizes the pruned view of the reversed quotient's
-        # own simulation quotient with CCLS, and runs phase 2 on its reverse
+        # own simulation quotient, and runs phase 2 on its reverse
         otf = "otf" in pipeline
         simulated = pipeline.endswith("-s")
         merged = 0
         for nfa in self._inputs():
-            rev = reverse(bisimulation_quotient(trim(nfa)))
+            rev = explored = reverse(bisimulation_quotient(trim(nfa)))
             if simulated:
                 n = rev.num_states
                 rev, p = simulation_quotient(rev, compute_similarity(rev))
                 merged += rev.num_states < n
-                registry, explored = CCLSRegistry(p), PrunedView(rev, p)
-            else:
-                registry = CCLRegistry() if otf else OneToOneRegistry()
-                explored = rev
+                explored = PrunedView(rev, p)
+            registry = CCLRegistry() if otf else OneToOneRegistry()
             stats = RunStats()
             first = otf_determinize(explored, registry, stats, Threshold(3) if otf else None)
             residual = ResidualRegistry(first.metastates, rev.num_states)

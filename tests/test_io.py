@@ -95,6 +95,20 @@ class TestNfaErrors:
         with pytest.raises(ParseError):
             parse_nfa("nfa 2 1\ninitial 7\nfinal 1\n")
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("nfa 2 1\ninitial 0\nfinal 0\nfinal 1\nt 0 0 1\n", 4),
+            ("nfa 2 1\ninitial 0\nfinal 1\n# again\ninitial 1\n", 5),
+        ],
+        ids=["final", "initial"],
+    )
+    def test_repeated_line_names_the_second(self, text, lineno):
+        # neither line wins: the file is rejected at the second
+        with pytest.raises(ParseError, match="repeated") as exc:
+            parse_nfa(text)
+        assert exc.value.lineno == lineno
+
 
 class TestDfaFormat:
     def test_round_trip(self, ends_in_a_dfa_min):
@@ -115,6 +129,13 @@ class TestDfaFormat:
     def test_multiple_initial_rejected(self):
         with pytest.raises(ParseError):
             parse_dfa("dfa 2 1\ninitial 0 1\nfinal 1\n")
+
+    @pytest.mark.parametrize("tag", ["initial", "final"])
+    def test_repeated_line_rejected(self, tag):
+        text = f"dfa 2 1\ninitial 0\nfinal 1\n{tag} 1\nt 0 0 1\n"
+        with pytest.raises(ParseError, match=f"repeated '{tag}'") as exc:
+            parse_dfa(text)
+        assert exc.value.lineno == 4
 
     def test_conflicting_transition_rejected(self):
         with pytest.raises(ParseError):

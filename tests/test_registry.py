@@ -1,4 +1,4 @@
-"""Tests for the one-to-one, CCL, and CCLS equivalence registries."""
+"""Tests for the one-to-one, residual and CCL equivalence registries and the pruned view."""
 
 import random
 
@@ -11,7 +11,6 @@ from nfacanon.automata import Nfa, isomorphic, reverse, to_mask
 from nfacanon.engine import RunStats, otf_determinize
 from nfacanon.registry import (
     CCLRegistry,
-    CCLSRegistry,
     Lattice,
     OneToOneRegistry,
     PrunedView,
@@ -27,7 +26,6 @@ from oracle import (
     dfa_from_metastate,
     dfa_to_nfa,
     find,
-    identity_preorder,
     lattice_of_puts,
     leq,
     lookup,
@@ -119,13 +117,12 @@ class TestFind:
 class TestContract:
     """``put`` takes the next id only, and ``unify`` two live roots in order."""
 
-    @pytest.mark.parametrize("kind", ["one-to-one", "residual", "ccl", "ccls"])
+    @pytest.mark.parametrize("kind", ["one-to-one", "residual", "ccl"])
     def test_put_of_a_non_next_id_rejected(self, kind):
         reg = {
             "one-to-one": OneToOneRegistry,
             "residual": lambda: ResidualRegistry([0b1001, 0b1010, 0b0100], 4),
             "ccl": CCLRegistry,
-            "ccls": lambda: CCLSRegistry(_strict_preorder()),
         }[kind]()
         for bad in (1, -1):  # ahead of the next id, and an id before it
             with pytest.raises(RegistryContractError):
@@ -139,14 +136,11 @@ class TestContract:
         assert reg.metastates == _masks([0], [1])
         assert reg._exact == {to_mask([0]): 0, to_mask([1]): 1}
 
-    @pytest.mark.parametrize(
-        "make", [CCLRegistry, lambda: CCLSRegistry(identity_preorder(5))], ids=["ccl", "ccls"]
-    )
-    def test_put_of_a_covered_metastate_rejected(self, make):
+    def test_put_of_a_covered_metastate_rejected(self):
         # every put but the first follows the miss of its metastate, so a
         # metastate that a merged lattice covers is refused; the exact map
         # would otherwise answer it apart from the lattice's class
-        reg = make()
+        reg = CCLRegistry()
         reg.put(0b001, 0)
         reg.put(0b100, 1)
         reg.unify(0, 1)  # [{0} | {2}, {0, 2}]
@@ -165,11 +159,8 @@ class TestContract:
         reg.put(0b10000, 3)
         assert lookup(reg, 0b10000) == 3 and lookup(reg, 0b1001) == 0
 
-    @pytest.mark.parametrize(
-        "make", [CCLRegistry, lambda: CCLSRegistry(identity_preorder(5))], ids=["ccl", "ccls"]
-    )
-    def test_unify_needs_two_live_roots_in_order(self, make):
-        reg = make()
+    def test_unify_needs_two_live_roots_in_order(self):
+        reg = CCLRegistry()
         for q in range(4):
             reg.put(to_mask([q]), q)
         bad_pairs = [(1, 0), (2, 2), (0, 4), (-1, 0)]  # out of order, self, never put
@@ -358,11 +349,8 @@ class TestCCL:
                         if a != b:
                             assert a & b not in (a, b)
 
-    @pytest.mark.parametrize(
-        "make", [CCLRegistry, lambda: CCLSRegistry(identity_preorder(4))], ids=["ccl", "ccls"]
-    )
-    def test_put_to_a_used_state_rejected(self, make):
-        reg = make()
+    def test_put_to_a_used_state_rejected(self):
+        reg = CCLRegistry()
         reg.put(to_mask([1]), 0)
         reg.put(to_mask([2]), 1)
         q = to_mask([3])
@@ -398,60 +386,37 @@ def _strict_preorder():
     return p
 
 
-class TestCCLS:
-    def test_identity_preorder_matches_ccl(self):
-        rng = random.Random(5)
-        ccl = CCLRegistry()
-        ccls = CCLSRegistry(identity_preorder(10))
-        states = []
-        for _ in range(200):
-            mask = to_mask([s for s in range(10) if rng.random() < 0.4])
-            if lookup(ccl, mask) is None:
-                assert lookup(ccls, mask) is None
-                states.append(len(ccl.metastates))
-                ccl.put(mask, states[-1])
-                ccls.put(mask, states[-1])
-            if len(states) >= 2 and rng.random() < 0.3:
-                pair = rng.sample(states, 2)
-                assert _unify_classes(ccl, *pair) == _unify_classes(ccls, *pair)
-            probe = to_mask([s for s in range(10) if rng.random() < 0.4])
-            assert lookup(ccl, probe) == lookup(ccls, probe)
+class TestCCLOnPrunedForms:
+    """CCL as an -s run drives it: every query and put is a pruned form."""
 
-    def test_put_widens_lattice(self):
-        # a put is a pruned form, and its lattice, [{0}, {0, 1}], is built
-        # when its class is first unified
+    def test_unify_joins_pruned_puts(self):
+        # a put is a pruned form, and its lattice, the point [{0}, {0}], is
+        # built when its class is first unified
         p = _strict_preorder()
-        reg = CCLSRegistry(p)
+        reg = CCLRegistry()
         reg.put(to_mask([0]), 0)
         assert reg.lattices == {} and reg._exact == {to_mask([0]): 0}
-        reg.put(to_mask([2]), 1)  # a point
+        reg.put(to_mask([2]), 1)
         reg.unify(0, 1)
         lat = reg.lattices[find(reg, 0)]
-        assert lat.greatest & to_mask([0, 1]) == to_mask([0, 1])
+        assert lat.greatest == to_mask([0, 2])
         assert lat.minimals == _masks([0], [2])
         assert lat.puts == _masks([0], [2])
         # a pruned query between the minimals and the greatest element
         assert prune(to_mask([0, 2]), p) == to_mask([0, 2])
         assert lookup(reg, to_mask([0, 2])) == 0
 
-    def test_get_hits_saturated_form_without_unify(self):
-        # {0, 1} lies in the lattice [{0}, {0, 1}] of the put {0}; the
-        # registry is asked for its pruned form, the key of the exact map
-        p = _strict_preorder()
-        reg = CCLSRegistry(p)
-        reg.put(to_mask([0]), 0)
-        assert lookup(reg, prune(to_mask([0, 1]), p)) == 0
-
     def test_unseen_uncovered_undefined(self):
-        reg = CCLSRegistry(_strict_preorder())
+        reg = CCLRegistry()
+        reg.put(to_mask([0]), 0)
         assert lookup(reg, to_mask([2])) is None
 
     def test_put_of_an_unmerged_key_rejected(self):
         # {0, 1} prunes to {0}, the key of a put: the exact map answers it,
         # and a put of it again is refused
         p = _strict_preorder()
-        reg = CCLSRegistry(p)
-        reg.put(to_mask([0]), 0)  # [{0}, {0, 1}]: keyed by {0}
+        reg = CCLRegistry()
+        reg.put(to_mask([0]), 0)
         q = prune(to_mask([0, 1]), p)
         assert q == to_mask([0]) and lookup(reg, q) == 0
         with pytest.raises(RegistryContractError):
@@ -487,17 +452,17 @@ def _preorder_and_masks(draw):
 
 
 class TestUnmergedLattice:
-    """The lemma by which the exact map answers for a CCLS class never unified."""
+    """The lemma by which the exact map answers for a class never unified."""
 
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(case=_preorder_and_masks())
     def test_covers_a_pruned_query_iff_same_pruned_form(self, case):
-        # on random partial orders, the kind simulation_quotient returns.
-        # The lattice of the pruned put prune(m) is the lattice of m
+        # on random partial orders, the kind simulation_quotient returns:
+        # the point lattice of the pruned put prune(m) covers a pruned query
+        # only when it is that put
         p, m, q = case
         put = prune(m, p)
-        assert saturate(put, p) == saturate(m, p)
-        lat = Lattice(0, saturate(put, p), [put], [put])
+        lat = Lattice(0, put, [put], [put])
         assert covers(lat, prune(q, p)) == (prune(q, p) == put)
 
 
@@ -670,10 +635,8 @@ def _reference_get(reg, classes, mask):
     for root, puts in classes.items():
         if mask in puts:
             return root, None
-    p = getattr(reg, "preorder", None)
-    query = mask if p is None else prune_reference(mask, p)
     for root, puts in classes.items():
-        if covers(lattice_of_puts(root, puts, p), query):
+        if covers(lattice_of_puts(root, puts), mask):
             return root, (mask, root)
     return None, None
 
@@ -699,21 +662,19 @@ def _random_preorder(rng, positions):
     return Preorder(rel)
 
 
-def _run_ops(reg, rng, positions, steps):
+def _run_ops(reg, rng, positions, steps, p=None):
     """Random put/unify/lookup sequence over subsets of ``positions``.
 
-    A model keeps the puts of each class by class root, in the order of
-    ``_reference_get``, and the root of each state.
+    With an order ``p`` every metastate is drawn pruned by it, as in an
+    -s run.  A model keeps the puts of each class by class root, in the
+    order of ``_reference_get``, and the root of each state.
     """
     reg.cover_hits = []
     classes: dict[int, list[int]] = {}
     root_of: list[int] = []  # by state id
     unifies = 0
 
-    p = getattr(reg, "preorder", None)
-
     def draw_mask():
-        # a CCLS registry is asked about pruned metastates only
         mask = to_mask([x for x in positions if rng.random() < 0.4])
         return mask if p is None else prune_reference(mask, p)
 
@@ -738,23 +699,22 @@ def _run_ops(reg, rng, positions, steps):
             _checked_get(reg, classes, draw_mask())
     for mask in list(reg._exact):
         _checked_get(reg, classes, mask)
-    _check_invariants(reg, classes, unifies)
+    _check_invariants(reg, classes, unifies, p)
 
 
-def _check_invariants(reg, classes, unifies):
-    """The layout of CCL or CCLS registry ``reg`` against the model's classes."""
+def _check_invariants(reg, classes, unifies, p):
+    """The layout of CCL registry ``reg`` against the model's classes."""
     # the exact map names the class root of every put
     assert reg._exact == {m: root for root, puts in classes.items() for m in puts}
     # ``lattices`` holds exactly the classes of more than one put, each
     # keyed by its root, with the class's puts and its lattice; no lattice
     # is built before its class is unified
     assert set(reg.lattices) == {root for root, puts in classes.items() if len(puts) > 1}
-    p = getattr(reg, "preorder", None)
     for root, lat in reg.lattices.items():
-        ref = lattice_of_puts(root, classes[root], p)
+        ref = lattice_of_puts(root, classes[root])
         assert lat.rep == root and lat.puts == classes[root]
         assert lat.greatest == ref.greatest and sorted(lat.minimals) == sorted(ref.minimals)
-    # a CCLS registry is given pruned metastates only
+    # pruned draws give pruned puts
     if p is not None:
         assert all(prune_reference(m, p) == m for m in reg.metastates)
     # the index's live rows are the lattices, in the dict's order; every
@@ -782,10 +742,10 @@ class TestCoverIndex:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(positions=_positions, seed=st.integers(0, 2**32 - 1))
-    def test_ccls_matches_linear_scan(self, positions, seed):
+    def test_ccl_on_pruned_masks_matches_linear_scan(self, positions, seed):
         rng = random.Random(seed)
-        reg = CCLSRegistry(_random_preorder(rng, positions))
-        _run_ops(reg, rng, positions, 60)
+        p = _random_preorder(rng, positions)
+        _run_ops(CCLRegistry(), rng, positions, 60, p)
 
     def test_one_row_per_unify(self):
         # a discarded lattice's bit only leaves ``live``: nothing is rebuilt
@@ -817,12 +777,12 @@ class TestCoverIndex:
         assert len(reg.lattices[0].minimals) == 2
         assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
 
-    def test_ccls_point_lattices_get_no_rows(self):
+    def test_pruned_point_lattices_get_no_rows(self):
         p = _strict_preorder()
-        reg = CCLSRegistry(p)
-        reg.put(to_mask([2]), 0)  # prune == saturate: a point
+        reg = CCLRegistry()
+        reg.put(to_mask([2]), 0)
         assert reg._index.rows == [] and reg.lattices == {}
-        reg.put(to_mask([0]), 1)  # saturates to {0, 1}: no lattice before a unify
+        reg.put(prune(to_mask([0, 1]), p), 1)  # {0}: no lattice before a unify
         assert reg._index.rows == [] and reg.lattices == {}
         assert reg._exact == {to_mask([2]): 0, to_mask([0]): 1}
         reg.unify(0, 1)  # the merged lattice is indexed

@@ -156,6 +156,30 @@ class TestComputeSimilarity:
         assert not any(rel[i, 7 + i] for i in range(7))
         assert len(rounds) >= 3  # six rounds drop pairs, the seventh none
 
+    def test_check_runs_before_every_round(self, monkeypatch):
+        # the engine hands in its deadline check: each round starts after
+        # one more call of it, so a check that raises stops the fixpoint
+        rounds, checks = [], []
+        refine = simulation._refine
+        monkeypatch.setattr(
+            simulation, "_refine", lambda *args: rounds.append(len(checks)) or refine(*args)
+        )
+        nfa = _chain_nfa(6)
+        rel = compute_similarity(nfa, check=lambda: checks.append(1))
+        assert _above(rel) == similarity_reference(nfa)
+        assert rounds == list(range(1, len(rounds) + 1)) and len(rounds) >= 3
+
+        class Expired(Exception):
+            pass
+
+        def expired():
+            raise Expired
+
+        rounds.clear()
+        with pytest.raises(Expired):
+            compute_similarity(nfa, check=expired)
+        assert rounds == []
+
     @pytest.mark.parametrize(
         "params",
         [GenParams(150, 2.0, 1), GenParams(600, 2.0, 2), GenParams(1000, 8.0, 3)],

@@ -92,7 +92,7 @@ def otf_determinize(
     loop keeps the sorted live ids itself: each new id is appended, and
     each minimization drops the ids it absorbs.  The registry resolves
     every id: lookups return representatives, and intermediate
-    minimizations report their merges to it with ``unify`` and rewrite the
+    minimizations report their blocks to it with ``unify`` and rewrite the
     rows that named an absorbed id, so every row names live ids only.  Only
     explored states are ever merged, because minimization keeps each
     unexplored state in a block of its own.  The returned DFA is the final,
@@ -102,10 +102,12 @@ def otf_determinize(
     ``registry.metastates[s]``.
     Without a ``controller`` no intermediate minimization happens; with
     one, the registry must be able to ``unify``, so it is a CCL registry.
-    Each merge goes to it as ``unify(survivor, absorbed)``: two live ids,
-    the survivor the smallest id of its block.  The loop calls
-    only the controller's ``should_minimize()``, once per explored state,
-    and ``after_minimize(size)``; the pipelines pass a ``Threshold``.
+    Each block of merged states goes to it as one ``unify(survivor,
+    absorbed)``: the survivor is the smallest live id of the block and
+    ``absorbed`` lists the others, ascending; blocks go in survivor order.
+    The loop calls only the controller's ``should_minimize()``, once per
+    explored state, and ``after_minimize(size)``; the pipelines pass a
+    ``Threshold``.
     ``metastates`` lists the metastate each live id was put for, in id
     order, which Brzozowski's second pass reads.
 
@@ -215,8 +217,11 @@ def _dense(rows, ids: list[int], k: int) -> np.ndarray:
 def _intermediate_minimize(rows, final_mask, ids, stack, registry, k) -> list[int]:
     """Minimize the partial DFA of the sorted live ``ids`` in place.
 
-    Merges go to the registry, and rows that named an absorbed id are
-    rewritten to name its survivor.  Returns the live ids left, sorted.
+    Each block goes to the registry as one ``unify``: ``minimize`` lists
+    its merges sorted by survivor, then by absorbed id, so grouping them
+    in list order gives the blocks in survivor order, each with its
+    absorbed ids ascending.  Rows that named an absorbed id are rewritten
+    to name its survivor.  Returns the live ids left, sorted.
     """
     table = _dense(rows, ids, k)
     n = len(ids)
@@ -229,13 +234,15 @@ def _intermediate_minimize(rows, final_mask, ids, stack, registry, k) -> list[in
     # target[i]: id that dense state i now stands for; the extra last entry
     # keeps UNDEFINED undefined
     target = ids + [UNDEFINED]
-    gone = np.zeros(n + 1, dtype=bool)
+    blocks: dict[int, list[int]] = {}  # survivor -> its absorbed ids, ascending
     for surv, dead in merges:
-        registry.unify(ids[surv], ids[dead])
+        blocks.setdefault(ids[surv], []).append(ids[dead])
         rows[ids[dead]] = None
         target[dead] = ids[surv]
-        gone[dead] = True
+    for root, absorbed in blocks.items():
+        registry.unify(root, absorbed)
     target = np.array(target)
+    gone = target != ids + [UNDEFINED]  # the dense states absorbed
     kept = ~gone[:n]
     for i in np.flatnonzero(gone[table].any(axis=1) & kept).tolist():
         rows[ids[i]] = target[table[i]].tolist()

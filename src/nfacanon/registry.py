@@ -16,15 +16,15 @@ language.  Metastates are integer bitmasks over NFA states.  The contract:
   missed its metastate.  A metastate is put at most once; a put of another
   id or of a metastate put before raises ``RegistryContractError``.
 
-The CCL registry also merges: ``unify(root, gone)`` records that two
-states were found language-equivalent (by intermediate minimization) and
-merges their classes.  Both must be live class roots, ``root < gone``: the
-survivor of a minimization block is its smallest id, so these are the
-only pairs the loop passes.  The root of a class is its smallest id.
-Its exact map names class roots, and ``unify`` rewrites the entries of
-the class it absorbs, so an exact hit needs no further lookup.  A
-minimization controller needs a registry that can ``unify``, so it runs
-with CCL only.
+The CCL registry also merges: ``unify(root, gone)`` records that the
+states of one block of intermediate minimization were found
+language-equivalent and merges their classes.  All must be live class
+roots, and ``gone`` ascending above ``root``: the survivor of a block is
+its smallest id, and the loop passes each block once, with its absorbed
+ids in order.  The root of a class is its smallest id.  Its exact map
+names class roots, and ``unify`` rewrites the entries of the classes it
+absorbs, so an exact hit needs no further lookup.  A minimization
+controller needs a registry that can ``unify``, so it runs with CCL only.
 
 Three implementations are provided:
 
@@ -49,15 +49,15 @@ iff p == m.  Hence:
 * an *unmerged* class, the single put m of a state, builds no lattice: its
   entries in the exact map and in ``metastates`` are all there is, because
   by the lemma the exact map answers every query the lattice would cover;
-* a *merged* class has a ``Lattice``, built when ``unify`` first joins
-  the class, and the lattice goes to the cover index.  The index has one
-  bit per lattice: per NFA state, one Python int holds the bits of the
-  lattices whose greatest element contains it.  A query ANDs the ints of
-  its members, so a miss usually stops after a few of them, then tests
-  the minimals of the lattices left in bit order.  Bit order is the order
-  in which ``unify`` joined them.  ``unify`` adds one bit and clears
-  those of the lattices it joins, so the index holds one bit per
-  ``unify`` call, live or dead.
+* a *merged* class has a ``Lattice``, the join of its block's lattices,
+  built once per ``unify``, and the lattice goes to the cover index.  The
+  index has one bit per lattice: per NFA state, one Python int holds the
+  bits of the lattices whose greatest element contains it.  A query ANDs
+  the ints of its members, so a miss usually stops after a few of them,
+  then tests the minimals of the lattices left in bit order.  Bit order
+  is the order in which ``unify`` built them.  ``unify`` adds one bit and
+  clears those of the lattices it joins, so the index holds one bit per
+  block, live or dead.
 
 So ``lattices`` holds exactly the lattices of the unified classes, keyed
 by class root; a registry that never merged builds none and costs what its
@@ -102,20 +102,6 @@ class Lattice:
         self.puts = puts
         self.bit = 0
 
-    def absorb(self, greatest: int, minimals: list[int]) -> None:
-        """Join another region into this one, merging the two antichains.
-
-        Both lists are antichains, so only cross pairs are tested: an old
-        minimal stays unless a new one lies strictly below it, and a new one
-        joins unless an old one lies below or equals it.  Old survivors come
-        first, then new ones.
-        """
-        self.greatest |= greatest
-        old = self.minimals
-        kept = [o for o in old if not any(n != o and n & o == n for n in minimals)]
-        kept += [n for n in minimals if not any(o & n == o for o in old)]
-        self.minimals = kept
-
 
 class _CoverIndex:
     """Greatest-element slices over the merged lattices of a CCL registry.
@@ -126,8 +112,9 @@ class _CoverIndex:
     lattices whose greatest element contains NFA state ``s``, and ``live``
     the bits in use.  A lattice keeps its bit from
     ``insert`` to ``discard``, so bit order is insertion order.  A
-    discarded bit only leaves ``live``: the index gains one row per
-    ``unify``, and there are fewer of those than states made, so its slices
+    discarded bit only leaves ``live``, and discarding a lattice never
+    inserted, whose bit is 0, does nothing.  The index gains one row per
+    block, and there are fewer of those than states made, so its slices
     hold at most (NFA states) x (states made) bits, as ``metastates`` does.
     """
 
@@ -272,18 +259,18 @@ class CCLRegistry(OneToOneRegistry):
     The exact map names class roots, so an exact hit is one dict lookup,
     and the root of any state ``s`` ever put is ``_exact[metastates[s]]``.
     The lattice of a put is a point, so a put builds none.  ``unify`` takes
-    the lattices of both classes out of the index, building the lattice of
-    a class it joins for the first time, points the exact entries of the
-    absorbed class's puts at the root, and indexes the join under the
-    root.  ``get`` asks the cover index, which holds the lattices of the
-    unified classes: it returns the first covering lattice in insertion
-    order (most recently merged last), answered by a bit-sliced index
-    rather than a scan, and returns at once while the index is empty.
-    ``get`` records the metastate it last missed, and ``unify`` clears the
-    record: a ``put`` of that metastate is checked by no lookup, and any
-    other ``put`` raises ``RegistryContractError`` if a lattice covers its
-    metastate.  Setting ``cover_hits`` to a list records every hit of
-    ``get`` as a (queried metastate, returned state) pair.
+    the lattices of every class of its block out of the index, a class
+    never unified counting as the point of its put, points the exact
+    entries of all their puts at the root, and indexes their join once,
+    under the root.  ``get`` asks the cover index, which holds the
+    lattices of the unified classes: it returns the first covering lattice
+    in insertion order (most recently merged last), answered by a
+    bit-sliced index rather than a scan, and returns at once while the
+    index is empty.  ``get`` records the metastate it last missed, and
+    ``unify`` clears the record: a ``put`` of that metastate is checked by
+    no lookup, and any other ``put`` raises ``RegistryContractError`` if a
+    lattice covers its metastate.  Setting ``cover_hits`` to a list records
+    every hit of ``get`` as a (queried metastate, returned state) pair.
     """
 
     def __init__(self):
@@ -307,33 +294,36 @@ class CCLRegistry(OneToOneRegistry):
             raise RegistryContractError(f"metastate {mask} is covered by state {covering}")
         super().put(mask, state)
 
-    def unify(self, root: int, gone: int) -> None:
-        """Merge the class of ``gone`` into that of ``root``, two live roots."""
-        exact, metastates = self._exact, self.metastates
-        ordered = 0 <= root < gone < len(metastates)
-        if not (ordered and exact[metastates[root]] == root and exact[metastates[gone]] == gone):
-            raise RegistryContractError(f"unify({root}, {gone}) needs two live roots in order")
-        self._missed = -1  # the join may cover it
-        merged = self._take(root)
-        other = self._take(gone)
-        for mask in other.puts:
-            exact[mask] = root
-        merged.absorb(other.greatest, other.minimals)
-        merged.puts += other.puts
-        self.lattices[root] = merged
-        self._index.insert(merged)
+    def unify(self, root: int, gone: list[int]) -> None:
+        """Merge one block: the classes of the live roots ``gone`` into ``root``'s.
 
-    def _take(self, root: int) -> Lattice:
-        """The lattice of class ``root``, taken out of ``lattices`` and the index.
-
-        A class never unified has none yet: it gets the point of its one put.
+        ``gone`` is ascending and nonempty, and ``root``, a live root too,
+        is below all of it.  The join of the block's lattices is built once:
+        a class never unified is the point of its one put.  Its minimals are
+        those of the union of the antichains, kept smallest first.
         """
-        lat = self.lattices.pop(root, None)
-        if lat is None:
-            mask = self.metastates[root]
-            return Lattice(root, mask, [mask], [mask])
-        self._index.discard(lat)
-        return lat
+        exact, metastates = self._exact, self.metastates
+        block = [root, *gone]
+        ordered = gone and block == sorted(set(block)) and 0 <= root and block[-1] < len(metastates)
+        if not (ordered and all(exact[metastates[q]] == q for q in block)):
+            raise RegistryContractError(f"unify({root}, {gone}) needs live roots, ascending")
+        self._missed = -1  # the join may cover it
+        greatest, minimals, puts = 0, [], []
+        for q in block:
+            mask = metastates[q]
+            # a lattice never indexed has bit 0, and discarding it does nothing
+            lat = self.lattices.pop(q, None) or Lattice(q, mask, [mask], [mask])
+            self._index.discard(lat)
+            greatest |= lat.greatest
+            minimals += lat.minimals
+            puts += lat.puts
+        exact.update(dict.fromkeys(puts, root))
+        kept: list[int] = []
+        for m in sorted(minimals, key=int.bit_count):
+            if m not in map(m.__or__, kept):  # no kept k is a subset: k | m == m
+                kept.append(m)
+        merged = self.lattices[root] = Lattice(root, greatest, kept, puts)
+        self._index.insert(merged)
 
 
 class PrunedView:

@@ -39,7 +39,7 @@ class Preorder:
         self.pruners = to_mask(y for y, row in enumerate(self.below) if row)
 
 
-def compute_similarity(nfa: Nfa, check: Callable[[], None] | None = None) -> np.ndarray:
+def compute_similarity(nfa: Nfa, check: Callable[[], None] = lambda: None) -> np.ndarray:
     """Coarsest simulation preorder, by greatest-fixpoint refinement.
 
     Returns the boolean matrix ``R``, reflexive and transitive: ``R[x, y]``
@@ -57,8 +57,9 @@ def compute_similarity(nfa: Nfa, check: Callable[[], None] | None = None) -> np.
     quantifier.  Each symbol then ANDs the unpacked results of its groups
     over its edges, grouped by source: the universal one.
 
-    ``check``, if given, is called before each round; the engine passes one
-    that raises once the run's deadline has passed.
+    ``check`` is called before each round and before each symbol's step
+    within it; the engine passes one that raises once the run's deadline
+    has passed.
     """
     n = nfa.num_states
     final = np.zeros(n, dtype=bool)
@@ -88,15 +89,18 @@ def compute_similarity(nfa: Nfa, check: Callable[[], None] | None = None) -> np.
     del rel
     pairs, before = np.count_nonzero(sim), None
     while pairs != before:
-        if check is not None:
-            check()
-        _refine(sim, dst, first, steps)
+        check()
+        _refine(sim, dst, first, steps, check)
         pairs, before = np.count_nonzero(sim), pairs
     return np.ascontiguousarray(sim[:, :n].T)
 
 
-def _refine(sim: np.ndarray, dst: np.ndarray, first: np.ndarray, steps: list) -> None:
+def _refine(
+    sim: np.ndarray, dst: np.ndarray, first: np.ndarray, steps: list, check: Callable[[], None]
+) -> None:
     """One round of ``compute_similarity``, clearing pairs of ``sim`` in place.
+
+    ``check`` is called before each symbol's step.
 
     The existential rows are computed once, from the relation the round
     starts with.  Pairs cleared earlier in the round leave them stale, but a
@@ -111,6 +115,7 @@ def _refine(sim: np.ndarray, dst: np.ndarray, first: np.ndarray, steps: list) ->
     np.bitwise_or.reduceat(packed[dst], first, axis=0, out=exists[: len(first)])
     exists = exists.view(np.uint8)
     for glo, sources, dst_a, starts in steps:
+        check()
         width = -(-len(sources) // 8) * 8
         # has[x', j]: source j has a successor on the symbol simulating x';
         # the columns past the symbol's sources are read and dropped

@@ -9,7 +9,8 @@ fast enough to check ``compute_similarity`` on benchmark-sized inputs.
 ``minimize_reference`` and ``bisimulation_reference`` are the earlier
 row-signature refinements that ``nfacanon.partition`` must match exactly,
 merge order and state numbering included.  ``antichain_reference`` is the
-earlier pairwise antichain filter that ``Lattice.absorb`` must match.
+pairwise antichain filter that the minimals of a ``CCLRegistry.unify``
+join must match.
 ``prune_reference`` and ``saturate_reference`` are the earlier loops over
 every member that the masked ``prune`` and ``saturate`` must match.
 ``leq`` reads a ``Preorder``'s partial order off its strict rows, and
@@ -421,13 +422,15 @@ class LinearScanCCLRegistry:
 
     A lattice is a ``[class root, greatest, minimals]`` list, kept in
     insertion order.  A put appends the point ``[state, m, [m]]``;
-    ``unify`` removes the two classes' lattices and appends their join,
-    rooted at the smaller root.  A lookup of a metastate that was put
-    returns its state's root; any other returns the root of the first
-    lattice covering it, or ``None``.  Setting ``cover_hits`` to a list
-    records the non-exact hits, as ``CCLRegistry`` does.  ``_exact``, the
-    exact map the engine reads before ``get``, is always empty: the
-    metastates put are kept in ``put_state`` instead.
+    ``unify(q, gone)`` joins the class of each id of ``gone`` into that of
+    ``q`` in turn, one pair at a time: it removes the two classes'
+    lattices and appends their join, rooted at the smaller root.  A lookup
+    of a metastate that was put returns its state's root; any other
+    returns the root of the first lattice covering it, or ``None``.
+    Setting ``cover_hits`` to a list records the non-exact hits, as
+    ``CCLRegistry`` does.  ``_exact``, the exact map the engine reads
+    before ``get``, is always empty: the metastates put are kept in
+    ``put_state`` instead.
     """
 
     def __init__(self):
@@ -459,15 +462,16 @@ class LinearScanCCLRegistry:
         self.put_state[mask] = state
         self.lattices.append([state, mask, [mask]])
 
-    def unify(self, q1: int, q2: int) -> None:
-        r1, r2 = self.find(q1), self.find(q2)
-        if r1 == r2:
-            return
-        root, gone = min(r1, r2), max(r1, r2)
-        self.parent[gone] = root
-        (_, g1, m1), (_, g2, m2) = [lat for lat in self.lattices if lat[0] in (r1, r2)]
-        self.lattices = [lat for lat in self.lattices if lat[0] not in (r1, r2)]
-        self.lattices.append([root, g1 | g2, antichain_reference(m1 + m2)])
+    def unify(self, q1: int, gone: list[int]) -> None:
+        for q2 in gone:
+            r1, r2 = self.find(q1), self.find(q2)
+            if r1 == r2:
+                continue
+            root, other = min(r1, r2), max(r1, r2)
+            self.parent[other] = root
+            (_, g1, m1), (_, g2, m2) = [lat for lat in self.lattices if lat[0] in (r1, r2)]
+            self.lattices = [lat for lat in self.lattices if lat[0] not in (r1, r2)]
+            self.lattices.append([root, g1 | g2, antichain_reference(m1 + m2)])
 
 
 def find(reg, state: int) -> int:

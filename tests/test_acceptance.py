@@ -181,7 +181,7 @@ def test_convexity_closure_fixture():
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         covered = set()
         for bits in range(1, 32):
             subset = tuple(x for x in (1, 2, 3, 4, 5) if bits >> (x - 1) & 1)

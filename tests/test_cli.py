@@ -175,7 +175,9 @@ class TestCanonize:
     def test_tv12_runs_unify(self, capsys, monkeypatch, pipeline, threshold):
         # the CI steps on the committed tv-12 NFA run these commands to cover
         # ``unify`` in CCL, on the input and on the pruned view of an -s
-        # run, forward and in Brzozowski's first pass
+        # run, forward and in Brzozowski's first pass.  Each call is one
+        # minimization block: otf-s at threshold 1 makes 12 of them,
+        # joining 56 states, and brz-otf-s at threshold 3 makes 1
         calls = []
         unify = CCLRegistry.unify
 
@@ -189,6 +191,7 @@ class TestCanonize:
         assert main(args) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["minimizations"] > 0
         assert calls
+        assert all(gone and [root, *gone] == sorted({root, *gone}) for root, gone in calls)
 
 
 class TestSweepAndSummarize:

@@ -128,8 +128,8 @@ def _counting(registry_cls, explored: list[int] | None = None):
     ("exact", mask, answer), each ``get`` call as ("get", mask, answer) and
     each ``put`` as ("put", mask, state).  A registry's own ``get`` and
     ``put`` read no exact entry this way, or the loop's pattern would break.
-    Each logged unify also notes how many metastates of ``explored`` had
-    been explored when it was called.
+    ``unified`` lists each ``unify`` call as (root, absorbed ids, number of
+    metastates of ``explored`` explored when it was called).
     """
 
     class Counting(registry_cls):
@@ -137,7 +137,7 @@ def _counting(registry_cls, explored: list[int] | None = None):
             super().__init__(*args)
             self.log: list[tuple] = []
             self._exact = _LoggedMap(self.log)
-            self.unified: list[tuple[int, int, int]] = []
+            self.unified: list[tuple[int, list[int], int]] = []
 
         def get(self, mask):
             state = super().get(mask)
@@ -372,11 +372,43 @@ class TestOtfDeterminize:
             otf_determinize(work, reg, stats, FixedInterval(1))
             assert stats.minimizations == stats.explored_metastates
             assert reg.unified
-            for surv, absorbed, seen in reg.unified:
+            for surv, gone, seen in reg.unified:
                 done = set(explored[:seen])
                 assert reg.metastates[surv] in done
-                assert reg.metastates[absorbed] in done
-                assert find(reg, absorbed) == find(reg, surv) <= surv
+                for absorbed in gone:
+                    assert reg.metastates[absorbed] in done
+                    assert find(reg, absorbed) == find(reg, surv) <= surv
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_unify_per_block(self, monkeypatch, seed):
+        # each intermediate minimization hands the registry one ``unify``
+        # per block of merged states: the survivor, the smallest id, with
+        # its absorbed ids ascending, blocks in survivor order
+        merges = []  # per minimization: its merges, and the unify calls before it
+        real = engine.minimize
+
+        def recording(dfa, unexplored):
+            out = real(dfa, unexplored)
+            merges.append((out[1], len(reg.unified)))
+            return out
+
+        monkeypatch.setattr(engine, "minimize", recording)
+        nfa = tv_nfa(random.Random(seed), 12, 1.25, 0.5)
+        reg = _counting(CCLRegistry)()
+        otf_determinize(nfa, reg, RunStats(), FixedInterval(2))
+        ends = [start for _, start in merges[1:]] + [len(reg.unified)]
+        blocks = 0
+        for (pairs, start), end in zip(merges, ends):
+            calls = reg.unified[start:end]
+            assert len(calls) == len({surv for surv, _ in pairs})
+            assert sum(len(gone) for _, gone, _ in calls) == len(pairs)
+            roots = [root for root, _, _ in calls]
+            assert roots == sorted(set(roots))
+            for root, gone, _ in calls:
+                assert [root] + gone == sorted(set([root] + gone))
+            blocks += len(calls)
+        assert blocks > 0 and len(reg.unified) == blocks
+        assert any(len(gone) > 1 for _, gone, _ in reg.unified)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_language_preserved_under_minimization(self, seed):

@@ -20,6 +20,7 @@ from nfacanon.registry import (
 from nfacanon.simulation import Preorder, compute_similarity, prune, saturate, simulation_quotient
 from oracle import (
     FixedInterval,
+    LinearScanCCLRegistry,
     antichain_reference,
     canonical_dfa,
     covers,
@@ -51,7 +52,7 @@ def _unify_classes(reg, q1, q2):
     """
     r1, r2 = sorted((find(reg, q1), find(reg, q2)))
     if r1 != r2:
-        reg.unify(r1, r2)
+        reg.unify(r1, [r2])
     return r1 != r2
 
 
@@ -60,13 +61,12 @@ class TestFind:
 
     def test_smallest_id_is_root(self):
         reg = _registry_with([2, 5, 9])
-        reg.unify(0, 1)
-        reg.unify(0, 2)
+        reg.unify(0, [1, 2])  # one block
         assert find(reg, 1) == find(reg, 2) == 0
 
     def test_unrelated_ids_stay_apart(self):
         reg = _registry_with([0, 1, 2])
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert find(reg, 2) == 2
         assert find(reg, 1) == 0
 
@@ -74,12 +74,12 @@ class TestFind:
         reg = _registry_with([0, 1, 4, 7, 9])
         # merge the chain 4 -> 3 -> 2 -> 1 one link at a time: every exact
         # entry names the root directly, with no chain to follow
-        reg.unify(3, 4)
-        reg.unify(2, 3)
-        reg.unify(1, 2)
+        reg.unify(3, [4])
+        reg.unify(2, [3])
+        reg.unify(1, [2])
         assert reg._exact == {1: 0, 2: 1, 16: 1, 128: 1, 512: 1}
         assert find(reg, 4) == 1
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert [find(reg, x) for x in range(5)] == [0] * 5
         assert set(reg._exact.values()) == {0}
         assert list(reg.lattices) == [0] and reg.lattices[0].puts == reg.metastates
@@ -111,11 +111,11 @@ class TestFind:
             with pytest.raises(RegistryContractError):
                 reg.put(to_mask([20]), q)
             with pytest.raises(RegistryContractError):
-                reg.unify(min(classes[q]), q)
+                reg.unify(min(classes[q]), [q])
 
 
 class TestContract:
-    """``put`` takes the next id only, and ``unify`` two live roots in order."""
+    """``put`` takes the next id only, and ``unify`` a block of live roots in order."""
 
     @pytest.mark.parametrize("kind", ["one-to-one", "residual", "ccl"])
     def test_put_of_a_non_next_id_rejected(self, kind):
@@ -143,7 +143,7 @@ class TestContract:
         reg = CCLRegistry()
         reg.put(0b001, 0)
         reg.put(0b100, 1)
-        reg.unify(0, 1)  # [{0} | {2}, {0, 2}]
+        reg.unify(0, [1])  # [{0} | {2}, {0, 2}]
         with pytest.raises(RegistryContractError):
             reg.put(0b101, 2)
         assert reg.metastates == [0b001, 0b100] and 0b101 not in reg._exact
@@ -151,7 +151,7 @@ class TestContract:
         # a miss recorded before a unify is checked again: the join covers it
         reg.put(0b1000, 2)
         assert lookup(reg, 0b1001) is None
-        reg.unify(0, 2)
+        reg.unify(0, [2])
         with pytest.raises(RegistryContractError):
             reg.put(0b1001, 3)
         # the metastate the last lookup missed is put unchecked
@@ -164,20 +164,47 @@ class TestContract:
         for q in range(4):
             reg.put(to_mask([q]), q)
         bad_pairs = [(1, 0), (2, 2), (0, 4), (-1, 0)]  # out of order, self, never put
-        for pair in bad_pairs:
+        for root, gone in bad_pairs:
             with pytest.raises(RegistryContractError):
-                reg.unify(*pair)
+                reg.unify(root, [gone])
         assert reg.lattices == {} and reg._index.rows == []
-        reg.unify(0, 2)
+        reg.unify(0, [2])
         # 2 is absorbed: neither side of a pair may name it
-        for pair in [(0, 2), (2, 3), (1, 2), (2, 1)] + bad_pairs:
+        for root, gone in [(0, 2), (2, 3), (1, 2), (2, 1)] + bad_pairs:
             with pytest.raises(RegistryContractError):
-                reg.unify(*pair)
+                reg.unify(root, [gone])
         assert list(reg.lattices) == [0] and len(reg._index.rows) == 1
-        reg.unify(1, 3)
-        reg.unify(0, 1)
+        reg.unify(1, [3])
+        reg.unify(0, [1])
         assert [find(reg, q) for q in range(4)] == [0] * 4
         assert len(reg._index.rows) == 3
+
+    def test_unify_rejects_a_bad_block(self):
+        reg = CCLRegistry()
+        for q in range(6):
+            reg.put(to_mask([q]), q)
+        reg.unify(1, [4])
+        assert lookup(reg, to_mask([0, 5])) is None
+        bad = [
+            (0, []),  # empty
+            (0, [3, 2]),  # out of order
+            (0, [2, 2]),  # repeated
+            (0, [2, 4]),  # an absorbed id
+            (0, [2, 6]),  # an id never put
+            (2, [2, 3]),  # an id at the root
+            (2, [1, 3]),  # an id below the root
+            (4, [5]),  # an absorbed root
+            (-1, [0]),
+        ]
+        for root, gone in bad:
+            with pytest.raises(RegistryContractError):
+                reg.unify(root, gone)
+        # a refused block changes nothing
+        assert reg._exact == {to_mask([q]): 1 if q == 4 else q for q in range(6)}
+        assert list(reg.lattices) == [1] and reg._index.live == 1
+        assert len(reg._index.rows) == 1 and reg._missed == to_mask([0, 5])
+        reg.unify(0, [1, 2, 5])
+        assert [find(reg, q) for q in range(6)] == [0, 0, 0, 3, 0, 0]
 
 
 class TestOneToOne:
@@ -215,12 +242,9 @@ class TestCCL:
         reg.put(q, 0)
         assert reg.lattices == {} and reg._index.live == 0
         assert reg._exact == {q: 0} and reg.metastates == [q]
-        lat = reg._take(find(reg, 0))
-        assert lat.greatest == q
-        assert lat.minimals == [q]
-        assert lat.rep == 0
         reg.put(to_mask([1, 2, 3]), 1)
-        reg.unify(0, 1)
+        assert reg.lattices == {} and reg._index.live == 0
+        reg.unify(0, [1])
         lat = reg.lattices[0]
         assert lat.greatest == to_mask([1, 2, 3])
         assert lat.minimals == [q]
@@ -244,7 +268,7 @@ class TestCCL:
         a, b = _masks([1, 2], [3, 4])
         reg.put(a, 0)
         reg.put(b, 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert len(reg.lattices) == 1
         lat = reg.lattices[0]
         assert lat.greatest == a | b
@@ -254,44 +278,45 @@ class TestCCL:
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([1]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert reg.lattices[0].minimals == [to_mask([1])]
 
     def test_unify_of_one_class_rejected(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         with pytest.raises(RegistryContractError):
-            reg.unify(0, 0)  # and builds no lattice for the point
+            reg.unify(0, [0])  # and builds no lattice for the point
         assert reg.lattices == {} and reg._index.rows == []
         reg.put(to_mask([3]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert reg.lattices[0].puts == _masks([1, 2], [3])
         before = (reg.lattices[0].greatest, list(reg.lattices[0].minimals))
-        for pair in [(1, 0), (0, 1), (0, 0)]:
+        for root, gone in [(1, 0), (0, 1), (0, 0)]:
             with pytest.raises(RegistryContractError):
-                reg.unify(*pair)
+                reg.unify(root, [gone])
         assert (reg.lattices[0].greatest, reg.lattices[0].minimals) == before
-        assert before == (to_mask([1, 2, 3]), _masks([1, 2], [3]))
+        # the join keeps its minimals smallest first
+        assert before == (to_mask([1, 2, 3]), _masks([3], [1, 2]))
 
     def test_get_covered_metastate(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert lookup(reg, to_mask([1, 2, 3])) == 0
 
     def test_get_above_cover_fails(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert lookup(reg, to_mask([1, 5])) is None
 
     def test_get_below_cover_fails(self):
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert lookup(reg, to_mask([2, 4])) is None
 
     def test_convexity_closure_has_exactly_seven_elements(self):
@@ -301,7 +326,7 @@ class TestCCL:
         reg = CCLRegistry()
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         covered = []
         universe = [1, 2, 3, 4, 5]
         for bits in range(1, 32):
@@ -324,7 +349,7 @@ class TestCCL:
         reg.cover_hits = []
         reg.put(to_mask([1, 2]), 0)
         reg.put(to_mask([3, 4]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert lookup(reg, to_mask([1, 2])) == 0
         assert reg.cover_hits == []
         assert lookup(reg, to_mask([1, 2, 3])) == 0
@@ -356,7 +381,7 @@ class TestCCL:
         q = to_mask([3])
         with pytest.raises(RegistryContractError):
             reg.put(q, 0)  # a live state
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         with pytest.raises(RegistryContractError):
             reg.put(q, 1)  # absorbed by the unify
         with pytest.raises(RegistryContractError):
@@ -397,7 +422,7 @@ class TestCCLOnPrunedForms:
         reg.put(to_mask([0]), 0)
         assert reg.lattices == {} and reg._exact == {to_mask([0]): 0}
         reg.put(to_mask([2]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         lat = reg.lattices[find(reg, 0)]
         assert lat.greatest == to_mask([0, 2])
         assert lat.minimals == _masks([0], [2])
@@ -594,29 +619,56 @@ class TestLattice:
         assert not covers(lat, to_mask([0, 3]))
 
     @settings(max_examples=400, deadline=None, derandomize=True)
-    @given(old=_antichains, fresh=_antichains, shared=st.lists(st.integers(0, 7)))
-    def test_absorb_matches_pairwise_filter(self, old, fresh, shared):
-        # some of the old minimals also arrive with the new antichain
-        new = antichain_reference([old[i] for i in shared if i < len(old)] + fresh)
-        lat = Lattice(0, 0, list(old), list(old))
-        lat.absorb(0, new)
-        assert lat.minimals == antichain_reference(old + new)
+    @given(
+        puts=st.lists(st.integers(0, 63), min_size=2, max_size=10, unique=True),
+        data=st.data(),
+    )
+    def test_unify_matches_pairwise_filter(self, puts, data):
+        # the puts fall into classes, some unified first; one block then
+        # joins every class, and its minimals are the antichain of the puts
+        classes = data.draw(st.lists(st.integers(0, 3), min_size=len(puts), max_size=len(puts)))
+        reg = _join_classes(puts, classes)
+        [lat] = reg.lattices.values()
+        assert sorted(lat.minimals) == sorted(antichain_reference(puts))
+        assert [m.bit_count() for m in lat.minimals] == sorted(m.bit_count() for m in lat.minimals)
+        assert lat.greatest == to_mask([x for x in range(6) if any(m >> x & 1 for m in puts)])
+        assert sorted(lat.puts) == sorted(puts) and set(reg._exact.values()) == {0}
 
-    def test_absorb_fixed_cases(self):
+    def test_unify_fixed_cases(self):
         a, b, ab, c = _masks([1], [2], [1, 2], [3])
-        cases = [
-            ([a, b], [ab], [a, b]),  # new above an old one: dropped
-            ([ab], [a, c], [a, c]),  # new below an old one: replaces it
-            ([a, c], [c, b], [a, c, b]),  # shared element kept once
-            ([a, b], [0], [0]),  # the empty metastate is below everything
-            ([0], [a, b], [0]),
-            ([], [a], [a]),
-            ([a], [], [a]),
+        cases = [  # the puts, the class of each, and the join's minimals
+            ([a, b, ab], [0, 0, 1], [a, b]),  # a put above a minimal: dropped
+            ([ab, a, c], [0, 1, 1], [a, c]),  # a put below a minimal: replaces it
+            ([a, c, b], [0, 0, 1], [a, c, b]),
+            ([a, b, 0], [0, 0, 1], [0]),  # the empty metastate is below everything
+            ([0, a, b], [0, 1, 1], [0]),
+            ([a, ab], [0, 1], [a]),  # two points
+            ([ab, a, b, c], [0, 1, 2, 3], [a, b, c]),  # four points, one block
         ]
-        for old, new, expected in cases:
-            lat = Lattice(0, 0, list(old), list(old))
-            lat.absorb(0, new)
-            assert lat.minimals == expected == antichain_reference(old + new)
+        for puts, classes, expected in cases:
+            lat = _join_classes(puts, classes).lattices[0]
+            assert lat.minimals == expected == antichain_reference(puts)
+
+
+def _join_classes(puts, classes):
+    """A CCL registry with ``puts[q]`` put for each state q, then unified.
+
+    State q falls in class ``classes[q]``.  Each class of several states is
+    one block, and a last block joins the roots of all classes.
+    """
+    reg = CCLRegistry()
+    for q, mask in enumerate(puts):
+        reg.put(mask, q)
+    blocks: dict[int, list[int]] = {}
+    for q, cls in enumerate(classes):
+        blocks.setdefault(cls, []).append(q)
+    for block in blocks.values():
+        if len(block) > 1:
+            reg.unify(block[0], block[1:])
+    roots = sorted(block[0] for block in blocks.values())
+    if len(roots) > 1:
+        reg.unify(roots[0], roots[1:])
+    return reg
 
 
 # -- cover index against a linear scan ---------------------------------------
@@ -665,13 +717,13 @@ def _random_preorder(rng, positions):
 def _run_ops(reg, rng, positions, steps, p=None):
     """Random put/unify/lookup sequence over subsets of ``positions``.
 
-    With an order ``p`` every metastate is drawn pruned by it, as in an
-    -s run.  A model keeps the puts of each class by class root, in the
-    order of ``_reference_get``, and the root of each state.
+    Each ``unify`` joins a block of two to four random classes.  With an
+    order ``p`` every metastate is drawn pruned by it, as in an -s run.  A
+    model keeps the puts of each class by class root, in the order of
+    ``_reference_get``.
     """
     reg.cover_hits = []
     classes: dict[int, list[int]] = {}
-    root_of: list[int] = []  # by state id
     unifies = 0
 
     def draw_mask():
@@ -687,14 +739,13 @@ def _run_ops(reg, rng, positions, steps, p=None):
             state = len(reg.metastates)  # the next id
             reg.put(mask, state)
             classes[state] = [mask]
-            root_of.append(state)
-        elif op < 0.65 and len(root_of) >= 2:
-            r1, r2 = sorted(root_of[q] for q in rng.sample(range(len(root_of)), 2))
-            if r1 != r2:
-                reg.unify(r1, r2)
-                classes[r1] = classes.pop(r1) + classes.pop(r2)
-                root_of = [r1 if r == r2 else r for r in root_of]
-                unifies += 1
+        elif op < 0.65 and len(classes) >= 2:
+            root, *gone = sorted(rng.sample(sorted(classes), rng.randint(2, min(4, len(classes)))))
+            reg.unify(root, gone)
+            for r in gone:
+                classes[root] += classes.pop(r)
+            classes[root] = classes.pop(root)  # the join is inserted last
+            unifies += 1
         else:
             _checked_get(reg, classes, draw_mask())
     for mask in list(reg._exact):
@@ -718,7 +769,7 @@ def _check_invariants(reg, classes, unifies, p):
     if p is not None:
         assert all(prune_reference(m, p) == m for m in reg.metastates)
     # the index's live rows are the lattices, in the dict's order; every
-    # unify added one row
+    # unify added one row, however many classes its block joined
     index = reg._index
     assert len(index.rows) == unifies and index.live >> unifies == 0
     live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
@@ -747,24 +798,56 @@ class TestCoverIndex:
         p = _random_preorder(rng, positions)
         _run_ops(CCLRegistry(), rng, positions, 60, p)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(positions=_positions, seed=st.integers(0, 2**32 - 1))
+    def test_blocks_match_pairwise_joins(self, positions, seed):
+        # each random block goes to CCL as one ``unify`` and to the linear
+        # scan as one pairwise join per absorbed class, in turn
+        rng = random.Random(seed)
+        reg, ref = CCLRegistry(), LinearScanCCLRegistry()
+        reg.cover_hits, ref.cover_hits = [], []
+        blocks = 0
+        for _ in range(80):
+            op = rng.random()
+            roots = sorted(set(reg._exact.values()))
+            if op < 0.3 and len(roots) >= 2:
+                root, *gone = sorted(rng.sample(roots, rng.randint(2, min(5, len(roots)))))
+                reg.unify(root, gone)
+                ref.unify(root, gone)
+                blocks += 1
+                continue
+            mask = to_mask([x for x in positions if rng.random() < 0.4])
+            state = lookup(reg, mask)
+            assert state == ref.get(mask)
+            if state is None and op < 0.7:
+                reg.put(mask, len(reg.metastates))
+                ref.put(mask, len(ref.metastates))
+        for mask in reg.metastates:
+            assert lookup(reg, mask) == ref.get(mask)
+        assert reg.cover_hits == ref.cover_hits
+        assert len(reg._index.rows) == blocks
+
     def test_one_row_per_unify(self):
-        # a discarded lattice's bit only leaves ``live``: nothing is rebuilt
+        # one row per block, however many classes it joins; a discarded
+        # lattice's bit only leaves ``live``: nothing is rebuilt
         rng = random.Random(4)
         reg = CCLRegistry()
-        states, unifies = [], 0
+        unifies = joined = 0
         for _ in range(300):
             mask = to_mask([x for x in (3, 40, 70, 100, 150, 250) if rng.random() < 0.4])
             if lookup(reg, mask) is None:
-                states.append(len(reg.metastates))
-                reg.put(mask, states[-1])
-            if len(states) >= 2 and rng.random() < 0.5:
+                reg.put(mask, len(reg.metastates))
+            roots = sorted({find(reg, q) for q in range(len(reg.metastates))})
+            if len(roots) >= 2 and rng.random() < 0.5:
                 rows = len(reg._index.rows)
-                merged = _unify_classes(reg, *rng.sample(states, 2))
-                assert len(reg._index.rows) == rows + merged
-                unifies += merged
+                root, *gone = sorted(rng.sample(roots, rng.randint(2, min(4, len(roots)))))
+                reg.unify(root, gone)
+                assert len(reg._index.rows) == rows + 1
+                unifies += 1
+                joined += len(gone)
         index = reg._index
         assert len(index.rows) == unifies > 2 * index.live.bit_count()
-        assert index.live.bit_count() == len(reg.lattices)
+        assert joined > unifies and index.live.bit_count() == len(reg.lattices)
 
     def test_point_lattices_get_no_rows(self):
         reg = CCLRegistry()
@@ -772,7 +855,7 @@ class TestCoverIndex:
         reg.put(a, 0)
         reg.put(b, 1)
         assert reg._index.rows == reg._index.in_greatest == []  # no slices
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         # one bit for the merged lattice, however many minimals it has
         assert len(reg.lattices[0].minimals) == 2
         assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
@@ -785,14 +868,14 @@ class TestCoverIndex:
         reg.put(prune(to_mask([0, 1]), p), 1)  # {0}: no lattice before a unify
         assert reg._index.rows == [] and reg.lattices == {}
         assert reg._exact == {to_mask([2]): 0, to_mask([0]): 1}
-        reg.unify(0, 1)  # the merged lattice is indexed
+        reg.unify(0, [1])  # the merged lattice is indexed
         assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
 
     def test_empty_minimal_covers_everything_below_greatest(self):
         reg = CCLRegistry()
         reg.put(0, 0)
         reg.put(to_mask([1, 2]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         assert reg.lattices[0].minimals == [0]
         for query in _masks([1], [2]):
             assert lookup(reg, query) == 0
@@ -803,34 +886,39 @@ class TestCoverIndex:
         reg = CCLRegistry()
         for mask, state in zip(_masks([1, 2], [1, 3], [5, 6], [6]), range(4)):
             reg.put(mask, state)
-        reg.unify(0, 1)
-        reg.unify(2, 3)  # {6} .. {5,6} widens the slices to state 6
+        reg.unify(0, [1])
+        reg.unify(2, [3])  # {6} .. {5,6} widens the slices to state 6
         assert lookup(reg, to_mask([1, 2, 3])) == 0
         # 4 is inside the slices' width but in no greatest element
         assert lookup(reg, to_mask([1, 2, 4])) is None
         assert lookup(reg, to_mask([1, 2, 99])) is None
 
-    def test_earliest_inserted_lattice_wins(self):
+    @pytest.mark.parametrize(
+        "blocks, reps, live",
+        [
+            # one minimization makes C, A, D and B, each a block in survivor
+            # order; a later one joins B to C, keyed lower than A but
+            # inserted last, and the old bits of B and C are dead
+            ([(0, [1]), (2, [3]), (4, [5]), (6, [7]), (0, [6])], [0, 2, 4, 6, 0], 0b10110),
+            # C and B form one block from the start, after A and D
+            ([(2, [3]), (4, [5]), (0, [1, 6, 7])], [2, 4, 0], 0b111),
+        ],
+    )
+    def test_earliest_inserted_lattice_wins(self, blocks, reps, live):
+        # C: {5} .. {5,6}, A: {1,2} | {3} .. {1,2,3}, D: {7} .. {7,8} and
+        # B: {1} .. {1,2,3,4}
+        puts = _masks([5], [5, 6], [1, 2], [3], [7], [7, 8], [1], [1, 2, 3, 4])
         reg = CCLRegistry()
-        reg.put(to_mask([5]), 0)
-        reg.put(to_mask([5, 6]), 1)
-        reg.unify(0, 1)  # C: {5} .. {5,6}
-        reg.put(to_mask([1, 2]), 2)
-        reg.put(to_mask([3]), 3)
-        reg.unify(2, 3)  # A: {1,2} | {3} .. {1,2,3}
-        reg.put(to_mask([7]), 4)
-        reg.put(to_mask([7, 8]), 5)
-        reg.unify(4, 5)  # D: {7} .. {7,8}
-        reg.put(to_mask([1]), 6)
-        reg.put(to_mask([1, 2, 3, 4]), 7)
-        reg.unify(6, 7)  # B: {1} .. {1,2,3,4}
-        reg.unify(0, 6)  # B joins C, keyed lower than A but re-inserted last
+        for q, mask in enumerate(puts):
+            reg.put(mask, q)
+        for root, gone in blocks:
+            reg.unify(root, gone)
         query = to_mask([1, 3])
         assert covers(reg.lattices[2], query) and covers(reg.lattices[0], query)
         index = reg._index
-        # one bit per unify, in insertion order; the old bits of B and C are dead
-        assert [lat.rep for lat in index.rows] == [0, 2, 4, 6, 0]
-        assert index.live == 0b10110
+        # one bit per block, in insertion order
+        assert [lat.rep for lat in index.rows] == reps
+        assert index.live == live
         live_rows = [lat for b, lat in enumerate(index.rows) if index.live >> b & 1]
         assert live_rows == list(reg.lattices.values())
         assert [lat.rep for lat in live_rows] == [2, 4, 0]
@@ -841,10 +929,10 @@ class TestCoverIndex:
         reg.cover_hits = []
         reg.put(to_mask([1]), 0)
         reg.put(to_mask([1, 2, 3]), 1)
-        reg.unify(0, 1)
+        reg.unify(0, [1])
         reg.put(to_mask([4]), 2)
         reg.put(to_mask([4, 5]), 3)
-        reg.unify(2, 3)
+        reg.unify(2, [3])
         queries = _masks([1, 2], [4], [1, 3], [2], [1, 4], [4, 5], [1, 2])
         got = [lookup(reg, q) for q in queries]
         assert got == [0, 2, 0, None, None, 2, 0]

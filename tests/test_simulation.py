@@ -158,7 +158,9 @@ class TestComputeSimilarity:
 
     def test_check_runs_before_every_round(self, monkeypatch):
         # the engine hands in its deadline check: each round starts after
-        # one more call of it, so a check that raises stops the fixpoint
+        # one more call of it, so a check that raises stops the fixpoint.
+        # Within a round it runs once more before each of the chain's two
+        # symbols
         rounds, checks = [], []
         refine = simulation._refine
         monkeypatch.setattr(
@@ -167,7 +169,7 @@ class TestComputeSimilarity:
         nfa = _chain_nfa(6)
         rel = compute_similarity(nfa, check=lambda: checks.append(1))
         assert _above(rel) == similarity_reference(nfa)
-        assert rounds == list(range(1, len(rounds) + 1)) and len(rounds) >= 3
+        assert rounds == [1 + 3 * i for i in range(len(rounds))] and len(rounds) >= 3
 
         class Expired(Exception):
             pass
@@ -179,6 +181,25 @@ class TestComputeSimilarity:
         with pytest.raises(Expired):
             compute_similarity(nfa, check=expired)
         assert rounds == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_check_runs_before_every_symbol_step(self, monkeypatch, seed):
+        # a round on a large automaton is long, so the deadline check also
+        # runs inside it: at least once per symbol step of every round
+        checks, rounds = [], []
+        refine = simulation._refine
+
+        def recording(sim, dst, first, steps, *rest):
+            before = len(checks)
+            refine(sim, dst, first, steps, *rest)
+            rounds.append((len(checks) - before, len(steps)))
+
+        monkeypatch.setattr(simulation, "_refine", recording)
+        nfa = random_nfa(random.Random(seed), 12, 3, 0.2)
+        rel = compute_similarity(nfa, check=lambda: checks.append(1))
+        assert _above(rel) == similarity_reference(nfa)
+        assert len(rounds) >= 3 and all(steps == 3 for _, steps in rounds)
+        assert all(calls >= steps for calls, steps in rounds)
 
     @pytest.mark.parametrize(
         "params",

@@ -25,6 +25,14 @@ import numpy as np
 
 UNDEFINED = -1
 
+# The successor step's cutoffs (``Nfa.successors``), chosen by measured sweeps
+# recorded in CHANGES.md: byte tables up to this many states ...
+SMALL_STATES = 64
+# ... and above it, the numpy gather for metastates of more members than this,
+# while its table takes at most this many bytes
+WIDE_MEMBERS = 48
+WIDE_TABLE_BYTES = 1 << 26
+
 
 def to_mask(states: Iterable[int]) -> int:
     """Pack a collection of state identifiers into a bitmask."""
@@ -61,10 +69,15 @@ class Nfa:
     these.  ``_succ[s][a]``, built from them on first use, is the bitmask of
     the targets of ``s`` on ``a``; ``successors`` reads it for subset
     construction, so an automaton that is only trimmed, reversed or
-    quotiented never builds it.
+    quotiented never builds it.  ``_step`` (the plan of ``_step_plan``) and
+    ``_words`` (the table of ``_word_table``) are built from it by
+    ``successors``, the first when it is first called, the second at its
+    first metastate of more than ``WIDE_MEMBERS`` members.
     """
 
-    __slots__ = ("num_states", "alphabet_size", "initial", "final", "_edges", "_succ")
+    __slots__ = (
+        "num_states", "alphabet_size", "initial", "final", "_edges", "_succ", "_step", "_words",
+    )
 
     def __init__(
         self,
@@ -141,27 +154,53 @@ class Nfa:
     def successors(self, mask: int) -> list[int]:
         """Every per-symbol successor metastate of ``mask``, a new list.
 
-        The first member's row is copied; the other members' rows are
-        gathered once and each symbol's column is ORed over them.  It reads
-        only ``_succ`` and ``alphabet_size``, so ``registry.PrunedView``
-        runs it over a table of its own.
+        The step is chosen by two sizes.  An automaton of at most
+        ``SMALL_STATES`` states ORs one table entry per byte of ``mask``:
+        each entry holds the successors of that byte's members on every
+        symbol side by side, and k shifts split them (``_step_plan``).  On
+        a larger automaton, a metastate of more than ``WIDE_MEMBERS``
+        members ORs its members' rows of a ``uint64`` table in one numpy
+        reduction (``_gather`` over ``_word_table``); any other copies its
+        first member's row and ORs the other members' rows into it, symbol
+        by symbol.  The tables are built on first use.  It reads only ``_succ``,
+        ``_step`` and ``alphabet_size``, so ``registry.PrunedView`` runs it
+        over a table and a plan of its own, whose rows are twice as wide.
         """
+        # a try costs nothing until it raises: only the first call builds
+        # the plan (a ``__getattr__`` hook would slow every attribute read)
+        try:
+            tables, nbytes, shifts, full = self._step
+        except AttributeError:
+            n = self.num_states
+            tables, nbytes, shifts, full = self._step = _step_plan(self._masks(), n, n)
+        if tables:
+            acc = 0
+            for table, byte in zip(tables, mask.to_bytes(nbytes, "little")):
+                acc |= table[byte]
+            # a loop, not a comprehension: before Python 3.12 that is a call
+            out = []
+            for s in shifts:
+                out.append(acc >> s & full)
+            return out
         if not mask:
             return [0] * self.alphabet_size
-        # a try costs nothing until it raises: only the first call builds
-        # the masks (a ``__getattr__`` hook would slow every attribute read)
-        try:
-            succ = self._succ
-        except AttributeError:
-            succ = self._masks()
+        succ = self._succ
         low = mask & -mask
-        mask ^= low
+        rest = mask ^ low
         out = succ[low.bit_length() - 1][:]
-        if mask:
+        if rest:
+            # a single member, the narrowest case, skips the width test
+            if rest.bit_count() >= WIDE_MEMBERS:
+                try:
+                    words = self._words
+                except AttributeError:
+                    words = self._words = _word_table(succ, full.bit_length())
+                if words is not None:
+                    return _gather(words, mask, nbytes, len(shifts))
             rows = []
-            while mask:
-                low = mask & -mask
-                mask ^= low
+            while rest:
+                low = rest & -rest
+                rest ^= low
                 rows.append(succ[low.bit_length() - 1])
             for a in range(len(out)):
                 v = out[a]
@@ -201,6 +240,57 @@ class Nfa:
             f"Nfa(states={self.num_states}, symbols={self.alphabet_size}, "
             f"transitions={self.num_transitions()})"
         )
+
+
+def _step_plan(rows: list[list[int]], n: int, w: int) -> tuple:
+    """``Nfa.successors``' plan over ``rows``, n of them, each symbol's ``w`` bits wide.
+
+    It is ``(tables, nbytes, shifts, full)``: a metastate's ``nbytes``
+    bytes, the offsets of the symbols' successors in an entry of
+    ``tables`` and the mask of one of them.  Above ``SMALL_STATES``,
+    ``tables`` is None.  Otherwise state s holds its k successor masks
+    side by side, symbol a at bits a*w to a*w+w-1, and the table of byte
+    j holds the OR of the members of each byte value, states 8j to 8j+7:
+    an entry is the entry without its lowest bit ORed with that bit's
+    state (the "Four Russians" tables of Arlazarov, Dinic, Kronrod &
+    Faradzev, 1970).
+    """
+    shifts = [w * a for a in range(len(rows[0]))]
+    nbytes, full = (n + 7) // 8, (1 << w) - 1
+    if n > SMALL_STATES:
+        return None, nbytes, shifts, full
+    packed = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
+    tables = []
+    for j in range(0, n, 8):
+        members = packed[j : j + 8]
+        # the last byte's bits past n are never set, so its table stops short
+        table = [0] * (1 << len(members))
+        for b in range(1, len(table)):
+            table[b] = table[b & (b - 1)] | members[(b & -b).bit_length() - 1]
+        tables.append(table)
+    return tables, nbytes, shifts, full
+
+
+def _gather(words: np.ndarray, mask: int, nbytes: int, k: int) -> list[int]:
+    """The k successors of ``mask``: its members' rows of ``words``, ORed."""
+    bits = np.unpackbits(np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8), bitorder="little")
+    acc = np.bitwise_or.reduce(words[np.flatnonzero(bits)]).tobytes()
+    size = len(acc) // k
+    return [int.from_bytes(acc[i : i + size], "little") for i in range(0, len(acc), size)]
+
+
+def _word_table(rows: list[list[int]], w: int) -> np.ndarray | None:
+    """``rows`` as a ``uint64`` array, a row per state, ``w``-bit masks per symbol.
+
+    Row s holds the masks of ``rows[s]`` one after another, each in whole
+    little-endian words.  None if the array would take more than
+    ``WIDE_TABLE_BYTES``.
+    """
+    size = (w + 63) // 64 * 8
+    if len(rows) * len(rows[0]) * size > WIDE_TABLE_BYTES:
+        return None
+    data = b"".join(x.to_bytes(size, "little") for row in rows for x in row)
+    return np.frombuffer(data, "<u8").reshape(len(rows), -1)
 
 
 def _sorted_columns(transitions, num_states: int, alphabet_size: int):

@@ -163,43 +163,52 @@ def _parse_row(rec: dict, lineno: int) -> ResultRow:
     return ResultRow(**values)
 
 
-def summarize(rows: list[ResultRow]) -> dict[str, dict[str, dict[str, float]]]:
-    """Per-pipeline min/median/max/mean of minimizations and overhead.
+def summarize(rows: list[ResultRow]) -> dict[str, dict]:
+    """Per pipeline: its runs attempted and solved, and statistics of the solved.
 
-    Timed-out rows are skipped (their metrics describe an aborted run).
+    ``attempted`` counts the pipeline's rows and ``solved`` those that did
+    not time out.  ``wall_time_ms`` has the median and maximum of the solved
+    rows, and ``minimizations`` and ``overhead`` their min/median/max/mean.
+    A timed-out row counts only as attempted: its metrics describe an
+    aborted run.  A statistic with no solved row is ``{}``.
     """
-    out: dict[str, dict[str, dict[str, float]]] = {}
+    out: dict[str, dict] = {}
     for pipeline in sorted({r.pipeline for r in rows}):
-        done = [r for r in rows if r.pipeline == pipeline and not r.timed_out]
-        metrics = {}
+        attempted = [r for r in rows if r.pipeline == pipeline]
+        done = [r for r in attempted if not r.timed_out]
+        walls = [r.wall_time_ms for r in done]
+        summary: dict = {
+            "attempted": len(attempted),
+            "solved": len(done),
+            "wall_time_ms": {"median": statistics.median(walls), "max": max(walls)} if walls else {},
+        }
         for name in ("minimizations", "overhead"):
             values = [getattr(r, name) for r in done]
             if values:
-                metrics[name] = {
+                summary[name] = {
                     "min": min(values),
                     "median": statistics.median(values),
                     "max": max(values),
                     "mean": statistics.fmean(values),
                 }
             else:
-                metrics[name] = {}
-        out[pipeline] = metrics
+                summary[name] = {}
+        out[pipeline] = summary
     return out
 
 
 def format_summary(summary: dict) -> str:
+    """The summary as a table: a row per pipeline and statistic, '-' where none."""
     if not summary:
         return "(no rows)"
     lines = [
         f"{'pipeline':<12} {'metric':<14} {'min':>8} {'median':>8} {'max':>8} {'mean':>10}"
     ]
     for pipeline, metrics in summary.items():
-        for name, stats in metrics.items():
-            if stats:
-                lines.append(
-                    f"{pipeline:<12} {name:<14} {stats['min']:>8g} "
-                    f"{stats['median']:>8g} {stats['max']:>8g} {stats['mean']:>10.2f}"
-                )
-            else:
-                lines.append(f"{pipeline:<12} {name:<14} {'-':>8} {'-':>8} {'-':>8} {'-':>10}")
+        lines.append(f"{pipeline:<12} {'solved':<14} {metrics['solved']} of {metrics['attempted']}")
+        for name in ("wall_time_ms", "minimizations", "overhead"):
+            stats = metrics[name]
+            cells = [f"{stats[c]:>8g}" if c in stats else f"{'-':>8}" for c in ("min", "median", "max")]
+            mean = f"{stats['mean']:>10.2f}" if "mean" in stats else f"{'-':>10}"
+            lines.append(f"{pipeline:<12} {name:<14} {' '.join(cells)} {mean}")
     return "\n".join(lines)

@@ -3,11 +3,16 @@
 Subset construction asks the automaton it determinizes for the successors
 of each metastate, so every input is its own kernel.  A determinization
 runs on an ``Nfa``, which ORs the successor masks of the metastate's
-members, gathered once, symbol by symbol (``Nfa.successors``), or on the
-``registry.PrunedView`` of one (the ``-s`` pipelines), which runs the same
-gather over a table whose rows also carry the states a similarity
-preorder puts strictly below their targets, and prunes each successor
-with one AND.  In Brzozowski's first pass
+members (``Nfa.successors``), or on the ``registry.PrunedView`` of one
+(the ``-s`` pipelines), which runs the same steps over a table whose rows
+also carry the states a similarity preorder puts strictly below their
+targets, and prunes each successor with one AND.  The step is chosen by
+the automaton's state count and the metastate's member count: byte
+tables, one lookup per byte of the metastate, for automata of at most
+``automata.SMALL_STATES`` states; above that, a numpy gather over a
+``uint64`` table for metastates of more than ``automata.WIDE_MEMBERS``
+members, and a loop over the members' rows for the others.  In
+Brzozowski's first pass
 that automaton is the reversed quotient, or the view of its own simulation
 quotient for ``-s``, and in his second the reverse of that quotient, whose
 registry turns forward subsets into the states of the reversed first-pass

@@ -75,7 +75,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .automata import Nfa, bit_rows, to_mask
+from .automata import Nfa, _step_plan, bit_rows, to_mask
 # ``saturate`` stays only for perfbench/tracer.py, which patches it (ROADMAP item 4)
 from .simulation import Preorder, prune, saturate  # noqa: F401
 
@@ -343,11 +343,14 @@ class PrunedView:
     the automaton's states, ``_succ[q][a]`` holds the successors T of q on
     a in its low n bits and D(T) in the next n, and the successors of a
     metastate, ORed over its members' rows by ``Nfa.successors``' own
-    loop, carry their D above them: one AND per successor prunes it.  Only
-    a target in ``preorder.pruners`` has a D, so only the rows of
-    ``feeds``, the states with an edge into ``pruners``, are copied and
-    widened; the other rows are the automaton's own, and a metastate
-    without a member in ``feeds`` has its successors unpruned.
+    steps, carry their D above them: one AND per successor prunes it.  The
+    steps are chosen by n, not 2n, and read each symbol's 2n bits: a view
+    of at most ``automata.SMALL_STATES`` states takes the byte tables, with
+    2n bits per symbol in an entry.  Only a target in ``preorder.pruners``
+    has a D, so only the rows of ``feeds``, the states with an edge into
+    ``pruners``, are copied and widened; the other rows are the
+    automaton's own, and a metastate without a member in ``feeds`` has its
+    successors unpruned.
     """
 
     def __init__(self, nfa: Nfa, preorder: Preorder):
@@ -368,8 +371,11 @@ class PrunedView:
         for q, a, t in zip(src, sym, dst):
             succ[q][a] |= below[t] << n
         self._succ = succ
+        # the plan of the steps over it, whose rows are 2n bits wide; a view
+        # is made to be determinized, so it is built here, not on first use
+        self._step = _step_plan(succ, n, 2 * n)
 
-    # the gather reads ``self._succ``, here the folded table
+    # the step reads ``self._succ``, here the folded table, and ``self._step``
     _gather = Nfa.successors
 
     def successors(self, mask: int) -> list[int]:

@@ -46,27 +46,33 @@ class TestNfaSuccessors:
     @pytest.mark.parametrize("k", [1, 2, 24])
     def test_matches_successor_mask(self, k):
         rng = random.Random(k)
-        for n in (1, 5, 30, 70):
+        # byte tables up to 64 states, the loop and the gather above
+        for n in (1, 5, 30, 63, 64, 65, 70):
             nfa = random_nfa(rng, n, k, min(0.3, 3 / n))
             # one member copies its row; two gather a single other row
             masks = [0] + [1 << s for s in range(n)]
             masks += [1 << s | 1 << t for s in range(min(n, 30)) for t in range(s)]
             masks += [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(30)]
+            # either side of the gather's cutoff
+            masks += [to_mask(rng.sample(range(n), c)) for c in (48, 49) if c <= n]
             masks.append((1 << n) - 1)
             for mask in masks:
                 expect = [successor_mask(nfa, mask, a) for a in range(k)]
                 assert nfa.successors(mask) == expect, mask
 
-    def test_result_belongs_to_the_caller(self):
-        nfa = Nfa(3, 2, [(0, 0, 1), (0, 1, 2), (1, 0, 2)], [0], [2])
-        before = [succ_mask(nfa, s, a) for s in range(3) for a in range(2)]
-        for mask in (to_mask([0]), to_mask([0, 1]), 0):
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_result_belongs_to_the_caller(self, n):
+        # byte tables at 3 states; at 70, the loop, and the gather for the
+        # full metastate
+        nfa = random_nfa(random.Random(n), n, 2, 0.3)
+        before = [succ_mask(nfa, s, a) for s in range(n) for a in range(2)]
+        for mask in (to_mask([0]), to_mask([0, 1]), 0, (1 << n) - 1):
             expect = nfa.successors(mask)
             out = nfa.successors(mask)
             out[0] = out[1] = 0b111
             out.append(5)
             assert nfa.successors(mask) == expect
-        assert [succ_mask(nfa, s, a) for s in range(3) for a in range(2)] == before
+        assert [succ_mask(nfa, s, a) for s in range(n) for a in range(2)] == before
 
 
 class TestEdges:

@@ -19,11 +19,11 @@ from nfacanon.engine import PIPELINES, CanonConfig, canonize
 from nfacanon.generator import GenParams, generate
 
 
-def _row(pipeline="sc", minimizations=0, overhead=0, timed_out=False, instance="i0"):
+def _row(pipeline="sc", minimizations=0, overhead=0, timed_out=False, instance="i0", wall_time_ms=1.0):
     return ResultRow(
         instance=instance,
         pipeline=pipeline,
-        wall_time_ms=1.0,
+        wall_time_ms=wall_time_ms,
         final_states=10,
         peak_intermediate_states=12,
         overhead=overhead,
@@ -207,6 +207,29 @@ class TestSummarize:
     def test_timed_out_rows_skipped(self):
         rows = [_row(minimizations=2), _row(minimizations=100, timed_out=True)]
         assert summarize(rows)["sc"]["minimizations"]["max"] == 2
+
+    def test_counts_solved_and_attempted_rows(self):
+        rows = [
+            _row(wall_time_ms=4.0),
+            _row(wall_time_ms=900.0, timed_out=True),
+            _row(wall_time_ms=1.0),
+            _row(wall_time_ms=10.0),
+            _row(pipeline="otf", wall_time_ms=500.0, timed_out=True),
+            _row(pipeline="otf", wall_time_ms=700.0, timed_out=True),
+        ]
+        s = summarize(rows)
+        assert (s["sc"]["solved"], s["sc"]["attempted"]) == (3, 4)
+        assert s["sc"]["wall_time_ms"] == {"median": 4.0, "max": 10.0}
+        # every row timed out: attempted, none solved, no statistic
+        assert (s["otf"]["solved"], s["otf"]["attempted"]) == (0, 2)
+        assert s["otf"]["wall_time_ms"] == s["otf"]["minimizations"] == s["otf"]["overhead"] == {}
+        lines = format_summary(s).splitlines()
+        assert "sc           solved         3 of 4" in lines
+        assert "otf          solved         0 of 2" in lines
+        wall = next(line for line in lines if line.startswith("sc") and "wall_time_ms" in line)
+        assert wall.split()[2:] == ["-", "4", "10", "-"]
+        otf_wall = next(line for line in lines if line.startswith("otf") and "wall_time_ms" in line)
+        assert otf_wall.split()[2:] == ["-"] * 4
 
     def test_empty_summary_formats(self):
         assert format_summary({}) == "(no rows)"

@@ -3,8 +3,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nfacanon import automata
 from nfacanon.automata import isomorphic
 from nfacanon.bench import CSV_COLUMNS
 from nfacanon.cli import EXIT_CONTRACT, EXIT_OK, EXIT_PARSE, EXIT_TIMEOUT, main
@@ -194,6 +196,29 @@ class TestCanonize:
         assert all(gone and [root, *gone] == sorted({root, *gone}) for root, gone in calls)
 
 
+    @pytest.mark.parametrize("pipeline", ["sc", "brz"])
+    def test_auto_input_reaches_the_gather(self, capsys, monkeypatch, pipeline):
+        # the CI step on the committed auto-7-0 NFA, auto_nfa(auto_tracks(
+        # random.Random(0), 7)) of tests/oracle.py with 332 states, relies on
+        # metastates wider than WIDE_MEMBERS: counted locally, sc took the
+        # gather for 94 of its 187 explored metastates and brz for 32 of 45
+        steps = []
+        word_table = automata._word_table
+
+        class Counting(np.ndarray):
+            # each gather step selects its members' rows once
+            def __getitem__(self, index):
+                steps.append(index)
+                return self.view(np.ndarray)[index]
+
+        monkeypatch.setattr(automata, "_word_table", lambda rows, w: word_table(rows, w).view(Counting))
+        path = str(Path(__file__).parent / "data" / "auto-7-0.nfa")
+        args = ["canonize", path, "--pipeline", pipeline, "--threshold-init", "50"]
+        assert main(args) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["final_states"] == 8
+        assert len(steps) > 0
+
+
 class TestSweepAndSummarize:
     def test_sweep_then_summarize(self, tmp_path, capsys):
         out = str(tmp_path / "s.csv")
@@ -218,6 +243,8 @@ class TestSweepAndSummarize:
         assert "otf" in text and "minimizations" in text
         summary = json.load(open(json_out))
         assert set(summary) == {"sc", "otf"}
+        # 2 seeds at each of 2 sizes, none timed out
+        assert all(s["attempted"] == s["solved"] == 4 for s in summary.values())
 
     def test_threshold_below_one_rejected(self, tmp_path, capsys):
         out = tmp_path / "z.csv"

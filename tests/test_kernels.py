@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from nfacanon.automata import Nfa, to_mask
+from nfacanon import automata
+from nfacanon.automata import SMALL_STATES, WIDE_MEMBERS, Nfa, to_mask
 from nfacanon.kernels import default_backend, successor_kernel
 
 from oracle import random_nfa, successor_mask
@@ -63,6 +64,46 @@ class TestKernelCorrectness:
         assert nfa.successors(silent) == [0, 0, 0, 0]
         succs = nfa.successors((1 << 30) - 1)
         assert succs[1] == succs[3] == 0
+
+
+def _members(rng, n, count):
+    return to_mask(rng.sample(range(n), count))
+
+
+class TestSteps:
+    """Each step of ``Nfa.successors`` against the member-by-member oracle.
+
+    Automata of at most ``SMALL_STATES`` states take the byte tables; above
+    that, metastates of more than ``WIDE_MEMBERS`` members take the numpy
+    gather, and the others the loop.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 24])
+    @pytest.mark.parametrize("n", [63, 64, 65, 200])
+    def test_each_step_matches_reference(self, n, k):
+        rng = random.Random(100 * n + k)
+        small = n <= SMALL_STATES
+        for nfa in (random_nfa(rng, n, k, 0.05), _sparse_nfa(rng, n, k)):
+            narrow = [0, 1, 1 << (n - 1)]
+            narrow += [_members(rng, n, c) for c in (2, 9, WIDE_MEMBERS) for _ in range(3)]
+            for mask in narrow:
+                assert nfa.successors(mask) == [successor_mask(nfa, mask, a) for a in range(k)]
+            assert (nfa._step[0] is not None) == small
+            # no metastate was wider than the cutoff, so no gather table yet
+            assert not hasattr(nfa, "_words")
+            wide = [(1 << n) - 1]
+            wide += [_members(rng, n, c) for c in (WIDE_MEMBERS + 1, n - 1) for _ in range(3)]
+            for mask in wide:
+                assert nfa.successors(mask) == [successor_mask(nfa, mask, a) for a in range(k)]
+            assert hasattr(nfa, "_words") != small
+
+    def test_gather_over_its_cap_takes_the_loop(self, monkeypatch):
+        monkeypatch.setattr(automata, "WIDE_TABLE_BYTES", 0)
+        rng = random.Random(4)
+        nfa = _sparse_nfa(rng, 200, 3)
+        for mask in [(1 << 200) - 1] + [_members(rng, 200, 120) for _ in range(5)]:
+            assert nfa.successors(mask) == [successor_mask(nfa, mask, a) for a in range(3)]
+        assert nfa._words is None
 
 
 def test_factory_returns_its_input(ends_in_a):

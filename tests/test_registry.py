@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nfacanon import automata
 from nfacanon.automata import Nfa, isomorphic, reverse, to_mask
 from nfacanon.engine import RunStats, otf_determinize
 from nfacanon.registry import (
@@ -32,6 +33,7 @@ from oracle import (
     lookup,
     prune_reference,
     random_nfa,
+    successor_mask,
     textbook_subset_construction,
     tv_nfa,
 )
@@ -541,12 +543,34 @@ class TestPrunedView:
             if view.feeds:
                 fed = [s for s in range(n) if view.feeds >> s & 1]
                 masks.append(mask | 1 << rng.choice(fed))
+            # byte tables up to 64 states; above, either side of the gather's cutoff
+            masks += [to_mask(rng.sample(range(n), c)) for c in (48, 49) if c <= n]
             for m in masks:
-                expect = [prune(s, p) if s & p.pruners else s for s in nfa.successors(m)]
+                succs = [successor_mask(nfa, m, a) for a in range(k)]
+                expect = [prune(s, p) if s & p.pruners else s for s in succs]
                 out = view.successors(m)
                 assert out == expect
                 out[:] = [-1] * k  # the caller's own list: the view is unchanged
                 assert view.successors(m) == expect
+
+    @pytest.mark.parametrize("cap", [None, 0])
+    def test_wide_masks_with_and_without_the_gather(self, monkeypatch, cap):
+        # the gather's table holds the folded rows, 2n bits each; over its
+        # cap the loop answers
+        if cap is not None:
+            monkeypatch.setattr(automata, "WIDE_TABLE_BYTES", cap)
+        rng = random.Random(6)
+        n, k = 150, 3
+        edges = [(rng.randrange(n), rng.randrange(k), rng.randrange(n)) for _ in range(4 * n)]
+        nfa = Nfa(n, k, edges, [0], [])
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+        p = _random_relation_order(rng.sample(range(n), n), pairs)
+        view = PrunedView(nfa, p)
+        assert view.feeds
+        for mask in [(1 << n) - 1] + [to_mask(rng.sample(range(n), 90)) for _ in range(10)]:
+            succs = [successor_mask(nfa, mask, a) for a in range(k)]
+            assert view.successors(mask) == [prune(s, p) for s in succs]
+        assert (view._words is None) == (cap == 0)
 
 
 class TestResidual:

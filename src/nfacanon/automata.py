@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,7 +31,7 @@ UNDEFINED = -1
 SMALL_STATES = 64
 # ... and above it, the numpy gather for metastates of more members than this,
 # while its table takes at most this many bytes
-WIDE_MEMBERS = 48
+WIDE_MEMBERS = 32
 WIDE_TABLE_BYTES = 1 << 26
 
 
@@ -78,6 +79,9 @@ class Nfa:
     __slots__ = (
         "num_states", "alphabet_size", "initial", "final", "_edges", "_succ", "_step", "_words",
     )
+    # each mask of ``_succ`` spans ``_fold`` x n bits: a ``registry.PrunedView``
+    # folds a second n into its rows
+    _fold = 1
 
     def __init__(
         self,
@@ -158,55 +162,52 @@ class Nfa:
         ``SMALL_STATES`` states ORs one table entry per byte of ``mask``:
         each entry holds the successors of that byte's members on every
         symbol side by side, and k shifts split them (``_step_plan``).  On
-        a larger automaton, a metastate of more than ``WIDE_MEMBERS``
-        members ORs its members' rows of a ``uint64`` table in one numpy
-        reduction (``_gather`` over ``_word_table``); any other copies its
-        first member's row and ORs the other members' rows into it, symbol
-        by symbol.  The tables are built on first use.  It reads only ``_succ``,
-        ``_step`` and ``alphabet_size``, so ``registry.PrunedView`` runs it
-        over a table and a plan of its own, whose rows are twice as wide.
+        a larger automaton, whose plan is None, a metastate of more than
+        ``WIDE_MEMBERS`` members ORs its members' rows of a ``uint64``
+        table in one numpy reduction (``_gather`` over ``_word_table``).
+        Any other ORs its first member's row with each further member's
+        row by ``map(operator.or_, ...)``, so the member loop only chains
+        the maps and ``list()`` runs them at C level; a single member's row
+        is copied.  The tables are built on first use.  It reads only
+        ``_succ``, ``_step``, ``_fold`` and ``alphabet_size``, so
+        ``registry.PrunedView`` runs it over a table and a plan of its own,
+        whose rows are twice as wide.
         """
         # a try costs nothing until it raises: only the first call builds
         # the plan (a ``__getattr__`` hook would slow every attribute read)
         try:
-            tables, nbytes, shifts, full = self._step
+            step = self._step
         except AttributeError:
-            n = self.num_states
-            tables, nbytes, shifts, full = self._step = _step_plan(self._masks(), n, n)
-        if tables:
-            acc = 0
-            for table, byte in zip(tables, mask.to_bytes(nbytes, "little")):
-                acc |= table[byte]
-            # a loop, not a comprehension: before Python 3.12 that is a call
-            out = []
-            for s in shifts:
-                out.append(acc >> s & full)
-            return out
-        if not mask:
-            return [0] * self.alphabet_size
-        succ = self._succ
-        low = mask & -mask
-        rest = mask ^ low
-        out = succ[low.bit_length() - 1][:]
-        if rest:
-            # a single member, the narrowest case, skips the width test
+            step = self._step = _step_plan(self._masks(), self.num_states, self.num_states)
+        if step is None:
+            succ = self._succ
+            low = mask & -mask
+            if not low:
+                return [0] * self.alphabet_size
+            out = succ[low.bit_length() - 1]
+            rest = mask ^ low
+            if not rest:  # one member: a copy of its row, and no width test
+                return out[:]
             if rest.bit_count() >= WIDE_MEMBERS:
                 try:
                     words = self._words
                 except AttributeError:
-                    words = self._words = _word_table(succ, full.bit_length())
+                    words = self._words = _word_table(succ, self._fold * len(succ))
                 if words is not None:
-                    return _gather(words, mask, nbytes, len(shifts))
-            rows = []
+                    return _gather(words, mask, self.alphabet_size)
             while rest:
                 low = rest & -rest
                 rest ^= low
-                rows.append(succ[low.bit_length() - 1])
-            for a in range(len(out)):
-                v = out[a]
-                for row in rows:
-                    v |= row[a]
-                out[a] = v
+                out = map(or_, out, succ[low.bit_length() - 1])
+            return list(out)
+        tables, nbytes, shifts, full = step
+        acc = 0
+        for table, byte in zip(tables, mask.to_bytes(nbytes, "little")):
+            acc |= table[byte]
+        # a loop, not a comprehension: before Python 3.12 that is a call
+        out = []
+        for s in shifts:
+            out.append(acc >> s & full)
         return out
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,23 +243,21 @@ class Nfa:
         )
 
 
-def _step_plan(rows: list[list[int]], n: int, w: int) -> tuple:
+def _step_plan(rows: list[list[int]], n: int, w: int) -> tuple | None:
     """``Nfa.successors``' plan over ``rows``, n of them, each symbol's ``w`` bits wide.
 
-    It is ``(tables, nbytes, shifts, full)``: a metastate's ``nbytes``
-    bytes, the offsets of the symbols' successors in an entry of
-    ``tables`` and the mask of one of them.  Above ``SMALL_STATES``,
-    ``tables`` is None.  Otherwise state s holds its k successor masks
-    side by side, symbol a at bits a*w to a*w+w-1, and the table of byte
-    j holds the OR of the members of each byte value, states 8j to 8j+7:
-    an entry is the entry without its lowest bit ORed with that bit's
-    state (the "Four Russians" tables of Arlazarov, Dinic, Kronrod &
-    Faradzev, 1970).
+    None above ``SMALL_STATES``.  Otherwise it is ``(tables, nbytes,
+    shifts, full)``: a metastate's ``nbytes`` bytes, the offsets of the
+    symbols' successors in an entry of ``tables`` and the mask of one of
+    them.  State s holds its k successor masks side by side, symbol a at
+    bits a*w to a*w+w-1, and the table of byte j holds the OR of the
+    members of each byte value, states 8j to 8j+7: an entry is the entry
+    without its lowest bit ORed with that bit's state (the "Four Russians"
+    tables of Arlazarov, Dinic, Kronrod & Faradzev, 1970).
     """
-    shifts = [w * a for a in range(len(rows[0]))]
-    nbytes, full = (n + 7) // 8, (1 << w) - 1
     if n > SMALL_STATES:
-        return None, nbytes, shifts, full
+        return None
+    shifts = [w * a for a in range(len(rows[0]))]
     packed = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
     tables = []
     for j in range(0, n, 8):
@@ -268,12 +267,13 @@ def _step_plan(rows: list[list[int]], n: int, w: int) -> tuple:
         for b in range(1, len(table)):
             table[b] = table[b & (b - 1)] | members[(b & -b).bit_length() - 1]
         tables.append(table)
-    return tables, nbytes, shifts, full
+    return tables, (n + 7) // 8, shifts, (1 << w) - 1
 
 
-def _gather(words: np.ndarray, mask: int, nbytes: int, k: int) -> list[int]:
+def _gather(words: np.ndarray, mask: int, k: int) -> list[int]:
     """The k successors of ``mask``: its members' rows of ``words``, ORed."""
-    bits = np.unpackbits(np.frombuffer(mask.to_bytes(nbytes, "little"), np.uint8), bitorder="little")
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little")
     acc = np.bitwise_or.reduce(words[np.flatnonzero(bits)]).tobytes()
     size = len(acc) // k
     return [int.from_bytes(acc[i : i + size], "little") for i in range(0, len(acc), size)]

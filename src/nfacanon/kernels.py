@@ -11,12 +11,13 @@ the automaton's state count and the metastate's member count: byte
 tables, one lookup per byte of the metastate, for automata of at most
 ``automata.SMALL_STATES`` states; above that, a numpy gather over a
 ``uint64`` table for metastates of more than ``automata.WIDE_MEMBERS``
-members, and a loop over the members' rows for the others.  In
-Brzozowski's first pass
-that automaton is the reversed quotient, or the view of its own simulation
-quotient for ``-s``, and in his second the reverse of that quotient, whose
-registry turns forward subsets into the states of the reversed first-pass
-DFA (``registry.ResidualRegistry``).
+members, and for the others the first member's row ORed with each
+further member's row by ``map(operator.or_, ...)``, one C-level pass per
+member.  In Brzozowski's first pass that automaton is the reversed
+quotient, or the view of its own simulation quotient for ``-s``, and in
+his second the reverse of that quotient, whose registry turns forward
+subsets into the states of the reversed first-pass DFA
+(``registry.ResidualRegistry``).
 """
 
 from __future__ import annotations

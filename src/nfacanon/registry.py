@@ -110,10 +110,9 @@ class _CoverIndex:
     module docstring, its exact entry answers for it.  ``rows[b]`` is the
     lattice that took bit ``b``, ``in_greatest[s]`` holds the bits of the
     lattices whose greatest element contains NFA state ``s``, and ``live``
-    the bits in use.  A lattice keeps its bit from
-    ``insert`` to ``discard``, so bit order is insertion order.  A
-    discarded bit only leaves ``live``, and discarding a lattice never
-    inserted, whose bit is 0, does nothing.  The index gains one row per
+    the bits in use.  A lattice keeps its bit from ``insert`` until
+    ``CCLRegistry.unify`` joins it into another and clears the bit from
+    ``live``, so bit order is insertion order.  The index gains one row per
     block, and there are fewer of those than states made, so its slices
     hold at most (NFA states) x (states made) bits, as ``metastates`` does.
     """
@@ -136,9 +135,6 @@ class _CoverIndex:
         self.live |= bit
         self.rows.append(lat)
         lat.bit = bit
-
-    def discard(self, lat: Lattice) -> None:
-        self.live &= ~lat.bit
 
     def first_cover(self, query: int) -> Optional[int]:
         """Representative of the earliest-inserted lattice covering ``query``."""
@@ -174,7 +170,11 @@ class Registry(Protocol):
 
 
 class OneToOneRegistry:
-    """Exact hash-based registry: one state per metastate, never merged."""
+    """Exact hash-based registry: one state per metastate, never merged.
+
+    The registries that extend it call its ``put`` directly: a ``super()``
+    frame costs about as much as the check.
+    """
 
     def __init__(self):
         self._exact: dict[int, int] = {}
@@ -249,7 +249,7 @@ class ResidualRegistry(OneToOneRegistry):
             sig = self.signature(mask)
         if sig in self._by_signature:
             raise RegistryContractError(f"signature of {mask} already mapped to a state")
-        super().put(mask, state)
+        OneToOneRegistry.put(self, mask, state)
         self._by_signature[sig] = state
 
 
@@ -292,7 +292,7 @@ class CCLRegistry(OneToOneRegistry):
     def put(self, mask: int, state: int) -> None:
         if mask != self._missed and (covering := self._index.first_cover(mask)) is not None:
             raise RegistryContractError(f"metastate {mask} is covered by state {covering}")
-        super().put(mask, state)
+        OneToOneRegistry.put(self, mask, state)
 
     def unify(self, root: int, gone: list[int]) -> None:
         """Merge one block: the classes of the live roots ``gone`` into ``root``'s.
@@ -310,13 +310,16 @@ class CCLRegistry(OneToOneRegistry):
         self._missed = -1  # the join may cover it
         greatest, minimals, puts = 0, [], []
         for q in block:
-            mask = metastates[q]
-            # a lattice never indexed has bit 0, and discarding it does nothing
-            lat = self.lattices.pop(q, None) or Lattice(q, mask, [mask], [mask])
-            self._index.discard(lat)
-            greatest |= lat.greatest
-            minimals += lat.minimals
-            puts += lat.puts
+            # a class never unified is the point of its one put
+            if (lat := self.lattices.pop(q, None)) is None:
+                greatest |= metastates[q]
+                minimals.append(metastates[q])
+                puts.append(metastates[q])
+            else:
+                self._index.live &= ~lat.bit
+                greatest |= lat.greatest
+                minimals += lat.minimals
+                puts += lat.puts
         exact.update(dict.fromkeys(puts, root))
         kept: list[int] = []
         for m in sorted(minimals, key=int.bit_count):
@@ -373,10 +376,12 @@ class PrunedView:
         self._succ = succ
         # the plan of the steps over it, whose rows are 2n bits wide; a view
         # is made to be determinized, so it is built here, not on first use
-        self._step = _step_plan(succ, n, 2 * n)
+        self._step = _step_plan(succ, n, self._fold * n)
 
-    # the step reads ``self._succ``, here the folded table, and ``self._step``
+    # the step reads ``self._succ``, here the folded table, ``self._step``
+    # and ``self._fold``
     _gather = Nfa.successors
+    _fold = 2
 
     def successors(self, mask: int) -> list[int]:
         out = self._gather(mask)

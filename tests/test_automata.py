@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from nfacanon.automata import Dfa, Nfa, complete, isomorphic, reverse, to_mask, trim
+from nfacanon.automata import WIDE_MEMBERS, Dfa, Nfa, complete, isomorphic, reverse, to_mask, trim
 from nfacanon.partition import bisimulation_quotient
 from nfacanon.simulation import compute_similarity, simulation_quotient
 from oracle import (
@@ -49,12 +49,13 @@ class TestNfaSuccessors:
         # byte tables up to 64 states, the loop and the gather above
         for n in (1, 5, 30, 63, 64, 65, 70):
             nfa = random_nfa(rng, n, k, min(0.3, 3 / n))
-            # one member copies its row; two gather a single other row
+            # one member copies its row; two OR in a single other row
             masks = [0] + [1 << s for s in range(n)]
             masks += [1 << s | 1 << t for s in range(min(n, 30)) for t in range(s)]
             masks += [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(30)]
             # either side of the gather's cutoff
-            masks += [to_mask(rng.sample(range(n), c)) for c in (48, 49) if c <= n]
+            cutoff = (WIDE_MEMBERS, WIDE_MEMBERS + 1)
+            masks += [to_mask(rng.sample(range(n), c)) for c in cutoff if c <= n]
             masks.append((1 << n) - 1)
             for mask in masks:
                 expect = [successor_mask(nfa, mask, a) for a in range(k)]

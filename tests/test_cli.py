@@ -201,7 +201,7 @@ class TestCanonize:
         # the CI step on the committed auto-7-0 NFA, auto_nfa(auto_tracks(
         # random.Random(0), 7)) of tests/oracle.py with 332 states, relies on
         # metastates wider than WIDE_MEMBERS: counted locally, sc took the
-        # gather for 94 of its 187 explored metastates and brz for 32 of 45
+        # gather for 149 of its 187 explored metastates and brz for 34 of 45
         steps = []
         word_table = automata._word_table
 

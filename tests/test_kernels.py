@@ -75,20 +75,22 @@ class TestSteps:
 
     Automata of at most ``SMALL_STATES`` states take the byte tables; above
     that, metastates of more than ``WIDE_MEMBERS`` members take the numpy
-    gather, and the others the loop.
+    gather, and the others OR their members' rows, a chain of one OR per
+    member past the first (``WIDE_MEMBERS`` members make the longest).
     """
 
-    @pytest.mark.parametrize("k", [1, 2, 24])
+    @pytest.mark.parametrize("k", [1, 2, 10, 24])
     @pytest.mark.parametrize("n", [63, 64, 65, 200])
     def test_each_step_matches_reference(self, n, k):
         rng = random.Random(100 * n + k)
         small = n <= SMALL_STATES
         for nfa in (random_nfa(rng, n, k, 0.05), _sparse_nfa(rng, n, k)):
             narrow = [0, 1, 1 << (n - 1)]
-            narrow += [_members(rng, n, c) for c in (2, 9, WIDE_MEMBERS) for _ in range(3)]
+            counts = (2, 3, 4, 8, 9, WIDE_MEMBERS)
+            narrow += [_members(rng, n, c) for c in counts for _ in range(3)]
             for mask in narrow:
                 assert nfa.successors(mask) == [successor_mask(nfa, mask, a) for a in range(k)]
-            assert (nfa._step[0] is not None) == small
+            assert (nfa._step is not None) == small
             # no metastate was wider than the cutoff, so no gather table yet
             assert not hasattr(nfa, "_words")
             wide = [(1 << n) - 1]

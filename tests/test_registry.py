@@ -544,7 +544,8 @@ class TestPrunedView:
                 fed = [s for s in range(n) if view.feeds >> s & 1]
                 masks.append(mask | 1 << rng.choice(fed))
             # byte tables up to 64 states; above, either side of the gather's cutoff
-            masks += [to_mask(rng.sample(range(n), c)) for c in (48, 49) if c <= n]
+            wide = automata.WIDE_MEMBERS
+            masks += [to_mask(rng.sample(range(n), c)) for c in (wide, wide + 1) if c <= n]
             for m in masks:
                 succs = [successor_mask(nfa, m, a) for a in range(k)]
                 expect = [prune(s, p) if s & p.pruners else s for s in succs]

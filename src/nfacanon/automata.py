@@ -251,9 +251,10 @@ def _step_plan(rows: list[list[int]], n: int, w: int) -> tuple | None:
     symbols' successors in an entry of ``tables`` and the mask of one of
     them.  State s holds its k successor masks side by side, symbol a at
     bits a*w to a*w+w-1, and the table of byte j holds the OR of the
-    members of each byte value, states 8j to 8j+7: an entry is the entry
-    without its lowest bit ORed with that bit's state (the "Four Russians"
-    tables of Arlazarov, Dinic, Kronrod & Faradzev, 1970).
+    members of each byte value, states 8j to 8j+7 (the "Four Russians"
+    tables of Arlazarov, Dinic, Kronrod & Faradzev, 1970).  A table is built
+    by doubling: each member appends a copy of the entries so far, each
+    ORed with it.
     """
     if n > SMALL_STATES:
         return None
@@ -261,11 +262,10 @@ def _step_plan(rows: list[list[int]], n: int, w: int) -> tuple | None:
     packed = [sum(x << s for x, s in zip(row, shifts)) for row in rows]
     tables = []
     for j in range(0, n, 8):
-        members = packed[j : j + 8]
         # the last byte's bits past n are never set, so its table stops short
-        table = [0] * (1 << len(members))
-        for b in range(1, len(table)):
-            table[b] = table[b & (b - 1)] | members[(b & -b).bit_length() - 1]
+        table = [0]
+        for x in packed[j : j + 8]:
+            table += [t | x for t in table]
         tables.append(table)
     return tables, (n + 7) // 8, shifts, (1 << w) - 1
 
@@ -462,18 +462,6 @@ def quotient(nfa: Nfa, block: np.ndarray, num_blocks: int) -> Nfa:
         {block_of[s] for s in nfa.initial},
         {block_of[s] for s in nfa.final},
     )
-
-
-def complete(dfa: Dfa) -> Dfa:
-    """Route every undefined transition to a fresh non-final sink state."""
-    if dfa.is_total():
-        return dfa
-    sink = dfa.num_states
-    rows = [
-        [sink if t == UNDEFINED else t for t in row]
-        for row in dfa.trans + [[UNDEFINED] * dfa.alphabet_size]
-    ]
-    return Dfa(sink + 1, dfa.alphabet_size, dfa.initial, dfa.final, rows)
 
 
 def isomorphic(d1: Dfa, d2: Dfa) -> bool:

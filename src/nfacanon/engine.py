@@ -16,14 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import UNDEFINED, Dfa, Nfa, complete, int_rows, reverse, trim
+from .automata import UNDEFINED, Dfa, Nfa, int_rows, reverse, trim
 from .kernels import successor_kernel
 from .partition import bisimulation_quotient, minimize
 from .registry import CCLRegistry, OneToOneRegistry, PrunedView, Registry, ResidualRegistry
 from .simulation import compute_similarity, simulation_quotient
 
-# an alias only for perfbench/tracer.py, which patches this name (ROADMAP item 4)
+# names only for perfbench/tracer.py, which patches them (ROADMAP item 4).  No
+# pipeline calls ``complete``: each returns a total DFA
 CCLSRegistry = CCLRegistry
+complete = None
 
 PIPELINES = ("sc", "sc-s", "otf", "otf-s", "brz", "brz-s", "brz-otf", "brz-otf-s")
 
@@ -372,7 +374,10 @@ def _run_pipeline(nfa, config, stats, start, deadline):
         # the determinized DFA is total and fully explored
         dfa, _ = minimize(res.dfa, [])
         stats.minimizations += 1
-    dfa = complete(dfa) if config.complete_output else _drop_sink(dfa)
+    # every explored row is filled, and minimizing a total DFA adds no sink,
+    # so ``dfa`` is total
+    if not config.complete_output:
+        dfa = _drop_sink(dfa)
     stats.final_states = dfa.num_states
     stats.overhead = max(0, reference - dfa.num_states)
     return dfa

@@ -5,14 +5,17 @@ Valmari & Lehtinen, STACS 2008, for the array form).  A round keys every
 state by its block and a list of integer columns.  The columns are packed,
 as many as fit, into 1-D ``int64`` codes by matrix-vector products, and
 each code is renumbered densely by one sort.  Rounds repeat until the
-block count stops growing.  ``minimize`` passes the successor block on each
-symbol; ``bisimulation_quotient`` passes the set of (symbol, successor
-block) pairs.
+block count stops growing.  ``minimize`` passes the successor block on
+every word of length 1 and 2 while those columns fit one code, so each
+round takes two of Moore's steps, and on each symbol alone once they do
+not; ``bisimulation_quotient`` passes the set of (symbol, successor block)
+pairs.
 
 Minimization starts from the final/non-final split and gives each state
 the caller lists as unexplored a block of its own, which lets the
 on-the-fly engine keep half-explored states apart so they are never merged
-before their behavior is fully determined.
+before their behavior is fully determined.  When it merges nothing,
+``minimize`` returns its input DFA itself rather than an identical quotient.
 """
 
 from __future__ import annotations
@@ -92,10 +95,20 @@ def minimize(dfa: Dfa, unexplored: Sequence[int] | np.ndarray) -> tuple[Dfa, Mer
     in ``unexplored`` in a block of its own, so those are never merged.
     Undefined transitions are routed to an implicit sink during refinement
     (completed-language semantics); the sink never appears in the result.
-    The columns of a round are the successor blocks, one per symbol.
     ``dfa.trans`` may be a list of rows or an integer array.  Returns the
     quotient DFA (states renumbered densely, survivor of each block =
-    smallest original id) and the (survivor, absorbed) pairs, sorted.
+    smallest original id) and the (survivor, absorbed) pairs, sorted.  When
+    nothing is absorbed the quotient would equal ``dfa``, so ``dfa`` itself
+    is returned.
+
+    The columns of a round are the successor blocks on every word of length
+    1 and 2, read from ``trans`` and ``trans[trans]``, built once with the
+    sink's row.  By Moore, P_{i+2} = P_i ∧ δ⁻¹P_i ∧ δ⁻²P_i, so such a round
+    takes two steps, and one that adds no block still marks the fixpoint.
+    A round whose columns would not all fit one code under ``_CODE_LIMIT``
+    takes the one-letter columns alone: in chunks, the extra columns would
+    cost a sort each, as much as the round they save.  From 8 symbols on
+    that is every round, and the two-letter targets are not built.
     """
     n = dfa.num_states
     k = dfa.alphabet_size
@@ -114,11 +127,24 @@ def minimize(dfa: Dfa, unexplored: Sequence[int] | np.ndarray) -> tuple[Dfa, Mer
         # implicit sink at index n, in its own initial block
         trans = np.vstack([np.where(undefined, n, trans), np.full((1, k), n)])
         tags = np.append(tags, -1)
-    labels = _refine(_renumber(tags)[0], lambda lab, m: (lab[trans], m))
+    # the targets of every word of length 1 and 2, unless no round of two
+    # blocks or more could fit them in one code
+    words = trans
+    if len(trans) * 2 ** (k + k * k) <= _CODE_LIMIT:
+        ab = np.take(trans, trans, axis=0).reshape(len(trans), k * k)
+        words = np.concatenate([trans, ab], axis=1)
+
+    def successor_blocks(labels: np.ndarray, m: int):
+        fits = len(labels) * m ** words.shape[1] <= _CODE_LIMIT
+        return (labels[words] if fits else labels[trans]), m
+
+    labels = _refine(_renumber(tags)[0], successor_blocks)
     # the sink is alone in its block, so no state of the DFA survives in it
     survivor = _survivors(labels)[:n]
     states = np.arange(n)
     absorbed = np.flatnonzero(survivor != states)
+    if not len(absorbed):
+        return dfa, []
     # a stable sort keeps ascending absorbed ids within each survivor
     absorbed = absorbed[np.argsort(survivor[absorbed], kind="stable")]
     merges = list(zip(survivor[absorbed].tolist(), absorbed.tolist()))

@@ -33,7 +33,7 @@ The language oracles are here too, apart from the code they check:
 masks one member at a time (``Nfa.successors`` gathers them), ``accepts``
 and ``enumerate_language`` run the metastate semantics word by word,
 ``language_equivalent`` and ``language_included`` walk the product of two
-DFAs, each completed by ``completed`` rather than ``automata.complete``,
+DFAs, each made total by ``completed``,
 and ``dfa_accepts`` and ``dfa_to_nfa`` read a ``Dfa``'s rows.
 """
 

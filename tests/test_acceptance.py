@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from nfacanon.automata import Nfa, complete, isomorphic, to_mask
+from nfacanon.automata import Nfa, isomorphic, to_mask
 from nfacanon.engine import (
     PIPELINES,
     CanonConfig,
@@ -33,6 +33,7 @@ from oracle import (
     auto_tracks,
     blowup_nfa,
     canonical_dfa,
+    completed,
     dfa_from_metastate,
     find,
     language_equivalent,
@@ -121,7 +122,7 @@ def test_registry_soundness():
             reg = CCLRegistry()
             reg.cover_hits = []
             res = otf_determinize(explored, reg, RunStats(), FixedInterval(rng.choice([1, 2])))
-            full = complete(res.dfa)
+            full = completed(res.dfa)
             # state i of the DFA stands for the live id its metastate is put for
             ids = [reg._exact[m] for m in res.metastates]
             for mask, state in reg.cover_hits:

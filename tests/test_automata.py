@@ -3,11 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from nfacanon.automata import WIDE_MEMBERS, Dfa, Nfa, complete, isomorphic, reverse, to_mask, trim
+from nfacanon.automata import WIDE_MEMBERS, Dfa, Nfa, isomorphic, reverse, to_mask, trim
 from nfacanon.partition import bisimulation_quotient
 from nfacanon.simulation import compute_similarity, simulation_quotient
 from oracle import (
     accepts,
+    completed,
     dfa_accepts,
     dfa_to_nfa,
     edges_reference,
@@ -327,12 +328,14 @@ class TestTrim:
 
 
 class TestComplete:
+    """The oracle's ``completed``, which the tests use to make a DFA total."""
+
     def test_total_unchanged(self, ends_in_a_dfa_min):
-        assert complete(ends_in_a_dfa_min).num_states == 2
+        assert completed(ends_in_a_dfa_min).num_states == 2
 
     def test_no_transitions(self):
         d = Dfa(1, 2, 0, final={0})
-        c = complete(d)
+        c = completed(d)
         assert c.num_states == 2
         assert c.is_total()
 
@@ -342,7 +345,7 @@ class TestComplete:
             d.set_transition(s, 0, (s + 1) % 3)
             if s != 1:
                 d.set_transition(s, 1, s)
-        c = complete(d)
+        c = completed(d)
         assert c.num_states == 4
         assert c.trans[1][1] == 3  # routed to the sink
         assert 3 not in c.final

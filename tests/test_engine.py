@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import complete, isomorphic, reverse, trim
+from nfacanon.automata import Nfa, isomorphic, reverse, trim
 import nfacanon.engine as engine
 import nfacanon.registry as registry_module
 import nfacanon.simulation as simulation
@@ -39,6 +39,7 @@ from oracle import (
     blowup_nfa,
     canonical_dfa,
     class_lattices,
+    completed,
     covers,
     dfa_to_nfa,
     find,
@@ -222,7 +223,7 @@ class TestOtfDeterminize:
         stats = RunStats()
         res = otf_determinize(ends_in_a, OneToOneRegistry(), stats)
         oracle, _ = textbook_subset_construction(ends_in_a)
-        assert isomorphic(complete(res.dfa), complete(oracle))
+        assert isomorphic(completed(res.dfa), completed(oracle))
         assert res.dfa.num_states == 2
         assert stats.minimizations == 0
 
@@ -237,7 +238,7 @@ class TestOtfDeterminize:
         stats = RunStats()
         res = otf_determinize(nfa, CCLRegistry(), stats, FixedInterval(1))
         assert stats.peak_intermediate_states <= 2**n
-        assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
+        assert language_equivalent(completed(res.dfa), canonical_dfa(nfa))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_explored_trace_matches_textbook_order(self, explored_masks, seed):
@@ -416,7 +417,7 @@ class TestOtfDeterminize:
         nfa = random_nfa(rng, rng.randint(3, 8), 2)
         interval = rng.choice([1, 2, 3])
         res = otf_determinize(nfa, CCLRegistry(), RunStats(), FixedInterval(interval))
-        assert language_equivalent(complete(res.dfa), canonical_dfa(nfa))
+        assert language_equivalent(completed(res.dfa), canonical_dfa(nfa))
 
     @staticmethod
     def _run_to_failure(explored_masks, cls, interval, fail_get=0, fail_put=0):
@@ -856,7 +857,20 @@ class TestCanonize:
         total, _ = canonize(one_a, CanonConfig(pipeline=pipeline))
         assert (partial.num_states, stats.final_states) == (2, 2)
         assert total.num_states == 3
-        assert language_equivalent(complete(partial), total)
+        assert language_equivalent(completed(partial), total)
+
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    def test_output_total_by_default(self, pipeline):
+        # no pipeline completes its result: every explored row is filled,
+        # and minimizing a total DFA adds no sink
+        rng = random.Random(950)
+        inputs = [random_nfa(rng, rng.randint(2, 9), rng.randint(1, 3)) for _ in range(12)]
+        inputs += [Nfa(3, 2, [(0, 0, 1), (1, 1, 0)], [0], []), blowup_nfa(8)]
+        for nfa in inputs:
+            dfa, stats = canonize(nfa, CanonConfig(pipeline=pipeline, threshold_init=3))
+            assert dfa.is_total()
+            assert stats.final_states == dfa.num_states
+            assert isomorphic(dfa, canonical_dfa(nfa))
 
     @pytest.mark.parametrize("threshold_init", [0, -1])
     def test_threshold_below_one_rejected(self, threshold_init):

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfacanon.automata import UNDEFINED, Dfa, Nfa, complete
+from nfacanon.automata import UNDEFINED, Dfa, Nfa
 from nfacanon import partition
 from nfacanon.partition import _renumber, bisimulation_quotient, minimize
 
 from oracle import (
     bisimulation_reference,
+    completed,
     dfa_to_nfa,
     enumerate_language,
     language_equivalent,
@@ -49,7 +50,7 @@ class TestMinimize:
         out, merges = minimize(ends_in_a_dfa_redundant, [])
         assert out.num_states == 2
         assert len(merges) == 1
-        assert language_equivalent(complete(out), ends_in_a_dfa_min)
+        assert language_equivalent(completed(out), ends_in_a_dfa_min)
 
     def test_partial_dfa_separated_from_total_state(self):
         # with an implicit sink, a state missing an edge differs from a looping one
@@ -64,9 +65,9 @@ class TestMinimize:
         rng = random.Random(seed)
         d, _ = textbook_subset_construction(random_nfa(rng, rng.randint(2, 6), 2))
         out, _ = minimize(d, [])
-        oracle = table_filling_minimize(complete(d))
-        assert complete(out).num_states == oracle.num_states
-        assert language_equivalent(complete(out), d)
+        oracle = table_filling_minimize(completed(d))
+        assert completed(out).num_states == oracle.num_states
+        assert language_equivalent(completed(out), d)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_idempotent(self, seed):
@@ -76,6 +77,16 @@ class TestMinimize:
         twice, merges = minimize(once, [])
         assert merges == []
         assert twice.num_states == once.num_states
+
+    def test_returns_its_input_when_nothing_merges(self, ends_in_a_dfa_min):
+        out, merges = minimize(ends_in_a_dfa_min, [])
+        assert out is ends_in_a_dfa_min and merges == []
+
+    def test_returns_a_fresh_quotient_after_a_merge(self, ends_in_a_dfa_redundant):
+        rows = [row[:] for row in ends_in_a_dfa_redundant.trans]
+        out, merges = minimize(ends_in_a_dfa_redundant, [])
+        assert out is not ends_in_a_dfa_redundant and merges
+        assert ends_in_a_dfa_redundant.trans == rows
 
     @pytest.mark.parametrize("seed", range(8))
     def test_unique_states_never_in_merge_list(self, seed):
@@ -125,7 +136,7 @@ def test_minimized_complete_language_equivalent(seed):
     rng = random.Random(400 + seed)
     d, _ = textbook_subset_construction(random_nfa(rng, rng.randint(2, 6), 2))
     out, _ = minimize(d, [])
-    assert language_equivalent(complete(out), complete(d))
+    assert language_equivalent(completed(out), completed(d))
 
 
 @st.composite
@@ -171,6 +182,33 @@ _FIXED_NFAS = {
 }
 
 
+def _column_widths(monkeypatch) -> list[int]:
+    """The number of columns of each round of ``minimize`` from now on."""
+    widths = []
+    refine = partition._refine
+
+    def spy(labels, columns):
+        def counted(lab, m):
+            cols, m = columns(lab, m)
+            widths.append(cols.shape[1])
+            return cols, m
+
+        return refine(labels, counted)
+
+    monkeypatch.setattr(partition, "_refine", spy)
+    return widths
+
+
+def _distinct_dfa(n: int, k: int) -> Dfa:
+    """n pairwise distinct states over k symbols, so refinement reaches n blocks."""
+    rng = random.Random(n * k)
+    rows = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    for s in range(n - 1):
+        rows[s][0] = s + 1
+    # state s reaches the only final state by n-1-s letters 0, and no sooner
+    return Dfa(n, k, 0, {n - 1}, rows)
+
+
 class TestMatchesReference:
     @staticmethod
     def _check_minimize(dfa, unexplored):
@@ -200,6 +238,14 @@ class TestMatchesReference:
         n, rows, final = _FIXED_DFAS[name]
         dfa = Dfa(n, 2, 0, final, [row[:] for row in rows])
         self._check_minimize(dfa, [])
+
+    def test_minimize_on_both_sides_of_the_two_letter_rule(self, monkeypatch):
+        # over 3 symbols the 12 two-letter columns fit one code while the
+        # blocks are few; once they are many, a round takes the 3 one-letter
+        # columns alone
+        widths = _column_widths(monkeypatch)
+        self._check_minimize(_distinct_dfa(60, 3), [])
+        assert set(widths) == {3, 12}
 
     @pytest.mark.parametrize("name", sorted(_FIXED_NFAS))
     def test_bisimulation_edge_cases(self, name):
@@ -255,6 +301,36 @@ class TestChunkedRounds:
         monkeypatch.setattr(partition, "_CODE_LIMIT", _SMALL_LIMIT)
         assert run() == expected
         assert len(renumbers) > 2 * at_real_bound
+
+
+    def test_minimize_on_both_sides_of_the_two_letter_rule(self, monkeypatch):
+        # 12 states on 2 symbols: the 6 columns of a round fit the small
+        # bound only at 2 blocks
+        widths = _column_widths(monkeypatch)
+        monkeypatch.setattr(partition, "_CODE_LIMIT", _SMALL_LIMIT)
+        TestMatchesReference._check_minimize(_distinct_dfa(12, 2), [])
+        assert widths[0] == 6 and set(widths) == {2, 6}
+
+
+class TestTwoLetterRounds:
+    def test_chain_takes_half_the_rounds(self, monkeypatch):
+        # two copies of a chain of n states on letter 0; letter 1 crosses
+        # to the other copy.  Moore needs about n steps to tell the chain's
+        # states apart, and then it merges each state with its copy
+        n = 40
+        rows = [[min(s % n + 1, n - 1) + s // n * n, (s + n) % (2 * n)] for s in range(2 * n)]
+        dfa = Dfa(2 * n, 2, 0, {n - 1, 2 * n - 1}, rows)
+        trans = np.array(rows)
+        labels = _renumber(np.array([int(s in dfa.final) for s in range(2 * n)]))[0]
+        one_letter = []
+        partition._refine(labels, lambda lab, m: (one_letter.append(m), (lab[trans], m))[1])
+        widths = _column_widths(monkeypatch)
+        out, merges = minimize(dfa, [])
+        assert len(one_letter) >= n - 1
+        assert set(widths) == {6} and len(widths) <= len(one_letter) // 2 + 1
+        ref, ref_merges = minimize_reference(dfa, [int(s in dfa.final) for s in range(2 * n)])
+        assert merges == ref_merges == [(s, s + n) for s in range(n)]
+        assert (out.trans, out.final) == (ref.trans, ref.final)
 
 
 class TestRenumber:

@@ -240,12 +240,18 @@ class TestMatchesReference:
         self._check_minimize(dfa, [])
 
     def test_minimize_on_both_sides_of_the_two_letter_rule(self, monkeypatch):
-        # over 3 symbols the 12 two-letter columns fit one code while the
-        # blocks are few; once they are many, a round takes the 3 one-letter
-        # columns alone
+        # 600 states on 2 symbols: the 6 columns of a round fit one code
+        # while the blocks are few; from about 450 blocks a round takes the
+        # 2 one-letter columns alone
         widths = _column_widths(monkeypatch)
-        self._check_minimize(_distinct_dfa(60, 3), [])
-        assert set(widths) == {3, 12}
+        self._check_minimize(_distinct_dfa(600, 2), [])
+        assert widths[0] == 6 and set(widths) == {2, 6}
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_minimize_takes_one_letter_rounds_from_three_symbols(self, monkeypatch, k):
+        widths = _column_widths(monkeypatch)
+        self._check_minimize(_distinct_dfa(60, k), [])
+        assert set(widths) == {k}
 
     @pytest.mark.parametrize("name", sorted(_FIXED_NFAS))
     def test_bisimulation_edge_cases(self, name):

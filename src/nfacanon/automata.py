@@ -361,6 +361,8 @@ class Dfa:
         self.alphabet_size = alphabet_size
         self.initial = initial
         self.final = set(final)
+        if self.final and not 0 <= min(self.final) <= max(self.final) < num_states:
+            raise ValueError("final state out of range")
         # trans[s][a]: successor of s on a, or UNDEFINED; taken, not copied
         if trans is None:
             trans = [[UNDEFINED] * alphabet_size for _ in range(num_states)]

@@ -34,8 +34,8 @@ Three implementations are provided:
   forward automaton keyed by their signature over the first pass's
   metastates, so forward subset construction yields the minimal DFA.
 * ``CCLRegistry`` -- convexity-closure lattices: each known equivalence class
-  is summarized by a greatest element plus an antichain of minimal elements,
-  covering every metastate sandwiched in between.
+  is summarized by a greatest element, the union of its puts, and covers
+  every metastate sandwiched between one of its puts and that union.
 
 An ``-s`` determinization runs on a ``PrunedView`` of the automaton, whose
 initial metastate and successors are pruned by a similarity order, so the
@@ -54,7 +54,7 @@ iff p == m.  Hence:
   index has one bit per lattice: per NFA state, one Python int holds the
   bits of the lattices whose greatest element contains it.  A query ANDs
   the ints of its members, so a miss usually stops after a few of them,
-  then tests the minimals of the lattices left in bit order.  Bit order
+  then tests the puts of the lattices left in bit order.  Bit order
   is the order in which ``unify`` built them.  ``unify`` adds one bit and
   clears those of the lattices it joins, so the index holds one bit per
   block, live or dead.
@@ -87,18 +87,17 @@ class RegistryContractError(Exception):
 class Lattice:
     """Convexity-closed equivalence region of metastates.
 
-    A metastate Q is covered iff Q is a subset of ``greatest`` and some
-    element of ``minimals`` is a subset of Q.  ``minimals`` is an antichain.
-    ``puts`` lists the metastates put for the states of the class.  ``bit``
-    is the lattice's bit in the cover index, or 0 while it has none.
+    ``puts`` lists the metastates put for the states of the class, and
+    ``greatest`` is their union.  A metastate Q is covered iff Q is a
+    subset of ``greatest`` and some put is a subset of Q.  ``bit`` is the
+    lattice's bit in the cover index, or 0 while it has none.
     """
 
-    __slots__ = ("rep", "greatest", "minimals", "puts", "bit")
+    __slots__ = ("rep", "greatest", "puts", "bit")
 
-    def __init__(self, rep: int, greatest: int, minimals: list[int], puts: list[int]):
+    def __init__(self, rep: int, greatest: int, puts: list[int]):
         self.rep = rep
         self.greatest = greatest
-        self.minimals = minimals
         self.puts = puts
         self.bit = 0
 
@@ -154,7 +153,7 @@ class _CoverIndex:
         while hits:
             low = hits & -hits
             lat = rows[low.bit_length() - 1]
-            for m in lat.minimals:
+            for m in lat.puts:
                 if m & query == m:
                     return lat.rep
             hits ^= low
@@ -299,8 +298,8 @@ class CCLRegistry(OneToOneRegistry):
 
         ``gone`` is ascending and nonempty, and ``root``, a live root too,
         is below all of it.  The join of the block's lattices is built once:
-        a class never unified is the point of its one put.  Its minimals are
-        those of the union of the antichains, kept smallest first.
+        a class never unified is the point of its one put.  Its puts are
+        those of the block's classes, in block order.
         """
         exact, metastates = self._exact, self.metastates
         block = [root, *gone]
@@ -308,24 +307,18 @@ class CCLRegistry(OneToOneRegistry):
         if not (ordered and all(exact[metastates[q]] == q for q in block)):
             raise RegistryContractError(f"unify({root}, {gone}) needs live roots, ascending")
         self._missed = -1  # the join may cover it
-        greatest, minimals, puts = 0, [], []
+        greatest, puts = 0, []
         for q in block:
             # a class never unified is the point of its one put
             if (lat := self.lattices.pop(q, None)) is None:
                 greatest |= metastates[q]
-                minimals.append(metastates[q])
                 puts.append(metastates[q])
             else:
                 self._index.live &= ~lat.bit
                 greatest |= lat.greatest
-                minimals += lat.minimals
                 puts += lat.puts
         exact.update(dict.fromkeys(puts, root))
-        kept: list[int] = []
-        for m in sorted(minimals, key=int.bit_count):
-            if m not in map(m.__or__, kept):  # no kept k is a subset: k | m == m
-                kept.append(m)
-        merged = self.lattices[root] = Lattice(root, greatest, kept, puts)
+        merged = self.lattices[root] = Lattice(root, greatest, puts)
         self._index.insert(merged)
 
 

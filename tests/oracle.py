@@ -9,8 +9,8 @@ fast enough to check ``compute_similarity`` on benchmark-sized inputs.
 ``minimize_reference`` and ``bisimulation_reference`` are the earlier
 row-signature refinements that ``nfacanon.partition`` must match exactly,
 merge order and state numbering included.  ``antichain_reference`` is the
-pairwise antichain filter that the minimals of a ``CCLRegistry.unify``
-join must match.
+pairwise antichain filter by which ``LinearScanCCLRegistry`` keeps only
+the minimal elements of each lattice.
 ``prune_reference`` and ``saturate_reference`` are the earlier loops over
 every member that the masked ``prune`` and ``saturate`` must match.
 ``leq`` reads a ``Preorder``'s partial order off its strict rows, and
@@ -23,7 +23,7 @@ scanning all of its lattices in insertion order; its exact map stays empty,
 so the engine sends every lookup to its ``get``.  ``lookup`` asks a
 registry the way the determinization loop does, ``find`` reads the class
 root of a state off a CCL registry, ``covers`` tests a lattice's
-membership rule, ``lattice_of_puts`` builds the lattice of a class from the
+membership rule over its puts, ``lattice_of_puts`` builds the lattice of a class from the
 metastates put for it, ``class_lattices`` builds it for every class of a
 CCL registry, and ``FixedInterval`` is a minimization controller that
 never rescales its interval.
@@ -421,10 +421,13 @@ class LinearScanCCLRegistry:
     """CCL registry answering each lookup by a scan of every lattice.
 
     A lattice is a ``[class root, greatest, minimals]`` list, kept in
-    insertion order.  A put appends the point ``[state, m, [m]]``;
-    ``unify(q, gone)`` joins the class of each id of ``gone`` into that of
-    ``q`` in turn, one pair at a time: it removes the two classes'
-    lattices and appends their join, rooted at the smaller root.  A lookup
+    insertion order, whose minimals are the antichain of the class's puts:
+    it covers a metastate below its greatest element and above one of
+    them.  A put appends the point ``[state, m, [m]]``; ``unify(q, gone)``
+    joins the class of each id of ``gone`` into that of ``q`` in turn, one
+    pair at a time: it removes the two classes' lattices and appends their
+    join, rooted at the smaller root, with ``antichain_reference`` of the
+    two lists of minimals.  A lookup
     of a metastate that was put returns its state's root; any other
     returns the root of the first lattice covering it, or ``None``.
     Setting ``cover_hits`` to a list records the non-exact hits, as
@@ -480,22 +483,20 @@ def find(reg, state: int) -> int:
 
 
 def covers(lat, mask: int) -> bool:
-    """Whether ``lat`` covers ``mask``: below its greatest, above a minimal."""
-    return mask | lat.greatest == lat.greatest and any(m & mask == m for m in lat.minimals)
+    """Whether ``lat`` covers ``mask``: below its greatest, above one of its puts."""
+    return mask | lat.greatest == lat.greatest and any(m & mask == m for m in lat.puts)
 
 
 def lattice_of_puts(rep: int, puts: list[int]) -> SimpleNamespace:
     """The lattice of a class of a CCL registry, from its puts.
 
-    Its greatest element is the union of the puts and its minimals their
-    antichain.  The lattice of one put m is the point ``[m, m]``.
+    Its greatest element is the union of the puts.  The lattice of one put
+    m is the point ``[m, m]``.
     """
     greatest = 0
     for m in puts:
         greatest |= m
-    return SimpleNamespace(
-        rep=rep, greatest=greatest, minimals=antichain_reference(puts), puts=list(puts)
-    )
+    return SimpleNamespace(rep=rep, greatest=greatest, puts=list(puts))
 
 
 def class_lattices(reg) -> dict[int, SimpleNamespace]:

@@ -327,6 +327,18 @@ class TestTrim:
         assert trimmed.num_transitions() == 0
 
 
+class TestDfa:
+    @pytest.mark.parametrize("final", [{-1}, {2}, {5}, {0, 2}, {-1, 1}])
+    def test_final_state_out_of_range_rejected(self, final):
+        # -1 would index the last state, and 5 past the end of every table
+        with pytest.raises(ValueError, match="final state out of range"):
+            Dfa(2, 1, 0, final=final, trans=[[1], [1]])
+
+    @pytest.mark.parametrize("final", [set(), {0}, {1}, {0, 1}])
+    def test_final_states_in_range_accepted(self, final):
+        assert Dfa(2, 1, 0, final=iter(final), trans=[[1], [1]]).final == final
+
+
 class TestComplete:
     """The oracle's ``completed``, which the tests use to make a DFA total."""
 

@@ -2,6 +2,7 @@
 
 import random
 import zlib
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -304,30 +305,33 @@ class TestOtfDeterminize:
                 hits += stats.cover_hits
         assert hits > 0 or family == "blowup"  # its states are pairwise inequivalent
 
-    @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
-    def test_ccl_on_pruned_view_matches_linear_scan_registry(self, family):
-        # on pruned metastates, the exact map and the cover index answer
-        # every lookup as a scan of all lattices in insertion order does;
-        # each input and its reverse are quotiented by simulation first, as
-        # the -s pipelines do
+    @pytest.mark.parametrize("family", ["tv", "random", "blowup", "auto"])
+    def test_ccl_matches_linear_scan_registry(self, family):
+        # the exact map and the cover index answer every lookup as a scan of
+        # all lattices in insertion order does, on plain and on pruned
+        # metastates; each input and its reverse are quotiented by
+        # simulation first, as the -s pipelines do.  The automatic-sequence
+        # inputs merge wide classes: one joins 51 puts, 5 of them minimal
         rng = random.Random(77)
         if family == "tv":
             inputs = [tv_nfa(rng, n, 1.25, 0.5) for n in (10, 16, 16, 24)]
         elif family == "random":
             inputs = [random_nfa(rng, rng.randint(3, 9), 2) for _ in range(8)]
+        elif family == "auto":
+            inputs = [auto_nfa(auto_tracks(rng, 5)), auto_nfa(auto_tracks(random.Random(1), 6))]
         else:
             inputs = [blowup_nfa(4), blowup_nfa(7)]
-        hits = 0
+        hits = widest = 0
         for nfa in inputs:
             for work in (nfa, reverse(nfa)):
                 work, p = simulation_quotient(work, compute_similarity(work))
-                for interval in (None, 2):
+                for automaton, interval in product((work, PrunedView(work, p)), (None, 2)):
                     runs = []
                     for reg in (CCLRegistry(), LinearScanCCLRegistry()):
                         reg.cover_hits = []
                         controller = interval and FixedInterval(interval)
                         stats = RunStats()
-                        res = otf_determinize(PrunedView(work, p), reg, stats, controller)
+                        res = otf_determinize(automaton, reg, stats, controller)
                         d = res.dfa
                         explored = stats.explored_metastates
                         # the linear scan keeps its exact map in ``put_state``
@@ -338,9 +342,12 @@ class TestOtfDeterminize:
                             (ids, res.metastates, explored, stats.peak_intermediate_states),
                             (stats.minimizations, res.sizes_after_min, reg.cover_hits),
                         ))
+                        if isinstance(reg, CCLRegistry):
+                            widest = max([widest, *(len(lat.puts) for lat in reg.lattices.values())])
                     assert runs[0] == runs[1]
                     hits += len(reg.cover_hits)
         assert hits > 0 or family == "blowup"
+        assert widest > 40 or family != "auto"
 
     @pytest.mark.parametrize("family", ["tv", "random", "blowup"])
     def test_result_metastates_are_the_registrys(self, family):

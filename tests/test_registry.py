@@ -249,7 +249,7 @@ class TestCCL:
         reg.unify(0, [1])
         lat = reg.lattices[0]
         assert lat.greatest == to_mask([1, 2, 3])
-        assert lat.minimals == [q]
+        assert lat.puts == [q, to_mask([1, 2, 3])]
         assert lat.rep == 0
 
     def test_disjoint_puts_independent(self):
@@ -274,14 +274,7 @@ class TestCCL:
         assert len(reg.lattices) == 1
         lat = reg.lattices[0]
         assert lat.greatest == a | b
-        assert sorted(lat.minimals) == sorted([a, b])
-
-    def test_unify_filters_dominated_minimals(self):
-        reg = CCLRegistry()
-        reg.put(to_mask([1, 2]), 0)
-        reg.put(to_mask([1]), 1)
-        reg.unify(0, [1])
-        assert reg.lattices[0].minimals == [to_mask([1])]
+        assert lat.puts == [a, b]
 
     def test_unify_of_one_class_rejected(self):
         reg = CCLRegistry()
@@ -292,13 +285,12 @@ class TestCCL:
         reg.put(to_mask([3]), 1)
         reg.unify(0, [1])
         assert reg.lattices[0].puts == _masks([1, 2], [3])
-        before = (reg.lattices[0].greatest, list(reg.lattices[0].minimals))
+        before = (reg.lattices[0].greatest, list(reg.lattices[0].puts))
         for root, gone in [(1, 0), (0, 1), (0, 0)]:
             with pytest.raises(RegistryContractError):
                 reg.unify(root, [gone])
-        assert (reg.lattices[0].greatest, reg.lattices[0].minimals) == before
-        # the join keeps its minimals smallest first
-        assert before == (to_mask([1, 2, 3]), _masks([3], [1, 2]))
+        assert (reg.lattices[0].greatest, reg.lattices[0].puts) == before
+        assert before == (to_mask([1, 2, 3]), _masks([1, 2], [3]))
 
     def test_get_covered_metastate(self):
         reg = CCLRegistry()
@@ -357,25 +349,6 @@ class TestCCL:
         assert lookup(reg, to_mask([1, 2, 3])) == 0
         assert reg.cover_hits == [(to_mask([1, 2, 3]), 0)]
 
-    def test_antichain_invariant_random_ops(self):
-        rng = random.Random(11)
-        reg = CCLRegistry()
-        states = []
-        for _ in range(300):
-            mask = to_mask([s for s in range(10) if rng.random() < 0.4])
-            if lookup(reg, mask) is None:
-                states.append(len(reg.metastates))
-                reg.put(mask, states[-1])
-            if len(states) >= 2 and rng.random() < 0.3:
-                _unify_classes(reg, *rng.sample(states, 2))
-            for lat in reg.lattices.values():
-                for m in lat.minimals:
-                    assert m | lat.greatest == lat.greatest
-                for a in lat.minimals:
-                    for b in lat.minimals:
-                        if a != b:
-                            assert a & b not in (a, b)
-
     def test_put_to_a_used_state_rejected(self):
         reg = CCLRegistry()
         reg.put(to_mask([1]), 0)
@@ -427,9 +400,8 @@ class TestCCLOnPrunedForms:
         reg.unify(0, [1])
         lat = reg.lattices[find(reg, 0)]
         assert lat.greatest == to_mask([0, 2])
-        assert lat.minimals == _masks([0], [2])
         assert lat.puts == _masks([0], [2])
-        # a pruned query between the minimals and the greatest element
+        # a pruned query between the puts and the greatest element
         assert prune(to_mask([0, 2]), p) == to_mask([0, 2])
         assert lookup(reg, to_mask([0, 2])) == 0
 
@@ -489,13 +461,8 @@ class TestUnmergedLattice:
         # only when it is that put
         p, m, q = case
         put = prune(m, p)
-        lat = Lattice(0, put, [put], [put])
+        lat = Lattice(0, put, [put])
         assert covers(lat, prune(q, p)) == (prune(q, p) == put)
-
-
-_antichains = st.lists(st.one_of(st.just(0), st.integers(1, 63)), max_size=8).map(
-    antichain_reference
-)
 
 
 class TestPrunedView:
@@ -637,11 +604,26 @@ class TestResidual:
 
 class TestLattice:
     def test_covers_membership_rule(self):
-        lat = Lattice(0, to_mask([0, 1, 2]), _masks([0], [1, 2]), _masks([0], [1, 2]))
+        lat = Lattice(0, to_mask([0, 1, 2]), _masks([0], [1, 2]))
         assert covers(lat, to_mask([0, 2]))
         assert covers(lat, to_mask([1, 2]))
         assert not covers(lat, to_mask([2]))
         assert not covers(lat, to_mask([0, 3]))
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(
+        puts=st.lists(st.integers(0, 63), min_size=1, max_size=10),
+        query=st.integers(0, 63),
+        lift=st.integers(-1, 9),
+    )
+    def test_puts_cover_what_their_antichain_covers(self, puts, query, lift):
+        # the lemma a lattice's lower set rests on: every put lies above a
+        # minimal put, so some put is a subset of Q iff some minimal one is.
+        # Lifting the query above a put, inside the union, makes hits common
+        lat = lattice_of_puts(0, puts)
+        if 0 <= lift < len(puts):
+            query = query & lat.greatest | puts[lift]
+        assert covers(lat, query) == _covered_by_antichain(lat.greatest, puts, query)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
@@ -650,29 +632,39 @@ class TestLattice:
     )
     def test_unify_matches_pairwise_filter(self, puts, data):
         # the puts fall into classes, some unified first; one block then
-        # joins every class, and its minimals are the antichain of the puts
+        # joins every class.  Its puts are the classes' own, by class root,
+        # and it covers what the antichain of the puts covers
         classes = data.draw(st.lists(st.integers(0, 3), min_size=len(puts), max_size=len(puts)))
         reg = _join_classes(puts, classes)
         [lat] = reg.lattices.values()
-        assert sorted(lat.minimals) == sorted(antichain_reference(puts))
-        assert [m.bit_count() for m in lat.minimals] == sorted(m.bit_count() for m in lat.minimals)
+        order = sorted(range(len(puts)), key=lambda q: (classes.index(classes[q]), q))
+        assert lat.puts == [puts[q] for q in order]
         assert lat.greatest == to_mask([x for x in range(6) if any(m >> x & 1 for m in puts)])
-        assert sorted(lat.puts) == sorted(puts) and set(reg._exact.values()) == {0}
+        for query in range(64):
+            assert covers(lat, query) == _covered_by_antichain(lat.greatest, puts, query)
+        assert set(reg._exact.values()) == {0}
 
     def test_unify_fixed_cases(self):
         a, b, ab, c = _masks([1], [2], [1, 2], [3])
-        cases = [  # the puts, the class of each, and the join's minimals
-            ([a, b, ab], [0, 0, 1], [a, b]),  # a put above a minimal: dropped
-            ([ab, a, c], [0, 1, 1], [a, c]),  # a put below a minimal: replaces it
+        cases = [  # the puts, the class of each, and their minimal ones
+            ([a, b, ab], [0, 0, 1], [a, b]),  # a put above a minimal one
+            ([ab, a, c], [0, 1, 1], [a, c]),  # a put below an earlier one
             ([a, c, b], [0, 0, 1], [a, c, b]),
             ([a, b, 0], [0, 0, 1], [0]),  # the empty metastate is below everything
             ([0, a, b], [0, 1, 1], [0]),
             ([a, ab], [0, 1], [a]),  # two points
             ([ab, a, b, c], [0, 1, 2, 3], [a, b, c]),  # four points, one block
         ]
-        for puts, classes, expected in cases:
+        for puts, classes, minimals in cases:
             lat = _join_classes(puts, classes).lattices[0]
-            assert lat.minimals == expected == antichain_reference(puts)
+            assert lat.puts == puts and minimals == antichain_reference(puts)
+            for query in range(16):
+                assert covers(lat, query) == _covered_by_antichain(lat.greatest, minimals, query)
+
+
+def _covered_by_antichain(greatest, puts, query):
+    """The paper's rule: ``query`` is below ``greatest`` and above a minimal put."""
+    return query | greatest == greatest and any(m & query == m for m in antichain_reference(puts))
 
 
 def _join_classes(puts, classes):
@@ -789,7 +781,7 @@ def _check_invariants(reg, classes, unifies, p):
     for root, lat in reg.lattices.items():
         ref = lattice_of_puts(root, classes[root])
         assert lat.rep == root and lat.puts == classes[root]
-        assert lat.greatest == ref.greatest and sorted(lat.minimals) == sorted(ref.minimals)
+        assert lat.greatest == ref.greatest
     # pruned draws give pruned puts
     if p is not None:
         assert all(prune_reference(m, p) == m for m in reg.metastates)
@@ -881,8 +873,8 @@ class TestCoverIndex:
         reg.put(b, 1)
         assert reg._index.rows == reg._index.in_greatest == []  # no slices
         reg.unify(0, [1])
-        # one bit for the merged lattice, however many minimals it has
-        assert len(reg.lattices[0].minimals) == 2
+        # one bit for the merged lattice, however many puts it has
+        assert reg.lattices[0].puts == [a, b]
         assert reg._index.rows == [reg.lattices[0]] and reg._index.live == 1
 
     def test_pruned_point_lattices_get_no_rows(self):
@@ -901,7 +893,7 @@ class TestCoverIndex:
         reg.put(0, 0)
         reg.put(to_mask([1, 2]), 1)
         reg.unify(0, [1])
-        assert reg.lattices[0].minimals == [0]
+        assert reg.lattices[0].puts == [0, to_mask([1, 2])]
         for query in _masks([1], [2]):
             assert lookup(reg, query) == 0
         for query in _masks([3], [1, 3]):
